@@ -1,0 +1,9 @@
+"""Pytest set-up for the benchmark's self-tests: import paths only."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
