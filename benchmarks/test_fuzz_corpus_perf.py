@@ -18,7 +18,6 @@ import os
 from bench_utils import write_json_report, write_report
 
 from repro.core.config import MODULAR, WHOLE_PROGRAM
-from repro.dataflow.vecbitset import HAVE_NUMPY
 from repro.eval.perf import compare_engines_on_fuzz_corpus, render_engine_report
 
 
@@ -26,15 +25,10 @@ def _fuzz_bench_count() -> int:
     return int(os.environ.get("REPRO_FUZZ_BENCH_COUNT", "6"))
 
 
-def _engines() -> tuple:
-    return ("object", "bitset", "vector") if HAVE_NUMPY else ("object", "bitset")
-
-
 def test_fuzz_corpus_engine_comparison(report_dir):
     comparisons = [
         compare_engines_on_fuzz_corpus(
-            count=_fuzz_bench_count(), seed=0, size="medium", config=config,
-            rounds=2, engines=_engines(),
+            count=_fuzz_bench_count(), seed=0, size="medium", config=config, rounds=2
         )
         for config in (MODULAR, WHOLE_PROGRAM)
     ]
@@ -48,13 +42,6 @@ def test_fuzz_corpus_engine_comparison(report_dir):
             f"bitset engine slower than object on the fuzz corpus "
             f"({comparison.condition}: {comparison.speedup:.2f}x)"
         )
-        if comparison.vector_speedup is not None:
-            # Medium fuzz bodies straddle the vectorization crossover:
-            # require no pathological slowdown, not the large-body win.
-            assert comparison.vector_speedup >= 1.0, (
-                f"vector engine slower than object on the fuzz corpus "
-                f"({comparison.condition}: {comparison.vector_speedup:.2f}x)"
-            )
 
     report = "Fuzz-generated corpus (generate_fuzz_corpus):\n\n"
     report += render_engine_report(comparisons)
@@ -63,25 +50,4 @@ def test_fuzz_corpus_engine_comparison(report_dir):
         report_dir,
         "fuzz_engine_speedup",
         {"fuzz_corpus": [cmp.to_json_dict() for cmp in comparisons]},
-    )
-
-
-def test_fuzz_corpus_large_bodies_vector_win(report_dir):
-    """On large fuzz bodies (multi-word rows) the vector tier must beat the
-    object engine clearly — the workload it exists for."""
-    if not HAVE_NUMPY:
-        import pytest
-
-        pytest.skip("vector engine requires numpy")
-    comparison = compare_engines_on_fuzz_corpus(
-        count=3, seed=7, size="large", rounds=2, engines=_engines()
-    )
-    assert comparison.vector_speedup >= 1.5, (
-        f"vector engine must be >= 1.5x the object engine on large fuzz "
-        f"bodies, got {comparison.vector_speedup:.2f}x"
-    )
-    write_json_report(
-        report_dir,
-        "fuzz_vector_large",
-        {"fuzz_large": comparison.to_json_dict()},
     )

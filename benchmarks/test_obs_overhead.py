@@ -15,7 +15,6 @@ flap the ratio on scheduler noise.  The measured numbers are recorded in
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import pytest
@@ -23,7 +22,6 @@ from bench_utils import write_json_report
 
 from repro.core.config import MODULAR
 from repro.core.engine import FlowEngine
-from repro.dataflow.vecbitset import HAVE_NUMPY
 from repro.eval.corpus import generate_corpus
 from repro.lang.parser import parse_program
 from repro.lang.typeck import check_program
@@ -35,24 +33,24 @@ MAX_RATIO = 1.05
 ABS_SLACK_SECONDS = 0.10  # forgives sub-tenth-of-a-second jitter outright
 
 
-def _workload(corpus, config=MODULAR) -> int:
+def _workload(corpus) -> int:
     """Parse → typecheck → lower → per-function fixpoint, fresh state."""
     functions = 0
     for crate in corpus:
         program = parse_program(crate.source, local_crate=crate.name)
         checked = check_program(program)
-        engine = FlowEngine(checked, config=config)
+        engine = FlowEngine(checked, config=MODULAR)
         for name in engine.local_function_names():
             engine.analyze_function(name)
             functions += 1
     return functions
 
 
-def _best_of(corpus, rounds: int, config=MODULAR) -> float:
+def _best_of(corpus, rounds: int) -> float:
     best = float("inf")
     for _ in range(rounds):
         start = time.perf_counter()
-        _workload(corpus, config=config)
+        _workload(corpus)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -93,53 +91,6 @@ def test_untraced_overhead_within_five_percent(report_dir):
     ), (
         f"idle observability overhead too high: enabled {enabled_best:.3f}s vs "
         f"disabled {disabled_best:.3f}s ({ratio:.3f}x > {MAX_RATIO}x)"
-    )
-
-
-def test_untraced_overhead_within_five_percent_vector_engine(report_dir):
-    """The same ≤5% gate on the vectorized uint64 engine tier.
-
-    The vector engine's hot loop is numpy array work, not per-place Python
-    — proportionally, a fixed per-span/metric cost would weigh *more*
-    against it, so the disabled-path economics are gated on this tier too.
-    """
-    if not HAVE_NUMPY:
-        pytest.skip("vector engine requires numpy")
-    config = dataclasses.replace(MODULAR, engine="vector")
-    corpus = generate_corpus(scale=0.15)
-    assert is_enabled(), "the suite must start in the default-on state"
-    _workload(corpus, config=config)  # warm-up
-
-    enabled_best = float("inf")
-    disabled_best = float("inf")
-    try:
-        for _ in range(ROUNDS):
-            set_enabled(True)
-            enabled_best = min(enabled_best, _best_of(corpus, 1, config=config))
-            set_enabled(False)
-            disabled_best = min(disabled_best, _best_of(corpus, 1, config=config))
-    finally:
-        set_enabled(True)
-
-    ratio = enabled_best / disabled_best if disabled_best > 0 else 1.0
-    report = {
-        "workload": "fig2-style modular analysis, vector engine",
-        "rounds": ROUNDS,
-        "enabled_best_seconds": round(enabled_best, 4),
-        "disabled_best_seconds": round(disabled_best, 4),
-        "ratio": round(ratio, 4),
-        "max_ratio": MAX_RATIO,
-        "abs_slack_seconds": ABS_SLACK_SECONDS,
-    }
-    path = write_json_report(report_dir, "obs_overhead_vector", report)
-    print(f"[obs overhead (vector): {ratio:.3f}x; report at {path}]")
-
-    assert (
-        ratio <= MAX_RATIO or enabled_best - disabled_best <= ABS_SLACK_SECONDS
-    ), (
-        f"idle observability overhead too high on the vector engine: "
-        f"enabled {enabled_best:.3f}s vs disabled {disabled_best:.3f}s "
-        f"({ratio:.3f}x > {MAX_RATIO}x)"
     )
 
 

@@ -8,7 +8,7 @@ each condition, and a super-linear slowdown of Whole-program on a deep
 synthetic call graph.
 
 It also tracks the dataflow substrate itself: the indexed bitset engine
-must beat the legacy object engine ≥ 2× on the fig2 end-to-end analysis
+must beat the object referee engine ≥ 2× on the fig2 end-to-end analysis
 workload over the corpus, and the Θ-join microbenchmark records the raw
 primitive gap.  Both are written to ``benchmarks/reports/engine_speedup.json``
 so CI archives the speedup trajectory per commit.
@@ -18,11 +18,9 @@ from bench_utils import record_history, write_json_report, write_report
 
 from repro.core.config import MODULAR, WHOLE_PROGRAM
 from repro.core.engine import FlowEngine
-from repro.dataflow.vecbitset import HAVE_NUMPY
 from repro.eval.perf import (
     compare_deep_call_graph,
     compare_engines,
-    compare_fig2_vector,
     deep_call_graph_program,
     render_engine_report,
     render_perf_report,
@@ -53,14 +51,10 @@ def test_perf_median_function_time_and_deep_call_graph(benchmark, experiment, re
 
 
 def test_perf_engine_speedup_and_theta_join(corpus, report_dir):
-    """The PR-4 acceptance gate (bitset ≥ 2× object on the fig2 corpus
-    workload) plus the tier-3 gates: the vector Θ-join ≥ 3× the bitset join
-    at multi-word scale, and the vector engine ≥ 1.5× the object engine
-    end-to-end on the vectorization-scale workload through the SCC-wave
-    driver.  All reported as one JSON CI artifact."""
-    engines = ("object", "bitset", "vector") if HAVE_NUMPY else ("object", "bitset")
+    """The PR-4 acceptance gate: bitset engine ≥ 2× the object engine on the
+    fig2 end-to-end corpus analysis, reported as a JSON CI artifact."""
     comparisons = [
-        compare_engines(corpus=corpus, config=config, rounds=5, engines=engines)
+        compare_engines(corpus=corpus, config=config, rounds=5)
         for config in (MODULAR, WHOLE_PROGRAM)
     ]
     join_bench = theta_join_microbenchmark()
@@ -72,60 +66,31 @@ def test_perf_engine_speedup_and_theta_join(corpus, report_dir):
         f"{join_bench.to_json_dict()['bitset_us_per_join']} µs/join "
         f"(speedup {join_bench.speedup:.2f}x)"
     )
-
-    metrics = {
-        "fig2.engine_speedup": comparisons[0].speedup,
-        "fig2.object_seconds": comparisons[0].object_seconds,
-        "fig2.bitset_seconds": comparisons[0].bitset_seconds,
-        "theta_join.speedup": join_bench.speedup,
-        "theta_join.object_us_per_join": join_bench.object_seconds
-        / join_bench.joins
-        * 1e6,
-        "theta_join.bitset_us_per_join": join_bench.bitset_seconds
-        / join_bench.joins
-        * 1e6,
-    }
-    payload = {
-        "fig2_workload": [cmp.to_json_dict() for cmp in comparisons],
-        "theta_join": join_bench.to_json_dict(),
-    }
-
-    vector_join = wave_bench = None
-    if HAVE_NUMPY:
-        # The vector join is measured at multi-word row width (2 words) —
-        # the matrix shape the tier targets; the default-size pair above
-        # keeps the legacy trajectories comparable.
-        vector_join = theta_join_microbenchmark(places=128, locations_per_place=64)
-        wave_bench = compare_fig2_vector(rounds=2)
-        report += (
-            f"\n  vector theta-join (128x128): bitset "
-            f"{vector_join.to_json_dict()['bitset_us_per_join']} µs/join -> vector "
-            f"{vector_join.to_json_dict()['vector_us_per_join']} µs/join "
-            f"(speedup {vector_join.vector_speedup:.2f}x)"
-            f"\n  fig2 vector workload (corpus + large fuzz, SCC waves, "
-            f"mode={wave_bench.mode}): object "
-            f"{wave_bench.object_seconds * 1e3:.1f} ms -> vector "
-            f"{wave_bench.vector_seconds * 1e3:.1f} ms "
-            f"(speedup {wave_bench.vector_speedup:.2f}x)"
-        )
-        payload["theta_join_vector"] = vector_join.to_json_dict()
-        payload["fig2_vector_workload"] = wave_bench.to_json_dict()
-        metrics.update(
-            {
-                "theta_join.vector_speedup": vector_join.vector_speedup,
-                "theta_join.vector_us_per_join": vector_join.vector_seconds
-                / vector_join.joins
-                * 1e6,
-                "fig2.corpus_vector_speedup": comparisons[0].vector_speedup,
-                "fig2.vector_speedup": wave_bench.vector_speedup,
-                "fig2.vector_seconds": wave_bench.vector_seconds,
-            }
-        )
-
     write_report(report_dir, "engine_speedup", report)
-    json_path = write_json_report(report_dir, "engine_speedup", payload)
+
+    json_path = write_json_report(
+        report_dir,
+        "engine_speedup",
+        {
+            "fig2_workload": [cmp.to_json_dict() for cmp in comparisons],
+            "theta_join": join_bench.to_json_dict(),
+        },
+    )
     print(f"[benchmark JSON written to {json_path}]")
-    record_history(metrics)
+    record_history(
+        {
+            "fig2.engine_speedup": comparisons[0].speedup,
+            "fig2.object_seconds": comparisons[0].object_seconds,
+            "fig2.bitset_seconds": comparisons[0].bitset_seconds,
+            "theta_join.speedup": join_bench.speedup,
+            "theta_join.object_us_per_join": join_bench.object_seconds
+            / join_bench.joins
+            * 1e6,
+            "theta_join.bitset_us_per_join": join_bench.bitset_seconds
+            / join_bench.joins
+            * 1e6,
+        }
+    )
 
     modular = comparisons[0]
     assert modular.speedup >= 2.0, (
@@ -136,16 +101,6 @@ def test_perf_engine_speedup_and_theta_join(corpus, report_dir):
     # ratio is structurally smaller and noisier; it must still be a clear win.
     assert comparisons[1].speedup >= 1.2
     assert join_bench.speedup >= 2.0
-    if HAVE_NUMPY:
-        assert vector_join.vector_speedup >= 3.0, (
-            f"vector theta-join must be >= 3x the bitset join at multi-word "
-            f"scale, got {vector_join.vector_speedup:.2f}x"
-        )
-        assert wave_bench.vector_speedup >= 1.5, (
-            f"vector engine must be >= 1.5x the object engine on the "
-            f"vectorization-scale fig2 workload, got "
-            f"{wave_bench.vector_speedup:.2f}x"
-        )
 
 
 def test_perf_modular_analysis_of_single_function(benchmark):

@@ -63,7 +63,6 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         whole_program=getattr(args, "whole_program", False),
         mut_blind=getattr(args, "mut_blind", False),
         ref_blind=getattr(args, "ref_blind", False),
-        engine=getattr(args, "engine", "bitset"),
     )
 
 
@@ -86,14 +85,6 @@ def _add_condition_flags(parser: argparse.ArgumentParser) -> None:
         "--ref-blind",
         action="store_true",
         help="ablation: ignore lifetimes (type-based aliasing)",
-    )
-    parser.add_argument(
-        "--engine",
-        default="bitset",
-        choices=["bitset", "vector", "object"],
-        help="dataflow substrate: the indexed bitset engine (default), the "
-             "vectorized numpy uint64 engine (tier 3, requires numpy), or "
-             "the legacy object engine kept as the differential reference",
     )
 
 
@@ -380,11 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="process-pool workers; 0 or 1 = serial (default: 0)")
     eval_run.add_argument("--chunk-size", type=int, default=8,
                           help="programs per shard (default: 8)")
-    eval_run.add_argument("--engine", default="bitset",
-                          choices=["bitset", "vector", "object"],
-                          help="dataflow substrate for the probe analyses "
-                               "(default: bitset); `vector` doubles as an "
-                               "at-scale differential pass of the numpy tier")
     eval_run.add_argument("--oracles",
                           help="comma-separated oracle subset (default: all five)")
     eval_run.add_argument("--inject", metavar="NAME",
@@ -666,16 +652,7 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
     if args.file is None:
         raise ReproError("`stats` needs a FILE (or --campaign REPORT_JSON)")
 
-    # Table sizes / density / dirty-bit counts only exist on the indexed
-    # substrates (bitset + vector); the condition flags still select what
-    # is analysed.
     config = _config_from_args(args)
-    if config.engine not in ("bitset", "vector"):
-        raise ReproError(
-            "`stats` reports interning-table/bitset metrics, which only the "
-            "indexed engines have; drop --engine or pass --engine bitset "
-            "or --engine vector"
-        )
     engine = FlowEngine.from_source(_read_source(args.file), config=config)
     rows = []
     for name in _selected_functions(engine, args.function):
@@ -1314,7 +1291,6 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
         dirs=list(args.dirs),
         workers=args.workers,
         chunk_size=args.chunk_size,
-        engine=args.engine,
         oracles=args.oracles.split(",") if args.oracles else None,
         inject=args.inject,
         out_dir=args.out_dir,

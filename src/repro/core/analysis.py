@@ -22,12 +22,10 @@ from repro.core.theta import (
     IndexedDependencyContext,
     IndexedThetaLattice,
     ThetaLattice,
-    VecDependencyContext,
-    VecThetaLattice,
     arg_location,
     is_arg_location,
 )
-from repro.core.transfer import FlowTransfer, IndexedFlowTransfer, VectorFlowTransfer
+from repro.core.transfer import FlowTransfer, IndexedFlowTransfer
 from repro.dataflow.control_deps import compute_control_deps
 from repro.dataflow.engine import FixpointResult, ForwardAnalysis
 from repro.lang.ast import FnSig
@@ -73,17 +71,10 @@ def _seed_arguments(body: Body) -> DependencyContext:
 
 
 def _seed_arguments_indexed(
-    domain: BodyIndex,
-    seeds: List[Tuple[int, Place]],
-    theta: Optional[IndexedDependencyContext] = None,
+    domain: BodyIndex, seeds: List[Tuple[int, Place]]
 ) -> IndexedDependencyContext:
-    """The same initial Θ over the indexed domain: one tag bit per row.
-
-    ``theta`` lets the vector engine pass a :class:`VecDependencyContext`;
-    the int-facing ``set_row`` is shared by both matrix representations.
-    """
-    if theta is None:
-        theta = IndexedDependencyContext(domain)
+    """The same initial Θ over the indexed domain: one tag bit per row."""
+    theta = IndexedDependencyContext(domain)
     place_index = domain.places.index
     location_index = domain.locations.index
     for param_index, place in seeds:
@@ -157,26 +148,6 @@ class FunctionFlowResult:
 
             place_index = theta.domain.places.index
             arg_tag_mask = theta.domain.locations.arg_tag_mask
-        if isinstance(theta, VecDependencyContext):
-            # Batched word-space path: one whole-matrix popcount answers all
-            # single-row reads instead of a gather + int conversion per local.
-            labels: List[str] = []
-            targets: List[int] = []
-            for local in self.body.locals:
-                if local.index == RETURN_LOCAL:
-                    label = "<return>"
-                elif local.name is not None:
-                    label = local.name
-                elif include_temporaries:
-                    label = f"_{local.index}"
-                else:
-                    continue
-                labels.append(label)
-                targets.append(place_index(Place.from_local(local.index)))
-            sizes = theta.conflict_sizes(
-                targets, exclude_bits=0 if count_arg_tags else arg_tag_mask
-            )
-            return dict(zip(labels, sizes))
         for local in self.body.locals:
             if local.index == RETURN_LOCAL:
                 label = "<return>"
@@ -338,12 +309,7 @@ class FunctionFlowAnalysis:
                 ref_blind=self.config.ref_blind,
                 place_domain=domain.places,
             )
-            transfer_cls = (
-                VectorFlowTransfer
-                if self.config.engine == "vector"
-                else IndexedFlowTransfer
-            )
-            transfer = transfer_cls(
+            transfer = IndexedFlowTransfer(
                 body=self.body,
                 config=self.config,
                 oracle=oracle,
@@ -352,14 +318,8 @@ class FunctionFlowAnalysis:
                 provider=self.provider,
                 domain=domain,
             )
-            if self.config.engine == "vector":
-                lattice = VecThetaLattice(domain)
-                boundary_state = lambda body: _seed_arguments_indexed(
-                    domain, seeds, VecDependencyContext(domain)
-                )
-            else:
-                lattice = IndexedThetaLattice(domain)
-                boundary_state = lambda body: _seed_arguments_indexed(domain, seeds)
+            lattice = IndexedThetaLattice(domain)
+            boundary_state = lambda body: _seed_arguments_indexed(domain, seeds)
         engine = ForwardAnalysis(
             lattice=lattice,
             transfer=transfer,

@@ -40,20 +40,18 @@ class AnalysisConfig:
     # to the mutated place's dependency set.
     track_control_deps: bool = True
     # Which dataflow substrate runs the analysis.  "bitset" (the default) is
-    # the indexed engine: places/locations interned to dense ints, Θ stored
-    # as an int-bitset matrix with in-place bitwise-or joins.  "vector"
-    # packs the same matrix into one contiguous numpy uint64 word array so
-    # joins and transfer gathers/scatters are vectorized row operations
-    # (requires numpy).  "object" is the legacy Dict[Place, FrozenSet[Location]]
-    # domain, kept as the differential-testing reference; all three produce
-    # identical results on every query.
+    # the production engine: places/locations interned to dense ints, Θ
+    # stored as an int-bitset matrix with in-place bitwise-or joins.
+    # "object" is the Dict[Place, FrozenSet[Location]] domain, the test
+    # referee the differential suite and the engine-equivalence oracle
+    # check "bitset" against; both produce identical results on every query.
     engine: str = "bitset"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("bitset", "vector", "object"):
+        if self.engine not in ("bitset", "object"):
             raise ValueError(
                 f"unknown analysis engine {self.engine!r} "
-                "(expected 'bitset', 'vector', or 'object')"
+                "(expected 'bitset' or 'object')"
             )
 
     @property

@@ -8,30 +8,24 @@ the lattice adapter used by the generic dataflow engine along with the read
 and (strong/weak) write operations over conflicts that the transfer function
 needs.
 
-Three representations share the same semantics:
+Two representations share the same semantics:
 
-* :class:`DependencyContext` — the legacy object domain,
-  ``Dict[Place, FrozenSet[Location]]``, kept behind
-  ``AnalysisConfig(engine="object")`` for one release as the differential
-  reference;
-* :class:`IndexedDependencyContext` — the fast domain: places and locations
-  interned to dense ints (:class:`~repro.mir.indices.BodyIndex`) and Θ
-  stored as an :class:`~repro.dataflow.bitset.IndexMatrix` of int-bitset
-  rows, making the join (the hottest operation of the whole system) a
-  key-wise bitwise-or with an O(rows) dirty bit instead of a cascade of
-  frozenset allocations;
-* :class:`VecDependencyContext` — the vector domain behind
-  ``AnalysisConfig(engine="vector")``: the same interned index space, but Θ
-  packed into one contiguous numpy uint64 word matrix
-  (:class:`~repro.dataflow.vecbitset.VecMatrix`), so the join is a single
-  whole-matrix ``bitwise_or`` with a vectorized dirty-word reduction and
-  conflict reads/writes are fancy-indexed row gathers/scatters.
+* :class:`DependencyContext` — the object domain,
+  ``Dict[Place, FrozenSet[Location]]``, behind
+  ``AnalysisConfig(engine="object")``: the test referee the differential
+  suite and the engine-equivalence oracle check the production engine
+  against;
+* :class:`IndexedDependencyContext` — the production domain: places and
+  locations interned to dense ints (:class:`~repro.mir.indices.BodyIndex`)
+  and Θ stored as an :class:`~repro.dataflow.bitset.IndexMatrix` of
+  int-bitset rows, making the join (the hottest operation of the whole
+  system) a key-wise bitwise-or with an O(rows) dirty bit instead of a
+  cascade of frozenset allocations.
 
-All expose the identical Place/Location-object API at the boundary, so
+Both expose the identical Place/Location-object API at the boundary, so
 every consumer of analysis results is representation-agnostic; the indexed
 transfer function additionally uses the ``*_bits`` index-level operations to
-stay allocation-free inside the fixpoint, and the vector transfer uses the
-``*_words``/row-set operations to stay in word-vector space.
+stay allocation-free inside the fixpoint.
 """
 
 from __future__ import annotations
@@ -40,8 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.dataflow.bitset import IndexMatrix
-from repro.dataflow import vecbitset
-from repro.dataflow.vecbitset import VecMatrix, mask_rows, require_numpy, words_for
 from repro.mir.indices import ARG_BLOCK as _INDICES_ARG_BLOCK, BodyIndex
 from repro.mir.ir import Location, Place
 
@@ -407,7 +399,7 @@ class IndexedDependencyContext:
         return self.matrix.popcount_total()
 
     def to_object(self) -> DependencyContext:
-        """The equivalent legacy :class:`DependencyContext` (differential
+        """The equivalent object-domain :class:`DependencyContext` (differential
         testing and pretty-printing)."""
         return DependencyContext({place: deps for place, deps in self.items()})
 
@@ -447,254 +439,3 @@ class IndexedThetaLattice:
 
     def copy(self, state: IndexedDependencyContext) -> IndexedDependencyContext:
         return state.copy()
-
-
-# ---------------------------------------------------------------------------
-# The vector (numpy uint64 word matrix) representation
-# ---------------------------------------------------------------------------
-
-
-class VecDependencyContext(IndexedDependencyContext):
-    """Θ as a :class:`~repro.dataflow.vecbitset.VecMatrix`: one contiguous
-    ``places × ceil(locations/64)`` uint64 array.
-
-    Subclasses :class:`IndexedDependencyContext` so every consumer that fast-
-    paths on the indexed representation (dependency sizes, focus tables,
-    telemetry) treats the vector tier identically; every matrix-touching
-    method is overridden because the backing store has rows of words, not a
-    dict of ints.  The ``*_bits`` boundary methods keep their Python-int
-    contract (one conversion at the edge); the ``*_rows``/``*_words`` methods
-    are the word-vector forms the vectorized transfer function composes into
-    single gather/scatter numpy calls.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, domain: BodyIndex, matrix: Optional[VecMatrix] = None):
-        require_numpy("the vector dependency context (engine='vector')")
-        self.domain = domain
-        if matrix is None:
-            matrix = VecMatrix(
-                words_for(len(domain.locations)), capacity=len(domain.places)
-            )
-        self.matrix = matrix
-
-    # -- index-level access (int boundary) ---------------------------------------
-
-    def get_bits(self, place_index: int) -> int:
-        return self.matrix.row(place_index)
-
-    def collect_conflict_rows(self, target: int, out: List[int]) -> None:
-        """Append the rows whose union answers a conflict read of ``target``.
-
-        The masked row scan of :meth:`IndexedDependencyContext.read_conflicts_bits`
-        with the gather deferred: tracked descendants, plus the nearest
-        tracked strict ancestor when the target itself is untracked.  The
-        vector transfer concatenates these row sets across all reads of one
-        instruction into ``out`` and performs a single batched gather; the
-        out-parameter shape avoids a list allocation per read.
-        """
-        places = self.domain.places
-        keys_mask = self.matrix.keys_mask
-        target_bit = 1 << target
-        overlap = places.descendants_mask(target) & keys_mask
-        if overlap == target_bit:
-            # The overwhelmingly common case: the target itself is the only
-            # tracked conflicting row.
-            out.append(target)
-            return
-        mask = overlap
-        while mask:
-            lsb = mask & -mask
-            out.append(lsb.bit_length() - 1)
-            mask ^= lsb
-        if not (keys_mask & target_bit):
-            ancestors = (places.ancestors_mask(target) ^ target_bit) & keys_mask
-            nearest = -1
-            nearest_len = -1
-            while ancestors:
-                lsb = ancestors & -ancestors
-                key = lsb.bit_length() - 1
-                proj_len = places.projection_len(key)
-                if proj_len > nearest_len:
-                    nearest, nearest_len = key, proj_len
-                ancestors ^= lsb
-            if nearest >= 0:
-                out.append(nearest)
-
-    def read_conflicts_rows(self, target: int) -> List[int]:
-        """The conflict row set of ``target`` as a fresh list."""
-        rows: List[int] = []
-        self.collect_conflict_rows(target, rows)
-        return rows
-
-    def read_conflicts_bits(self, target: int) -> int:
-        rows: List[int] = []
-        self.collect_conflict_rows(target, rows)
-        return vecbitset.words_to_int(self.matrix.gather_or(rows))
-
-    def read_many_bits(self, targets: Iterable[int]) -> int:
-        rows: List[int] = []
-        for target in targets:
-            self.collect_conflict_rows(target, rows)
-        return vecbitset.words_to_int(self.matrix.gather_or(rows))
-
-    def conflict_sizes(self, targets: List[int], exclude_bits: int = 0) -> List[int]:
-        """Per-target conflict-read popcounts, batched.
-
-        One whole-matrix ``bitwise_count`` answers every single-row read (the
-        overwhelmingly common shape of the dependency-size metric); only
-        multi-row conflict reads fall back to a per-target gather.
-        ``exclude_bits`` masks columns (e.g. argument tags) out of the counts.
-        """
-        np = vecbitset.np
-        matrix = self.matrix
-        if exclude_bits:
-            keep = ~vecbitset.int_to_words(exclude_bits, matrix.num_words)
-            counts = np.bitwise_count(matrix.words & keep).sum(axis=1)
-        else:
-            keep = None
-            counts = np.bitwise_count(matrix.words).sum(axis=1)
-        out: List[int] = []
-        for target in targets:
-            rows: List[int] = []
-            self.collect_conflict_rows(target, rows)
-            if not rows:
-                out.append(0)
-            elif len(rows) == 1:
-                out.append(int(counts[rows[0]]))
-            else:
-                vec = matrix.gather_or(rows)
-                if keep is not None:
-                    np.bitwise_and(vec, keep, out=vec)
-                out.append(int(np.bitwise_count(vec).sum()))
-        return out
-
-    # -- word-level writes (the hot path) ----------------------------------------
-
-    def write_weak_words(self, target: int, additions) -> None:
-        """Word form of :meth:`IndexedDependencyContext.write_weak_bits`."""
-        matrix = self.matrix
-        target_bit = 1 << target
-        overlap = self.domain.places.conflicts_mask(target) & matrix.keys_mask
-        if overlap == target_bit:
-            # Common case: the tracked target is its own only conflict.
-            words = matrix.words
-            vecbitset.np.bitwise_or(words[target], additions, out=words[target])
-            return
-        if overlap:
-            matrix.or_rows_words(mask_rows(overlap), additions)
-        if not (matrix.keys_mask & target_bit):
-            matrix.set_row_words(target, additions)
-
-    def write_strong_words(self, target: int, replacement) -> None:
-        """Word form of :meth:`IndexedDependencyContext.write_strong_bits`."""
-        places = self.domain.places
-        matrix = self.matrix
-        keys_mask = matrix.keys_mask
-        target_bit = 1 << target
-        descendants_mask = places.descendants_mask(target)
-        ancestors_mask = places.ancestors_mask(target)
-        if not (((descendants_mask | ancestors_mask) ^ target_bit) & keys_mask):
-            # Common case: no tracked strict relatives — one row assignment.
-            matrix.set_row_words(target, replacement)
-            return
-        descendants = (descendants_mask ^ target_bit) & keys_mask
-        if descendants:
-            rows = mask_rows(descendants)
-            if len(rows) <= VecMatrix._SMALL_ROWS:
-                words = matrix.words
-                for index in rows:
-                    words[index] = replacement
-            else:
-                matrix.words[rows] = replacement
-        ancestors = (ancestors_mask ^ target_bit) & keys_mask
-        if ancestors:
-            matrix.or_rows_words(mask_rows(ancestors), replacement)
-        matrix.set_row_words(target, replacement)
-
-    def write_weak_bits(self, target: int, additions: int) -> None:
-        self.write_weak_words(
-            target, vecbitset.int_to_words(additions, self.matrix.num_words)
-        )
-
-    def write_strong_bits(self, target: int, replacement: int) -> None:
-        self.write_strong_words(
-            target, vecbitset.int_to_words(replacement, self.matrix.num_words)
-        )
-
-    # -- object-level API --------------------------------------------------------
-
-    def set(self, place: Place, value: Iterable[Location]) -> None:
-        self.matrix.set_row(
-            self.domain.places.index(place), self.domain.locations.mask(value)
-        )
-
-    def add(self, place: Place, value: Iterable[Location]) -> None:
-        self.matrix.or_row(
-            self.domain.places.index(place), self.domain.locations.mask(value)
-        )
-
-    def places(self) -> List[Place]:
-        place_of = self.domain.places.place_of
-        return [place_of(index) for index in self.matrix.row_indices()]
-
-    def items(self) -> Iterator[Tuple[Place, FrozenSet[Location]]]:
-        place_of = self.domain.places.place_of
-        frozenset_of = self.domain.locations.frozenset_of
-        for index, bits in self.matrix.items():
-            yield place_of(index), frozenset_of(bits)
-
-    def __contains__(self, place: Place) -> bool:
-        index = self.domain.places.get(place)
-        return index is not None and index in self.matrix
-
-    def __len__(self) -> int:
-        return len(self.matrix)
-
-    # -- structural operations ---------------------------------------------------
-
-    def copy(self) -> "VecDependencyContext":
-        return VecDependencyContext(self.domain, self.matrix.copy())
-
-    def join(self, other: "VecDependencyContext") -> "VecDependencyContext":
-        # Out-of-place join needs no dirty bit: VecMatrix.union skips the
-        # new-bit reduction that union_into pays on the fixpoint path.
-        return VecDependencyContext(self.domain, self.matrix.union(other.matrix))
-
-    def equals(self, other: "VecDependencyContext") -> bool:
-        return self.matrix.equals(other.matrix)
-
-    def restrict_to_locals(self, locals_of_interest: Iterable[int]) -> "VecDependencyContext":
-        wanted = set(locals_of_interest)
-        place_of = self.domain.places.place_of
-        restricted = VecMatrix(self.matrix.num_words, capacity=self.matrix.words.shape[0])
-        for index, bits in self.matrix.items():
-            if place_of(index).local in wanted:
-                restricted.set_row(index, bits)
-        return VecDependencyContext(self.domain, restricted)
-
-    def total_size(self) -> int:
-        return self.matrix.popcount_total()
-
-
-class VecThetaLattice(IndexedThetaLattice):
-    """Join-semilattice over :class:`VecDependencyContext` states.
-
-    The word count is fixed once per body (locations are fully pre-interned
-    by :func:`~repro.mir.indices.index_body`); row capacity starts at the
-    place-table size and grows by amortised doubling as late interning
-    appends places.  ``join_into`` inherits the in-place dirty-bit contract
-    the fixpoint driver keys off.
-    """
-
-    def __init__(self, domain: BodyIndex):
-        require_numpy("the vector theta lattice (engine='vector')")
-        super().__init__(domain)
-        self.num_words = words_for(len(domain.locations))
-
-    def bottom(self) -> VecDependencyContext:
-        return VecDependencyContext(
-            self.domain,
-            VecMatrix(self.num_words, capacity=len(self.domain.places)),
-        )

@@ -25,13 +25,7 @@ from repro.borrowck.oracle import AliasOracle
 from repro.borrowck.signatures import SignatureSummary, summarize_signature
 from repro.core.config import AnalysisConfig
 from repro.core.summaries import CallSummaryProvider, ModularSummaryProvider, WholeProgramSummary
-from repro.core.theta import (
-    EMPTY_DEPS,
-    DependencyContext,
-    IndexedDependencyContext,
-    VecDependencyContext,
-)
-from repro.dataflow import vecbitset
+from repro.core.theta import EMPTY_DEPS, DependencyContext, IndexedDependencyContext
 from repro.dataflow.control_deps import ControlDependencies
 from repro.mir.indices import BodyIndex
 from repro.lang.ast import FnSig
@@ -777,235 +771,3 @@ class IndexedFlowTransfer(FlowTransfer):
             )
             self._pointee_cache[key] = places
         return places
-
-
-@dataclass
-class VectorFlowTransfer(IndexedFlowTransfer):
-    """The transfer function over the vector (numpy word-matrix) context.
-
-    Reuses the compiled plans of :class:`IndexedFlowTransfer` verbatim — the
-    static structure of an instruction (which rows a read gathers over, which
-    rows a write hits, the location bit, the control skeleton) is engine
-    independent — but executes them in word space: every read bundle of an
-    instruction becomes **one** concatenated row list fed to a single
-    ``np.bitwise_or.reduce`` gather, static location/control bits are cached
-    as word vectors, and writes go through the word-level scatter methods of
-    :class:`~repro.core.theta.VecDependencyContext`.  No per-bit or
-    per-Python-int work happens on the hot path; the only int↔word
-    conversions are the one-time plan/static-mask compilations.
-    """
-
-    # Static int bit masks (location bit | control terminator bits) cached as
-    # immutable word vectors; the word count is fixed per body so the mask
-    # value alone keys the cache.
-    _word_cache: Dict[int, object] = field(default_factory=dict)
-
-    def _static_words(self, bits: int):
-        vec = self._word_cache.get(bits)
-        if vec is None:
-            vec = vecbitset.int_to_words(
-                bits, vecbitset.words_for(len(self.domain.locations))
-            )
-            self._word_cache[bits] = vec
-        return vec
-
-    def _control_rows(
-        self, state: VecDependencyContext, block: int, rows: List[int]
-    ) -> int:
-        """Append the control-dependence conflict rows of ``block`` to
-        ``rows`` and return the static terminator-location bits."""
-        cached = self._control_cache.get(block)
-        if cached is None:
-            cached = self._compile_control(block)
-            self._control_cache[block] = cached
-        static_bits, reads = cached
-        if reads:
-            collect = state.collect_conflict_rows
-            for index in reads:
-                collect(index, rows)
-        return static_bits
-
-    def __call__(self, state: VecDependencyContext, body: Body, location: Location) -> None:
-        plan = self._plans.get(location)
-        if plan is None:
-            plan = self._compile_location(location)
-            self._plans[location] = plan
-        tag = plan[0]
-        if tag == 0:
-            return
-        np = vecbitset.np
-        matrix = state.matrix
-        collect = state.collect_conflict_rows
-        if tag == 1:
-            _tag, reads, strong_target, weak_targets, loc_bit, agg, block = plan
-            if not agg:
-                # The common shape: control rows and read rows fold into ONE
-                # gather; zero-row instructions share the cached static
-                # vector directly (every write copies its input words).
-                rows: List[int] = []
-                static_bits = self._control_rows(state, block, rows)
-                for index in reads:
-                    collect(index, rows)
-                if rows:
-                    vec = matrix.gather_or(rows)
-                    np.bitwise_or(
-                        vec, self._static_words(loc_bit | static_bits), out=vec
-                    )
-                else:
-                    vec = self._static_words(loc_bit | static_bits)
-                if strong_target >= 0:
-                    state.write_strong_words(strong_target, vec)
-                else:
-                    for target in weak_targets:
-                        state.write_weak_words(target, vec)
-                return
-            control_rows: List[int] = []
-            static_bits = self._control_rows(state, block, control_rows)
-            base_vec = matrix.gather_or(control_rows)
-            np.bitwise_or(base_vec, self._static_words(loc_bit | static_bits), out=base_vec)
-            rows = []
-            for index in reads:
-                collect(index, rows)
-            if rows:
-                vec = matrix.gather_or(rows)
-                np.bitwise_or(vec, base_vec, out=vec)
-            else:
-                vec = base_vec
-            if strong_target >= 0:
-                state.write_strong_words(strong_target, vec)
-            else:
-                for target in weak_targets:
-                    state.write_weak_words(target, vec)
-            # Aggregate field refinements read the post-write state, matching
-            # the int engine's sequential field loop.
-            for field_reads, field_target in agg:
-                rows = []
-                for index in field_reads:
-                    collect(index, rows)
-                if rows:
-                    field_vec = matrix.gather_or(rows)
-                    np.bitwise_or(field_vec, base_vec, out=field_vec)
-                else:
-                    field_vec = base_vec
-                state.write_strong_words(field_target, field_vec)
-            return
-        self._apply_call_plan(state, location, plan)
-
-    def _apply_call_plan(
-        self, state: VecDependencyContext, location: Location, plan: tuple
-    ) -> None:
-        (
-            _tag,
-            call,
-            loc_bit,
-            block,
-            arg_places,
-            arg_reads,
-            pointee_reads,
-            mut_targets,
-            dest_resolved,
-            dest_strong,
-            boundary,
-        ) = plan
-        if boundary:
-            self.boundary_call_locations.add(location)
-        np = vecbitset.np
-        matrix = state.matrix
-        collect = state.collect_conflict_rows
-
-        control_rows: List[int] = []
-        static_bits = self._control_rows(state, block, control_rows)
-
-        summary: Optional[WholeProgramSummary] = None
-        if self.config.whole_program:
-            summary = self.provider.summary_for(call.func)
-            if summary is None:
-                self.modular_fallback_locations.add(location)
-
-        if summary is not None:
-            # Per-argument bundles stay separate: the summary selects which
-            # arguments feed each mutation/return.
-            base_vec = matrix.gather_or(control_rows)
-            np.bitwise_or(
-                base_vec, self._static_words(loc_bit | static_bits), out=base_vec
-            )
-            operand_vecs = []
-            pointee_vecs = []
-            for reads, pointees in zip(arg_reads, pointee_reads):
-                rows: List[int] = []
-                for index in reads:
-                    collect(index, rows)
-                operand_vecs.append(matrix.gather_or(rows))
-                rows = []
-                for index in pointees:
-                    collect(index, rows)
-                pointee_vecs.append(matrix.gather_or(rows))
-            self._apply_whole_program_words(
-                state, call, base_vec, summary, arg_places, operand_vecs,
-                pointee_vecs, dest_resolved, dest_strong,
-            )
-            return
-
-        # The modular rule: κ is one gather over every operand and pointee
-        # read of the call plus the control/location base.
-        rows = control_rows
-        for reads, pointees in zip(arg_reads, pointee_reads):
-            for index in reads:
-                collect(index, rows)
-            for index in pointees:
-                collect(index, rows)
-        if rows:
-            kappa = matrix.gather_or(rows)
-            np.bitwise_or(kappa, self._static_words(loc_bit | static_bits), out=kappa)
-        else:
-            kappa = self._static_words(loc_bit | static_bits)
-        for targets in mut_targets:
-            for target in targets:
-                state.write_weak_words(target, kappa)
-        if dest_strong:
-            state.write_strong_words(dest_resolved[0], kappa)
-        else:
-            for target in dest_resolved:
-                state.write_weak_words(target, kappa)
-
-    def _apply_whole_program_words(
-        self,
-        state: VecDependencyContext,
-        call: CallTerminator,
-        base_vec,
-        summary: WholeProgramSummary,
-        arg_places: Tuple[Optional[Place], ...],
-        operand_vecs: List,
-        pointee_vecs: List,
-        dest_resolved: Tuple[int, ...],
-        dest_strong: bool,
-    ) -> None:
-        """Translate a callee summary to the call site, in word space."""
-        np = vecbitset.np
-
-        def arg_bundle(indices: FrozenSet[int]):
-            vec = base_vec.copy()
-            for index in indices:
-                if index < len(operand_vecs):
-                    np.bitwise_or(vec, operand_vecs[index], out=vec)
-                    np.bitwise_or(vec, pointee_vecs[index], out=vec)
-            return vec
-
-        return_vec = arg_bundle(summary.return_sources)
-        if dest_strong:
-            state.write_strong_words(dest_resolved[0], return_vec)
-        else:
-            for target in dest_resolved:
-                state.write_weak_words(target, return_vec)
-
-        for (param_index, ref_path), sources in summary.mutations.items():
-            if param_index >= len(arg_places):
-                continue
-            arg_place = arg_places[param_index]
-            if arg_place is None:
-                continue
-            kappa = arg_bundle(sources)
-            target = self._mutation_target(call, param_index, ref_path, arg_place)
-            for index in target:
-                state.write_weak_words(index, kappa)
-

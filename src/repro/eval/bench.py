@@ -44,51 +44,27 @@ BenchFn = Callable[[float], Dict[str, float]]
 
 
 def _bench_theta_join(scale: float) -> Dict[str, float]:
-    from repro.dataflow.vecbitset import HAVE_NUMPY
     from repro.eval.perf import theta_join_microbenchmark
 
     joins = max(50, int(2000 * scale))
     bench = theta_join_microbenchmark(joins=joins)
-    metrics = {
+    return {
         "theta_join.speedup": bench.speedup,
         "theta_join.object_us_per_join": bench.object_seconds / bench.joins * 1e6,
         "theta_join.bitset_us_per_join": bench.bitset_seconds / bench.joins * 1e6,
     }
-    if HAVE_NUMPY:
-        # The vector tier is measured at multi-word scale (128 places ×
-        # 128 locations = 2 words/row): the matrix shape it exists for.
-        # The default-size pair above keeps the legacy trajectories stable.
-        big = theta_join_microbenchmark(places=128, locations_per_place=64, joins=joins)
-        metrics["theta_join.vector_speedup"] = big.vector_speedup
-        metrics["theta_join.vector_us_per_join"] = (
-            big.vector_seconds / big.joins * 1e6
-        )
-    return metrics
 
 
 def _bench_fig2(scale: float) -> Dict[str, float]:
-    from repro.dataflow.vecbitset import HAVE_NUMPY
-    from repro.eval.perf import compare_engines, compare_fig2_vector
+    from repro.eval.perf import compare_engines
 
-    engines = ("object", "bitset", "vector") if HAVE_NUMPY else ("object", "bitset")
-    cmp = compare_engines(scale=scale, rounds=2, engines=engines)
-    metrics = {
+    cmp = compare_engines(scale=scale, rounds=2)
+    return {
         "fig2.engine_speedup": cmp.speedup,
         "fig2.object_seconds": cmp.object_seconds,
         "fig2.bitset_seconds": cmp.bitset_seconds,
         "fig2.functions": float(cmp.functions),
     }
-    if cmp.vector_seconds is not None:
-        # Corpus-only ratio: informational (small bodies are not the vector
-        # tier's target shape); the gated ratio below runs the SCC-wave
-        # driver over the corpus + large fuzz bodies.
-        metrics["fig2.corpus_vector_speedup"] = cmp.vector_speedup
-        metrics["fig2.corpus_vector_seconds"] = cmp.vector_seconds
-        wave = compare_fig2_vector(scale=scale, rounds=2)
-        metrics["fig2.vector_speedup"] = wave.vector_speedup
-        metrics["fig2.vector_seconds"] = wave.vector_seconds
-        metrics["fig2.wave_workers"] = float(wave.workers)
-    return metrics
 
 
 def _bench_focus(scale: float) -> Dict[str, float]:
@@ -150,16 +126,8 @@ TRACKED: Dict[str, MetricPolicy] = {
     policy.metric: policy
     for policy in (
         _ratio("theta_join.speedup"),
-        _ratio("theta_join.vector_speedup"),
         _ratio("fig2.engine_speedup"),
-        _ratio("fig2.vector_speedup"),
         _ratio("focus.warm_speedup", tolerance=0.40),
-        # Corpus-only vector ratio: visible trend, never gated — tiny bodies
-        # sit below the vectorization crossover by design.
-        MetricPolicy(
-            "fig2.corpus_vector_speedup", direction="higher", tolerance=0.75,
-            window=5, gate=False, unit="x",
-        ),
         MetricPolicy(
             "load.throughput_rps", direction="higher", tolerance=0.75,
             window=5, gate=False, unit="req/s",
@@ -170,12 +138,8 @@ TRACKED: Dict[str, MetricPolicy] = {
         MetricPolicy(
             "theta_join.bitset_us_per_join", direction="lower", tolerance=0.75, unit="us"
         ),
-        MetricPolicy(
-            "theta_join.vector_us_per_join", direction="lower", tolerance=0.75, unit="us"
-        ),
         MetricPolicy("fig2.object_seconds", direction="lower", tolerance=0.75, unit="s"),
         MetricPolicy("fig2.bitset_seconds", direction="lower", tolerance=0.75, unit="s"),
-        MetricPolicy("fig2.vector_seconds", direction="lower", tolerance=0.75, unit="s"),
         _latency("focus.cold_p50_ms"),
         _latency("focus.warm_p50_ms"),
         _latency("load.p50_ms"),

@@ -78,7 +78,6 @@ class MassRunConfig:
     dirs: Sequence[str] = ()  # committed .mrs corpus directories
     workers: int = 0  # 0/1 = serial; >1 = process-pool fan-out
     chunk_size: int = 8
-    engine: str = "bitset"  # dataflow substrate for the probe analyses
     oracles: Optional[Sequence[str]] = None  # None = the default battery
     inject: Optional[str] = None  # injected always-wrong oracle (self-test)
     max_snapshot_variables: int = 4
@@ -99,7 +98,6 @@ class MassRunConfig:
             "size": self.size,
             "dirs": [str(Path(d).name) for d in self.dirs],
             "workers": self.workers,
-            "engine": self.engine,
             "oracles": self.oracle_names(),
             "max_snapshot_variables": self.max_snapshot_variables,
         }
@@ -111,20 +109,16 @@ class MassRunConfig:
 
 _WORKER_ORACLES: Optional[List[str]] = None
 _WORKER_SNAPSHOT_VARS: int = 4
-_WORKER_ENGINE_NAME: str = "bitset"
 
 
-def _init_eval_worker(
-    oracle_names: List[str], snapshot_vars: int, engine: str = "bitset"
-) -> None:
-    global _WORKER_ORACLES, _WORKER_SNAPSHOT_VARS, _WORKER_ENGINE_NAME
+def _init_eval_worker(oracle_names: List[str], snapshot_vars: int) -> None:
+    global _WORKER_ORACLES, _WORKER_SNAPSHOT_VARS
     _WORKER_ORACLES = list(oracle_names)
     _WORKER_SNAPSHOT_VARS = snapshot_vars
-    _WORKER_ENGINE_NAME = engine
 
 
 def evaluate_program(
-    task: dict, oracles: Sequence[str], snapshot_vars: int = 4, engine: str = "bitset"
+    task: dict, oracles: Sequence[str], snapshot_vars: int = 4
 ) -> dict:
     """Run the battery (plus precision/snapshot probes) on one corpus member.
 
@@ -157,8 +151,7 @@ def evaluate_program(
     if ok:
         try:
             record["snapshot_digest"], record["precision"] = _verdict_probes(
-                task["source"], task.get("crate_name", "fuzzed"), snapshot_vars,
-                engine=engine,
+                task["source"], task.get("crate_name", "fuzzed"), snapshot_vars
             )
         except Exception as error:  # probe crash = failing program, not a crash
             record["ok"] = False
@@ -174,26 +167,21 @@ def evaluate_program(
 
 
 def _verdict_probes(
-    source: str, crate_name: str, snapshot_vars: int, engine: str = "bitset"
+    source: str, crate_name: str, snapshot_vars: int
 ) -> Tuple[str, dict]:
     """The per-program verdict token and precision sample.
 
     The snapshot digest commits to every analyze record and slice the
     workspace can answer (cache-independent, byte-stable); precision is the
-    distribution of per-variable dependency-set sizes under Modular, run on
-    the selected ``engine`` tier — all tiers must report identical sizes, so
-    an ``--engine vector`` mass run is also an at-scale differential pass.
+    distribution of per-variable dependency-set sizes under Modular.
     """
-    import dataclasses as _dataclasses
-
-    from repro.core.config import MODULAR
     from repro.service.session import AnalysisSession
 
     session = AnalysisSession(local_crate=crate_name)
     session.open_unit("eval", source)
     digest = session.snapshot_digest(max_variables_per_function=snapshot_vars)
     sizes: List[int] = []
-    analyze = session.analyze(config=_dataclasses.replace(MODULAR, engine=engine))
+    analyze = session.analyze()
     for fn_record in analyze["functions"].values():
         sizes.extend(fn_record["dependency_sizes"].values())
     precision = {
@@ -209,9 +197,7 @@ def _eval_shard(tasks: List[dict]) -> List[dict]:
     """Module-level shard worker (picklable) for :func:`map_shards`."""
     assert _WORKER_ORACLES is not None
     return [
-        evaluate_program(
-            task, _WORKER_ORACLES, _WORKER_SNAPSHOT_VARS, engine=_WORKER_ENGINE_NAME
-        )
+        evaluate_program(task, _WORKER_ORACLES, _WORKER_SNAPSHOT_VARS)
         for task in tasks
     ]
 
@@ -445,20 +431,6 @@ def run_mass_evaluation(
     empty corpus).
     """
     oracle_names = config.oracle_names()
-    # Fail fast on a bad engine name or a vector run without numpy — a
-    # configuration error, not a per-program verdict.
-    try:
-        import dataclasses as _dataclasses
-
-        from repro.core.config import MODULAR
-
-        _dataclasses.replace(MODULAR, engine=config.engine)
-        if config.engine == "vector":
-            from repro.dataflow.vecbitset import require_numpy
-
-            require_numpy("the vector mass-evaluation engine (--engine vector)")
-    except (ValueError, RuntimeError) as error:
-        raise ReproError(str(error))
     if corpus is None:
         with obs_span("massrun_ingest", count=config.count, dirs=len(config.dirs)):
             corpus = ingest_corpus(
@@ -490,7 +462,7 @@ def run_mass_evaluation(
             max_workers=config.workers,
             chunk_size=config.chunk_size,
             initializer=_init_eval_worker,
-            initargs=(oracle_names, config.max_snapshot_variables, config.engine),
+            initargs=(oracle_names, config.max_snapshot_variables),
             telemetry=telemetry,
         )
     report.mode = mode
@@ -589,7 +561,6 @@ def _record_ledger(report: MassRunReport, config: MassRunConfig) -> dict:
             "count": config.count,
             "size": config.size,
             "workers": config.workers,
-            "engine": config.engine,
             "dirs": sorted(str(Path(d).name) for d in config.dirs),
         },
     )

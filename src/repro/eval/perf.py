@@ -128,7 +128,7 @@ def compare_deep_call_graph(depth: int = 6, fanout: int = 2) -> PerfComparison:
 
 @dataclass
 class EngineComparison:
-    """Bitset (indexed) / vector (numpy) vs legacy object engine over a corpus.
+    """Bitset (production) vs object (referee) engine over a corpus.
 
     The measured unit mirrors the Figure 2 data collection exactly: for
     every local-crate function of every corpus crate, run the information
@@ -137,9 +137,6 @@ class EngineComparison:
     engine-independent), so the ratio isolates the dataflow substrate.
     Each engine is timed ``rounds`` times alternately and the best round is
     reported — the shape least sensitive to scheduler noise in CI.
-
-    ``vector_seconds`` is ``None`` when the vector tier was not measured
-    (two-way comparison, or numpy unavailable).
     """
 
     condition: str
@@ -147,7 +144,6 @@ class EngineComparison:
     rounds: int
     object_seconds: float
     bitset_seconds: float
-    vector_seconds: Optional[float] = None
 
     @property
     def speedup(self) -> float:
@@ -155,26 +151,8 @@ class EngineComparison:
             return float("inf")
         return self.object_seconds / self.bitset_seconds
 
-    @property
-    def vector_speedup(self) -> Optional[float]:
-        """Object-engine seconds over vector-engine seconds (same convention
-        as :attr:`speedup`)."""
-        if self.vector_seconds is None:
-            return None
-        if self.vector_seconds <= 0:
-            return float("inf")
-        return self.object_seconds / self.vector_seconds
-
-    @property
-    def vector_vs_bitset(self) -> Optional[float]:
-        if self.vector_seconds is None:
-            return None
-        if self.vector_seconds <= 0:
-            return float("inf")
-        return self.bitset_seconds / self.vector_seconds
-
     def to_json_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {
+        return {
             "condition": self.condition,
             "functions": self.functions,
             "rounds": self.rounds,
@@ -182,11 +160,6 @@ class EngineComparison:
             "bitset_ms": round(self.bitset_seconds * 1e3, 2),
             "speedup": round(self.speedup, 2),
         }
-        if self.vector_seconds is not None:
-            row["vector_ms"] = round(self.vector_seconds * 1e3, 2)
-            row["vector_speedup"] = round(self.vector_speedup, 2)
-            row["vector_vs_bitset"] = round(self.vector_vs_bitset, 2)
-        return row
 
 
 def compare_engines(
@@ -194,15 +167,12 @@ def compare_engines(
     config: AnalysisConfig = MODULAR,
     scale: float = 0.15,
     rounds: int = 3,
-    engines: Sequence[str] = ("object", "bitset"),
 ) -> EngineComparison:
     """Measure the fig2-style end-to-end analysis wall time of each engine.
 
-    Also asserts, while it measures, that all engines report identical
+    Also asserts, while it measures, that both engines report identical
     dependency sizes for every function — the differential property the
-    benchmark rides on.  ``engines`` selects the tiers (pass
-    ``("object", "bitset", "vector")`` for the three-way comparison; the
-    vector tier requires numpy and raises a clear error without it).
+    benchmark rides on.
     """
     from repro.eval.corpus import generate_corpus
     from repro.eval.experiments import _prepare_crate
@@ -210,9 +180,7 @@ def compare_engines(
     if corpus is None:
         corpus = generate_corpus(scale=scale)
     prepared = [_prepare_crate(crate) for crate in corpus]
-    names = list(dict.fromkeys(engines))
-    if not {"object", "bitset"} <= set(names):
-        raise ValueError("compare_engines needs at least the object and bitset tiers")
+    names = ("object", "bitset")
     configs = {name: dataclasses.replace(config, engine=name) for name in names}
 
     functions = 0
@@ -230,18 +198,14 @@ def compare_engines(
                     count += 1
             best[engine_name] = min(best[engine_name], time.perf_counter() - start)
             functions = count
-    for engine_name in names[1:]:
-        if sizes[names[0]] != sizes[engine_name]:
-            raise AssertionError(
-                f"{engine_name} and {names[0]} engines disagree on dependency sizes"
-            )
+    if sizes["object"] != sizes["bitset"]:
+        raise AssertionError("bitset and object engines disagree on dependency sizes")
     return EngineComparison(
         condition=config.name,
         functions=functions,
         rounds=max(1, rounds),
         object_seconds=best["object"],
         bitset_seconds=best["bitset"],
-        vector_seconds=best.get("vector"),
     )
 
 
@@ -251,7 +215,6 @@ def compare_engines_on_fuzz_corpus(
     size: str = "medium",
     config: AnalysisConfig = MODULAR,
     rounds: int = 2,
-    engines: Sequence[str] = ("object", "bitset"),
 ) -> EngineComparison:
     """The fig2 engine comparison over a :mod:`repro.fuzz` generated corpus.
 
@@ -264,184 +227,18 @@ def compare_engines_on_fuzz_corpus(
     from repro.eval.corpus import generate_fuzz_corpus
 
     corpus = generate_fuzz_corpus(count=count, seed=seed, size=size)
-    return compare_engines(corpus=corpus, config=config, rounds=rounds, engines=engines)
-
-
-@dataclass
-class VectorWaveBench:
-    """The fig2 end-to-end comparison on the vectorization-favourable workload.
-
-    The workload is the standard template corpus *plus* a handful of large
-    fuzz-generated crates — bodies big enough (hundreds of locations, so
-    multi-word rows) that the uint64 word kernels beat per-row Python
-    arithmetic, which is where the vector tier is meant to be used.  The
-    object and bitset legs run the plain serial fig2 loop; the vector leg
-    runs through the SCC-wave fixpoint driver
-    (:func:`repro.service.scheduler.run_waves`) at ``workers`` processes,
-    degrading to an in-process wave walk on single-core machines per the
-    scheduler's contract (``mode`` records which path ran).
-    """
-
-    functions: int
-    crates: int
-    rounds: int
-    workers: int
-    mode: str
-    object_seconds: float
-    bitset_seconds: float
-    vector_seconds: float
-
-    @property
-    def vector_speedup(self) -> float:
-        if self.vector_seconds <= 0:
-            return float("inf")
-        return self.object_seconds / self.vector_seconds
-
-    @property
-    def vector_vs_bitset(self) -> float:
-        if self.vector_seconds <= 0:
-            return float("inf")
-        return self.bitset_seconds / self.vector_seconds
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "functions": self.functions,
-            "crates": self.crates,
-            "rounds": self.rounds,
-            "workers": self.workers,
-            "mode": self.mode,
-            "object_ms": round(self.object_seconds * 1e3, 2),
-            "bitset_ms": round(self.bitset_seconds * 1e3, 2),
-            "vector_ms": round(self.vector_seconds * 1e3, 2),
-            "vector_speedup": round(self.vector_speedup, 2),
-            "vector_vs_bitset": round(self.vector_vs_bitset, 2),
-        }
-
-
-def compare_fig2_vector(
-    scale: float = 0.15,
-    fuzz_count: int = 5,
-    fuzz_seed: int = 0,
-    fuzz_size: str = "large",
-    config: AnalysisConfig = MODULAR,
-    rounds: int = 2,
-    workers: int = 4,
-) -> VectorWaveBench:
-    """Object/bitset serial vs vector-through-SCC-waves on large bodies.
-
-    Same best-of-``rounds`` protocol and differential size assertion as
-    :func:`compare_engines`; the vector leg additionally exercises the
-    corpus-level wave schedule (:func:`repro.service.scheduler.corpus_waves`),
-    so the measured time is the production batch path, not a bare loop.
-    """
-    import os
-
-    from repro.dataflow.vecbitset import require_numpy
-    from repro.eval.corpus import generate_corpus, generate_fuzz_corpus
-    from repro.eval.experiments import _prepare_crate
-    from repro.service.scheduler import (
-        _corpus_sizes_batch,
-        _init_corpus_worker,
-        corpus_waves,
-        run_waves,
-    )
-
-    require_numpy("the fig2 vector benchmark")
-    corpus = list(generate_corpus(scale=scale)) + list(
-        generate_fuzz_corpus(count=fuzz_count, seed=fuzz_seed, size=fuzz_size)
-    )
-    prepared = [_prepare_crate(crate) for crate in corpus]
-    configs = {
-        name: dataclasses.replace(config, engine=name)
-        for name in ("object", "bitset", "vector")
-    }
-
-    # The wave schedule is engine-independent: compute it once, outside the
-    # timed region, from throwaway engines.
-    schedule_engines = [
-        FlowEngine(checked, lowered=lowered, config=configs["bitset"])
-        for checked, lowered in prepared
-    ]
-    waves = corpus_waves(schedule_engines)
-    functions = sum(len(wave) for wave in waves)
-
-    use_pool = workers > 1 and (os.cpu_count() or 1) > 1
-    sources = [(crate.source, crate.name) for crate in corpus]
-    vector_kwargs = dataclasses.asdict(configs["vector"])
-
-    sizes: Dict[str, Dict[Tuple[int, str], Dict[str, int]]] = {
-        name: {} for name in configs
-    }
-    best: Dict[str, float] = {name: float("inf") for name in configs}
-    mode = "serial"
-    for _ in range(max(1, rounds)):
-        for engine_name in ("object", "bitset"):
-            start = time.perf_counter()
-            for crate_index, (checked, lowered) in enumerate(prepared):
-                engine = FlowEngine(checked, lowered=lowered, config=configs[engine_name])
-                for fn_name in engine.local_function_names():
-                    result = engine.analyze_function(fn_name)
-                    sizes[engine_name][(crate_index, fn_name)] = result.dependency_sizes()
-            best[engine_name] = min(best[engine_name], time.perf_counter() - start)
-
-        if use_pool:
-            start = time.perf_counter()
-            mode, wave_results, _error = run_waves(
-                _corpus_sizes_batch,
-                waves,
-                max_workers=workers,
-                initializer=_init_corpus_worker,
-                initargs=(sources, vector_kwargs),
-            )
-            best["vector"] = min(best["vector"], time.perf_counter() - start)
-            for wave_out in wave_results:
-                for crate_index, fn_name, fn_sizes in wave_out:
-                    sizes["vector"][(crate_index, fn_name)] = fn_sizes
-        else:
-            engines = [
-                FlowEngine(checked, lowered=lowered, config=configs["vector"])
-                for checked, lowered in prepared
-            ]
-            start = time.perf_counter()
-            for wave in waves:
-                for crate_index, fn_name in wave:
-                    result = engines[crate_index].analyze_function(fn_name)
-                    sizes["vector"][(crate_index, fn_name)] = result.dependency_sizes()
-            best["vector"] = min(best["vector"], time.perf_counter() - start)
-            mode = "serial"
-
-    for engine_name in ("bitset", "vector"):
-        if sizes["object"] != sizes[engine_name]:
-            raise AssertionError(
-                f"{engine_name} and object engines disagree on dependency sizes"
-            )
-    return VectorWaveBench(
-        functions=functions,
-        crates=len(corpus),
-        rounds=max(1, rounds),
-        workers=workers if use_pool else 1,
-        mode=mode,
-        object_seconds=best["object"],
-        bitset_seconds=best["bitset"],
-        vector_seconds=best["vector"],
-    )
+    return compare_engines(corpus=corpus, config=config, rounds=rounds)
 
 
 def render_engine_report(comparisons: Sequence[EngineComparison]) -> str:
-    """Text report of the bitset/vector-vs-object engine benchmark."""
-    lines = ["Indexed bitset engine vs legacy object engine (fig2 workload):", ""]
+    """Text report of the bitset-vs-object engine benchmark."""
+    lines = ["Indexed bitset engine vs object referee engine (fig2 workload):", ""]
     for cmp in comparisons:
-        line = (
+        lines.append(
             f"  {cmp.condition:<16} {cmp.functions:4d} functions: "
             f"object {cmp.object_seconds * 1e3:8.1f} ms -> bitset "
             f"{cmp.bitset_seconds * 1e3:8.1f} ms (speedup {cmp.speedup:.2f}x)"
         )
-        if cmp.vector_seconds is not None:
-            line += (
-                f" -> vector {cmp.vector_seconds * 1e3:8.1f} ms "
-                f"(speedup {cmp.vector_speedup:.2f}x)"
-            )
-        lines.append(line)
     return "\n".join(lines)
 
 
@@ -453,11 +250,7 @@ class ThetaJoinBench:
     ``locations_per_place`` dependencies each (disjoint halves, so every
     join does real merging) and times ``joins`` repeated joins in each
     representation.  The object engine allocates a frozenset union per
-    overlapping key; the indexed engine does one bitwise-or per row; the
-    vector engine does a single whole-matrix copy plus one
-    ``np.bitwise_or`` over the contiguous uint64 word array.
-
-    ``vector_seconds`` is ``None`` when numpy is unavailable.
+    overlapping key; the indexed engine does one bitwise-or per row.
     """
 
     places: int
@@ -465,7 +258,6 @@ class ThetaJoinBench:
     joins: int
     object_seconds: float
     bitset_seconds: float
-    vector_seconds: Optional[float] = None
 
     @property
     def speedup(self) -> float:
@@ -473,18 +265,8 @@ class ThetaJoinBench:
             return float("inf")
         return self.object_seconds / self.bitset_seconds
 
-    @property
-    def vector_speedup(self) -> Optional[float]:
-        """Bitset join seconds over vector join seconds: the tier-3 win over
-        the tier-2 substrate on the hottest primitive."""
-        if self.vector_seconds is None:
-            return None
-        if self.vector_seconds <= 0:
-            return float("inf")
-        return self.bitset_seconds / self.vector_seconds
-
     def to_json_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {
+        return {
             "places": self.places,
             "locations_per_place": self.locations_per_place,
             "joins": self.joins,
@@ -492,18 +274,13 @@ class ThetaJoinBench:
             "bitset_us_per_join": round(self.bitset_seconds / self.joins * 1e6, 3),
             "speedup": round(self.speedup, 2),
         }
-        if self.vector_seconds is not None:
-            row["vector_us_per_join"] = round(self.vector_seconds / self.joins * 1e6, 3)
-            row["vector_speedup"] = round(self.vector_speedup, 2)
-        return row
 
 
 def theta_join_microbenchmark(
     places: int = 48, locations_per_place: int = 24, joins: int = 2000
 ) -> ThetaJoinBench:
-    """Time repeated Θ joins in the object, indexed, and vector representations."""
+    """Time repeated Θ joins in the object and indexed representations."""
     from repro.core.theta import DependencyContext, IndexedDependencyContext
-    from repro.dataflow.vecbitset import HAVE_NUMPY
     from repro.mir.indices import BodyIndex, LocationDomain, PlaceDomain
     from repro.mir.ir import Location, Place
 
@@ -546,34 +323,10 @@ def theta_join_microbenchmark(
         idx_left.join(idx_right)
     bitset_seconds = time.perf_counter() - start
 
-    vector_seconds = None
-    vec_left = vec_right = None
-    if HAVE_NUMPY:
-        from repro.core.theta import VecDependencyContext
-
-        def vector_pair() -> Tuple[VecDependencyContext, VecDependencyContext]:
-            left = VecDependencyContext(domain)
-            right = VecDependencyContext(domain)
-            for index in range(places):
-                place = Place.from_local(index)
-                half = locations_per_place // 2
-                left.set(place, all_locations[:half])
-                right.set(place, all_locations[half:locations_per_place])
-            return left, right
-
-        vec_left, vec_right = vector_pair()
-        start = time.perf_counter()
-        for _ in range(joins):
-            vec_left.join(vec_right)
-        vector_seconds = time.perf_counter() - start
-
-    # Identical join results in every representation (sanity, not timing).
+    # Identical join results in both representations (sanity, not timing).
     joined_object = obj_left.join(obj_right)
     joined_indexed = idx_left.join(idx_right)
     assert dict(joined_object.items()) == dict(joined_indexed.items())
-    if vec_left is not None:
-        joined_vector = vec_left.join(vec_right)
-        assert dict(joined_object.items()) == dict(joined_vector.items())
 
     return ThetaJoinBench(
         places=places,
@@ -581,7 +334,6 @@ def theta_join_microbenchmark(
         joins=joins,
         object_seconds=object_seconds,
         bitset_seconds=bitset_seconds,
-        vector_seconds=vector_seconds,
     )
 
 

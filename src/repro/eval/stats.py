@@ -10,9 +10,9 @@ showing Mut-blind × Ref-blind has no significant interaction.
 
 This module implements those computations over the raw
 ``(crate, function, variable) → size`` tables produced by
-:mod:`repro.eval.experiments`.  numpy/scipy are used when available; the
-median/fraction computations fall back to pure Python so the core library has
-no hard dependency on them.
+:mod:`repro.eval.experiments`.  Only the interaction regression needs
+numpy/scipy (the ``stats`` extra), and imports them when called; everything
+else is pure Python, so importing this module never loads numpy.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-# One process-wide answer to "is numpy available": the same guarded import
-# the vectorized dataflow kernels use, hoisted to module level so the
-# regression below and the tier-3 engine can never disagree about it.
-from repro.dataflow.vecbitset import HAVE_NUMPY, np
 
 
 VarKey = Tuple[str, str, str]  # (crate, function, variable)
@@ -300,11 +295,10 @@ def interaction_regression(
     per-variable size tables measured under that condition (whole-program
     disabled), i.e. the 2×2 sub-grid of the paper's 2³ design.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("interaction_regression requires numpy and scipy")
     try:
+        import numpy as np
         from scipy import stats
-    except ImportError as exc:  # pragma: no cover - scipy is installed in CI
+    except ImportError as exc:
         raise RuntimeError("interaction_regression requires numpy and scipy") from exc
 
     rows: List[Tuple[float, float, float]] = []

@@ -7,7 +7,7 @@ property the rest of the system promises:
   every lowered body passes MIR structural validation *and* the span-fidelity
   pass (:mod:`repro.mir.validate`).  Any crash in any oracle is also folded
   into a failing verdict, so this doubles as the crash oracle.
-* ``engine_equivalence`` — the indexed bitset engine and the legacy object
+* ``engine_equivalence`` — the indexed bitset engine and the object referee
   engine agree byte-for-byte (dependency sizes and exit-Θ entries) on every
   local function, under both the Modular and Whole-program conditions.
 * ``cache_equality`` — analysing the program through
@@ -149,36 +149,22 @@ def _engine_snapshot(prep: PreparedProgram, config: AnalysisConfig) -> Dict[str,
 
 
 def oracle_engine_equivalence(prep: PreparedProgram) -> OracleVerdict:
-    """All engine tiers must agree under Modular and Whole-program.
-
-    The object engine is the referee; bitset always participates, and the
-    vector (numpy) tier joins whenever numpy is importable — so every fuzz
-    campaign and mass run on a numpy-equipped machine is also a three-way
-    differential pass.
-    """
+    """The bitset engine must agree with the object referee under Modular
+    and Whole-program."""
     import dataclasses
 
-    from repro.dataflow.vecbitset import HAVE_NUMPY
-
-    tiers = ("bitset", "vector", "object") if HAVE_NUMPY else ("bitset", "object")
     for base in (MODULAR, WHOLE_PROGRAM):
-        snapshots = {
-            name: _engine_snapshot(prep, dataclasses.replace(base, engine=name))
-            for name in tiers
-        }
-        for name in tiers:
-            if name == "object" or snapshots[name] == snapshots["object"]:
-                continue
-            diverged = sorted(
-                fn for fn in snapshots[name]
-                if snapshots[name][fn] != snapshots["object"].get(fn)
-            )
-            return OracleVerdict(
-                "engine_equivalence",
-                ok=False,
-                detail=f"engine_divergence: condition={base.name} "
-                f"engine={name} functions={diverged[:3]}",
-            )
+        bitset = _engine_snapshot(prep, base)
+        referee = _engine_snapshot(prep, dataclasses.replace(base, engine="object"))
+        if bitset == referee:
+            continue
+        diverged = sorted(fn for fn in bitset if bitset[fn] != referee.get(fn))
+        return OracleVerdict(
+            "engine_equivalence",
+            ok=False,
+            detail=f"engine_divergence: condition={base.name} "
+            f"engine=bitset functions={diverged[:3]}",
+        )
     return OracleVerdict("engine_equivalence", ok=True)
 
 

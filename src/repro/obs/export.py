@@ -40,6 +40,7 @@ _HELP_TEXTS = {
     "stage_seconds": "Pipeline stage wall time (parse, typecheck, fixpoint, ...).",
     "cache_get_total": "Summary-cache lookups, by kind and serving tier (miss = neither).",
     "cache_put_total": "Summary-cache writes, by kind.",
+    "cache_corrupt_records_total": "Undecodable disk-cache records quarantined as *.corrupt.",
     "lock_wait_seconds": "Time spent waiting for a workspace lock, by mode.",
     "lock_hold_seconds": "Time a workspace lock was held, by mode.",
     "server_inflight": "Requests currently executing in the socket server.",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -251,6 +252,7 @@ class CacheStats:
     invalidations: int = 0
     disk_hits: int = 0
     disk_writes: int = 0
+    corrupt_records: int = 0  # undecodable disk records moved aside
 
     def to_dict(self) -> Dict[str, int]:
         """The counters as the JSON ``stats`` block responses carry."""
@@ -262,6 +264,7 @@ class CacheStats:
             "invalidations": self.invalidations,
             "disk_hits": self.disk_hits,
             "disk_writes": self.disk_writes,
+            "corrupt_records": self.corrupt_records,
         }
 
 
@@ -310,23 +313,38 @@ class SummaryStore:
             return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except OSError:
+            return None
+        except ValueError:  # truncated or garbled bytes (UTF-8 or JSON)
+            payload = None
+        if not isinstance(payload, dict):
+            self._quarantine(path)
             return None
         if payload.get("key") != key.to_json_dict():
             # Hash-prefix collision or foreign file: never serve it.
             return None
         value = payload.get("value")
-        return value if isinstance(value, dict) else None
+        if not isinstance(value, dict):
+            self._quarantine(path)
+            return None
+        return value
+
+    def _quarantine(self, path: Path) -> None:
+        """Move an undecodable record aside as ``*.corrupt``: it is counted
+        once, never re-read, and the next ``put`` fills the slot again."""
+        try:
+            os.replace(path, path.with_name(path.name + ".corrupt"))
+        except OSError:
+            pass
+        self.stats.corrupt_records += 1
+        obs_metrics.get_registry().counter("cache_corrupt_records_total").inc()
 
     def _write_to_disk(self, key: CacheKey, value: dict) -> None:
         path = self._disk_path(key)
         if path is None:
             return
         try:
-            path.write_text(
-                json.dumps({"key": key.to_json_dict(), "value": value}, sort_keys=True),
-                encoding="utf-8",
-            )
+            _write_record(path, key, value)
             self.stats.disk_writes += 1
         except OSError:
             pass  # The disk tier is best-effort; memory stays authoritative.
@@ -451,18 +469,31 @@ class SummaryStore:
             disk_dir.mkdir(parents=True, exist_ok=True)
             written = 0
             for key, value in self._entries.items():
-                path = disk_dir / key.file_name()
                 try:
-                    path.write_text(
-                        json.dumps(
-                            {"key": key.to_json_dict(), "value": value}, sort_keys=True
-                        ),
-                        encoding="utf-8",
-                    )
+                    _write_record(disk_dir / key.file_name(), key, value)
                     written += 1
                 except OSError:
                     continue
             return written
+
+
+def _write_record(path: Path, key: CacheKey, value: dict) -> None:
+    """Write one disk-tier record atomically: the bytes go to a temp file
+    beside ``path`` that ``os.replace`` then renames over it, so a reader
+    sees the old record or the new one, never a half-written one."""
+    temp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        temp.write_text(
+            json.dumps({"key": key.to_json_dict(), "value": value}, sort_keys=True),
+            encoding="utf-8",
+        )
+        os.replace(temp, path)
+    except OSError:
+        try:
+            temp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 @dataclass

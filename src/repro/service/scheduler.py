@@ -410,59 +410,6 @@ def _render_batch(names: List[str]) -> List[tuple]:
     return out
 
 
-# -- corpus-level wave workers -------------------------------------------------
-#
-# The same wave protocol lifted to many crates at once: tasks are
-# (crate index, function name) pairs, wave i merges wave i of every crate's
-# own condensation, and worker state is the list of engines rebuilt from the
-# crates' sources.  This is the fan-out the three-way engine benchmark and
-# batch `repro analyze --workers` ride on.
-
-_CORPUS_ENGINES: Optional[List[FlowEngine]] = None
-
-
-def _init_corpus_worker(sources: List[tuple], config_kwargs: dict) -> None:
-    global _CORPUS_ENGINES
-    config = AnalysisConfig(**config_kwargs)
-    engines: List[FlowEngine] = []
-    for source, local_crate in sources:
-        program = parse_program(source, local_crate=local_crate)
-        engines.append(FlowEngine(check_program(program), config=config))
-    _CORPUS_ENGINES = engines
-
-
-def _corpus_sizes_batch(tasks: List[tuple]) -> List[tuple]:
-    """Analyse ``(crate index, fn name)`` tasks; returns dependency sizes."""
-    assert _CORPUS_ENGINES is not None
-    out: List[tuple] = []
-    for crate_index, fn_name in tasks:
-        result = _CORPUS_ENGINES[crate_index].analyze_function(fn_name)
-        out.append((crate_index, fn_name, result.dependency_sizes()))
-    return out
-
-
-def corpus_waves(engines: Sequence[FlowEngine]) -> List[List[tuple]]:
-    """Merge each crate's SCC waves position-wise into global corpus waves.
-
-    Wave ``i`` of the result holds wave ``i`` of every crate — sound because
-    crates are independent of each other, so only the intra-crate
-    callees-first order constrains scheduling.
-    """
-    per_crate = [
-        schedule_waves(engine.call_graph, engine.local_function_names())
-        for engine in engines
-    ]
-    depth = max((len(waves) for waves in per_crate), default=0)
-    merged: List[List[tuple]] = []
-    for level in range(depth):
-        wave: List[tuple] = []
-        for crate_index, waves in enumerate(per_crate):
-            if level < len(waves):
-                wave.extend((crate_index, name) for name in waves[level])
-        merged.append(wave)
-    return merged
-
-
 @dataclass
 class BatchResult:
     """Outcome of one scheduled batch."""

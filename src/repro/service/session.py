@@ -39,6 +39,7 @@ from repro.service.cache import (
     FunctionRecord,
     StoreBackedSummaryProvider,
     SummaryStore,
+    condition_is_whole_program,
     config_cache_key,
 )
 from repro.service.invalidate import InvalidationPlan, apply_invalidation, plan_both_conditions
@@ -268,7 +269,7 @@ class AnalysisSession:
             key
             for key in self._result_memo
             if key[1] in evicted
-            and key[0].startswith(f"wp={int(plan.whole_program)}")
+            and condition_is_whole_program(key[0]) == plan.whole_program
         ]
         for key in dead:
             del self._result_memo[key]

@@ -8,11 +8,23 @@ from this module instead.
 
 from __future__ import annotations
 
+import multiprocessing
+
+import pytest
+
 from repro.core.config import AnalysisConfig
 from repro.core.engine import FlowEngine
 from repro.lang.parser import parse_program
 from repro.lang.typeck import check_program
 from repro.mir.lower import lower_program
+
+
+# Parallel-equivalence tests assert the pool really ran; they can only do so
+# where worker processes can be forked.
+requires_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="process pools need the fork start method",
+)
 
 
 # The paper's Figure 1 example, used across many tests.

@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from repro.dataflow.vecbitset import HAVE_NUMPY
 from repro.eval.bench import (
     BENCH_SUITE,
     TRACKED,
@@ -296,11 +295,6 @@ class TestRunner:
                 "theta_join.object_us_per_join",
                 "theta_join.bitset_us_per_join",
             }
-            if HAVE_NUMPY:
-                expected |= {
-                    "theta_join.vector_speedup",
-                    "theta_join.vector_us_per_join",
-                }
             assert set(metrics) == expected
             record_run(ledger, metrics, timestamp=ts, config=config)
         report = bench_report(ledger)

@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
-from repro.dataflow.vecbitset import HAVE_NUMPY
 
 from helpers import GET_COUNT_SOURCE
 
@@ -126,19 +125,6 @@ def test_stats_command_unknown_function_is_an_error(source_file):
     code, output = run_cli("stats", source_file, "--function", "nope")
     assert code == 2
     assert "error" in output
-
-
-def test_stats_command_rejects_object_engine(source_file):
-    code, output = run_cli("stats", source_file, "--engine", "object")
-    assert code == 2
-    assert "bitset" in output
-
-
-def test_analyze_engine_flag_object_matches_bitset(source_file):
-    code_obj, out_obj = run_cli("analyze", source_file, "--engine", "object")
-    code_bit, out_bit = run_cli("analyze", source_file, "--engine", "bitset")
-    assert code_obj == code_bit == 0
-    assert out_obj == out_bit
 
 
 def test_ifc_command_reports_violation_with_nonzero_exit(ifc_file):
@@ -508,8 +494,7 @@ def test_bench_run_twice_then_report_trends(tmp_path):
         assert code == 0
         summary = json.loads(output)
         assert summary["suite"] == ["theta_join"]
-        # 3 object/bitset metrics, plus 2 vector metrics when numpy is there.
-        assert summary["records"] == (5 if HAVE_NUMPY else 3)
+        assert summary["records"] == 3
         assert summary["metrics"]["theta_join.speedup"] > 0
 
     code, output = run_cli("bench", "--ledger-dir", ledger_dir, "report")

@@ -1,9 +1,9 @@
-"""Differential property tests: indexed engines ≡ legacy object engine.
+"""Differential property tests: bitset engine ≡ object referee engine.
 
-The bitset and vector substrates are only allowed to be *fast*; every
-observable result must be identical to the legacy object domain they
-replace.  For every crate of the (scaled-down) evaluation corpus and every
-one of the 2³ analysis conditions of Table 2, each indexed tier is run over
+The production bitset substrate is only allowed to be *fast*; every
+observable result must be identical to the object domain the tests keep as
+referee.  For every crate of the (scaled-down) evaluation corpus and every
+one of the 2³ analysis conditions of Table 2, the bitset engine is run over
 every local function and compared against the object referee on:
 
 * the tracked places and exit-Θ dependency sets (``exit_theta.items()``),
@@ -15,7 +15,7 @@ every local function and compared against the object referee on:
   answers).
 
 A wider but shallower sweep then drives 200 generated fuzz programs through
-all tiers under both Modular and Whole-program, comparing exit-Θ and sizes —
+both engines under both Modular and Whole-program, comparing exit-Θ and sizes —
 the breadth axis the hand-written corpus cannot cover.
 
 Warm-vs-cold byte-equality of service answers is covered separately by
@@ -28,18 +28,14 @@ import pytest
 
 from repro.core.config import MODULAR, WHOLE_PROGRAM, all_conditions
 from repro.core.engine import FlowEngine
-from repro.dataflow.vecbitset import HAVE_NUMPY
 from repro.eval.corpus import generate_corpus, generate_fuzz_corpus
 from repro.focus.table import FocusTable
 from repro.service.cache import FunctionRecord
 
 CORPUS = generate_corpus(scale=0.06)
 
-# The object engine is the referee; each indexed tier must match it exactly.
-INDEXED_TIERS = ("bitset", "vector") if HAVE_NUMPY else ("bitset",)
 
-
-@pytest.mark.parametrize("tier", INDEXED_TIERS)
+@pytest.mark.parametrize("tier", ["bitset"])
 @pytest.mark.parametrize(
     "condition", all_conditions(), ids=lambda c: c.name or "Modular"
 )
@@ -76,8 +72,8 @@ def test_indexed_engines_match_object_engine_on_corpus(condition, tier):
     "config", [MODULAR, WHOLE_PROGRAM], ids=["Modular", "Whole-program"]
 )
 def test_engines_agree_on_fuzz_sweep(config):
-    """200 generated programs through every tier: exit-Θ and sizes identical."""
-    engines = ("object",) + INDEXED_TIERS
+    """200 generated programs through both engines: exit-Θ and sizes identical."""
+    engines = ("object", "bitset")
     for crate in generate_fuzz_corpus(count=200, seed=0, size="small"):
         results = {}
         for engine_name in engines:
@@ -93,9 +89,7 @@ def test_engines_agree_on_fuzz_sweep(config):
                 )
                 for fn_name in engine.local_function_names()
             }
-        referee = results["object"]
-        for tier in INDEXED_TIERS:
-            assert results[tier] == referee, (tier, config.name, crate.name)
+        assert results["bitset"] == results["object"], (config.name, crate.name)
 
 
 def test_engine_field_is_validated():

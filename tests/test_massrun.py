@@ -14,8 +14,8 @@ import json
 from pathlib import Path
 
 import pytest
+from helpers import requires_fork
 
-from repro.dataflow.vecbitset import HAVE_NUMPY
 from repro.errors import ReproError
 from repro.eval.massrun import (
     MassRunConfig,
@@ -76,12 +76,13 @@ def test_empty_corpus_raises():
         run_mass_evaluation(MassRunConfig(count=0))
 
 
+@requires_fork
 def test_parallel_and_serial_agree_on_everything_nonvolatile(tmp_path):
     serial = run_mass_evaluation(MassRunConfig(count=4, seed=0, workers=0))
     parallel = run_mass_evaluation(
         MassRunConfig(count=4, seed=0, workers=2, chunk_size=2)
     )
-    assert parallel.mode in ("parallel", "serial-fallback")
+    assert (parallel.mode, parallel.fanout_error) == ("parallel", None)
     serial_data = strip_volatile(serial.to_json_dict())
     parallel_data = strip_volatile(parallel.to_json_dict())
     # The worker count is honest config, not volatility; all *results*
@@ -89,37 +90,6 @@ def test_parallel_and_serial_agree_on_everything_nonvolatile(tmp_path):
     serial_data.pop("config")
     parallel_data.pop("config")
     assert serial_data == parallel_data
-
-
-# ---------------------------------------------------------------------------
-# The engine axis
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_vector_engine_sweep_passes_and_is_reported(tmp_path):
-    # An --engine vector mass run doubles as an at-scale differential pass:
-    # the engine_equivalence oracle compares all tiers on every program.
-    config = MassRunConfig(count=6, seed=0, engine="vector", out_dir=str(tmp_path))
-    report = run_mass_evaluation(config)
-    data = report.to_json_dict()
-    assert data["config"]["engine"] == "vector"
-    assert data["pass_rate"] == 1.0
-    assert gate_problems(data) == []
-
-
-def test_unknown_engine_fails_fast():
-    with pytest.raises(ReproError):
-        run_mass_evaluation(MassRunConfig(count=1, engine="quantum"))
-
-
-def test_vector_engine_without_numpy_fails_fast(monkeypatch):
-    from repro.dataflow import vecbitset
-
-    monkeypatch.setattr(vecbitset, "HAVE_NUMPY", False)
-    with pytest.raises(ReproError) as excinfo:
-        run_mass_evaluation(MassRunConfig(count=1, engine="vector"))
-    assert "requires numpy" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------

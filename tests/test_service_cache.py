@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core.config import MODULAR, WHOLE_PROGRAM, AnalysisConfig
 from repro.core.engine import FlowEngine
 from repro.core.summaries import WholeProgramSummary
 from repro.mir.callgraph import build_call_graph
+from repro.obs.metrics import get_registry
 from repro.service.cache import (
     CacheKey,
     FingerprintIndex,
@@ -122,6 +124,46 @@ class TestSummaryStore:
 
         fresh = SummaryStore(disk_dir=tmp_path)
         assert fresh.get(key) is None
+
+    def test_truncated_record_is_quarantined_once(self, tmp_path):
+        key = make_key()
+        SummaryStore(disk_dir=tmp_path).put(key, {"v": 1})
+        path = tmp_path / key.file_name()
+        path.write_bytes(path.read_bytes()[:10])  # a torn write
+        counter = get_registry().counter("cache_corrupt_records_total")
+        before = counter.value
+
+        store = SummaryStore(disk_dir=tmp_path)
+        assert store.get(key) is None
+        assert (store.stats.misses, store.stats.corrupt_records) == (1, 1)
+        assert counter.value == before + 1
+        assert not path.exists()
+        assert (tmp_path / (key.file_name() + ".corrupt")).is_file()
+
+        # Moved aside, so the next lookup is a plain miss, not a re-read.
+        assert store.get(key) is None
+        assert (store.stats.misses, store.stats.corrupt_records) == (2, 1)
+        assert counter.value == before + 1
+
+        store.put(key, {"v": 2})
+        assert SummaryStore(disk_dir=tmp_path).get(key) == {"v": 2}
+
+    def test_torn_disk_write_keeps_the_previous_record(self, tmp_path, monkeypatch):
+        key = make_key()
+        store = SummaryStore(disk_dir=tmp_path)
+        store.put(key, {"v": 1})
+        write_text = Path.write_text
+
+        def torn_write(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        store.put(key, {"v": 2})  # the disk tier is best-effort: no raise
+        monkeypatch.undo()
+
+        assert SummaryStore(disk_dir=tmp_path).get(key) == {"v": 1}
+        assert [path.name for path in tmp_path.iterdir()] == [key.file_name()]
 
     def test_clear_also_wipes_the_disk_tier(self, tmp_path):
         key = make_key()

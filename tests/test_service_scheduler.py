@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from helpers import lowered_from
+from helpers import lowered_from, requires_fork
 
 from repro.core.config import MODULAR, WHOLE_PROGRAM
 from repro.core.engine import FlowEngine
@@ -10,7 +10,6 @@ from repro.mir.callgraph import build_call_graph
 from repro.service.cache import FingerprintIndex, SummaryStore
 from repro.service.scheduler import (
     BatchScheduler,
-    corpus_waves,
     run_waves,
     schedule_waves,
 )
@@ -120,13 +119,12 @@ class TestRunWaves:
         assert error is None
         assert results == [[2, 4, 6], [8], [10, 12]]
 
+    @requires_fork
     def test_parallel_matches_serial(self):
         mode, results, error = run_waves(
             _double_chunk, self.WAVES, max_workers=2, chunk_size=2
         )
-        # Environments without working process pools degrade; results are
-        # identical either way — that is the contract under test.
-        assert mode in ("parallel", "serial-fallback")
+        assert (mode, error) == ("parallel", None)
         assert results == [[2, 4, 6], [8], [10, 12]]
 
     def test_unpicklable_worker_degrades_with_error(self):
@@ -158,24 +156,8 @@ class TestRunWaves:
         assert (mode, results, error) == ("serial", [], None)
 
 
-class TestCorpusWaves:
-    def test_waves_merge_position_wise_across_crates(self):
-        chain_engine, _ = engine_for(CHAIN_SOURCE)
-        cycle_engine, _ = engine_for(CYCLE_SOURCE)
-        waves = corpus_waves([chain_engine, cycle_engine])
-        # Wave i holds wave i of every crate: crates are independent, so only
-        # the intra-crate callees-first order constrains scheduling.
-        assert waves == [
-            [(0, "leaf"), (0, "lone"), (1, "ping"), (1, "pong")],
-            [(0, "mid"), (1, "top")],
-            [(0, "root")],
-        ]
-
-    def test_empty_corpus(self):
-        assert corpus_waves([]) == []
-
-
 class TestParallelPath:
+    @requires_fork
     def test_parallel_results_match_serial(self):
         serial_engine, serial_fp = engine_for(CHAIN_SOURCE)
         serial = BatchScheduler().run(
@@ -191,9 +173,7 @@ class TestParallelPath:
             source=CHAIN_SOURCE,
             parallel=True,
         )
-        # Environments without working process pools degrade to the serial
-        # fallback; either way the records must be identical.
-        assert result.mode in ("parallel", "serial-fallback")
+        assert (result.mode, result.error) == ("parallel", None)
         assert sorted(result.records) == sorted(serial.records)
         for name, record in serial.records.items():
             assert result.records[name] == record

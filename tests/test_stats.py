@@ -1,9 +1,14 @@
 """Tests for the evaluation statistics helpers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.eval.stats import (
     crate_correlation,
     histogram,
@@ -144,6 +149,26 @@ def test_interaction_regression_unknown_term_raises():
     regression = interaction_regression(sizes)
     with pytest.raises(KeyError):
         regression.term("nope")
+
+
+def test_interaction_regression_requires_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now fails
+    with pytest.raises(RuntimeError, match="requires numpy and scipy"):
+        interaction_regression({(False, False): {key("c", "f", "x"): 1}})
+
+
+def test_cli_and_session_imports_do_not_load_numpy():
+    # numpy is an optional extra used only inside interaction_regression; a
+    # module-level import anywhere on the CLI or session path would make
+    # every process pay for it.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    probe = "import sys, repro.cli, repro.service.session; print('numpy' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert completed.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
