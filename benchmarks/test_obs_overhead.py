@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 
-import pytest
 from bench_utils import write_json_report
 
 from repro.core.config import MODULAR
@@ -91,69 +90,6 @@ def test_untraced_overhead_within_five_percent(report_dir):
     ), (
         f"idle observability overhead too high: enabled {enabled_best:.3f}s vs "
         f"disabled {disabled_best:.3f}s ({ratio:.3f}x > {MAX_RATIO}x)"
-    )
-
-
-def test_profiler_attribution_on_fanned_out_run(report_dir):
-    """Profiling a traced ``--workers 2`` batch must stay well-attributed.
-
-    The coordinator's wall time during a fan-out is pool dispatch +
-    envelope absorption, all inside the traced ``analyze``/``wave`` spans —
-    so ≥90% of samples must land under the trace root, same bar as the
-    serial attribution gate in tests/test_profile.py.  Tolerates the
-    sandboxed degrade (mode != "parallel") by skipping: attribution over a
-    serial fallback is the serial gate, already tested.
-    """
-    from repro.obs import remote as obs_remote
-    from repro.obs import start_trace
-    from repro.service.scheduler import (
-        _init_worker,
-        _render_batch,
-        run_waves,
-        schedule_waves,
-    )
-
-    corpus = generate_corpus(scale=0.3)
-    crate = max(corpus, key=lambda c: len(c.source))
-    program = parse_program(crate.source, local_crate=crate.name)
-    checked = check_program(program)
-    engine = FlowEngine(checked, config=MODULAR)
-    names = engine.local_function_names()
-    waves = schedule_waves(engine.call_graph, names)
-
-    telemetry = obs_remote.FanoutTelemetry(max_workers=2)
-    profiler = SamplingProfiler(hz=250.0).start()
-    try:
-        with start_trace("analyze") as trace:
-            mode, _results, _error = run_waves(
-                _render_batch,
-                waves,
-                max_workers=2,
-                parallel=True,
-                initializer=_init_worker,
-                initargs=(crate.source, crate.name, {}),
-                telemetry=telemetry,
-            )
-    finally:
-        profile = profiler.stop()
-    assert trace is not None
-    if mode != "parallel":
-        pytest.skip(f"process pool unavailable here (mode={mode})")
-
-    attributed = profile.attributed_fraction(["analyze"])
-    report = {
-        "workload": f"--workers 2 fan-out over {len(names)} functions",
-        "mode": mode,
-        "samples": profile.total_samples,
-        "attributed_fraction": round(attributed, 4),
-        "grafted_spans": telemetry.grafted_spans,
-    }
-    path = write_json_report(report_dir, "obs_fanout_attribution", report)
-    print(f"[fan-out attribution: {attributed:.3f}; report at {path}]")
-
-    assert profile.total_samples >= 10, "sampler captured too few samples"
-    assert attributed >= 0.90, (
-        f"fan-out coordinator attribution too low: {attributed:.3f} < 0.90"
     )
 
 

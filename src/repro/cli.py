@@ -105,16 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="print Θ annotations and dependency sizes")
     analyze.add_argument("file")
     analyze.add_argument("--function", help="only this function (default: all)")
-    analyze.add_argument("--workers", type=int, default=0,
-                         help="analyse callees-first in SCC waves across a "
-                              "process pool; 0 or 1 = serial (default: 0)")
     analyze.add_argument("--trace", action="store_true",
-                         help="trace the run end-to-end (with --workers: worker "
-                              "span subtrees graft under their wave) and print "
-                              "the span tree plus fan-out utilization")
+                         help="trace the run end-to-end and print the span tree")
     analyze.add_argument("--chrome", metavar="PATH",
                          help="with --trace semantics: also write Chrome "
-                              "trace-event JSON (per-worker lanes) to PATH")
+                              "trace-event JSON to PATH")
     _add_condition_flags(analyze)
 
     slice_cmd = sub.add_parser("slice", help="slice a function on a variable")
@@ -482,74 +477,18 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
     engine = FlowEngine.from_source(source, config=config)
     names = _selected_functions(engine, args.function)
 
-    workers = getattr(args, "workers", 0) or 0
-    traced = bool(getattr(args, "trace", False) or getattr(args, "chrome", None))
-    if workers > 1 and len(names) > 1:
-        import dataclasses as _dataclasses
-
-        from repro.service.scheduler import (
-            _init_worker,
-            _render_batch,
-            run_waves,
-            schedule_waves,
-        )
-
-        waves = schedule_waves(engine.call_graph, names)
-        telemetry = None
-        trace = None
-        scheduled = dict(
-            worker=_render_batch,
-            waves=waves,
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(source, engine.local_crate, _dataclasses.asdict(config)),
-        )
-        if traced:
-            # Telemetry is opt-in from the CLI: the untraced path stays
-            # byte-identical (and envelope-free) to keep overhead at zero.
-            from repro.obs import remote as obs_remote
-            from repro.obs import start_trace
-
-            telemetry = obs_remote.FanoutTelemetry(max_workers=workers)
-            with start_trace("analyze") as trace:
-                mode, wave_results, _error = run_waves(
-                    telemetry=telemetry, **scheduled
-                )
-        else:
-            mode, wave_results, _error = run_waves(**scheduled)
-        rendered = {
-            name: (body_text, sizes)
-            for wave in wave_results
-            for name, body_text, sizes in wave
-        }
-        out.write(
-            f"// scheduled {len(names)} function(s) in {len(waves)} SCC "
-            f"wave(s), mode: {mode}\n"
-        )
-        for name in names:
-            body_text, sizes = rendered[name]
-            out.write(f"// condition: {config.name}\n")
-            out.write(body_text + "\n")
-            out.write("// dependency-set sizes at exit:\n")
-            for variable, size in sorted(sizes.items()):
-                out.write(f"//   {variable}: {size}\n")
-            out.write("\n")
-        if traced:
-            _write_analyze_trace(args, out, trace, telemetry)
-        return 0
-
-    if traced:
+    if args.trace or args.chrome:
         from repro.obs import start_trace
 
         with start_trace("analyze") as trace:
-            _analyze_serial(engine, names, out)
-        _write_analyze_trace(args, out, trace, None)
+            _print_analysis(engine, names, out)
+        _write_analyze_trace(args, out, trace)
         return 0
-    _analyze_serial(engine, names, out)
+    _print_analysis(engine, names, out)
     return 0
 
 
-def _analyze_serial(engine, names, out) -> None:
+def _print_analysis(engine, names, out) -> None:
     for name in names:
         result = engine.analyze_function(name)
         out.write(f"// condition: {result.config.name}\n")
@@ -560,8 +499,8 @@ def _analyze_serial(engine, names, out) -> None:
         out.write("\n")
 
 
-def _write_analyze_trace(args, out, trace, telemetry) -> None:
-    """The ``analyze --trace`` trailer: span tree, fan-out stats, Chrome file."""
+def _write_analyze_trace(args, out, trace) -> None:
+    """The ``analyze --trace`` trailer: span tree and Chrome file."""
     from repro.obs import render_span_tree
     from repro.obs.export import write_chrome_trace
 
@@ -570,12 +509,7 @@ def _write_analyze_trace(args, out, trace, telemetry) -> None:
         return
     out.write(f"// trace {trace.trace_id}\n")
     out.write(render_span_tree(trace.to_dict()["root"]) + "\n")
-    if telemetry is not None:
-        from repro.obs.remote import render_fanout
-
-        for line in render_fanout(telemetry.to_json_dict()):
-            out.write(line + "\n")
-    if getattr(args, "chrome", None):
+    if args.chrome:
         path = write_chrome_trace(args.chrome, trace)
         out.write(f"// chrome trace written to {path}\n")
 

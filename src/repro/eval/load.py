@@ -269,11 +269,6 @@ def server_breakdown(delta: dict, client_counts: Dict[str, int]) -> dict:
     server_errors = 0
     for series, value in delta.get("counters", {}).items():
         name, labels = parse_series(series)
-        if "worker" in labels:
-            # Worker-side deltas folded in by repro.obs.remote: the work
-            # happened in pool processes, not on the request path, so they
-            # must not perturb the client/server count reconciliation.
-            continue
         if name != "requests_total" or labels.get("protocol") not in ("ndjson", "mux"):
             continue
         method = labels.get("method", "?")
@@ -285,7 +280,6 @@ def server_breakdown(delta: dict, client_counts: Dict[str, int]) -> dict:
 
     stage_ms: Dict[str, dict] = {}
     request_ms: Dict[str, dict] = {}
-    worker_stage_ms: Dict[str, dict] = {}
     for series, hist in delta.get("histograms", {}).items():
         name, labels = parse_series(series)
         row = {
@@ -293,22 +287,6 @@ def server_breakdown(delta: dict, client_counts: Dict[str, int]) -> dict:
             "total_ms": round(hist["sum"] * 1e3, 3),
             "mean_ms": round(hist["mean"] * 1e3, 4),
         }
-        if "worker" in labels:
-            # Aggregate worker-side stage time across pids into its own
-            # table: it explains where pool time went without double
-            # counting the coordinator's stages.
-            if name == "stage_seconds":
-                stage = labels.get("stage", "?")
-                merged = worker_stage_ms.get(stage)
-                if merged is None:
-                    worker_stage_ms[stage] = dict(row)
-                else:
-                    merged["count"] += row["count"]
-                    merged["total_ms"] = round(merged["total_ms"] + row["total_ms"], 3)
-                    merged["mean_ms"] = round(
-                        merged["total_ms"] / max(1, merged["count"]), 4
-                    )
-            continue
         if name == "stage_seconds":
             stage_ms[labels.get("stage", "?")] = row
         elif name == "request_seconds" and labels.get("method") != "metrics":
@@ -321,7 +299,6 @@ def server_breakdown(delta: dict, client_counts: Dict[str, int]) -> dict:
         "errors": server_errors,
         "stage_ms": stage_ms,
         "request_ms": request_ms,
-        "worker_stage_ms": worker_stage_ms,
     }
 
 
@@ -490,14 +467,6 @@ def render_load_report(report: LoadReport) -> str:
                 f"    {stage:<14} {row['count']:6d}  {row['total_ms']:9.1f}  "
                 f"{row['mean_ms']:9.3f}"
             )
-        worker_stages = last.server.get("worker_stage_ms") or {}
-        if worker_stages:
-            lines.append("    worker-side stage breakdown (pool processes):")
-            for stage, row in sorted(worker_stages.items()):
-                lines.append(
-                    f"    {stage:<14} {row['count']:6d}  {row['total_ms']:9.1f}  "
-                    f"{row['mean_ms']:9.3f}"
-                )
         counts = last.server["requests_by_method"]
         rendered = ", ".join(f"{m}={counts[m]}" for m in sorted(counts))
         lines.append(f"    requests (server-counted): {rendered}")

@@ -49,7 +49,6 @@ from repro.eval.stats import percentile
 from repro.fuzz.generator import GENERATOR_FEATURES, GENERATOR_VERSION
 from repro.obs import metrics as obs_metrics
 from repro.obs import span as obs_span
-from repro.obs import remote as obs_remote
 from repro.service.scheduler import map_shards
 
 REPORT_KIND = "repro-mass-eval"
@@ -300,7 +299,6 @@ class MassRunReport:
     results: List[dict] = field(default_factory=list)
     mode: str = "serial"
     fanout_error: Optional[str] = None
-    fanout: Optional[dict] = None  # FanoutTelemetry.to_json_dict() when fanned out
     elapsed_seconds: float = 0.0
     report_path: Optional[str] = None
     manifest_path: Optional[str] = None
@@ -388,9 +386,6 @@ class MassRunReport:
                 "mode": self.mode,
                 "workers": self.config.workers,
                 "fanout_error": self.fanout_error,
-                # Under the volatile `timing` key on purpose: per-worker
-                # attribution varies run to run and must not reach goldens.
-                "fanout": self.fanout,
                 "per_program_ms": _distribution(per_program_seconds, 1000.0),
                 "programs_per_second": throughput,
             },
@@ -448,11 +443,6 @@ def run_mass_evaluation(
     report = MassRunReport(config=config, corpus=corpus)
     registry = obs_metrics.get_registry()
     started = time.perf_counter()
-    telemetry = (
-        obs_remote.FanoutTelemetry(max_workers=config.workers, registry=registry)
-        if config.workers and config.workers > 1
-        else None
-    )
     with obs_span(
         "massrun", programs=len(corpus.programs), workers=config.workers
     ):
@@ -463,11 +453,9 @@ def run_mass_evaluation(
             chunk_size=config.chunk_size,
             initializer=_init_eval_worker,
             initargs=(oracle_names, config.max_snapshot_variables),
-            telemetry=telemetry,
         )
     report.mode = mode
     report.fanout_error = error
-    report.fanout = telemetry.to_json_dict() if telemetry is not None else None
     report.results = results
     report.elapsed_seconds = time.perf_counter() - started
 
@@ -614,11 +602,6 @@ def render_mass_report(data: dict) -> str:
                 timing.get("programs_per_second", "?"),
             )
         )
-        fanout = timing.get("fanout")
-        if fanout:
-            from repro.obs.remote import render_fanout
-
-            lines.extend("  " + line for line in render_fanout(fanout))
     rate = data.get("pass_rate")
     lines.append(
         f"  pass rate: {100 * rate:.2f}%" if rate is not None else "  pass rate: n/a"

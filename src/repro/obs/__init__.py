@@ -20,10 +20,6 @@ Plus the performance observatory built on top of them:
 * :mod:`repro.obs.slowlog` — tail-sampled slow-request exemplars and the
   per-method health windows behind the server's ``slowlog``/``health``
   methods.
-* :mod:`repro.obs.remote` — cross-process telemetry for the scheduler's
-  fan-out: trace carriers pickled into pool tasks, worker envelopes shipping
-  span subtrees + metric deltas back, and the :class:`FanoutTelemetry`
-  collector that grafts/folds them in the parent.
 * :mod:`repro.obs.dashboard` — the ``repro top`` terminal dashboard frames
   built from a live server's metrics/health/slowlog responses.
 
@@ -71,17 +67,9 @@ from repro.obs.trace import (
     start_trace,
 )
 from repro.obs.export import help_text, register_help
-from repro.obs.remote import (
-    FanoutTelemetry,
-    TraceCarrier,
-    WorkerTelemetry,
-    render_fanout,
-    workers_in_trace,
-)
 
 __all__ = [
     "BenchRecord",
-    "FanoutTelemetry",
     "HealthTracker",
     "HistoryLedger",
     "MetricPolicy",
@@ -91,8 +79,6 @@ __all__ = [
     "SlowLog",
     "Span",
     "Trace",
-    "TraceCarrier",
-    "WorkerTelemetry",
     "active_span",
     "evaluate_metric",
     "filter_span_tree",
@@ -104,7 +90,6 @@ __all__ = [
     "new_trace_id",
     "parse_series",
     "register_help",
-    "render_fanout",
     "render_span_tree",
     "series_name",
     "set_enabled",
@@ -112,7 +97,6 @@ __all__ = [
     "span",
     "stage",
     "start_trace",
-    "workers_in_trace",
 ]
 
 

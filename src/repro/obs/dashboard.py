@@ -12,11 +12,6 @@ dicts plus per-method latency history and returns lines), so tests render
 frames from canned responses without a socket.  :class:`TopState`
 accumulates the short per-method p95 history between frames that feeds the
 sparkline trend column (:func:`repro.obs.history.sparkline` glyphs).
-
-The fleet part: worker-labelled series folded into the parent registry by
-:mod:`repro.obs.remote` render as one lane per worker pid — chunks, busy
-seconds, and share of the fan-out — so a ``warm``-heavy server shows where
-its process pool actually spent its time.
 """
 
 from __future__ import annotations
@@ -90,40 +85,6 @@ def _cache_rates(counters: Dict[str, float]) -> List[str]:
     return lines
 
 
-def _worker_lanes(counters: Dict[str, float], histograms: Dict[str, dict]) -> List[str]:
-    """One line per worker pid, from the worker-labelled folded series."""
-    chunks: Dict[str, float] = {}
-    busy: Dict[str, float] = {}
-    for series, value in counters.items():
-        name, labels = parse_series(series)
-        worker = labels.get("worker")
-        if worker is None:
-            continue
-        if name == "fanout_chunks_total":
-            chunks[worker] = chunks.get(worker, 0.0) + value
-    for series, hist in histograms.items():
-        name, labels = parse_series(series)
-        worker = labels.get("worker")
-        if worker is None:
-            continue
-        if name == "fanout_busy_seconds":
-            busy[worker] = busy.get(worker, 0.0) + float(hist.get("sum", 0.0))
-    workers = sorted(set(chunks) | set(busy))
-    if not workers:
-        return []
-    total_busy = sum(busy.values()) or 1.0
-    lines = []
-    for worker in workers:
-        share = busy.get(worker, 0.0) / total_busy
-        bar = "#" * max(0, min(20, int(round(share * 20))))
-        lines.append(
-            "  worker {:<10} {:>5.0f} chunk(s)  busy {:>8.3f}s  {:<20} {:>5.1f}%".format(
-                worker, chunks.get(worker, 0.0), busy.get(worker, 0.0), bar, 100 * share
-            )
-        )
-    return lines
-
-
 def build_frame(
     metrics: dict,
     health: Optional[dict],
@@ -141,7 +102,6 @@ def build_frame(
     lines: List[str] = []
     counters = metrics.get("counters", {}) if metrics else {}
     gauges = metrics.get("gauges", {}) if metrics else {}
-    histograms = metrics.get("histograms", {}) if metrics else {}
 
     header = "repro top"
     if health:
@@ -186,28 +146,18 @@ def build_frame(
         lines.append("cache")
         lines.extend(cache_lines)
 
-    worker_lines = _worker_lanes(counters, histograms)
-    if worker_lines:
-        lines.append("workers")
-        lines.extend(worker_lines)
-
     entries = (slowlog or {}).get("entries", [])
     if entries:
         lines.append("slow requests (threshold {} ms)".format(
             (slowlog or {}).get("threshold_ms", "?")
         ))
         for entry in entries[:5]:
-            attribution = ""
-            workers = entry.get("workers")
-            if workers:
-                attribution = "  workers=" + ",".join(str(w) for w in workers)
             lines.append(
-                "  {:>9.1f}ms  {:<8} {:<8} trace {}{}".format(
+                "  {:>9.1f}ms  {:<8} {:<8} trace {}".format(
                     entry.get("duration_ms", 0.0),
                     str(entry.get("method", "?"))[:8],
                     str(entry.get("status", "?"))[:8],
                     entry.get("trace_id", "?"),
-                    attribution,
                 )
             )
     return lines

@@ -46,11 +46,10 @@ _HELP_TEXTS = {
     "server_inflight": "Requests currently executing in the socket server.",
     "server_connections": "Open socket connections.",
     "scheduler_wave_size": "Functions per SCC wave scheduled by the batch scheduler.",
-    "scheduler_batches_total": "Scheduled batches, by execution mode.",
+    "scheduler_batches_total": "Batches run by the batch scheduler.",
+    "scheduler_fallbacks_total": "Process-pool fan-outs that fell back to serial on a pool failure.",
     "massrun_programs_total": "Mass-evaluation programs processed, by verdict.",
     "massrun_program_seconds": "Per-program wall time in mass evaluation.",
-    "fanout_chunks_total": "Process-pool chunks dispatched, by worker.",
-    "fanout_busy_seconds": "Per-chunk worker busy time across fan-outs, by worker.",
 }
 
 

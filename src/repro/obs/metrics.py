@@ -199,35 +199,6 @@ class Histogram:
             self.min = None
             self.max = None
 
-    def merge_delta(
-        self,
-        count: int,
-        total: float,
-        bucket_deltas,
-        observed_min: Optional[float] = None,
-        observed_max: Optional[float] = None,
-    ) -> None:
-        """Add another histogram's per-bucket delta into this one.
-
-        The cross-process fold (:mod:`repro.obs.remote`): ``bucket_deltas``
-        are *non-cumulative* counts aligned to this histogram's buckets with
-        the ``+Inf`` overflow last, so worker-side observations land in
-        exactly the buckets they would have filled locally and folded series
-        reconcile bucket-for-bucket against a serial run.
-        """
-        if not state.ENABLED:
-            return
-        with self._lock:
-            self.count += count
-            self.sum += total
-            if observed_min is not None and (self.min is None or observed_min < self.min):
-                self.min = observed_min
-            if observed_max is not None and (self.max is None or observed_max > self.max):
-                self.max = observed_max
-            for index, delta in enumerate(bucket_deltas):
-                if index < len(self._bucket_counts):
-                    self._bucket_counts[index] += int(delta)
-
     def snapshot_dict(self) -> dict:
         with self._lock:
             cumulative: List[List[object]] = []

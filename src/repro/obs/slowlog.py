@@ -41,7 +41,7 @@ class SlowLogEntry:
 
     __slots__ = (
         "trace_id", "method", "workspace", "status", "duration_ms",
-        "threshold_ms", "trace", "workers", "trace_path",
+        "threshold_ms", "trace", "trace_path",
     )
 
     def __init__(
@@ -53,7 +53,6 @@ class SlowLogEntry:
         duration_ms: float,
         threshold_ms: float,
         trace: Optional[dict],
-        workers: Optional[List[str]] = None,
         trace_path: Optional[str] = None,
     ):
         self.trace_id = trace_id
@@ -63,10 +62,8 @@ class SlowLogEntry:
         self.duration_ms = duration_ms
         self.threshold_ms = threshold_ms
         self.trace = trace
-        # Fan-out attribution: which worker pids contributed grafted spans,
-        # and where the trace-dir writer persisted the full trace — so a slow
+        # Where the trace-dir writer persisted the full trace, so a slow
         # entry joins against its on-disk trace file by trace_id.
-        self.workers = workers
         self.trace_path = trace_path
 
     def to_dict(self, include_trace: bool = True) -> dict:
@@ -78,8 +75,6 @@ class SlowLogEntry:
             "duration_ms": round(self.duration_ms, 3),
             "threshold_ms": round(self.threshold_ms, 3),
         }
-        if self.workers:
-            entry["workers"] = list(self.workers)
         if self.trace_path is not None:
             entry["trace_path"] = self.trace_path
         if include_trace and self.trace is not None:
@@ -133,7 +128,6 @@ class SlowLog:
         status: str = "ok",
         workspace: str = "default",
         trace: Optional[dict] = None,
-        workers: Optional[List[str]] = None,
         trace_path: Optional[str] = None,
     ) -> bool:
         """Record one finished request; returns whether it was retained.
@@ -158,7 +152,6 @@ class SlowLog:
                     duration_ms=duration_ms,
                     threshold_ms=threshold,
                     trace=trace,
-                    workers=workers,
                     trace_path=trace_path,
                 )
             )

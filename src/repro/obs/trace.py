@@ -105,23 +105,11 @@ class Trace:
         return {"trace_id": self.trace_id, "root": self.root.to_dict()}
 
     def to_chrome_events(self) -> List[dict]:
-        """Chrome trace-event "complete" (``ph: X``) events, µs timestamps.
-
-        Spans carrying a ``worker`` attribute (subtrees grafted by
-        :mod:`repro.obs.remote`) — and everything beneath them — render on
-        their own thread lane (tid 2+, one per worker, with ``thread_name``
-        metadata events), so a fanned-out trace shows true wave parallelism
-        instead of one flat lane.  A purely in-process trace keeps the
-        historical single-lane shape with no metadata events.
-        """
+        """Chrome trace-event "complete" (``ph: X``) events, µs timestamps,
+        all on one thread lane."""
         base = self.root.start_ns
         events: List[dict] = []
-        lanes: Dict[str, int] = {}
-
-        def emit(span: Span, tid: int) -> None:
-            worker = span.attrs.get("worker")
-            if worker is not None:
-                tid = lanes.setdefault(str(worker), len(lanes) + 2)
+        for span in self.root.walk():
             end = span.end_ns if span.end_ns is not None else span.start_ns
             events.append({
                 "name": span.name,
@@ -130,30 +118,9 @@ class Trace:
                 "ts": round((span.start_ns - base) / 1e3, 3),
                 "dur": round((end - span.start_ns) / 1e3, 3),
                 "pid": 1,
-                "tid": tid,
+                "tid": 1,
                 "args": dict(span.attrs),
             })
-            for child in span.children:
-                emit(child, tid)
-
-        emit(self.root, 1)
-        if lanes:
-            metadata = [{
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 1,
-                "args": {"name": "coordinator"},
-            }]
-            for worker, tid in sorted(lanes.items(), key=lambda kv: kv[1]):
-                metadata.append({
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "args": {"name": f"worker {worker}"},
-                })
-            events = metadata + events
         return events
 
 

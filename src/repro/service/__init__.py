@@ -10,8 +10,8 @@ library into a long-lived service that exploits that modularity:
 * :mod:`repro.service.invalidate` — call-graph-aware invalidation: an edit
   evicts exactly the functions whose results could change (just the edited
   function under the modular condition — the paper's modularity payoff),
-* :mod:`repro.service.scheduler` — a topological batch scheduler that fans
-  independent functions out over a process pool,
+* :mod:`repro.service.scheduler` — a topological batch scheduler that
+  analyses functions callees-first in SCC waves,
 * :mod:`repro.service.session` — the :class:`AnalysisSession` façade owning a
   mutable workspace of MiniRust sources and answering analyze/slice/ifc
   queries through the cache,

@@ -122,7 +122,6 @@ def load_workspace(
     persist_dir: PathLike,
     name: str = "default",
     max_entries: int = 4096,
-    scheduler=None,
 ) -> AnalysisSession:
     """Rebuild a saved workspace as a live :class:`AnalysisSession`.
 
@@ -135,7 +134,6 @@ def load_workspace(
         cache_dir=str(cache_dir(persist_dir, name)),
         max_entries=max_entries,
         local_crate=str(manifest.get("local_crate", "main")),
-        scheduler=scheduler,
     )
     units = [(str(u["name"]), str(u["source"])) for u in manifest["units"]]
     if units:

@@ -280,10 +280,7 @@ class AnalysisService:
         )
 
     def _method_warm(self, params: dict) -> dict:
-        parallel = params.get("parallel")
-        if parallel is not None and not isinstance(parallel, bool):
-            raise ProtocolError("`parallel` must be a boolean")
-        return self.session.warm(config=condition_from_params(params), parallel=parallel)
+        return self.session.warm(config=condition_from_params(params))
 
     def _method_stats(self, params: dict) -> dict:
         return self.session.stats()

@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import QueryError
 from repro.obs import get_registry, new_trace_id, start_trace
 from repro.obs.export import TraceDirWriter
-from repro.obs.remote import workers_in_trace
 from repro.obs.slowlog import HealthTracker, SlowLog
 from repro.service.locks import RWLock
 from repro.service.persist import has_workspace, open_or_create_workspace, save_workspace
@@ -445,15 +444,13 @@ class ConnectionHandler:
                 ok=status == "ok",
             )
         if self.slow_log is not None:
-            tree = trace.to_dict() if trace is not None else None
             self.slow_log.observe(
                 method if isinstance(method, str) else None,
                 duration_ms,
                 trace_id=trace_id,
                 status=status,
                 workspace=workspace,
-                trace=tree,
-                workers=workers_in_trace(tree["root"]) if tree is not None else None,
+                trace=trace.to_dict() if trace is not None else None,
                 trace_path=str(trace_path) if trace_path is not None else None,
             )
         if response is not None and "trace_id" not in response:

@@ -55,12 +55,10 @@ class AnalysisSession:
         cache_dir: Optional[str] = None,
         max_entries: int = 4096,
         local_crate: str = "main",
-        scheduler: Optional[BatchScheduler] = None,
     ):
         self.store = store if store is not None else SummaryStore(
             max_entries=max_entries, disk_dir=cache_dir
         )
-        self.scheduler = scheduler or BatchScheduler()
         self.local_crate = local_crate
         self.generation = 0
         self.counters: Dict[str, int] = {
@@ -616,19 +614,13 @@ class AnalysisSession:
             "report": checker.report(),
         }
 
-    def warm(
-        self, config: Optional[AnalysisConfig] = None, parallel: Optional[bool] = None
-    ) -> dict:
-        """Batch-analyse the whole workspace into the store."""
+    def warm(self, config: Optional[AnalysisConfig] = None) -> dict:
+        """Batch-analyse the whole workspace into the store, callees first."""
         config = config or MODULAR
         engine = self.engine(config)
         with self._compute_lock:
-            batch = self.scheduler.run(
-                engine,
-                store=self.store,
-                fingerprints=self._fingerprints,
-                source=self.source,
-                parallel=parallel,
+            batch = BatchScheduler().run(
+                engine, store=self.store, fingerprints=self._fingerprints
             )
         out = batch.to_json_dict()
         out["condition"] = condition_name(config)

@@ -76,6 +76,32 @@ def test_analyze_command_prints_theta_and_sizes(source_file):
     assert "condition: Modular" in output
 
 
+def test_analyze_trace_prints_span_tree_and_chrome_file(tmp_path, source_file):
+    import json
+
+    chrome_path = tmp_path / "trace.json"
+    code, output = run_cli("analyze", source_file, "--trace", "--chrome", str(chrome_path))
+    assert code == 0
+    assert "dependency-set sizes" in output
+    assert "// trace " in output and "fixpoint" in output
+    events = json.loads(chrome_path.read_text(encoding="utf-8"))["traceEvents"]
+    assert events[0]["name"] == "analyze"
+    assert {event["tid"] for event in events} == {1}
+
+
+def test_untraced_analyze_output_has_no_trace_trailer(source_file):
+    code, output = run_cli("analyze", source_file)
+    assert code == 0
+    assert "// trace" not in output
+
+
+def test_analyze_has_no_workers_option(source_file, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["analyze", "--workers", "2", source_file], out=io.StringIO())
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_analyze_command_honours_condition_flags(source_file):
     code, output = run_cli("analyze", source_file, "--mut-blind")
     assert code == 0
@@ -390,6 +416,16 @@ def test_trace_command_honours_condition_flags(source_file):
         node for node in _walk(tree["root"]) if node["name"] == "fixpoint"
     ]
     assert fixpoints, "no fixpoint span recorded"
+
+
+def test_trace_cli_noise_filter_reports_hidden_spans(source_file):
+    code, output = run_cli(
+        "trace", source_file, "--min-self-ms", "99999", "--depth", "1"
+    )
+    assert code == 0
+    assert "hidden by --min-self-ms/--depth" in output
+    # The root line always survives the filter.
+    assert "analyze" in output
 
 
 def _walk(node):

@@ -1,8 +1,10 @@
 """Tests for the observability subsystem: tracing, metrics, request-scoped
-telemetry, exports, and the serve access log."""
+telemetry, exports, the trace noise filter, HELP lines, the slow log, the
+serve access log, and the `repro top` dashboard frames."""
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import time
@@ -15,6 +17,7 @@ from repro.obs import (
     MetricsRegistry,
     Trace,
     active_span,
+    filter_span_tree,
     get_registry,
     is_enabled,
     new_trace_id,
@@ -33,7 +36,9 @@ from repro.obs.export import (
     render_prometheus,
     write_chrome_trace,
 )
+from repro.obs.dashboard import TopState, build_frame
 from repro.obs.metrics import COUNT_BUCKETS
+from repro.obs.slowlog import SlowLog
 from repro.service.protocol import AnalysisService
 
 
@@ -126,6 +131,14 @@ class TestTraceCore:
         document = chrome_trace_document(trace)
         assert document["otherData"]["trace_id"] == trace.trace_id
         assert document["traceEvents"] == events
+
+    def test_chrome_events_stay_on_one_lane(self):
+        with start_trace("analyze") as trace:
+            with span("fixpoint"):
+                pass
+        events = trace.to_chrome_events()
+        assert [e["ph"] for e in events] == ["X", "X"]
+        assert all(e["tid"] == 1 for e in events)
 
     def test_render_span_tree(self):
         with start_trace("request") as trace:
@@ -525,3 +538,225 @@ class TestAccessLog:
         files = list(tmp_path.glob("trace-*.json"))
         assert len(files) == 1
         assert response["trace_id"] in files[0].name
+
+
+# ---------------------------------------------------------------------------
+# Trace noise filter
+# ---------------------------------------------------------------------------
+
+
+class TestFilterSpanTree:
+    def _tree(self):
+        with start_trace("root") as trace:
+            from repro.obs import span
+
+            with span("big"):
+                with span("tiny"):
+                    pass
+            with span("small"):
+                pass
+        tree = trace.to_dict()["root"]
+        # Stamp deterministic self times: structure is what matters here.
+        tree["self_ms"] = 10.0
+        big, small = tree["children"]
+        big["self_ms"] = 5.0
+        small["self_ms"] = 0.001
+        big["children"][0]["self_ms"] = 0.002
+        return tree
+
+    def test_min_self_ms_drops_insignificant_leaves(self):
+        tree = self._tree()
+        pruned, hidden = filter_span_tree(tree, min_self_ms=1.0)
+        assert hidden == 2
+        assert [c["name"] for c in pruned["children"]] == ["big"]
+        assert pruned["children"][0]["children"] == []
+
+    def test_structure_survives_when_descendant_is_significant(self):
+        tree = self._tree()
+        tree["children"][0]["self_ms"] = 0.001  # "big" now insignificant...
+        tree["children"][0]["children"][0]["self_ms"] = 3.0  # ...but "tiny" is not
+        pruned, hidden = filter_span_tree(tree, min_self_ms=1.0)
+        assert hidden == 1  # only "small" hidden
+        assert [c["name"] for c in pruned["children"]] == ["big"]
+        assert [c["name"] for c in pruned["children"][0]["children"]] == ["tiny"]
+
+    def test_max_depth_counts_whole_dropped_subtrees(self):
+        tree = self._tree()
+        pruned, hidden = filter_span_tree(tree, max_depth=1)
+        assert hidden == 1  # "tiny" below depth 1
+        assert [c["name"] for c in pruned["children"]] == ["big", "small"]
+        pruned0, hidden0 = filter_span_tree(tree, max_depth=0)
+        assert pruned0["children"] == [] and hidden0 == 3
+
+    def test_root_always_survives_and_original_untouched(self):
+        tree = self._tree()
+        pruned, _ = filter_span_tree(tree, min_self_ms=1e9)
+        assert pruned["name"] == "root" and pruned["children"] == []
+        assert len(tree["children"]) == 2  # input not mutated
+        assert render_span_tree(pruned).startswith("root")
+
+
+# ---------------------------------------------------------------------------
+# Prometheus HELP lines
+# ---------------------------------------------------------------------------
+
+
+class TestPrometheusHelp:
+    def test_every_family_gets_one_help_line_before_type(self):
+        registry = MetricsRegistry()
+        registry.counter("requests_total", method="analyze").inc()
+        registry.counter("made_up_total").inc()
+        registry.histogram("request_seconds", method="analyze").observe(0.01)
+        lines = render_prometheus(registry.snapshot()).splitlines()
+        for family in ("repro_requests_total", "repro_made_up_total", "repro_request_seconds"):
+            helps = [l for l in lines if l.startswith(f"# HELP {family} ")]
+            assert len(helps) == 1, f"{family}: {helps}"
+            assert lines[lines.index(helps[0]) + 1].startswith(f"# TYPE {family} ")
+        # Registered text for known families, generic fallback otherwise.
+        assert any(
+            l.startswith("# HELP repro_requests_total Protocol requests")
+            for l in lines
+        )
+        assert "# HELP repro_made_up_total repro metric made_up_total." in lines
+
+    def test_help_text_is_escaped(self):
+        from repro.obs.export import register_help
+
+        registry = MetricsRegistry()
+        registry.counter("weird_total").inc()
+        register_help("weird_total", "line one\nline two \\ done")
+        try:
+            text = render_prometheus(registry.snapshot())
+        finally:
+            from repro.obs.export import _HELP_TEXTS
+
+            _HELP_TEXTS.pop("weird_total", None)
+        assert "# HELP repro_weird_total line one\\nline two \\\\ done\n" in text
+
+    def test_exposition_still_parses_round_trip(self):
+        """The quote-aware parser reads label values back despite HELP lines."""
+        from repro.obs.metrics import parse_series
+
+        registry = MetricsRegistry()
+        registry.counter("cache_get_total", kind='tricky"name', tier="memory").inc(2)
+        text = render_prometheus(registry.snapshot())
+        series_lines = [
+            l for l in text.splitlines() if l.startswith("repro_cache_get_total{")
+        ]
+        assert len(series_lines) == 1
+        series = series_lines[0].rsplit(" ", 1)[0]
+        name, labels = parse_series(series[len("repro_"):])
+        assert name == "cache_get_total"
+        assert labels == {"kind": 'tricky"name', "tier": "memory"}
+
+
+# ---------------------------------------------------------------------------
+# Slow-log trace-file attribution
+# ---------------------------------------------------------------------------
+
+
+class TestSlowLogAttribution:
+    def test_entry_carries_trace_path(self):
+        log = SlowLog(threshold_ms=1.0)
+        retained = log.observe(
+            "warm",
+            25.0,
+            trace_id="a" * 16,
+            trace={"name": "warm", "attrs": {}, "children": []},
+            trace_path="traces/trace-aaaa.json",
+        )
+        assert retained
+        entry = log.entries()[0]
+        assert entry["trace_path"] == "traces/trace-aaaa.json"
+
+    def test_attribution_fields_omitted_when_absent(self):
+        log = SlowLog(threshold_ms=1.0)
+        log.observe("analyze", 25.0, trace_id="b" * 16)
+        entry = log.entries()[0]
+        assert "trace_path" not in entry
+
+
+# ---------------------------------------------------------------------------
+# The `repro top` dashboard
+# ---------------------------------------------------------------------------
+
+
+class TestDashboard:
+    METRICS = {
+        "counters": {
+            'cache_get_total{kind="record",tier="memory"}': 6.0,
+            'cache_get_total{kind="record",tier="miss"}': 2.0,
+        },
+        "gauges": {"server_inflight": 2.0},
+        "histograms": {},
+    }
+    HEALTH = {
+        "uptime_seconds": 3723.0,
+        "requests_total": 100,
+        "error_rate": 0.02,
+        "inflight": 1,
+        "open_connections": 4,
+        "methods": {
+            "analyze": {"count": 80, "errors": 2, "p50_ms": 3.0, "p95_ms": 9.0, "p99_ms": 20.0},
+        },
+    }
+    SLOWLOG = {
+        "threshold_ms": 15.0,
+        "entries": [
+            {
+                "trace_id": "c" * 16,
+                "method": "warm",
+                "status": "ok",
+                "duration_ms": 120.0,
+            }
+        ],
+    }
+
+    def test_frame_covers_header_methods_cache_slowlog(self):
+        frame = build_frame(self.METRICS, self.HEALTH, self.SLOWLOG)
+        text = "\n".join(frame)
+        assert "up 1h02m" in text and "100 req" in text and "2.00% err" in text
+        assert "inflight 1" in text and "conns 4" in text
+        assert "analyze" in text and "9.0ms" in text
+        assert "record" in text and "75.0% hit" in text
+        assert "slow requests (threshold 15.0 ms)" in text
+        assert ("c" * 16) in text
+
+    def test_sparkline_trend_appears_after_repeat_frames(self):
+        state = TopState()
+        build_frame(self.METRICS, self.HEALTH, None, state=state)
+        health2 = json.loads(json.dumps(self.HEALTH))
+        health2["methods"]["analyze"]["p95_ms"] = 42.0
+        frame = build_frame(self.METRICS, health2, None, state=state)
+        from repro.obs.history import SPARK_GLYPHS
+
+        line = next(l for l in frame if l.strip().startswith("analyze"))
+        assert any(glyph in line for glyph in SPARK_GLYPHS)
+
+    def test_frame_degrades_without_health_or_slowlog(self):
+        frame = build_frame(self.METRICS, None, None)
+        text = "\n".join(frame)
+        assert text.startswith("repro top")
+        assert "inflight 2" in text  # falls back to the gauge
+
+    def test_cli_top_renders_frames_against_live_server(self):
+        """End to end: a real socket server, two dashboard frames."""
+        from repro.cli import main
+        from repro.service.server import ThreadedAnalysisServer
+
+        with ThreadedAnalysisServer(port=0, workers=2) as server:
+            out = io.StringIO()
+            rc = main(
+                [
+                    "top",
+                    "--port", str(server.address[1]),
+                    "--interval", "0.01",
+                    "--frames", "2",
+                    "--no-clear",
+                ],
+                out=out,
+            )
+            text = out.getvalue()
+        assert rc == 0
+        assert text.count("repro top") == 2
+        assert "uptime" not in text  # rendered compactly, not raw JSON

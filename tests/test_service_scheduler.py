@@ -1,18 +1,18 @@
-"""Tests for the topological batch scheduler."""
+"""Tests for the topological batch scheduler and the shard fan-out."""
 
 from __future__ import annotations
 
+import os
+
+import pytest
 from helpers import lowered_from, requires_fork
 
 from repro.core.config import MODULAR, WHOLE_PROGRAM
 from repro.core.engine import FlowEngine
 from repro.mir.callgraph import build_call_graph
+from repro.obs import get_registry
 from repro.service.cache import FingerprintIndex, SummaryStore
-from repro.service.scheduler import (
-    BatchScheduler,
-    run_waves,
-    schedule_waves,
-)
+from repro.service.scheduler import BatchScheduler, map_shards, schedule_waves
 
 
 CHAIN_SOURCE = """
@@ -97,10 +97,29 @@ class TestSerialRuns:
         sizes = result.records["root"].dependency_sizes
         assert sizes == engine.analyze_function("root").dependency_sizes()
 
+    def test_run_reports_serial_mode(self):
+        engine, fingerprints = engine_for(CHAIN_SOURCE)
+        result = BatchScheduler().run(
+            engine, store=SummaryStore(), fingerprints=fingerprints
+        )
+        assert result.mode == "serial"
+        assert result.to_json_dict()["mode"] == "serial"
+        assert "error" not in result.to_json_dict()
+
 
 def _double_chunk(chunk):
     """Module-level (picklable) chunk worker for the pool path."""
     return [2 * item for item in chunk]
+
+
+_PARENT_PID = os.getpid()
+
+
+def _flaky_chunk(chunk):
+    """Fails only inside a pool process: a task bug, not a pool failure."""
+    if os.getpid() != _PARENT_PID:
+        raise ValueError("task bug in worker")
+    return _double_chunk(chunk)
 
 
 _INIT_FLAG = []
@@ -110,89 +129,58 @@ def _flag_initializer(value):
     _INIT_FLAG.append(value)
 
 
-class TestRunWaves:
-    WAVES = [[1, 2, 3], [4], [5, 6]]
+def _fallbacks() -> float:
+    return get_registry().counter("scheduler_fallbacks_total").value
 
-    def test_serial_preserves_wave_structure_and_order(self):
-        mode, results, error = run_waves(_double_chunk, self.WAVES, parallel=False)
-        assert mode == "serial"
-        assert error is None
-        assert results == [[2, 4, 6], [8], [10, 12]]
+
+class TestMapShards:
+    TASKS = [1, 2, 3, 4, 5, 6]
+
+    def test_serial_preserves_task_order(self):
+        mode, results, error = map_shards(_double_chunk, self.TASKS, chunk_size=4)
+        assert (mode, error) == ("serial", None)
+        assert results == [2, 4, 6, 8, 10, 12]
 
     @requires_fork
     def test_parallel_matches_serial(self):
-        mode, results, error = run_waves(
-            _double_chunk, self.WAVES, max_workers=2, chunk_size=2
+        mode, results, error = map_shards(
+            _double_chunk, self.TASKS, max_workers=2, chunk_size=2
         )
         assert (mode, error) == ("parallel", None)
-        assert results == [[2, 4, 6], [8], [10, 12]]
+        assert results == [2, 4, 6, 8, 10, 12]
 
     def test_unpicklable_worker_degrades_with_error(self):
-        mode, results, error = run_waves(
-            lambda chunk: [item + 1 for item in chunk],
-            [[1, 2]],
-            max_workers=2,
-            parallel=True,
+        before = _fallbacks()
+        mode, results, error = map_shards(
+            lambda chunk: [item + 1 for item in chunk], [1, 2], max_workers=2
         )
         assert mode == "serial-fallback"
-        assert error is not None
-        assert results == [[2, 3]]
+        assert "pickle" in error
+        assert results == [2, 3]
+        assert _fallbacks() == before + 1
+
+    @requires_fork
+    def test_task_exception_propagates_with_worker_traceback(self):
+        before = _fallbacks()
+        with pytest.raises(ValueError, match="task bug in worker") as raised:
+            map_shards(_flaky_chunk, [1, 2, 3, 4], max_workers=2, chunk_size=2)
+        # The pool attaches the worker-side traceback as the cause.
+        assert "_flaky_chunk" in str(raised.value.__cause__)
+        assert _fallbacks() == before
 
     def test_serial_path_runs_initializer_in_process(self):
         _INIT_FLAG.clear()
-        mode, results, _ = run_waves(
+        mode, results, _ = map_shards(
             _double_chunk,
-            [[7]],
-            parallel=False,
+            [7],
+            max_workers=2,
             initializer=_flag_initializer,
             initargs=("ready",),
         )
         assert mode == "serial"
         assert _INIT_FLAG == ["ready"]
-        assert results == [[14]]
+        assert results == [14]
 
-    def test_empty_waves(self):
-        mode, results, error = run_waves(_double_chunk, [])
+    def test_empty_input(self):
+        mode, results, error = map_shards(_double_chunk, [])
         assert (mode, results, error) == ("serial", [], None)
-
-
-class TestParallelPath:
-    @requires_fork
-    def test_parallel_results_match_serial(self):
-        serial_engine, serial_fp = engine_for(CHAIN_SOURCE)
-        serial = BatchScheduler().run(
-            serial_engine, store=SummaryStore(), fingerprints=serial_fp
-        )
-
-        parallel_engine, parallel_fp = engine_for(CHAIN_SOURCE)
-        scheduler = BatchScheduler(max_workers=2, chunk_size=1)
-        result = scheduler.run(
-            parallel_engine,
-            store=SummaryStore(),
-            fingerprints=parallel_fp,
-            source=CHAIN_SOURCE,
-            parallel=True,
-        )
-        assert (result.mode, result.error) == ("parallel", None)
-        assert sorted(result.records) == sorted(serial.records)
-        for name, record in serial.records.items():
-            assert result.records[name] == record
-
-    def test_forced_parallel_without_source_reports_fallback(self):
-        engine, fingerprints = engine_for(CHAIN_SOURCE)
-        result = BatchScheduler().run(
-            engine, store=SummaryStore(), fingerprints=fingerprints, parallel=True
-        )
-        assert result.mode == "serial-fallback"
-        assert "no source provided" in result.error
-        assert result.computed() == 4
-
-    def test_small_batch_defaults_to_serial(self):
-        engine, fingerprints = engine_for(CHAIN_SOURCE)
-        result = BatchScheduler(parallel_threshold=100).run(
-            engine,
-            store=SummaryStore(),
-            fingerprints=fingerprints,
-            source=CHAIN_SOURCE,
-        )
-        assert result.mode == "serial"
