@@ -24,8 +24,7 @@ from repro.core.engine import FlowEngine
 from repro.eval.corpus import generate_corpus
 from repro.lang.parser import parse_program
 from repro.lang.typeck import check_program
-from repro.obs import SamplingProfiler, is_enabled, set_enabled
-from repro.obs import trace as trace_mod
+from repro.obs import is_enabled, set_enabled
 
 ROUNDS = 6
 MAX_RATIO = 1.05
@@ -90,49 +89,4 @@ def test_untraced_overhead_within_five_percent(report_dir):
     ), (
         f"idle observability overhead too high: enabled {enabled_best:.3f}s vs "
         f"disabled {disabled_best:.3f}s ({ratio:.3f}x > {MAX_RATIO}x)"
-    )
-
-
-def test_detached_profiler_overhead_within_five_percent(report_dir):
-    """A profiler that has come and gone must leave no residue.
-
-    Starting a :class:`SamplingProfiler` flips the span-stack publication
-    switch on (every span push/pops a per-thread stack); stopping it must
-    flip the switch back off so subsequent workloads pay the original
-    zero-publication path.  Interleaved best-of rounds as above.
-    """
-    corpus = generate_corpus(scale=0.15)
-    _workload(corpus)  # warm-up
-
-    # Exercise a full attach/detach cycle, then verify the switch is off.
-    profiler = SamplingProfiler(hz=50.0).start()
-    _workload(corpus)
-    profiler.stop()
-    assert profiler.profile.counts, "profiler attached but captured nothing"
-    assert not trace_mod._PUBLISH_STACKS, "profiler detach left publication on"
-
-    never_best = float("inf")
-    after_best = float("inf")
-    for _ in range(ROUNDS):
-        never_best = min(never_best, _best_of(corpus, 1))
-        after_best = min(after_best, _best_of(corpus, 1))
-
-    ratio = after_best / never_best if never_best > 0 else 1.0
-    report = {
-        "workload": "fig2-style modular analysis after profiler detach",
-        "rounds": ROUNDS,
-        "never_profiled_best_seconds": round(never_best, 4),
-        "after_detach_best_seconds": round(after_best, 4),
-        "ratio": round(ratio, 4),
-        "max_ratio": MAX_RATIO,
-        "abs_slack_seconds": ABS_SLACK_SECONDS,
-    }
-    path = write_json_report(report_dir, "profiler_overhead", report)
-    print(f"[profiler-detached overhead: {ratio:.3f}x; report at {path}]")
-
-    assert (
-        ratio <= MAX_RATIO or after_best - never_best <= ABS_SLACK_SECONDS
-    ), (
-        f"detached-profiler overhead too high: after {after_best:.3f}s vs "
-        f"never {never_best:.3f}s ({ratio:.3f}x > {MAX_RATIO}x)"
     )

@@ -102,12 +102,6 @@ class Slice:
     def contains_line(self, line: int) -> bool:
         return line in self.relevant_lines
 
-    def contains_position(self, line: int, col: int) -> bool:
-        """Char-precise membership (falls back to lines when spans absent)."""
-        if self.relevant_spans:
-            return any(span.contains(line, col) for span in self.relevant_spans)
-        return self.contains_line(line)
-
     def size(self) -> int:
         return len(self.locations)
 

@@ -200,11 +200,6 @@ class BorrowChecker:
 
         return self.violations
 
-    def is_ownership_safe(self) -> bool:
-        if not self.violations:
-            self.check()
-        return not self.violations
-
 
 def check_body(body: Body, signatures: Optional[Dict[str, FnSig]] = None) -> List[BorrowViolation]:
     """Borrow-check one body and return its violations."""

@@ -162,8 +162,3 @@ def summarize_signature(sig: FnSig) -> SignatureSummary:
 
     summary.params_tied_to_return = tied
     return summary
-
-
-def summarize_all(signatures: Dict[str, FnSig]) -> Dict[str, SignatureSummary]:
-    """Summarise every signature of a program (memoised by the caller)."""
-    return {name: summarize_signature(sig) for name, sig in signatures.items()}

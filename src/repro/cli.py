@@ -105,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="print Θ annotations and dependency sizes")
     analyze.add_argument("file")
     analyze.add_argument("--function", help="only this function (default: all)")
-    analyze.add_argument("--trace", action="store_true",
-                         help="trace the run end-to-end and print the span tree")
-    analyze.add_argument("--chrome", metavar="PATH",
-                         help="with --trace semantics: also write Chrome "
-                              "trace-event JSON to PATH")
     _add_condition_flags(analyze)
 
     slice_cmd = sub.add_parser("slice", help="slice a function on a variable")
@@ -287,30 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "JSON (chrome://tracing / Perfetto) to PATH")
     _add_condition_flags(trace_cmd)
 
-    profile_cmd = sub.add_parser(
-        "profile",
-        help="run a traced+profiled analysis of a file and report where time went",
-    )
-    profile_cmd.add_argument("file")
-    profile_cmd.add_argument("--function", help="only this function (default: all)")
-    profile_cmd.add_argument("--local-crate", default="main")
-    profile_cmd.add_argument("--hz", type=float, default=97.0,
-                             help="sampling rate (default 97)")
-    profile_cmd.add_argument("--flame", metavar="PATH",
-                             help="write a standalone flamegraph (SVG, or HTML "
-                                  "if PATH ends in .html)")
-    profile_cmd.add_argument("--collapsed", metavar="PATH",
-                             help="write collapsed-stack text (flamegraph.pl / "
-                                  "speedscope format)")
-    profile_cmd.add_argument("--chrome", metavar="PATH",
-                             help="write Chrome trace-event JSON with the "
-                                  "profile merged in (stackFrames + samples)")
-    profile_cmd.add_argument("--code-frames", action="store_true",
-                             help="append in-repo Python frames below the span stack")
-    profile_cmd.add_argument("--json", action="store_true",
-                             help="print the profile as JSON instead of text")
-    _add_condition_flags(profile_cmd)
-
     bench = sub.add_parser(
         "bench",
         help="run the registered benchmark suite into the history ledger "
@@ -475,21 +446,7 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
     source = _read_source(args.file)
     config = _config_from_args(args)
     engine = FlowEngine.from_source(source, config=config)
-    names = _selected_functions(engine, args.function)
-
-    if args.trace or args.chrome:
-        from repro.obs import start_trace
-
-        with start_trace("analyze") as trace:
-            _print_analysis(engine, names, out)
-        _write_analyze_trace(args, out, trace)
-        return 0
-    _print_analysis(engine, names, out)
-    return 0
-
-
-def _print_analysis(engine, names, out) -> None:
-    for name in names:
+    for name in _selected_functions(engine, args.function):
         result = engine.analyze_function(name)
         out.write(f"// condition: {result.config.name}\n")
         out.write(pretty_body(result.body, result.annotations()) + "\n")
@@ -497,21 +454,7 @@ def _print_analysis(engine, names, out) -> None:
         for variable, size in sorted(result.dependency_sizes().items()):
             out.write(f"//   {variable}: {size}\n")
         out.write("\n")
-
-
-def _write_analyze_trace(args, out, trace) -> None:
-    """The ``analyze --trace`` trailer: span tree and Chrome file."""
-    from repro.obs import render_span_tree
-    from repro.obs.export import write_chrome_trace
-
-    if trace is None:
-        out.write("// trace unavailable: observability is disabled\n")
-        return
-    out.write(f"// trace {trace.trace_id}\n")
-    out.write(render_span_tree(trace.to_dict()["root"]) + "\n")
-    if args.chrome:
-        path = write_chrome_trace(args.chrome, trace)
-        out.write(f"// chrome trace written to {path}\n")
+    return 0
 
 
 def cmd_slice(args: argparse.Namespace, out) -> int:
@@ -1059,72 +1002,6 @@ def cmd_top(args: argparse.Namespace, out) -> int:
     )
 
 
-def cmd_profile(args: argparse.Namespace, out) -> int:
-    """Traced + sampled one-shot analysis: the CLI face of the profiler."""
-    import json
-
-    from repro.obs import start_trace
-    from repro.obs.export import chrome_trace_document
-    from repro.obs.profile import (
-        SamplingProfiler,
-        attach_profile_to_chrome,
-        flamegraph_html,
-        flamegraph_svg,
-    )
-    from repro.service.session import AnalysisSession
-
-    session = AnalysisSession(local_crate=args.local_crate)
-    config = _config_from_args(args)
-    profiler = SamplingProfiler(hz=args.hz, code_frames=args.code_frames)
-    with profiler:
-        with start_trace("analyze") as trace:
-            session.open_unit("main", _read_source(args.file))
-            session.analyze(function=args.function, config=config)
-    if trace is None:
-        out.write("error: observability is disabled in this process\n")
-        return 2
-    profile = profiler.profile
-    if args.json:
-        out.write(json.dumps(profile.to_dict(), sort_keys=True) + "\n")
-    else:
-        out.write(
-            "profiled {} at {:g}hz: {} samples over {:.3f}s\n".format(
-                args.file, profiler.hz, profile.total_samples, profile.duration_seconds
-            )
-        )
-        for name, fraction in sorted(
-            profile.root_attribution().items(), key=lambda kv: -kv[1]
-        ):
-            out.write(f"  {100 * fraction:5.1f}%  {name}\n")
-        top = sorted(profile.counts.items(), key=lambda kv: -kv[1])[:10]
-        if top:
-            out.write("hottest stacks:\n")
-            for stack, count in top:
-                out.write(f"  {count:5d}  {';'.join(stack)}\n")
-    if args.collapsed:
-        path = Path(args.collapsed)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(profile.to_collapsed(), encoding="utf-8")
-        out.write(f"collapsed stacks written to {path}\n")
-    if args.flame:
-        path = Path(args.flame)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        title = f"repro profile: {args.file}"
-        if path.suffix.lower() in (".html", ".htm"):
-            path.write_text(flamegraph_html(profile, title=title), encoding="utf-8")
-        else:
-            path.write_text(flamegraph_svg(profile, title=title), encoding="utf-8")
-        out.write(f"flamegraph written to {path}\n")
-    if args.chrome:
-        document = chrome_trace_document(trace)
-        attach_profile_to_chrome(document, profile, base_ns=trace.root.start_ns)
-        path = Path(args.chrome)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
-        out.write(f"chrome trace (with samples) written to {path}\n")
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace, out) -> int:
     """``repro bench`` family: run the suite, report trajectories, backfill."""
     import json
@@ -1267,7 +1144,6 @@ _HANDLERS = {
     "experiment": cmd_experiment,
     "serve": cmd_serve,
     "trace": cmd_trace,
-    "profile": cmd_profile,
     "bench": cmd_bench,
     "eval": cmd_eval,
     "metrics": cmd_metrics,

@@ -100,8 +100,3 @@ def all_conditions() -> List[AnalysisConfig]:
                     )
                 )
     return out
-
-
-def primary_conditions() -> List[AnalysisConfig]:
-    """The four conditions the paper reports individually (Section 5.2)."""
-    return [MODULAR, WHOLE_PROGRAM, MUT_BLIND, REF_BLIND]

@@ -122,9 +122,6 @@ class OxideFlowResult:
     return_deps: Deps
     param_labels: Dict[str, int]
 
-    def label_of_param(self, name: str) -> int:
-        return self.param_labels[name]
-
     def params_in_deps(self, deps: Deps) -> Set[str]:
         """Parameters whose initial value is among ``deps``."""
         return {name for name, label in self.param_labels.items() if label in deps}

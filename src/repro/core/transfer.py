@@ -708,45 +708,6 @@ class IndexedFlowTransfer(FlowTransfer):
             self._resolve_cache[id(place)] = info
         return info
 
-    def deps_of_place_read_bits(self, state: IndexedDependencyContext, place: Place) -> int:
-        _, resolved, base = self._place_info(place)
-        bits = state.read_many_bits(resolved)
-        if base >= 0:
-            bits |= state.read_conflicts_bits(base)
-        return bits
-
-    def deps_of_operand_bits(self, state: IndexedDependencyContext, operand: Operand) -> int:
-        place = operand.place()
-        if place is None:
-            return 0
-        return self.deps_of_place_read_bits(state, place)
-
-    def deps_of_rvalue_bits(self, state: IndexedDependencyContext, rvalue: Rvalue) -> int:
-        if isinstance(rvalue, Ref):
-            return self.deps_of_place_read_bits(state, rvalue.referent)
-        bits = 0
-        for operand in rvalue.operands():
-            bits |= self.deps_of_operand_bits(state, operand)
-        return bits
-
-    # -- mutation ----------------------------------------------------------------
-
-    def mutate_bits(
-        self,
-        state: IndexedDependencyContext,
-        target: Place,
-        new_bits: int,
-        force_weak: bool = False,
-    ) -> None:
-        _, resolved, _base = self._place_info(target)
-        if self.config.strong_updates and not force_weak and len(resolved) == 1:
-            state.write_strong_bits(resolved[0], new_bits)
-        else:
-            for concrete in resolved:
-                state.write_weak_bits(concrete, new_bits)
-
-    # -- statements --------------------------------------------------------------
-
     # -- calls -------------------------------------------------------------------
 
     def _ref_pointees(

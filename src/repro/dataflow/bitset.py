@@ -18,7 +18,7 @@ structured faces of that representation:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 try:  # Python >= 3.10
     (0).bit_count
@@ -175,9 +175,6 @@ class IndexMatrix:
             self.rows[index] = after
             return True
         return False
-
-    def row_indices(self) -> List[int]:
-        return list(self.rows.keys())
 
     def items(self) -> Iterator[Tuple[int, int]]:
         return iter(self.rows.items())

@@ -37,9 +37,6 @@ class DominatorTree:
             node = self.idom.get(node)
         return False
 
-    def strictly_dominates(self, a: int, b: int) -> bool:
-        return a != b and self.dominates(a, b)
-
     def children(self, node: int) -> List[int]:
         return sorted(n for n, parent in self.idom.items() if parent == node and n != node)
 

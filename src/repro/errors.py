@@ -179,15 +179,6 @@ class TypeError_(ReproError):
 TypeCheckError = TypeError_
 
 
-class BorrowError(ReproError):
-    """Raised when the (lightweight) ownership checks reject a program."""
-
-    def __init__(self, message: str, span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
-
-
 class LoweringError(ReproError):
     """Raised when AST-to-MIR lowering hits an unsupported construct."""
 

@@ -73,9 +73,6 @@ class ExperimentData:
     def sizes(self, condition: AnalysisConfig) -> Dict[VarKey, int]:
         return self.run(condition).sizes
 
-    def condition_names(self) -> List[str]:
-        return sorted(self.runs)
-
     def comparison(
         self, baseline: AnalysisConfig, other: AnalysisConfig
     ) -> Dict[VarKey, float]:

@@ -50,11 +50,6 @@ def union_spans(*groups: Iterable[Span]) -> Tuple[Span, ...]:
     return normalize_spans(combined)
 
 
-def spans_contain(spans: Sequence[Span], line: int, col: int) -> bool:
-    """Whether a cursor position falls inside any span of the set."""
-    return any(span.contains(line, col) for span in spans)
-
-
 def lines_of_spans(spans: Iterable[Span]) -> FrozenSet[int]:
     """Every source line touched by the span set (for line-level fallbacks)."""
     lines: Set[int] = set()

@@ -79,9 +79,6 @@ class BinOp(Enum):
     def is_logical(self) -> bool:
         return self in (BinOp.AND, BinOp.OR)
 
-    def is_arithmetic(self) -> bool:
-        return self in (BinOp.ADD, BinOp.SUB, BinOp.MUL, BinOp.DIV, BinOp.REM)
-
 
 class UnOp(Enum):
     """Unary operators available in MiniRust."""
@@ -599,10 +596,3 @@ def called_functions(fn: FnDecl) -> List[str]:
         if isinstance(expr, Call):
             names.append(expr.func)
     return names
-
-
-def count_expressions(fn: FnDecl) -> int:
-    """Number of expression nodes in ``fn``'s body (0 for extern functions)."""
-    if fn.body is None:
-        return 0
-    return sum(1 for _ in walk_block(fn.body))

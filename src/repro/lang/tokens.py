@@ -94,8 +94,5 @@ class Token:
     span: Span
     value: Optional[Union[int, str]] = None
 
-    def is_kind(self, kind: TokenKind) -> bool:
-        return self.kind is kind
-
     def __str__(self) -> str:  # pragma: no cover - debug helper
         return f"{self.kind.name}({self.text!r})"

@@ -279,11 +279,6 @@ def tuple_of(*elements: Type) -> TupleType:
     return TupleType(tuple(elements))
 
 
-def is_base(ty: Type) -> bool:
-    """True for Oxide's base types (unit, u32, bool)."""
-    return isinstance(ty, (UnitType, U32Type, BoolType))
-
-
 def peel_refs(ty: Type) -> Type:
     """Strip any number of outer reference layers, returning the pointee."""
     while isinstance(ty, RefType):

@@ -240,9 +240,6 @@ class LocationDomain:
     def get(self, location: Location) -> Optional[int]:
         return self._index.get(location)
 
-    def location_of(self, idx: int) -> Location:
-        return self._locations[idx]
-
     @property
     def is_monotone(self) -> bool:
         return self._monotone

@@ -502,18 +502,11 @@ class Body:
 
     # -- structure accessors --------------------------------------------------
 
-    @property
-    def return_place(self) -> Place:
-        return Place.from_local(RETURN_LOCAL)
-
     def arg_locals(self) -> List[Local]:
         return self.locals[1 : 1 + self.arg_count]
 
     def arg_places(self) -> List[Place]:
         return [Place.from_local(local.index) for local in self.arg_locals()]
-
-    def local_ty(self, index: int) -> Type:
-        return self.locals[index].ty
 
     def user_locals(self) -> List[Local]:
         """Locals with a source-level name (arguments and ``let`` bindings)."""

@@ -13,8 +13,6 @@ Three pieces, one import surface:
 
 Plus the performance observatory built on top of them:
 
-* :mod:`repro.obs.profile` — a sampling profiler attributing wall-time to
-  span stacks, with collapsed-stack/flamegraph/Chrome-sample exports.
 * :mod:`repro.obs.history` — the append-only benchmark ledger behind
   ``repro bench`` and its regression verdicts.
 * :mod:`repro.obs.slowlog` — tail-sampled slow-request exemplars and the
@@ -22,6 +20,10 @@ Plus the performance observatory built on top of them:
   methods.
 * :mod:`repro.obs.dashboard` — the ``repro top`` terminal dashboard frames
   built from a live server's metrics/health/slowlog responses.
+
+The span tree is the one way this package attributes time: span
+self-times sum exactly to the root duration.  For per-function detail, run
+``python -m cProfile -s tottime -m repro.cli trace FILE``.
 
 ``set_enabled(False)`` is the global kill switch; the disabled-path cost is
 gated (≤5% on the fig2 workload) by ``benchmarks/test_obs_overhead.py``.
@@ -48,12 +50,6 @@ from repro.obs.metrics import (
     series_name,
     snapshot_delta,
 )
-from repro.obs.profile import (
-    Profile,
-    SamplingProfiler,
-    flamegraph_html,
-    flamegraph_svg,
-)
 from repro.obs.slowlog import HealthTracker, SlowLog
 from repro.obs.state import is_enabled, set_enabled
 from repro.obs.trace import (
@@ -74,16 +70,12 @@ __all__ = [
     "HistoryLedger",
     "MetricPolicy",
     "MetricsRegistry",
-    "Profile",
-    "SamplingProfiler",
     "SlowLog",
     "Span",
     "Trace",
     "active_span",
     "evaluate_metric",
     "filter_span_tree",
-    "flamegraph_html",
-    "flamegraph_svg",
     "get_registry",
     "help_text",
     "is_enabled",

@@ -22,7 +22,6 @@ telescopes exactly to the root duration), ``to_chrome_events`` (Chrome
 
 from __future__ import annotations
 
-import threading
 import time
 import uuid
 from contextvars import ContextVar
@@ -129,56 +128,6 @@ class Trace:
 _ACTIVE: ContextVar[Optional[Span]] = ContextVar("repro_obs_active_span", default=None)
 
 
-# ---------------------------------------------------------------------------
-# Span-stack publication for the sampling profiler
-# ---------------------------------------------------------------------------
-#
-# The sampling profiler (repro.obs.profile) runs on its *own* thread, and a
-# context variable cannot be read across threads.  While at least one
-# profiler is attached, span enter/exit additionally mirrors the open-span
-# names into a plain thread-keyed dict the sampler can read.  The publish
-# flag is a single module global, so the traced path pays one extra global
-# read per span when no profiler is running — and the untraced path pays
-# nothing at all (it never reaches _SpanContext).
-
-_PUBLISH_STACKS = False
-_THREAD_STACKS: Dict[int, List[str]] = {}
-_PUBLISH_LOCK = threading.Lock()
-_PUBLISH_COUNT = 0
-
-
-def _publish_stacks(attach: bool) -> None:
-    """Reference-count profiler attachment; publication is on while > 0."""
-    global _PUBLISH_STACKS, _PUBLISH_COUNT
-    with _PUBLISH_LOCK:
-        _PUBLISH_COUNT += 1 if attach else -1
-        _PUBLISH_COUNT = max(0, _PUBLISH_COUNT)
-        _PUBLISH_STACKS = _PUBLISH_COUNT > 0
-        if not _PUBLISH_STACKS:
-            _THREAD_STACKS.clear()
-
-
-def thread_span_stack(thread_id: int) -> Tuple[str, ...]:
-    """The open-span names of one thread, root first (empty when untraced).
-
-    Only meaningful while a profiler is attached; the copy is taken under
-    the GIL, so the sampler sees a consistent (if momentarily stale) stack.
-    """
-    stack = _THREAD_STACKS.get(thread_id)
-    return tuple(stack) if stack else ()
-
-
-def _stack_push(name: str) -> bool:
-    _THREAD_STACKS.setdefault(threading.get_ident(), []).append(name)
-    return True
-
-
-def _stack_pop() -> None:
-    stack = _THREAD_STACKS.get(threading.get_ident())
-    if stack:
-        stack.pop()
-
-
 def active_span() -> Optional[Span]:
     """The innermost open span, for attaching attributes from deep layers."""
     return _ACTIVE.get()
@@ -200,25 +149,20 @@ _NULL = _NullContext()
 
 
 class _SpanContext:
-    __slots__ = ("_span", "_token", "_pushed")
+    __slots__ = ("_span", "_token")
 
     def __init__(self, parent: Span, name: str, attrs: Dict[str, Any]):
         child = Span(name, attrs)
         parent.children.append(child)
         self._span = child
-        self._pushed = False
 
     def __enter__(self) -> Span:
         self._token = _ACTIVE.set(self._span)
-        if _PUBLISH_STACKS:
-            self._pushed = _stack_push(self._span.name)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._span.finish()
         _ACTIVE.reset(self._token)
-        if self._pushed:
-            _stack_pop()
         return False
 
 
@@ -235,23 +179,18 @@ def span(name: str, **attrs: Any):
 
 
 class _TraceContext:
-    __slots__ = ("_trace", "_token", "_pushed")
+    __slots__ = ("_trace", "_token")
 
     def __init__(self, name: str, trace_id: Optional[str]):
         self._trace = Trace(name, trace_id)
-        self._pushed = False
 
     def __enter__(self) -> Trace:
         self._token = _ACTIVE.set(self._trace.root)
-        if _PUBLISH_STACKS:
-            self._pushed = _stack_push(self._trace.root.name)
         return self._trace
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._trace.finish()
         _ACTIVE.reset(self._token)
-        if self._pushed:
-            _stack_pop()
         return False
 
 

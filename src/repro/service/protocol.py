@@ -27,11 +27,8 @@ shape with replayable transcripts.
 
 Telemetry: every response carries a ``trace_id``; any request may set
 ``"trace": true`` (top level, next to ``method``) to get the request's span
-tree back under ``trace``, and ``"profile": true`` (optional
-``"profile_hz"``) to sample the request with the span-stack profiler and
-get the sample summary back under ``profile``; ``analyze`` accepts an
-optional ``source`` param to open-and-analyze in one round trip.  See
-``docs/OBSERVABILITY.md``.
+tree back under ``trace``; ``analyze`` accepts an optional ``source`` param
+to open-and-analyze in one round trip.  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from typing import IO, Optional
 from repro.core.config import AnalysisConfig
 from repro.errors import QueryError, ReproError
 from repro.obs import get_registry, new_trace_id, start_trace
-from repro.obs.profile import SamplingProfiler
 from repro.service.session import AnalysisSession
 from repro.version import __version__
 
@@ -106,11 +102,7 @@ class AnalysisService:
         client-supplied one is honoured, so the front-door server can stamp
         requests before dispatch); ``"trace": true`` on any request wraps
         the handler in a trace and returns the span tree under ``trace``;
-        ``"profile": true`` additionally runs the sampling profiler for the
-        request's duration (optional ``"profile_hz"``) and returns the
-        sample summary under ``profile`` — profiling implies an internal
-        trace, because samples attribute to span stacks; each request lands
-        in ``requests_total``/``request_seconds``.
+        each request lands in ``requests_total``/``request_seconds``.
         """
         request_id = request.get("id")
         self.requests_handled += 1
@@ -119,8 +111,6 @@ class AnalysisService:
         method = request.get("method")
         started = time.perf_counter()
         trace = None
-        want_trace = request.get("trace") is True
-        profiler = None
         try:
             if not isinstance(method, str):
                 raise ProtocolError("missing `method`")
@@ -130,26 +120,11 @@ class AnalysisService:
             params = request.get("params", {})
             if not isinstance(params, dict):
                 raise ProtocolError("`params` must be an object")
-            if request.get("profile") is True:
-                hz = request.get("profile_hz")
-                if hz is not None and not isinstance(hz, (int, float)):
-                    raise ProtocolError("`profile_hz` must be a number")
-                profiler = SamplingProfiler(hz=float(hz) if hz else 97.0)
-            if profiler is not None:
-                # Sampling must begin before the trace root opens: stack
-                # publication only sees spans entered while a profiler is
-                # attached, so a late start would attribute the request to
-                # the method's children instead of the method span itself.
-                profiler.start()
-            try:
-                if want_trace or profiler is not None:
-                    with start_trace(method, trace_id=trace_id) as trace:
-                        result = handler(params)
-                else:
+            if request.get("trace") is True:
+                with start_trace(method, trace_id=trace_id) as trace:
                     result = handler(params)
-            finally:
-                if profiler is not None:
-                    profiler.stop()
+            else:
+                result = handler(params)
             response = {"id": request_id, "ok": True, "result": result}
         except QueryError as error:
             response = self._error_response(request_id, str(error), error.code)
@@ -176,10 +151,8 @@ class AnalysisService:
             status="ok" if response.get("ok") else "error",
         ).inc()
         response["trace_id"] = trace_id
-        if trace is not None and want_trace:
+        if trace is not None:
             response["trace"] = trace.to_dict()
-        if profiler is not None:
-            response["profile"] = profiler.profile.to_dict()
         return response
 
     # -- methods -----------------------------------------------------------------

@@ -4,6 +4,7 @@ serve access log, and the `repro top` dashboard frames."""
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import logging
@@ -318,18 +319,26 @@ class TestRequestTelemetry:
         """One NDJSON ``analyze`` with an inline source and ``"trace": true``
         must return a span tree covering parse → fixpoint → cache whose
         self-times sum to the root duration, which in turn accounts for the
-        measured request wall time."""
+        measured request wall time, and whose named stages cover at least
+        75% of it."""
         service = AnalysisService()
-        started = time.perf_counter()
-        response = service.handle(
-            {
-                "id": 1,
-                "method": "analyze",
-                "trace": True,
-                "params": {"source": GET_COUNT_SOURCE},
-            }
-        )
-        wall_ms = (time.perf_counter() - started) * 1e3
+        # A collector pause inside the request would land in the root's
+        # self time, so collect first and keep the collector off meanwhile.
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            response = service.handle(
+                {
+                    "id": 1,
+                    "method": "analyze",
+                    "trace": True,
+                    "params": {"source": GET_COUNT_SOURCE},
+                }
+            )
+            wall_ms = (time.perf_counter() - started) * 1e3
+        finally:
+            gc.enable()
         assert response["ok"], response
         assert response["trace_id"]
         tree = response["trace"]["root"]
@@ -343,6 +352,11 @@ class TestRequestTelemetry:
         # smaller (dispatch overhead outside the trace), not larger.
         assert 0 < tree["duration_ms"] <= wall_ms
         assert wall_ms - tree["duration_ms"] < max(5.0, 0.9 * wall_ms)
+        # Span coverage: the root's own self time is at most a quarter of
+        # its duration, so the named stages attribute the rest.
+        assert tree["self_ms"] <= 0.25 * tree["duration_ms"], (
+            f"root self {tree['self_ms']:.3f}ms of {tree['duration_ms']:.3f}ms"
+        )
 
     def test_fixpoint_spans_carry_engine_and_density(self):
         service = AnalysisService()
@@ -368,6 +382,13 @@ class TestRequestTelemetry:
         assert response["ok"]
         assert response["trace_id"]
         assert "trace" not in response
+        # Unknown top-level keys are ignored: a request still asking for the
+        # removed ``profile`` field is answered, without one.
+        response = service.handle(
+            {"id": 3, "method": "analyze", "profile": True, "params": {}}
+        )
+        assert response["ok"]
+        assert "profile" not in response
 
     def test_client_supplied_trace_id_is_echoed(self):
         service = AnalysisService()
