@@ -53,8 +53,7 @@ def write_json_report(report_dir: Path, name: str, data) -> Path:
 
     Dict payloads are stamped with a ``run_meta`` block (git sha, python
     version, hostname, monotonic duration since harness import) so every
-    report carries the provenance the history ledger records — and the
-    backfill adapter (``repro bench backfill``) can ingest them.
+    report carries the provenance the history ledger records.
     """
     import json
 

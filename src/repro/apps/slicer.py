@@ -112,20 +112,14 @@ class ProgramSlicer:
     def __init__(self, source: str, config: Optional[AnalysisConfig] = None):
         self.source = source
         self.engine = FlowEngine.from_source(source, config=config)
-        self._results: Dict[str, FunctionFlowResult] = {}
         self._tables: Dict[str, FocusTable] = {}
 
     # -- helpers ---------------------------------------------------------------
 
-    def _result(self, fn_name: str) -> FunctionFlowResult:
-        if fn_name not in self._results:
-            self._results[fn_name] = self.engine.analyze_function(fn_name)
-        return self._results[fn_name]
-
     def _table(self, fn_name: str) -> FocusTable:
         """The function's focus table, built once per slicer."""
         if fn_name not in self._tables:
-            self._tables[fn_name] = FocusTable.build(self._result(fn_name))
+            self._tables[fn_name] = FocusTable.build(self.engine.analyze_function(fn_name))
         return self._tables[fn_name]
 
     def _entry(self, fn_name: str, variable: str) -> FocusEntry:
@@ -149,7 +143,7 @@ class ProgramSlicer:
 
     def backward_slice(self, fn_name: str, variable: str) -> Slice:
         """All code that may influence the final value of ``variable``."""
-        result = self._result(fn_name)
+        result = self.engine.analyze_function(fn_name)
         entry = self._entry(fn_name, variable)
         locations = frozenset(entry.backward)
         return Slice(
@@ -168,7 +162,7 @@ class ProgramSlicer:
         The criterion is taken to be every instruction that writes the
         variable; the forward slice is the union of their forward slices.
         """
-        result = self._result(fn_name)
+        result = self.engine.analyze_function(fn_name)
         entry = self._entry(fn_name, variable)
         influenced = frozenset(entry.forward)
         return Slice(
@@ -212,7 +206,7 @@ class ProgramSlicer:
         """Lines of ``fn_name`` that could be removed without affecting
         ``variable`` — the "comment out everything about timing" workflow
         from Figure 5a, expressed as the complement of the backward slice."""
-        result = self._result(fn_name)
+        result = self.engine.analyze_function(fn_name)
         slice_ = self.backward_slice(fn_name, variable)
         fn = self.engine.program.function(fn_name)
         if fn is None or fn.body is None or fn.span.is_dummy():

@@ -284,19 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the registered benchmark suite into the history ledger "
-             "(subcommands: report, backfill)",
+        help="render the benchmark history ledger with regression verdicts "
+             "(subcommand: report)",
     )
     bench.add_argument("--ledger-dir", default="benchmarks/reports/history",
                        help="history ledger directory (default benchmarks/reports/history)")
-    bench.add_argument("--scale", type=float, default=0.15,
-                       help="workload scale factor for the suite (default 0.15)")
-    bench.add_argument("--only", action="append", default=None, metavar="NAME",
-                       help="run only this registered benchmark (repeatable); "
-                            "registered: theta_join, fig2, focus, load")
-    bench.add_argument("--run-id", default=None,
-                       help="explicit run id (default: random)")
-    bsub = bench.add_subparsers(dest="bench_command")
+    bsub = bench.add_subparsers(dest="bench_command", required=True)
     bench_report_cmd = bsub.add_parser(
         "report", help="render per-metric trajectories with regression verdicts"
     )
@@ -304,11 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="machine-readable report")
     bench_report_cmd.add_argument("--gate", action="store_true",
                                   help="exit 1 if any gated metric regressed")
-    bench_backfill_cmd = bsub.add_parser(
-        "backfill", help="ingest existing benchmarks/reports/*.json into the ledger"
-    )
-    bench_backfill_cmd.add_argument("--report-dir", default="benchmarks/reports",
-                                    help="directory of legacy report JSONs")
 
     eval_cmd = sub.add_parser(
         "eval",
@@ -1003,70 +991,20 @@ def cmd_top(args: argparse.Namespace, out) -> int:
 
 
 def cmd_bench(args: argparse.Namespace, out) -> int:
-    """``repro bench`` family: run the suite, report trajectories, backfill."""
+    """``repro bench report``: ledger trajectories, verdicts and the gate."""
     import json
-    import time
 
-    from repro.eval.bench import (
-        bench_report,
-        new_run_id,
-        record_run,
-        render_bench_report,
-        run_suite,
-    )
-    from repro.obs.history import HistoryLedger, backfill_reports
+    from repro.eval.bench import bench_report, render_bench_report
+    from repro.obs.history import HistoryLedger
 
-    ledger = HistoryLedger(args.ledger_dir)
-    command = getattr(args, "bench_command", None)
-
-    if command == "report":
-        report = bench_report(ledger)
-        if args.json:
-            out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        else:
-            out.write(render_bench_report(report) + "\n")
-        if args.gate and not report["gate"]["ok"]:
-            return 1
-        return 0
-
-    if command == "backfill":
-        appended = backfill_reports(
-            args.report_dir, ledger, run_id=new_run_id(), timestamp=time.time()
-        )
-        out.write(
-            json.dumps(
-                {"backfilled": appended, "ledger": str(ledger.path)}, sort_keys=True
-            )
-            + "\n"
-        )
-        return 0
-
-    started = time.perf_counter()
-    try:
-        metrics, config = run_suite(scale=args.scale, only=args.only)
-    except KeyError as error:
-        raise ReproError(str(error).strip('"').strip("'")) from error
-    run_id, appended = record_run(
-        ledger, metrics, timestamp=time.time(), run_id=args.run_id, config=config
-    )
-    out.write(
-        json.dumps(
-            {
-                "run_id": run_id,
-                "records": appended,
-                "suite": config["suite"],
-                "scale": config["scale"],
-                "duration_seconds": round(time.perf_counter() - started, 3),
-                "ledger": str(ledger.path),
-                "metrics": {name: round(value, 6) for name, value in sorted(metrics.items())},
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    report = bench_report(HistoryLedger(args.ledger_dir))
+    if args.json:
+        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    else:
+        out.write(render_bench_report(report) + "\n")
+    if args.gate and not report["gate"]["ok"]:
+        return 1
     return 0
-
 
 def cmd_eval(args: argparse.Namespace, out) -> int:
     """``repro eval`` family: mass-run corpora, render aggregate reports."""

@@ -14,7 +14,8 @@ provides the substituted pipeline end to end:
 * :mod:`repro.eval.stats` — percentage-difference distributions, medians,
   crate-level correlation and the interaction regression of Section 5.2,
 * :mod:`repro.eval.report` — text renderings of every table and figure,
-* :mod:`repro.eval.perf` — the performance comparison of Section 5.1,
+* :mod:`repro.eval.perf` — Section 5.1's modular vs whole-program timing
+  on a deep call graph, and the service's warm-vs-cold corpus timing,
 * :mod:`repro.eval.massrun` — the mass-evaluation harness: batch-run
   program corpora (fuzz sweeps + committed ``.mrs`` directories, content-
   deduplicated) through the full oracle battery with aggregate gates.

@@ -1,20 +1,14 @@
-"""The registered benchmark suite behind ``repro bench``.
+"""The history-ledger policies and report behind ``repro bench report``.
 
-This is the glue between the measurement functions that already exist in
-:mod:`repro.eval.perf` / :mod:`repro.eval.load` and the persistent history
-ledger in :mod:`repro.obs.history`.  It owns three things:
+Runs that feed the ledger (``repro eval run`` writes the ``massrun.*``
+row; the server load study writes ``load.*``) append through
+:func:`record_run`.  This module owns two things:
 
-* **The suite registry** (:data:`BENCH_SUITE`): named benchmarks, each a
-  function from a scale factor to a flat ``metric -> value`` dict.  Adding
-  a benchmark means adding one entry here (plus its policies below) — the
-  runner, ledger, report, and CI gate pick it up automatically.
 * **The tracked-metric policies** (:data:`TRACKED`): direction, tolerance,
   baseline window, and whether the metric participates in the CI gate.
-  Only *ratio* metrics (speedups) gate by default — they are
-  machine-independent, so a laptop and a CI runner share one ledger
-  without false alarms; absolute wall-time metrics are recorded and
-  reported but never fail the build.  ``docs/BENCHMARKING.md`` is the
-  policy's prose twin.
+  Only machine-independent metrics (the mass-evaluation pass rate) gate;
+  absolute wall-time metrics are recorded and reported but never fail the
+  build.  ``docs/BENCHMARKING.md`` is the policy's prose twin.
 * **The report**: per-metric trajectories with a sparkline trend and a
   regression verdict from :func:`repro.obs.history.evaluate_metric`, plus
   the gate that turns ``regressed`` verdicts on gated metrics into a
@@ -24,7 +18,7 @@ ledger in :mod:`repro.obs.history`.  It owns three things:
 from __future__ import annotations
 
 import uuid
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.history import (
     BenchRecord,
@@ -37,84 +31,8 @@ from repro.obs.history import (
 )
 
 # ---------------------------------------------------------------------------
-# Suite registry
-# ---------------------------------------------------------------------------
-
-BenchFn = Callable[[float], Dict[str, float]]
-
-
-def _bench_theta_join(scale: float) -> Dict[str, float]:
-    from repro.eval.perf import theta_join_microbenchmark
-
-    joins = max(50, int(2000 * scale))
-    bench = theta_join_microbenchmark(joins=joins)
-    return {
-        "theta_join.speedup": bench.speedup,
-        "theta_join.object_us_per_join": bench.object_seconds / bench.joins * 1e6,
-        "theta_join.bitset_us_per_join": bench.bitset_seconds / bench.joins * 1e6,
-    }
-
-
-def _bench_fig2(scale: float) -> Dict[str, float]:
-    from repro.eval.perf import compare_engines
-
-    cmp = compare_engines(scale=scale, rounds=2)
-    return {
-        "fig2.engine_speedup": cmp.speedup,
-        "fig2.object_seconds": cmp.object_seconds,
-        "fig2.bitset_seconds": cmp.bitset_seconds,
-        "fig2.functions": float(cmp.functions),
-    }
-
-
-def _bench_focus(scale: float) -> Dict[str, float]:
-    from repro.eval.perf import measure_focus_latency
-    from repro.eval.stats import latency_summary_ms
-
-    latency = measure_focus_latency(scale=scale)
-    cold = latency_summary_ms(latency.cold_seconds, fractions=(0.50, 0.95))
-    warm = latency_summary_ms(latency.warm_seconds, fractions=(0.50, 0.95))
-    return {
-        "focus.warm_speedup": latency.speedup,
-        "focus.cold_p50_ms": cold["p50"],
-        "focus.cold_p95_ms": cold["p95"],
-        "focus.warm_p50_ms": warm["p50"],
-        "focus.warm_p95_ms": warm["p95"],
-        "focus.queries": float(latency.queries),
-    }
-
-
-def _bench_load(scale: float) -> Dict[str, float]:
-    from repro.eval.load import run_load_study
-
-    report = run_load_study(scale=scale, client_counts=(1, 4))
-    top = report.runs[-1]
-    return {
-        "load.throughput_rps": top.throughput_rps,
-        "load.p50_ms": top.latency_ms(0.50),
-        "load.p99_ms": top.latency_ms(0.99),
-        "load.errors": float(sum(run.errors for run in report.runs)),
-        "load.consistent": 1.0 if report.cross_run_consistent else 0.0,
-    }
-
-
-BENCH_SUITE: Dict[str, BenchFn] = {
-    "theta_join": _bench_theta_join,
-    "fig2": _bench_fig2,
-    "focus": _bench_focus,
-    "load": _bench_load,
-}
-
-
-# ---------------------------------------------------------------------------
 # Tracked-metric policies
 # ---------------------------------------------------------------------------
-
-def _ratio(metric: str, tolerance: float = 0.30) -> MetricPolicy:
-    return MetricPolicy(
-        metric, direction="higher", tolerance=tolerance, window=5, gate=True, unit="x"
-    )
-
 
 def _latency(metric: str, tolerance: float = 0.75) -> MetricPolicy:
     return MetricPolicy(
@@ -125,23 +43,10 @@ def _latency(metric: str, tolerance: float = 0.75) -> MetricPolicy:
 TRACKED: Dict[str, MetricPolicy] = {
     policy.metric: policy
     for policy in (
-        _ratio("theta_join.speedup"),
-        _ratio("fig2.engine_speedup"),
-        _ratio("focus.warm_speedup", tolerance=0.40),
         MetricPolicy(
             "load.throughput_rps", direction="higher", tolerance=0.75,
             window=5, gate=False, unit="req/s",
         ),
-        MetricPolicy(
-            "theta_join.object_us_per_join", direction="lower", tolerance=0.75, unit="us"
-        ),
-        MetricPolicy(
-            "theta_join.bitset_us_per_join", direction="lower", tolerance=0.75, unit="us"
-        ),
-        MetricPolicy("fig2.object_seconds", direction="lower", tolerance=0.75, unit="s"),
-        MetricPolicy("fig2.bitset_seconds", direction="lower", tolerance=0.75, unit="s"),
-        _latency("focus.cold_p50_ms"),
-        _latency("focus.warm_p50_ms"),
         _latency("load.p50_ms"),
         _latency("load.p99_ms"),
         # Mass-evaluation harness (`repro eval run`): the pass rate is a
@@ -180,33 +85,11 @@ def policy_for(metric: str) -> MetricPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Runner
+# Recording
 # ---------------------------------------------------------------------------
 
 def new_run_id() -> str:
     return uuid.uuid4().hex[:12]
-
-
-def run_suite(
-    scale: float = 0.15,
-    only: Optional[List[str]] = None,
-) -> Tuple[Dict[str, float], dict]:
-    """Execute the (selected) suite; returns metrics plus the run config.
-
-    Unknown ``--only`` names raise — a typo must not silently record an
-    empty run into the ledger.
-    """
-    names = list(only) if only else sorted(BENCH_SUITE)
-    unknown = [name for name in names if name not in BENCH_SUITE]
-    if unknown:
-        raise KeyError(
-            f"unknown benchmark(s) {unknown}; registered: {sorted(BENCH_SUITE)}"
-        )
-    metrics: Dict[str, float] = {}
-    for name in names:
-        metrics.update(BENCH_SUITE[name](scale))
-    config = {"suite": sorted(names), "scale": scale}
-    return metrics, config
 
 
 def record_run(

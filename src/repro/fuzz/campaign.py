@@ -372,7 +372,7 @@ def export_corpus(config: CampaignConfig, directory) -> List[str]:
 
     The exported corpus feeds workloads the hand-built template corpus
     cannot reach (``repro.eval.corpus.generate_fuzz_corpus`` builds the same
-    programs in memory for the fig2 perf benchmarks).
+    programs in memory for the differential engine tests).
     """
     generator_config = config.generator_config()
     programs = [

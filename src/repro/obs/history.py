@@ -8,7 +8,7 @@ name, value, unit, and a fingerprint of the configuration that produced it,
 so values measured under different configs are never compared.
 
 Appends are line-atomic under a cooperative lock file, so concurrent
-runners (two ``repro bench`` invocations, or CI shards) interleave whole
+runners (two ``repro eval run`` invocations, or CI shards) interleave whole
 records rather than corrupting each other; reads tolerate and count
 corrupt lines rather than failing, because a ledger that survived a crash
 is still mostly good data.
@@ -323,19 +323,19 @@ def evaluate_metric(records: List[BenchRecord], policy: MetricPolicy) -> dict:
     window = values[max(0, len(values) - 1 - policy.window) : -1]
     baseline = _median(window)
     ratio = latest / baseline if baseline else None
-    verdict = "ok"
     if baseline:
-        drift = (latest - baseline) / baseline
-        if policy.direction == "lower":
-            if drift > policy.tolerance:
-                verdict = "regressed"
-            elif drift < -policy.tolerance:
-                verdict = "improved"
-        else:
-            if drift < -policy.tolerance:
-                verdict = "regressed"
-            elif drift > policy.tolerance:
-                verdict = "improved"
+        drift, tolerance = (latest - baseline) / baseline, policy.tolerance
+    else:
+        # A zero baseline has no relative drift: judge by the sign alone, so
+        # an error count of 0, 0, 3 reads as regressed.
+        drift, tolerance = latest, 0.0
+    # Positive when the latest value lies on the policy's worse side.
+    worse = drift if policy.direction == "lower" else -drift
+    verdict = "ok"
+    if worse > tolerance:
+        verdict = "regressed"
+    elif worse < -tolerance:
+        verdict = "improved"
     return {
         "metric": policy.metric,
         "verdict": verdict,
@@ -366,72 +366,3 @@ def sparkline(values: List[float], width: int = 24) -> str:
         SPARK_GLYPHS[min(len(SPARK_GLYPHS) - 1, int((v - lo) / span * len(SPARK_GLYPHS)))]
         for v in tail
     )
-
-
-# ---------------------------------------------------------------------------
-# Backfill: fold existing report JSONs into the ledger format
-# ---------------------------------------------------------------------------
-
-
-def flatten_numeric(data, prefix: str = "") -> Dict[str, float]:
-    """Every numeric leaf of a JSON document as ``dotted.path -> value``.
-
-    Booleans are excluded (they are flags, not measurements); lists index
-    numerically.  This is what lets the pre-ledger ``reports/*.json`` files
-    join the history without a per-file extractor.
-    """
-    flat: Dict[str, float] = {}
-    if isinstance(data, bool):
-        return flat
-    if isinstance(data, (int, float)):
-        flat[prefix or "value"] = float(data)
-        return flat
-    if isinstance(data, dict):
-        for key in sorted(data):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            flat.update(flatten_numeric(data[key], path))
-        return flat
-    if isinstance(data, list):
-        for index, item in enumerate(data):
-            path = f"{prefix}.{index}" if prefix else str(index)
-            flat.update(flatten_numeric(item, path))
-    return flat
-
-
-def backfill_reports(
-    report_dir: Union[str, Path],
-    ledger: HistoryLedger,
-    run_id: str,
-    timestamp: float,
-    sha: Optional[str] = None,
-    skip: Iterable[str] = ("run_meta",),
-) -> int:
-    """Ingest every ``*.json`` report in a directory into the ledger.
-
-    Each file contributes records named ``<stem>.<dotted.path>``; the
-    ``run_meta`` subtree (and any other ``skip`` keys) is provenance, not
-    measurement, and is excluded.  Returns the number of records appended.
-    """
-    directory = Path(report_dir)
-    sha = sha or git_sha()
-    skipset = set(skip)
-    records: List[BenchRecord] = []
-    for path in sorted(directory.glob("*.json")):
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue
-        if isinstance(data, dict):
-            data = {k: v for k, v in data.items() if k not in skipset}
-        for metric, value in sorted(flatten_numeric(data).items()):
-            records.append(
-                BenchRecord(
-                    run_id=run_id,
-                    timestamp=timestamp,
-                    git_sha=sha,
-                    metric=f"{path.stem}.{metric}",
-                    value=value,
-                    config="backfill",
-                )
-            )
-    return ledger.append(records)

@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.apps.ifc import IfcChecker, IfcPolicy
 from repro.apps.slicer import lines_of_locations
-from repro.core.analysis import FunctionFlowResult
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
 from repro.errors import QueryError, ReproError
@@ -39,7 +38,6 @@ from repro.service.cache import (
     FunctionRecord,
     StoreBackedSummaryProvider,
     SummaryStore,
-    condition_is_whole_program,
     config_cache_key,
 )
 from repro.service.invalidate import InvalidationPlan, apply_invalidation, plan_both_conditions
@@ -67,7 +65,6 @@ class AnalysisSession:
             "focus_queries": 0,
             "ifc_queries": 0,
             "edits": 0,
-            "memo_hits": 0,
         }
         self.last_plans: Optional[Dict[bool, InvalidationPlan]] = None
         self._units: "OrderedDict[str, str]" = OrderedDict()
@@ -76,9 +73,6 @@ class AnalysisSession:
         self._call_graph: Optional[CallGraph] = None
         self._fingerprints: Optional[FingerprintIndex] = None
         self._engines: Dict[str, FlowEngine] = {}
-        # (condition, fn_name, fingerprint) -> FunctionFlowResult; rich objects
-        # for slice/forward queries, keyed by content so edits self-invalidate.
-        self._result_memo: Dict[Tuple[str, str, str], FunctionFlowResult] = {}
         # Serialises cache-miss computation when the session is shared across
         # threads (the concurrent server's read path): warm queries are pure
         # store lookups and stay fully concurrent, but the dataflow engines
@@ -237,7 +231,6 @@ class AnalysisSession:
             registry = obs_metrics.get_registry()
             for wp, plan in plans.items():
                 evicted_entries += apply_invalidation(self.store, plan)
-                self._purge_memo(plan)
                 registry.histogram(
                     "invalidation_cone_size",
                     buckets=obs_metrics.COUNT_BUCKETS,
@@ -260,17 +253,6 @@ class AnalysisSession:
                 for wp, plan in (plans or {}).items()
             },
         }
-
-    def _purge_memo(self, plan: InvalidationPlan) -> None:
-        evicted = set(plan.evict)
-        dead = [
-            key
-            for key in self._result_memo
-            if key[1] in evicted
-            and condition_is_whole_program(key[0]) == plan.whole_program
-        ]
-        for key in dead:
-            del self._result_memo[key]
 
     # -- engines and results -----------------------------------------------------
 
@@ -320,28 +302,6 @@ class AnalysisSession:
             )
         return body
 
-    def _result(self, fn_name: str, config: AnalysisConfig) -> Tuple[FunctionFlowResult, bool]:
-        """A full (unserialised) flow result, memoised by content fingerprint."""
-        engine = self.engine(config)
-        fingerprint = self._fingerprints.record_fingerprint(fn_name, config)
-        key = (config_cache_key(config), fn_name, fingerprint)
-        # Single atomic .get(): a check-then-index here could race with the
-        # memo clear below when the session is shared across threads.
-        memoised = self._result_memo.get(key)
-        if memoised is not None:
-            self._bump("memo_hits")
-            return memoised, True
-        with self._compute_lock:
-            memoised = self._result_memo.get(key)
-            if memoised is not None:
-                self._bump("memo_hits")
-                return memoised, True
-            if len(self._result_memo) > 2048:
-                self._result_memo.clear()
-            result = engine.analyze_function(fn_name)
-            self._result_memo[key] = result
-            return result, False
-
     def _record(self, fn_name: str, config: AnalysisConfig) -> Tuple[FunctionRecord, str]:
         """The cached record for one function, computing and storing on miss.
 
@@ -358,7 +318,7 @@ class AnalysisSession:
             data = self.store.get(key)
             if data is not None:
                 return FunctionRecord.from_json_dict(data), "hit"
-            result, _ = self._result(fn_name, config)
+            result = self.engine(config).analyze_function(fn_name)
             record = FunctionRecord.from_result(result, key.fingerprint, key.condition)
             self.store.put(key, record.to_json_dict())
             return record, "miss"
@@ -458,14 +418,13 @@ class AnalysisSession:
             if data is not None:
                 table = FocusTable.from_json_dict(data).respan(self._body(fn_name))
                 return table, "hit"
-            result, _ = self._result(fn_name, config)
             table = FocusTable.build(
-                result, fingerprint=key.fingerprint, condition=condition_name(config)
+                self.engine(config).analyze_function(fn_name),
+                fingerprint=key.fingerprint,
+                condition=condition_name(config),
             )
             self.store.put(key, table.to_json_dict())
-            # The result memo is fingerprint-keyed too, so after a pure position
-            # shift it can hold the *old* body; serve current-text spans anyway.
-            return table.respan(self._body(fn_name)), "miss"
+            return table, "miss"
 
     def slice(
         self,

@@ -1,5 +1,5 @@
 """Tests for the benchmark history ledger: atomic appends, trajectories,
-regression verdicts, the gate, backfill, and the `repro bench` runner."""
+regression verdicts, and the gate behind `repro bench report`."""
 
 from __future__ import annotations
 
@@ -11,23 +11,19 @@ import time
 import pytest
 
 from repro.eval.bench import (
-    BENCH_SUITE,
     TRACKED,
     bench_report,
     policy_for,
     record_run,
     render_bench_report,
-    run_suite,
 )
 from repro.obs.history import (
     BenchRecord,
     FileLock,
     HistoryLedger,
     MetricPolicy,
-    backfill_reports,
     config_fingerprint,
     evaluate_metric,
-    flatten_numeric,
     sparkline,
 )
 
@@ -169,6 +165,9 @@ class TestVerdicts:
             ("lower", [10.0, 10.0, 20.0], "regressed"),  # latency doubled
             ("lower", [10.0, 10.0, 5.0], "improved"),
             ("lower", [10.0, 10.0, 10.5], "ok"),
+            # A zero baseline is judged by the sign of the latest value.
+            ("lower", [0.0, 0.0, 3.0], "regressed"),
+            ("higher", [0.0, 0.0, 1.0], "improved"),
         ],
     )
     def test_direction_and_tolerance(self, direction, values, expected):
@@ -194,72 +193,71 @@ class TestVerdicts:
 
 
 class TestReportAndGate:
+    MASSRUN = {"suite": ["massrun"], "count": 500, "size": "medium", "workers": 4}
+
     def test_two_runs_build_a_trajectory_with_verdict(self, tmp_path):
         ledger = HistoryLedger(tmp_path)
-        config = {"suite": ["theta_join"], "scale": 0.1}
         rid1, n1 = record_run(
-            ledger, {"theta_join.speedup": 3.0}, timestamp=100.0, config=config
+            ledger, {"massrun.pass_rate": 1.0}, timestamp=100.0, config=self.MASSRUN
         )
         rid2, n2 = record_run(
-            ledger, {"theta_join.speedup": 3.1}, timestamp=200.0, config=config
+            ledger, {"massrun.pass_rate": 1.0}, timestamp=200.0, config=self.MASSRUN
         )
         assert rid1 != rid2 and n1 == n2 == 1
         report = bench_report(ledger)
         (row,) = report["metrics"]
-        assert row["metric"] == "theta_join.speedup"
+        assert row["metric"] == "massrun.pass_rate"
         assert row["runs"] == 2 and row["n"] == 2
         assert row["verdict"] == "ok" and row["tracked"] and row["gate"]
-        assert row["unit"] == "x"
+        assert row["unit"] == ""
         assert len(row["trend"]) == 2
         assert report["gate"]["ok"]
         rendered = render_bench_report(report)
-        assert "theta_join.speedup" in rendered and "gate: ok" in rendered
+        assert "massrun.pass_rate" in rendered and "gate: ok" in rendered
 
     def test_injected_slowdown_flips_verdict_and_fails_gate(self, tmp_path):
-        """The acceptance check: a synthetic 2x slowdown on a gated ratio
-        metric must flip the verdict to regressed and fail the gate."""
+        """The acceptance check: half the programs failing an oracle on a
+        gated metric must flip the verdict to regressed and fail the gate."""
         ledger = HistoryLedger(tmp_path)
-        config = {"suite": ["fig2"], "scale": 0.1}
-        for ts, speedup in ((100.0, 3.0), (200.0, 3.05), (300.0, 2.95)):
+        for ts in (100.0, 200.0):
             record_run(
-                ledger, {"fig2.engine_speedup": speedup}, timestamp=ts, config=config
+                ledger, {"massrun.pass_rate": 1.0}, timestamp=ts, config=self.MASSRUN
             )
         healthy = bench_report(ledger)
         assert healthy["gate"]["ok"]
 
-        # Injected regression: the engine got 2x slower, so the speedup halves.
         record_run(
-            ledger, {"fig2.engine_speedup": 3.0 / 2.0}, timestamp=400.0, config=config
+            ledger, {"massrun.pass_rate": 0.5}, timestamp=300.0, config=self.MASSRUN
         )
         report = bench_report(ledger)
         (row,) = report["metrics"]
         assert row["verdict"] == "regressed"
         assert not report["gate"]["ok"]
-        assert report["gate"]["failures"] == ["fig2.engine_speedup"]
+        assert report["gate"]["failures"] == ["massrun.pass_rate"]
         assert "gate: FAILED" in render_bench_report(report)
 
     def test_latency_regressions_report_but_never_gate(self, tmp_path):
         ledger = HistoryLedger(tmp_path)
-        config = {"suite": ["focus"], "scale": 0.1}
+        config = {"source": "benchmarks", "scale": 0.15}
         for ts, p50 in ((100.0, 10.0), (200.0, 10.0), (300.0, 100.0)):
-            record_run(ledger, {"focus.cold_p50_ms": p50}, timestamp=ts, config=config)
+            record_run(ledger, {"load.p50_ms": p50}, timestamp=ts, config=config)
         report = bench_report(ledger)
         (row,) = report["metrics"]
         assert row["verdict"] == "regressed" and not row["gate"]
+        assert row["unit"] == "ms"
         assert report["gate"]["ok"]  # absolute wall-time never gates
 
     def test_config_change_resets_the_comparison(self, tmp_path):
-        """A scale change must not be read as a regression: only records
+        """A corpus change must not be read as a regression: only records
         sharing the latest record's config fingerprint are compared."""
         ledger = HistoryLedger(tmp_path)
-        big = {"suite": ["theta_join"], "scale": 1.0}
-        small = {"suite": ["theta_join"], "scale": 0.05}
-        record_run(ledger, {"theta_join.speedup": 4.0}, timestamp=100.0, config=big)
-        record_run(ledger, {"theta_join.speedup": 4.1}, timestamp=200.0, config=big)
-        record_run(ledger, {"theta_join.speedup": 1.0}, timestamp=300.0, config=small)
+        small = dict(self.MASSRUN, count=50)
+        record_run(ledger, {"massrun.pass_rate": 1.0}, timestamp=100.0, config=self.MASSRUN)
+        record_run(ledger, {"massrun.pass_rate": 1.0}, timestamp=200.0, config=self.MASSRUN)
+        record_run(ledger, {"massrun.pass_rate": 0.5}, timestamp=300.0, config=small)
         report = bench_report(ledger)
         (row,) = report["metrics"]
-        assert row["runs"] == 1  # only the small-scale record is comparable
+        assert row["runs"] == 1  # only the 50-program record is comparable
         assert row["verdict"] == "insufficient"
         assert report["gate"]["ok"]
 
@@ -267,9 +265,12 @@ class TestReportAndGate:
         policy = policy_for("brand.new_metric")
         assert not policy.gate
         assert policy.metric == "brand.new_metric"
-        assert set(TRACKED) <= {
-            name for name in TRACKED
-        }  # tracked registry is self-consistent
+        assert all(name == tracked.metric for name, tracked in TRACKED.items())
+        assert set(TRACKED) == {
+            "load.throughput_rps", "load.p50_ms", "load.p99_ms",
+            "massrun.pass_rate", "massrun.programs_per_second",
+            "massrun.p50_ms", "massrun.p95_ms",
+        }
 
     def test_config_fingerprint_stability(self):
         assert config_fingerprint(None) == "-"
@@ -278,69 +279,3 @@ class TestReportAndGate:
         b = config_fingerprint({"suite": ["x"], "scale": 0.1})
         assert a == b and len(a) == 12
         assert config_fingerprint({"scale": 0.2, "suite": ["x"]}) != a
-
-
-# ---------------------------------------------------------------------------
-# Runner (end-to-end on the cheapest suite member)
-# ---------------------------------------------------------------------------
-
-
-class TestRunner:
-    def test_run_suite_twice_yields_two_entry_trajectory(self, tmp_path):
-        ledger = HistoryLedger(tmp_path)
-        for ts in (100.0, 200.0):
-            metrics, config = run_suite(scale=0.02, only=["theta_join"])
-            expected = {
-                "theta_join.speedup",
-                "theta_join.object_us_per_join",
-                "theta_join.bitset_us_per_join",
-            }
-            assert set(metrics) == expected
-            record_run(ledger, metrics, timestamp=ts, config=config)
-        report = bench_report(ledger)
-        by_metric = {row["metric"]: row for row in report["metrics"]}
-        assert by_metric["theta_join.speedup"]["runs"] == 2
-        assert by_metric["theta_join.speedup"]["verdict"] in ("ok", "improved")
-        assert by_metric["theta_join.bitset_us_per_join"]["unit"] == "us"
-
-    def test_unknown_suite_name_raises_before_recording(self, tmp_path):
-        with pytest.raises(KeyError, match="nope"):
-            run_suite(scale=0.02, only=["nope"])
-        assert set(BENCH_SUITE) == {"theta_join", "fig2", "focus", "load"}
-
-
-# ---------------------------------------------------------------------------
-# Backfill
-# ---------------------------------------------------------------------------
-
-
-class TestBackfill:
-    def test_flatten_numeric_excludes_booleans_and_indexes_lists(self):
-        flat = flatten_numeric(
-            {"a": {"b": 1, "ok": True}, "list": [10, {"x": 2.5}], "name": "str"}
-        )
-        assert flat == {"a.b": 1.0, "list.0": 10.0, "list.1.x": 2.5}
-
-    def test_backfill_ingests_reports_and_skips_run_meta(self, tmp_path):
-        report_dir = tmp_path / "reports"
-        report_dir.mkdir()
-        (report_dir / "engine_speedup.json").write_text(
-            json.dumps(
-                {
-                    "theta_join": {"speedup": 5.0},
-                    "run_meta": {"duration_seconds": 1.5},
-                }
-            ),
-            encoding="utf-8",
-        )
-        (report_dir / "broken.json").write_text("{not json", encoding="utf-8")
-        ledger = HistoryLedger(tmp_path / "history")
-        appended = backfill_reports(
-            report_dir, ledger, run_id="backfill-1", timestamp=123.0
-        )
-        assert appended == 1
-        (record,) = ledger.read()
-        assert record.metric == "engine_speedup.theta_join.speedup"
-        assert record.value == 5.0
-        assert record.config == "backfill"
-        assert record.timestamp == 123.0

@@ -12,7 +12,9 @@ randomly chosen generated corpus crate:
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -26,7 +28,7 @@ from repro.lang.parser import parse_program
 from repro.lang.typeck import check_program
 from repro.mir.callgraph import build_call_graph
 from repro.mir.lower import lower_program
-from repro.service.cache import SummaryStore, condition_is_whole_program
+from repro.service.cache import SummaryStore
 from repro.service.session import AnalysisSession
 
 
@@ -144,26 +146,19 @@ class TestEditInvalidation:
         }
         assert whole_misses == expected_cone
 
-    def test_body_edit_purges_stale_memo_entries(self):
+    def test_edit_releases_the_previous_program_generation(self):
         session = AnalysisSession()
         session.open_unit("main", HELPER_CALLER_SOURCE)
         session.analyze(config=MODULAR)
         session.analyze(config=WHOLE_PROGRAM)
+        session.focus(function="caller", variable="x")
+        previous = weakref.ref(session._lowered)
 
-        def memo_entries():
-            return sorted(
-                (condition_is_whole_program(condition), fn_name)
-                for condition, fn_name, _fingerprint in session._result_memo
-            )
-
-        assert memo_entries() == [
-            (False, "caller"), (False, "helper"), (True, "caller"), (True, "helper"),
-        ]
         session.update_unit("main", HELPER_CALLER_SOURCE.replace("y + 1", "y + 2"))
-        # The edited helper's old results are dropped under both conditions,
-        # and so is the whole-program caller that summarised it; only the
-        # modular caller, whose fingerprint the edit left alone, survives.
-        assert memo_entries() == [(False, "caller")]
+        gc.collect()
+        # Results computed before the edit refer to the old bodies; nothing
+        # the session keeps may hold that generation alive.
+        assert previous() is None
 
     def test_failed_open_does_not_poison_the_workspace(self):
         session = AnalysisSession()

@@ -210,13 +210,6 @@ def test_latency_summary_ms_units_and_keys():
     assert latency_summary_ms([], fractions=(0.5,)) == {"p50": 0.0}
 
 
-def test_percentile_reexported_from_perf():
-    from repro.eval.perf import percentile as perf_percentile
-    from repro.eval.stats import percentile
-
-    assert perf_percentile is percentile
-
-
 # ---------------------------------------------------------------------------
 # Totality properties (documented in the stats docstrings, pinned here)
 # ---------------------------------------------------------------------------
