@@ -36,8 +36,8 @@ Package map:
   contribution) plus the evaluation conditions.
 * :mod:`repro.apps` — the program slicer and IFC checker of Figure 5.
 * :mod:`repro.focus` — the focus engine: cursor resolution, precomputed
-  per-function focus tables, span-precise highlight rendering, and the
-  LSP-lite JSON-RPC frontend (the paper's IDE "focus mode").
+  per-function focus tables and span-precise highlight rendering (the
+  paper's IDE "focus mode", served as the protocol's ``focus`` method).
 * :mod:`repro.eval` — corpus generation, experiments, statistics, reports.
 * :mod:`repro.service` — the incremental analysis service: content-addressed
   summary cache, call-graph invalidation, batch scheduler, and the

@@ -25,9 +25,8 @@ extension) with a small set of subcommands over MiniRust source files:
   information-flow highlights (the paper's IDE "focus mode"),
 * ``repro serve [FILE]`` — run the incremental analysis service: line-delimited
   JSON requests on stdin (or ``--input``), one JSON response per line;
-  ``--jsonrpc`` speaks the LSP-lite JSON-RPC dialect instead; ``--port`` runs
-  the **concurrent socket server** (thread-pool connection handling, NDJSON
-  and JSON-RPC multiplexed per connection, shared RW-locked sessions) with
+  ``--port`` runs the **concurrent socket server** (the same protocol,
+  thread-pool connection handling, shared RW-locked sessions) with
   ``--workers`` and ``--persist-dir`` for durable workspaces,
 * ``repro workspace save|load|list`` — persist an analysis workspace to disk
   (manifest + warm cache tier) and restore or inspect it later,
@@ -209,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="in-memory LRU capacity of the summary store")
     serve_cmd.add_argument("--input",
                            help="read requests from this file instead of stdin")
-    serve_cmd.add_argument("--jsonrpc", action="store_true",
-                           help="speak LSP-lite JSON-RPC 2.0 instead of the NDJSON protocol")
     serve_cmd.add_argument("--port", type=int,
                            help="run the concurrent socket server on this TCP port "
                                 "(0 = ephemeral; the bound port is printed in the banner)")
@@ -741,22 +738,19 @@ def _serve_socket(args: argparse.Namespace, out) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, out) -> int:
-    from repro.focus.server import serve_jsonrpc
     from repro.service.persist import open_or_create_workspace, save_workspace
     from repro.service.protocol import serve
     from repro.service.session import AnalysisSession
 
     if args.port is not None:
-        # Flags that only make sense for the stdio loops must not be
+        # Flags that only make sense for the stdio loop must not be
         # silently dropped in socket mode.
         for flag, value in (("--cache-dir", args.cache_dir),
-                            ("--input", args.input),
-                            ("--jsonrpc", args.jsonrpc or None)):
+                            ("--input", args.input)):
             if value:
                 raise ReproError(
                     f"{flag} is a stdio-mode flag and has no effect with --port; "
-                    "use --persist-dir for the socket server's disk tier "
-                    "(both dialects are always multiplexed in socket mode)"
+                    "use --persist-dir for the socket server's disk tier"
                 )
         return _serve_socket(args, out)
 
@@ -784,12 +778,11 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         )
     if args.file is not None:
         session.open_unit("main", _read_source(args.file))
-    loop = serve_jsonrpc if args.jsonrpc else serve
     try:
         if args.input is not None:
             with open(args.input, "r", encoding="utf-8") as in_stream:
-                return loop(in_stream, out, session)
-        return loop(sys.stdin, out, session)
+                return serve(in_stream, out, session)
+        return serve(sys.stdin, out, session)
     finally:
         if args.persist_dir is not None:
             save_workspace(session, args.persist_dir, args.workspace)

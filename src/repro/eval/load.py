@@ -259,7 +259,7 @@ def fetch_server_metrics(address: Tuple[str, int]) -> dict:
 def server_breakdown(delta: dict, client_counts: Dict[str, int]) -> dict:
     """Digest one swarm window's metrics delta into the load-report shape.
 
-    ``requests_by_method`` merges the NDJSON dialect counters with the
+    ``requests_by_method`` merges the service's ``ndjson`` counters with the
     mux-level ``workspace`` counter so it is directly comparable to what the
     swarm clients sent.  The harness's own ``metrics`` probes are excluded:
     the *before* probe's counter increment lands after its snapshot is taken,
@@ -269,7 +269,7 @@ def server_breakdown(delta: dict, client_counts: Dict[str, int]) -> dict:
     server_errors = 0
     for series, value in delta.get("counters", {}).items():
         name, labels = parse_series(series)
-        if name != "requests_total" or labels.get("protocol") not in ("ndjson", "mux"):
+        if name != "requests_total":
             continue
         method = labels.get("method", "?")
         if method == "metrics":

@@ -8,8 +8,10 @@ experience:
 * :mod:`repro.focus.spans` — span-set algebra (normalise, union, project),
 * :mod:`repro.focus.resolve` — ``(line, col)`` cursor → enclosing MIR place,
 * :mod:`repro.focus.table` — precomputed all-places focus tables,
-* :mod:`repro.focus.render` — terminal highlight rendering,
-* :mod:`repro.focus.server` — the LSP-lite JSON-RPC frontend.
+* :mod:`repro.focus.render` — terminal highlight rendering.
+
+Clients reach the engine through the service protocol's ``focus`` method
+(:mod:`repro.service.protocol`), whose cursors may be unit-relative.
 """
 
 from repro.focus.resolve import FocusTarget, resolve_cursor

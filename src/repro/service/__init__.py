@@ -21,7 +21,7 @@ library into a long-lived service that exploits that modularity:
 * :mod:`repro.service.persist` — on-disk workspace persistence (manifest +
   cache tier) so a restarted server answers its first query warm,
 * :mod:`repro.service.server` — the concurrent front door: a thread-pool TCP
-  server multiplexing NDJSON and JSON-RPC clients over shared, RW-locked,
+  server speaking the same protocol to many clients over shared, RW-locked,
   persistent sessions (``repro serve --port``).
 """
 

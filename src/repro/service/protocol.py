@@ -20,12 +20,14 @@ does too).
 
 Methods: ``open``, ``update``, ``close``, ``analyze``, ``slice``, ``focus``,
 ``ifc``, ``warm``, ``stats``, ``metrics``, ``version``, ``ping``,
-``shutdown``.  The concurrent front door (:mod:`repro.service.server`) adds
-a mux-level ``workspace`` method and serves this dialect alongside JSON-RPC
-on the same sockets.  ``docs/PROTOCOL.md`` documents every request/response
-shape with replayable transcripts.
+``shutdown``.  The concurrent front door (:mod:`repro.service.server`)
+serves the same protocol on sockets and adds the mux-level ``workspace``,
+``slowlog`` and ``health`` methods.  ``docs/PROTOCOL.md`` documents every
+request/response shape with replayable transcripts.
 
-Telemetry: every response carries a ``trace_id``; any request may set
+Telemetry: every response carries a ``trace_id``, including the
+``parse_error`` answer to a line that is not a JSON object (counted as a
+failed request of method ``invalid``); any request may set
 ``"trace": true`` (top level, next to ``method``) to get the request's span
 tree back under ``trace``; ``analyze`` accepts an optional ``source`` param
 to open-and-analyze in one round trip.  See ``docs/OBSERVABILITY.md``.
@@ -49,6 +51,38 @@ class ProtocolError(ReproError):
     """A malformed request (bad JSON, unknown method, missing params)."""
 
     code = "protocol_error"
+
+
+class MalformedRequest(ProtocolError):
+    """A request line that is not a JSON object."""
+
+    code = "parse_error"
+
+
+def decode_request(line: str) -> dict:
+    """One request line as a JSON object; raises :class:`MalformedRequest`."""
+    try:
+        request = json.loads(line)
+    except json.JSONDecodeError as error:
+        raise MalformedRequest(f"invalid JSON: {error}") from None
+    if not isinstance(request, dict):
+        raise MalformedRequest("request must be a JSON object")
+    return request
+
+
+def error_response(request_id, message: str, code: str) -> dict:
+    """An ``ok: false`` response with its typed ``error_code``."""
+    return {"id": request_id, "ok": False, "error": message, "error_code": code}
+
+
+def count_request(method, protocol: str, response: dict) -> None:
+    """Add one answered request to ``requests_total`` under its real status."""
+    get_registry().counter(
+        "requests_total",
+        method=method if isinstance(method, str) else "invalid",
+        protocol=protocol,
+        status="ok" if response.get("ok") else "error",
+    ).inc()
 
 
 def condition_from_params(params: dict) -> Optional[AnalysisConfig]:
@@ -75,20 +109,15 @@ class AnalysisService:
 
     # -- dispatch ----------------------------------------------------------------
 
-    @staticmethod
-    def _error_response(request_id, message: str, code: str) -> dict:
-        return {"id": request_id, "ok": False, "error": message, "error_code": code}
-
     def handle_line(self, line: str) -> dict:
         """Parse one NDJSON request line and dispatch it; never raises."""
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as error:
-            return self._error_response(None, f"invalid JSON: {error}", "parse_error")
-        if not isinstance(request, dict):
-            return self._error_response(
-                None, "request must be a JSON object", "parse_error"
-            )
+            request = decode_request(line)
+        except MalformedRequest as error:
+            response = error_response(None, str(error), error.code)
+            count_request(None, "ndjson", response)
+            response["trace_id"] = new_trace_id()
+            return response
         return self.handle(request)
 
     def handle(self, request: dict) -> dict:
@@ -127,29 +156,24 @@ class AnalysisService:
                 result = handler(params)
             response = {"id": request_id, "ok": True, "result": result}
         except QueryError as error:
-            response = self._error_response(request_id, str(error), error.code)
+            response = error_response(request_id, str(error), error.code)
         except ProtocolError as error:
-            response = self._error_response(request_id, str(error), error.code)
+            response = error_response(request_id, str(error), error.code)
         except ReproError as error:
-            response = self._error_response(request_id, str(error), "repro_error")
+            response = error_response(request_id, str(error), "repro_error")
         except (KeyError, TypeError, ValueError) as error:
-            response = self._error_response(request_id, f"bad request: {error}", "bad_request")
+            response = error_response(request_id, f"bad request: {error}", "bad_request")
         except Exception as error:  # the loop survives anything a query throws
-            response = self._error_response(
+            response = error_response(
                 request_id,
                 f"internal error: {type(error).__name__}: {error}",
                 "internal_error",
             )
         elapsed = time.perf_counter() - started
-        method_label = method if isinstance(method, str) else "invalid"
-        registry = get_registry()
-        registry.histogram("request_seconds", method=method_label).observe(elapsed)
-        registry.counter(
-            "requests_total",
-            method=method_label,
-            protocol="ndjson",
-            status="ok" if response.get("ok") else "error",
-        ).inc()
+        get_registry().histogram(
+            "request_seconds", method=method if isinstance(method, str) else "invalid"
+        ).observe(elapsed)
+        count_request(method, "ndjson", response)
         response["trace_id"] = trace_id
         if trace is not None:
             response["trace"] = trace.to_dict()

@@ -1,23 +1,14 @@
 """The concurrent workspace server behind ``repro serve --port``.
 
-This module turns the single-client stdio loops of
-:mod:`repro.service.protocol` (NDJSON) and :mod:`repro.focus.server`
-(JSON-RPC 2.0) into one production-shaped server:
+This module turns the single-client stdio loop of
+:mod:`repro.service.protocol` into one production-shaped server speaking the
+same NDJSON protocol:
 
-* **Transport unification** — every connection speaks *both* dialects.
-  :class:`ConnectionHandler` inspects each line: a message carrying
-  ``"jsonrpc": "2.0"`` is dispatched to the LSP-lite
-  :class:`~repro.focus.server.FocusServer`, anything else to the NDJSON
-  :class:`~repro.service.protocol.AnalysisService`.  Both are bound to the
-  same underlying :class:`~repro.service.session.AnalysisSession`, so an
-  editor speaking JSON-RPC and a batch tool speaking NDJSON see one
-  workspace and one warm cache.
 * **Shared sessions with read/write locking** — a
   :class:`WorkspaceRegistry` keeps one session (plus one
   :class:`~repro.service.locks.RWLock`) per named workspace.  Queries take
   the read side and run concurrently; workspace mutations (``open`` /
-  ``update`` / ``close`` / ``warm`` and their LSP counterparts) take the
-  write side and run alone.
+  ``update`` / ``close`` / ``warm``) take the write side and run alone.
 * **Persistence** — with a ``persist_dir`` the registry loads saved
   workspaces on first access (:mod:`repro.service.persist`), stores write
   through to the on-disk cache tier, and manifests are refreshed after
@@ -32,6 +23,8 @@ This module turns the single-client stdio loops of
 Wire format: newline-delimited JSON both ways.  On connect the server sends
 one *hello* line (``{"hello": ..., "version": ..., "protocols": [...],
 "workspace": ...}``) that clients must read before their first response.
+A request line longer than :data:`MAX_REQUEST_CHARS` is answered with one
+``request_too_large`` error and the connection is closed.
 """
 
 from __future__ import annotations
@@ -50,12 +43,23 @@ from repro.obs.export import TraceDirWriter
 from repro.obs.slowlog import HealthTracker, SlowLog
 from repro.service.locks import RWLock
 from repro.service.persist import has_workspace, open_or_create_workspace, save_workspace
-from repro.service.protocol import AnalysisService
+from repro.service.protocol import (
+    AnalysisService,
+    MalformedRequest,
+    count_request,
+    decode_request,
+    error_response,
+)
 from repro.service.session import AnalysisSession
 from repro.version import __version__
 
 SERVER_NAME = "repro-flowistry"
-PROTOCOLS = ("ndjson", "jsonrpc-2.0")
+PROTOCOLS = ("ndjson",)
+
+# The longest request line a socket client may send, counting its newline.
+# A longer line is never buffered whole: the reader stops one character past
+# the bound, answers ``request_too_large`` and hangs up.
+MAX_REQUEST_CHARS = 8 * 1024 * 1024
 
 # One structured line per request when the access log is enabled; emitted at
 # INFO so the default (no handler configured → dropped) keeps stdout-replay
@@ -69,9 +73,6 @@ NDJSON_WRITE_METHODS = frozenset({"open", "update", "close", "warm"})
 # Sentinel default for ConnectionHandler's slow_log/health parameters:
 # "create a private instance" — distinct from an explicit None ("disabled").
 _CREATE: object = object()
-JSONRPC_WRITE_METHODS = frozenset(
-    {"textDocument/didOpen", "textDocument/didChange", "textDocument/didClose"}
-)
 
 
 def is_write_request(message: dict) -> bool:
@@ -81,8 +82,6 @@ def is_write_request(message: dict) -> bool:
     inline ``source`` (the open-and-analyze round trip), which mutates the
     workspace like ``open`` does.
     """
-    if message.get("jsonrpc") == "2.0":
-        return message.get("method") in JSONRPC_WRITE_METHODS
     method = message.get("method")
     if method == "analyze":
         params = message.get("params")
@@ -180,7 +179,7 @@ class WorkspaceRegistry:
 
         Called with the workspace write lock held, so the unit snapshot is
         consistent.  The manifest serialises every unit's full source, so
-        rewriting it on *every* keystroke-style ``didChange`` would make
+        rewriting it on *every* keystroke-style ``update`` would make
         each edit an O(workspace) disk write inside the exclusive lock;
         instead writes are rate-limited to one per ``manifest_debounce``
         seconds and the handle is marked dirty in between — ``save_all``
@@ -215,12 +214,11 @@ class WorkspaceRegistry:
 class ConnectionHandler:
     """Per-connection protocol mux over a shared workspace.
 
-    Owns one :class:`AnalysisService` (NDJSON) and one :class:`FocusServer`
-    (JSON-RPC) bound to the connection's current workspace session, routes
-    each incoming line to the right dialect, and wraps the dispatch in the
-    workspace's read or write lock according to the method.
+    Owns one :class:`AnalysisService` bound to the connection's current
+    workspace session and wraps each dispatch in the workspace's read or
+    write lock according to the method.
 
-    Three mux-level NDJSON methods exist on top of the two dialects:
+    Three mux-level methods exist on top of the service's own:
     ``{"method": "workspace", "params": {"name": ...}}`` switches this
     connection to another (shared) workspace — the name must be live or
     saved unless ``"create": true`` is passed (so a typo cannot silently
@@ -254,18 +252,13 @@ class ConnectionHandler:
         self._bind(registry.handle(workspace))
 
     def _bind(self, handle: SessionHandle) -> None:
-        # Imported lazily: repro.focus.server itself imports the service
-        # package, so a module-level import here would be circular.
-        from repro.focus.server import FocusServer
-
         self.handle_ref = handle
         self.ndjson = AnalysisService(handle.session)
-        self.jsonrpc = FocusServer(handle.session)
 
     @property
     def done(self) -> bool:
-        """Whether either dialect asked to end this connection."""
-        return self.ndjson.shutdown_requested or self.jsonrpc.exit_requested
+        """Whether the client asked to end this connection."""
+        return self.ndjson.shutdown_requested
 
     def hello(self) -> dict:
         """The one-line greeting sent to every client on connect."""
@@ -282,32 +275,24 @@ class ConnectionHandler:
         if name is not None:
             name = str(name)
             if not params.get("create") and not self.registry.exists(name):
-                return {
-                    "id": request.get("id"),
-                    "ok": False,
-                    "error": f"no workspace named {name!r} "
-                             "(pass \"create\": true to create it)",
-                    "error_code": QueryError.UNKNOWN_WORKSPACE,
-                }
+                return error_response(
+                    request.get("id"),
+                    f"no workspace named {name!r} (pass \"create\": true to create it)",
+                    QueryError.UNKNOWN_WORKSPACE,
+                )
             try:
                 self._bind(self.registry.handle(name))
             except QueryError as error:
                 # exists() saw a manifest but loading it failed (corrupt
                 # manifest, source that no longer compiles): answer with the
                 # typed error instead of unwinding the connection.
-                return {
-                    "id": request.get("id"),
-                    "ok": False,
-                    "error": str(error),
-                    "error_code": error.code,
-                }
+                return error_response(request.get("id"), str(error), error.code)
             except Exception as error:
-                return {
-                    "id": request.get("id"),
-                    "ok": False,
-                    "error": f"workspace {name!r} failed to load: {error}",
-                    "error_code": "workspace_load_failed",
-                }
+                return error_response(
+                    request.get("id"),
+                    f"workspace {name!r} failed to load: {error}",
+                    "workspace_load_failed",
+                )
         handle = self.handle_ref
         with handle.lock.read_locked():
             result = {
@@ -320,12 +305,11 @@ class ConnectionHandler:
 
     def _slowlog_response(self, request: dict) -> dict:
         if self.slow_log is None:
-            return {
-                "id": request.get("id"),
-                "ok": False,
-                "error": "slow-request log disabled on this server",
-                "error_code": "slowlog_disabled",
-            }
+            return error_response(
+                request.get("id"),
+                "slow-request log disabled on this server",
+                "slowlog_disabled",
+            )
         params = request.get("params") or {}
         limit = params.get("limit") if isinstance(params, dict) else None
         include = params.get("traces", True) if isinstance(params, dict) else True
@@ -353,99 +337,94 @@ class ConnectionHandler:
             "result": self.health.snapshot(extra=extra),
         }
 
-    def handle_message(self, message: dict) -> Optional[dict]:
+    def handle_message(self, message: dict) -> dict:
         """Dispatch one parsed message under the appropriate lock."""
-        handle = self.handle_ref
-        write = is_write_request(message)
-        if message.get("jsonrpc") == "2.0":
-            with handle.lock.locked(write):
-                response = self.jsonrpc.handle(message)
-                if write:
-                    self.on_mutation(handle)
-            return response
         method = message.get("method")
         if method in ("workspace", "slowlog", "health"):
             # Mux-level methods: no workspace lock — they touch connection
             # or telemetry state only, never a session.
-            get_registry().counter(
-                "requests_total", method=str(method), protocol="mux", status="ok"
-            ).inc()
             if method == "slowlog":
-                return self._slowlog_response(message)
-            if method == "health":
-                return self._health_response(message)
-            return self._switch_workspace(message)
+                response = self._slowlog_response(message)
+            elif method == "health":
+                response = self._health_response(message)
+            else:
+                response = self._switch_workspace(message)
+            count_request(method, "mux", response)
+            return response
+        handle = self.handle_ref
+        write = is_write_request(message)
         with handle.lock.locked(write):
             response = self.ndjson.handle(message)
             if write:
                 self.on_mutation(handle)
         return response
 
-    @staticmethod
-    def _response_status(response: Optional[dict]) -> str:
-        if response is None:
-            return "ok"  # notifications have no failure channel
-        if response.get("ok") is False or "error" in response:
-            return "error"
-        return "ok"
-
-    def handle_line(self, line: str) -> Optional[dict]:
+    def handle_line(self, line: str) -> dict:
         """Parse one wire line and dispatch it; never raises.
 
         The connection-level telemetry wrapper: stamps a ``trace_id`` into
-        the message (inner dialects echo it), traces the request when a
+        the message (the service echoes it), traces the request when a
         ``--trace-dir`` writer is attached *or* a slow log wants tail
         exemplars, feeds the health tracker, and emits one structured
         access log line unless the log level is ``quiet``.  Tail-based
         sampling means every request is traced but the span tree is
         *retained* only when the slow log judges the request slow.
         """
+        started = time.perf_counter()
         try:
-            message = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {
-                "id": None,
-                "ok": False,
-                "error": f"invalid JSON: {error}",
-                "error_code": "parse_error",
-            }
-        if not isinstance(message, dict):
-            return {
-                "id": None,
-                "ok": False,
-                "error": "request must be a JSON object",
-                "error_code": "parse_error",
-            }
+            message = decode_request(line)
+        except MalformedRequest as error:
+            return self.reject_line(error.code, str(error))
         trace_id = message.get("trace_id")
         trace_id = str(trace_id) if trace_id else new_trace_id()
         message.setdefault("trace_id", trace_id)
         method = message.get("method")
+        method = method if isinstance(method, str) else None
         workspace = self.handle_ref.name
-        started = time.perf_counter()
-        trace_path = None
+        trace = trace_path = None
         if self.trace_writer is not None or self.slow_log is not None:
             # A client-requested in-band trace ("trace": true) opens its own
             # nested trace; the server-side file then only covers the mux.
-            with start_trace(
-                method if isinstance(method, str) else "invalid", trace_id=trace_id
-            ) as trace:
+            with start_trace(method or "invalid", trace_id=trace_id) as trace:
                 response = self.handle_message(message)
             if self.trace_writer is not None:
                 trace_path = self.trace_writer.write(trace)
         else:
-            trace = None
             response = self.handle_message(message)
+        return self._observe(
+            response, method, trace_id, workspace, started, trace, trace_path
+        )
+
+    def reject_line(self, code: str, error: str) -> dict:
+        """Answer a line that never became a request (unparseable, too long).
+
+        It is still a request to the telemetry: one failed request of
+        method ``invalid`` with a fresh ``trace_id``.
+        """
+        response = error_response(None, error, code)
+        count_request(None, "mux", response)
+        return self._observe(
+            response, None, new_trace_id(), self.handle_ref.name, time.perf_counter()
+        )
+
+    def _observe(
+        self,
+        response: dict,
+        method: Optional[str],
+        trace_id: str,
+        workspace: str,
+        started: float,
+        trace=None,
+        trace_path=None,
+    ) -> dict:
+        """Feed one answered line to health, the slow log and the access log."""
         duration_ms = (time.perf_counter() - started) * 1e3
-        status = self._response_status(response)
+        status = "ok" if response.get("ok") else "error"
         if self.health is not None:
-            self.health.observe(
-                method if isinstance(method, str) else None,
-                duration_ms,
-                ok=status == "ok",
-            )
+            self.health.observe(method, duration_ms, ok=status == "ok")
         if self.slow_log is not None:
             self.slow_log.observe(
-                method if isinstance(method, str) else None,
+                method,
                 duration_ms,
                 trace_id=trace_id,
                 status=status,
@@ -453,14 +432,13 @@ class ConnectionHandler:
                 trace=trace.to_dict() if trace is not None else None,
                 trace_path=str(trace_path) if trace_path is not None else None,
             )
-        if response is not None and "trace_id" not in response:
-            response["trace_id"] = trace_id
+        response.setdefault("trace_id", trace_id)
         if self.log_level != "quiet":
             ACCESS_LOG.info(
                 json.dumps(
                     {
                         "trace_id": trace_id,
-                        "method": method if isinstance(method, str) else None,
+                        "method": method,
                         "workspace": workspace,
                         "status": status,
                         "duration_ms": round(duration_ms, 3),
@@ -663,15 +641,12 @@ class ThreadedAnalysisServer:
             thread.start()
 
     def _reject_client(self, conn: socket.socket) -> None:
+        busy = error_response(
+            None, f"server at capacity ({self.workers} connections)", "server_busy"
+        )
+        busy["trace_id"] = new_trace_id()
         try:
-            conn.sendall(
-                (json.dumps({
-                    "id": None,
-                    "ok": False,
-                    "error": f"server at capacity ({self.workers} connections)",
-                    "error_code": "server_busy",
-                }, sort_keys=True) + "\n").encode("utf-8")
-            )
+            conn.sendall((json.dumps(busy, sort_keys=True) + "\n").encode("utf-8"))
         except OSError:
             pass
         try:
@@ -703,17 +678,25 @@ class ThreadedAnalysisServer:
                     server_stats=self.stats,
                 )
             except Exception as error:
-                emit({
-                    "id": None,
-                    "ok": False,
-                    "error": f"workspace {self.default_workspace!r} failed to "
-                             f"load: {error}",
-                    "error_code": "workspace_load_failed",
-                })
+                failed = error_response(
+                    None,
+                    f"workspace {self.default_workspace!r} failed to load: {error}",
+                    "workspace_load_failed",
+                )
+                failed["trace_id"] = new_trace_id()
+                emit(failed)
                 return
 
             emit(handler.hello())
-            for line in rfile:
+            # Bounded reads: an endless line costs at most one character
+            # past the bound before the connection is answered and closed.
+            for line in iter(lambda: rfile.readline(MAX_REQUEST_CHARS + 1), ""):
+                if len(line) > MAX_REQUEST_CHARS:
+                    emit(handler.reject_line(
+                        "request_too_large",
+                        f"request line exceeds {MAX_REQUEST_CHARS} characters",
+                    ))
+                    break
                 line = line.strip()
                 if not line:
                     continue
@@ -729,8 +712,7 @@ class ThreadedAnalysisServer:
                         self.requests_served += 1
                         inflight_gauge.set(self._inflight)
                         self._state_cond.notify_all()
-                if response is not None:
-                    emit(response)
+                emit(response)
                 if handler.done or self._draining.is_set():
                     break
         except (OSError, ValueError):

@@ -2,9 +2,9 @@
 
 The version lives in ``pyproject.toml`` (the packaging metadata); everything
 else — ``repro.__version__``, ``repro version`` / ``repro --version``, the
-server hello message, and the JSON-RPC ``serverInfo`` block — reads it from
-here so the number can never fork between the CLI, the protocol docs, and
-the published package.
+server hello message, and the protocol's ``version``/``ping`` methods — reads
+it from here so the number can never fork between the CLI, the protocol
+docs, and the published package.
 
 Resolution order:
 

@@ -231,13 +231,18 @@ def test_unknown_subcommand_exits_two(source_file, capsys):
         assert "invalid choice" in capsys.readouterr().err
 
 
-def test_serve_help_documents_the_concurrency_flags(capsys):
+def test_serve_help_documents_the_concurrency_flags(source_file, capsys):
     with pytest.raises(SystemExit):
         main(["serve", "--help"])
     output = capsys.readouterr().out
     for flag in ("--port", "--host", "--workers", "--persist-dir",
-                 "--workspace", "--jsonrpc", "--cache-dir", "--input"):
+                 "--workspace", "--cache-dir", "--input"):
         assert flag in output
+    # NDJSON is the one wire protocol: the old dialect flag is an argparse error.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", source_file, "--jsonrpc"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --jsonrpc" in capsys.readouterr().err
 
 
 def test_workspace_help_lists_actions(capsys):
@@ -340,8 +345,7 @@ def test_workspace_save_load_list_round_trip(tmp_path, source_file):
 
 
 def test_serve_port_rejects_stdio_only_flags(tmp_path):
-    for extra in (["--jsonrpc"], ["--cache-dir", str(tmp_path)],
-                  ["--input", str(tmp_path / "x")]):
+    for extra in (["--cache-dir", str(tmp_path)], ["--input", str(tmp_path / "x")]):
         code, output = run_cli("serve", "--port", "0", *extra)
         assert code == 2
         assert "stdio-mode flag" in output

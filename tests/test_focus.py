@@ -1,4 +1,4 @@
-"""Tests for the focus engine: resolution, tables, rendering, server, CLI.
+"""Tests for the focus engine: resolution, tables, rendering, CLI.
 
 Includes the focus subsystem's property tests:
 
@@ -23,7 +23,6 @@ from repro.core.config import MODULAR, WHOLE_PROGRAM
 from repro.errors import QueryError, Span
 from repro.focus.render import render_focus_markers, render_focus_response
 from repro.focus.resolve import place_expr_to_mir, resolve_cursor
-from repro.focus.server import FocusServer, serve_jsonrpc, span_to_range
 from repro.focus.spans import (
     lines_of_spans,
     location_span,
@@ -489,98 +488,6 @@ class TestProtocolErrorCodes:
 
 
 # ---------------------------------------------------------------------------
-# LSP-lite JSON-RPC server
-# ---------------------------------------------------------------------------
-
-
-class TestFocusServer:
-    def run_messages(self, messages):
-        in_stream = io.StringIO("\n".join(json.dumps(m) for m in messages) + "\n")
-        out_stream = io.StringIO()
-        assert serve_jsonrpc(in_stream, out_stream) == 0
-        return [json.loads(line) for line in out_stream.getvalue().splitlines()]
-
-    def test_span_to_range_is_zero_based(self):
-        assert span_to_range(Span(2, 5, 2, 8)) == {
-            "start": {"line": 1, "character": 4},
-            "end": {"line": 1, "character": 7},
-        }
-
-    def test_full_editor_session(self):
-        line, col = find_pos(COMPUTE_SOURCE, "x + y")
-        responses = self.run_messages([
-            {"jsonrpc": "2.0", "id": 1, "method": "initialize", "params": {}},
-            {"jsonrpc": "2.0", "method": "textDocument/didOpen",
-             "params": {"textDocument": {"uri": "file:///m.mr", "text": COMPUTE_SOURCE}}},
-            {"jsonrpc": "2.0", "id": 2, "method": "repro/focus",
-             "params": {"position": {"line": line - 1, "character": col - 1}}},
-            {"jsonrpc": "2.0", "id": 3, "method": "shutdown"},
-            {"jsonrpc": "2.0", "method": "exit"},
-        ])
-        # Notifications get no responses: initialize, focus, shutdown only.
-        assert [r["id"] for r in responses] == [1, 2, 3]
-        assert responses[0]["result"]["capabilities"]["reproFocusProvider"]
-        focus = responses[1]["result"]
-        assert focus["target"] == "x"
-        assert focus["seedRange"]["start"]["line"] == line - 1
-        assert focus["forward"]
-
-    def test_edit_through_did_change_invalidates(self):
-        line, col = find_pos(COMPUTE_SOURCE, "x + y")
-        uri = "file:///m.mr"
-        server = FocusServer()
-        server.handle({"jsonrpc": "2.0", "method": "textDocument/didOpen",
-                       "params": {"textDocument": {"uri": uri, "text": COMPUTE_SOURCE}}})
-        first = server.handle({"jsonrpc": "2.0", "id": 1, "method": "repro/focus",
-                               "params": {"position": {"line": line - 1, "character": col - 1}}})
-        assert first["result"]["cache"] == "miss"
-        edited = COMPUTE_SOURCE.replace("let x = a + 1;", "let x = a + b + 1;")
-        server.handle({"jsonrpc": "2.0", "method": "textDocument/didChange",
-                       "params": {"textDocument": {"uri": uri},
-                                  "contentChanges": [{"text": edited}]}})
-        second = server.handle({"jsonrpc": "2.0", "id": 2, "method": "repro/focus",
-                                "params": {"position": {"line": line - 1, "character": col - 1}}})
-        assert second["result"]["cache"] == "miss"
-        assert second["result"]["backward"] != first["result"]["backward"]
-
-    def test_typed_error_payloads(self):
-        responses = self.run_messages([
-            {"jsonrpc": "2.0", "id": 1, "method": "repro/focus",
-             "params": {"position": {"line": 0, "character": 0}}},
-            {"jsonrpc": "2.0", "id": 2, "method": "nope"},
-            {"jsonrpc": "2.0", "method": "exit"},
-        ])
-        assert responses[0]["error"]["data"]["code"] == "no_workspace"
-        assert responses[1]["error"]["code"] == -32601
-
-    def test_focus_scoped_to_addressed_document(self):
-        """Two open documents: repro/focus must resolve within the document
-        named by textDocument.uri, in that document's coordinates."""
-        other = "fn alpha(q: u32) -> u32 {\n    let w = q + 7;\n    w\n}\n"
-        line, col = find_pos(COMPUTE_SOURCE, "x + y")
-        server = FocusServer()
-        for uri, text in (("file:///lib.mr", other), ("file:///main.mr", COMPUTE_SOURCE)):
-            server.handle({"jsonrpc": "2.0", "method": "textDocument/didOpen",
-                           "params": {"textDocument": {"uri": uri, "text": text}}})
-        response = server.handle({
-            "jsonrpc": "2.0", "id": 1, "method": "repro/focus",
-            "params": {"textDocument": {"uri": "file:///main.mr"},
-                       "position": {"line": line - 1, "character": col - 1}},
-        })
-        result = response["result"]
-        assert result["function"] == "compute"
-        assert result["seedRange"]["start"]["line"] == line - 1
-
-    def test_unknown_notification_is_ignored(self):
-        responses = self.run_messages([
-            {"jsonrpc": "2.0", "method": "window/didBlink"},
-            {"jsonrpc": "2.0", "id": 1, "method": "repro/stats"},
-            {"jsonrpc": "2.0", "method": "exit"},
-        ])
-        assert len(responses) == 1
-
-
-# ---------------------------------------------------------------------------
 # Rendering and CLI
 # ---------------------------------------------------------------------------
 
@@ -649,22 +556,3 @@ class TestRenderAndCli:
         responses = [json.loads(l) for l in out.getvalue().splitlines()]
         assert responses[0]["result"]["cache"] == "miss"
         assert responses[1]["result"]["cache"] == "hit"
-
-    def test_cli_serve_jsonrpc(self, tmp_path):
-        path = tmp_path / "m.mr"
-        path.write_text(COMPUTE_SOURCE, encoding="utf-8")
-        requests = tmp_path / "requests.ndjson"
-        line, col = find_pos(COMPUTE_SOURCE, "x + y")
-        requests.write_text(
-            "\n".join(json.dumps(m) for m in [
-                {"jsonrpc": "2.0", "id": 1, "method": "repro/focus",
-                 "params": {"position": {"line": line - 1, "character": col - 1}}},
-                {"jsonrpc": "2.0", "method": "exit"},
-            ]) + "\n",
-            encoding="utf-8",
-        )
-        out = io.StringIO()
-        code = main(["serve", str(path), "--jsonrpc", "--input", str(requests)], out=out)
-        assert code == 0
-        response = json.loads(out.getvalue().splitlines()[0])
-        assert response["result"]["target"] == "x"

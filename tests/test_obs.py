@@ -406,6 +406,13 @@ class TestRequestTelemetry:
         assert not response["ok"]
         assert response["trace_id"]
         assert registry.snapshot()["counters"][series] == before + 1
+        # A line that is not a JSON object is one failed request too.
+        series = 'requests_total{method="invalid",protocol="ndjson",status="error"}'
+        before = registry.snapshot()["counters"].get(series, 0)
+        response = service.handle_line("[not, json")
+        assert response["error_code"] == "parse_error"
+        assert response["trace_id"]
+        assert registry.snapshot()["counters"][series] == before + 1
 
     def test_metrics_method_returns_registry_and_session_views(self):
         service = AnalysisService()
@@ -418,21 +425,6 @@ class TestRequestTelemetry:
         assert any(s.startswith("stage_seconds") for s in snapshot["histograms"])
         assert any(s.startswith("request_seconds") for s in snapshot["histograms"])
         assert "counters" in snapshot["session"] and "store" in snapshot["session"]
-
-    def test_jsonrpc_dialect_mirrors_the_contract(self):
-        from repro.focus.server import FocusServer
-
-        server = FocusServer()
-        response = server.handle(
-            {"jsonrpc": "2.0", "id": 1, "method": "initialize", "trace": True}
-        )
-        assert "result" in response
-        assert response["trace_id"]
-        assert response["trace"]["root"]["name"] == "initialize"
-        metrics = server.handle(
-            {"jsonrpc": "2.0", "id": 2, "method": "repro/metrics"}
-        )
-        assert set(metrics["result"]) == {"counters", "gauges", "histograms", "session"}
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Every fenced block tagged ``transcript`` in the protocol reference is
 executed here: ``>`` lines are sent through a fresh
 :class:`~repro.service.server.ConnectionHandler` (the same mux the socket
-server uses, so both dialects and the ``workspace`` method are available),
-and the JSON on each ``<`` line must be a recursive *subset* of the actual
-response.  ``< null`` asserts that a notification produced no response.
+server uses, so the ``workspace``, ``slowlog`` and ``health`` methods are
+available), and the JSON on each ``<`` line must be a recursive *subset* of
+the actual response.
 
 Subset semantics: documented objects may omit fields (the volatile
 ``stats`` block, the release-dependent ``version`` strings); documented
@@ -31,7 +31,7 @@ BLOCK_RE = re.compile(r"```transcript\n(.*?)```", re.DOTALL)
 
 
 def extract_transcripts():
-    """``(block_index, [(request_json, expected_json_or_None), ...])`` pairs."""
+    """One ``[(request_json, expected_json), ...]`` list per transcript block."""
     text = PROTOCOL_MD.read_text(encoding="utf-8")
     blocks = []
     for match in BLOCK_RE.finditer(text):
@@ -46,9 +46,7 @@ def extract_transcripts():
                 pending_request = json.loads(line[2:])
             elif line.startswith("< "):
                 assert pending_request is not None, "response without a request"
-                body = line[2:]
-                expected = None if body == "null" else json.loads(body)
-                steps.append((pending_request, expected))
+                steps.append((pending_request, json.loads(line[2:])))
                 pending_request = None
             else:
                 raise AssertionError(f"transcript line must start with > or <: {line!r}")
@@ -89,8 +87,4 @@ def test_transcript_replays(index):
     for step, (request, expected) in enumerate(TRANSCRIPTS[index]):
         actual = handler.handle_message(request)
         where = f"block {index}, step {step}, request {json.dumps(request)[:80]}"
-        if expected is None:
-            assert actual is None, f"{where}: expected no response, got {actual}"
-        else:
-            assert actual is not None, f"{where}: expected a response, got none"
-            assert_subset(expected, actual, path=where)
+        assert_subset(expected, actual, path=where)

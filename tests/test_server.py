@@ -12,7 +12,7 @@ import pytest
 
 from helpers import GET_COUNT_SOURCE
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, get_registry, snapshot_delta
 from repro.service.locks import RWLock
 from repro.service.persist import (
     has_workspace,
@@ -219,14 +219,6 @@ class TestIsWriteRequest:
         )
         assert not is_write_request({"method": "analyze", "params": {"function": "f"}})
 
-    def test_jsonrpc_methods(self):
-        from repro.service.server import is_write_request
-
-        assert is_write_request(
-            {"jsonrpc": "2.0", "method": "textDocument/didChange"}
-        )
-        assert not is_write_request({"jsonrpc": "2.0", "method": "repro/focus"})
-
 
 # ---------------------------------------------------------------------------
 # Registry + connection mux (no sockets)
@@ -240,32 +232,11 @@ class TestConnectionHandler:
         b = ConnectionHandler(registry)
         assert a.handle_ref.session is b.handle_ref.session
 
-    def test_mux_routes_both_dialects_to_one_session(self):
-        registry = WorkspaceRegistry()
-        handler = ConnectionHandler(registry)
-        opened = handler.handle_line(
-            json.dumps({"id": 1, "method": "open", "params": {"source": GET_COUNT_SOURCE}})
-        )
-        assert opened["ok"]
-        # The JSON-RPC dialect sees the workspace the NDJSON dialect opened.
-        response = handler.handle_line(
-            json.dumps({"jsonrpc": "2.0", "id": 2, "method": "repro/stats"})
-        )
-        assert response["jsonrpc"] == "2.0"
-        assert response["result"]["functions"] == 1
-
-    def test_jsonrpc_initialize_reports_package_version(self):
-        handler = ConnectionHandler(WorkspaceRegistry())
-        response = handler.handle_line(
-            json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize"})
-        )
-        assert response["result"]["serverInfo"]["version"] == __version__
-
     def test_hello_carries_version_and_protocols(self):
         handler = ConnectionHandler(WorkspaceRegistry())
         hello = handler.hello()
         assert hello["version"] == __version__
-        assert set(hello["protocols"]) == {"ndjson", "jsonrpc-2.0"}
+        assert hello["protocols"] == ["ndjson"]
 
     def test_workspace_method_switches_and_lists(self):
         registry = WorkspaceRegistry()
@@ -273,11 +244,17 @@ class TestConnectionHandler:
         handler.handle_line(
             json.dumps({"id": 1, "method": "open", "params": {"source": SECOND_SOURCE}})
         )
-        # A typo cannot silently create a workspace...
+        # A typo cannot silently create a workspace, and counts as an error...
+        before = get_registry().snapshot()
         typo = handler.handle_line(
             json.dumps({"id": 9, "method": "workspace", "params": {"name": "scratch"}})
         )
+        counted = snapshot_delta(before, get_registry().snapshot())["counters"]
         assert typo["ok"] is False and typo["error_code"] == "unknown_workspace"
+        assert counted.get(
+            'requests_total{method="workspace",protocol="mux",status="error"}'
+        ) == 1
+        assert 'requests_total{method="workspace",protocol="mux",status="ok"}' not in counted
         # ...but an explicit create works.
         switched = handler.handle_line(
             json.dumps({"id": 2, "method": "workspace",
@@ -294,8 +271,17 @@ class TestConnectionHandler:
 
     def test_parse_error_is_answered_not_raised(self):
         handler = ConnectionHandler(WorkspaceRegistry())
+        before = get_registry().snapshot()
         response = handler.handle_line("{nope")
         assert response["ok"] is False and response["error_code"] == "parse_error"
+        # Still a request to the telemetry: a trace id, one failed request.
+        assert len(response["trace_id"]) == 16
+        counted = snapshot_delta(before, get_registry().snapshot())["counters"]
+        assert counted.get(
+            'requests_total{method="invalid",protocol="mux",status="error"}'
+        ) == 1
+        health = handler.handle_message({"id": 1, "method": "health"})["result"]
+        assert health["requests_total"] == 1 and health["errors_total"] == 1
 
     def test_version_method(self):
         handler = ConnectionHandler(WorkspaceRegistry())
@@ -329,7 +315,7 @@ class TestThreadedServer:
             assert hello == {
                 "hello": "repro-flowistry",
                 "version": __version__,
-                "protocols": ["ndjson", "jsonrpc-2.0"],
+                "protocols": ["ndjson"],
                 "workspace": "default",
             }
             pong = request(rfile, wfile, {"id": 1, "method": "ping"})
@@ -442,12 +428,34 @@ class TestThreadedServer:
             rejection = json.loads(line)
             assert rejection["ok"] is False
             assert rejection["error_code"] == "server_busy"
+            assert len(rejection["trace_id"]) == 16
             extra.close()
             # The occupying client is still fully served.
             pong = request(rfile, wfile, {"id": 1, "method": "ping"})
             assert pong["ok"]
             assert server.stats()["connections_rejected"] == 1
             sock.close()
+
+    def test_oversized_request_line_is_refused_then_closed(self, monkeypatch):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_REQUEST_CHARS", 1024)
+        with ThreadedAnalysisServer(port=0, workers=2) as server:
+            sock, rfile, wfile, _ = connect(server)
+            wfile.write("x" * 2000)  # no newline: the line never ends
+            wfile.flush()
+            refused = json.loads(rfile.readline())
+            assert refused["ok"] is False
+            assert refused["error_code"] == "request_too_large"
+            assert len(refused["trace_id"]) == 16
+            assert rfile.readline() == ""  # then EOF
+            sock.close()
+            # Other clients are served, a line under the bound included.
+            sock2, rfile2, wfile2, _ = connect(server)
+            pong = request(rfile2, wfile2, {"id": 1, "method": "ping", "pad": "x" * 900})
+            assert pong["ok"]
+            sock2.close()
+            assert get_registry().snapshot()["gauges"]["server_inflight"] == 0
 
     def test_graceful_shutdown_drains_and_disconnects(self):
         server = ThreadedAnalysisServer(port=0, workers=2).start()
@@ -488,6 +496,7 @@ class TestThreadedServer:
             line = json.loads(sock.makefile("r", encoding="utf-8").readline())
             assert line["ok"] is False
             assert line["error_code"] == "workspace_load_failed"
+            assert len(line["trace_id"]) == 16
             sock.close()
             # The failed bind released its capacity slot (the server-side
             # cleanup runs just after the error line is flushed).

@@ -111,6 +111,7 @@ class TestServeLoop:
         serve(in_stream, out_stream)
         responses = [json.loads(line) for line in out_stream.getvalue().splitlines()]
         assert [r["ok"] for r in responses] == [False, False, False, True]
+        assert all(len(r["trace_id"]) == 16 for r in responses)
         assert "invalid JSON" in responses[0]["error"]
         assert "unknown method" in responses[1]["error"]
         assert "no sources opened" in responses[2]["error"]
