@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A half-open region of source text, tracked as line/column pairs.
 
     Lines and columns are 1-based, matching what editors display.  ``Span``

@@ -29,7 +29,7 @@ from repro.lang.ast import (
     StmtKind,
     StructDef,
 )
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse_crate, parse_expr, parse_program
 from repro.lang.typeck import TypeChecker, check_crate, check_program
 from repro.lang.types import (
@@ -57,7 +57,6 @@ __all__ = [
     "FnType",
     "Interpreter",
     "Item",
-    "Lexer",
     "Mutability",
     "Param",
     "Parser",

@@ -1,175 +1,96 @@
-"""A hand-written lexer for MiniRust.
+"""The MiniRust lexer: one compiled master pattern, run line by line.
 
-The lexer is a straightforward single-pass scanner: it tracks line/column
-positions for spans, skips ``//`` line comments, and distinguishes lifetimes
-(``'a``) from other tokens.  Keeping it hand-written (rather than using a
-regex table) makes error positions exact and the token stream easy to extend.
+Every token class is one alternative of :data:`_TOKEN_RE`, tried in order at
+each position.  Trivia (spaces, tabs, carriage returns and ``//`` comments)
+matches without a group and is skipped.  The last alternative matches any
+single character, so a character that starts no token is still matched, and
+the lexer reports it with the exact one-column span of that character.
+
+The source is split on ``\\n`` only, so a token's line is its line's index
+and its columns are character offsets within that line: a ``\\t`` or ``\\r``
+takes one column like any other character.  No token spans two lines.
+
+In these ``str`` patterns ``\\w`` matches exactly the characters for which
+``str.isalnum()`` holds, plus ``_``, and ``\\d`` exactly those for which
+``str.isdecimal()`` holds, the digits ``int()`` accepts.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexError, Span
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
+_TOKEN_RE = re.compile(
+    r"[ \t\r]+|//.*"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<punct>->|==|!=|<=|>=|&&|\|\||[-&!<>=(){},;:.*+/%])"
+    r"|(?P<int>\d[\d_]*)"
+    r"|(?P<lifetime>'\w+)"
+    # A word starting with a non-ASCII character: an identifier when that
+    # character is a letter (``été``), else an error at that character
+    # (``²`` is a digit to ``str.isdigit`` but not to ``int``).
+    r"|(?P<word>\w+)"
+    r"|(?P<other>.)"
+)
 
-class Lexer:
-    """Converts MiniRust source text into a list of :class:`Token`."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: List[Token] = []
-
-    # -- low-level cursor helpers ------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return "\0"
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    def _span_from(self, start_line: int, start_col: int) -> Span:
-        return Span(start_line, start_col, self.line, self.col)
-
-    def _emit(self, kind: TokenKind, text: str, span: Span, value=None) -> None:
-        self.tokens.append(Token(kind, text, span, value))
-
-    # -- scanning ----------------------------------------------------------
-
-    def tokenize(self) -> List[Token]:
-        """Scan the whole input and return the token list (ending in EOF)."""
-        while not self._at_end():
-            self._skip_trivia()
-            if self._at_end():
-                break
-            start_line, start_col = self.line, self.col
-            ch = self._peek()
-            if ch.isdigit():
-                self._lex_number(start_line, start_col)
-            elif ch.isalpha() or ch == "_":
-                self._lex_ident(start_line, start_col)
-            elif ch == "'":
-                self._lex_lifetime(start_line, start_col)
-            else:
-                self._lex_punct(start_line, start_col)
-        self._emit(TokenKind.EOF, "", Span.point(self.line, self.col))
-        return self.tokens
-
-    def _skip_trivia(self) -> None:
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _lex_number(self, start_line: int, start_col: int) -> None:
-        text = ""
-        while not self._at_end() and (self._peek().isdigit() or self._peek() == "_"):
-            text += self._advance()
-        digits = text.replace("_", "")
-        span = self._span_from(start_line, start_col)
-        if not digits:
-            raise LexError(f"malformed number literal {text!r}", span)
-        self._emit(TokenKind.INT, text, span, int(digits))
-
-    def _lex_ident(self, start_line: int, start_col: int) -> None:
-        text = ""
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            text += self._advance()
-        span = self._span_from(start_line, start_col)
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        self._emit(kind, text, span, text)
-
-    def _lex_lifetime(self, start_line: int, start_col: int) -> None:
-        self._advance()  # consume the quote
-        name = ""
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            name += self._advance()
-        span = self._span_from(start_line, start_col)
-        if not name:
-            raise LexError("expected lifetime name after \"'\"", span)
-        self._emit(TokenKind.LIFETIME, "'" + name, span, name)
-
-    _SINGLE = {
-        "(": TokenKind.LPAREN,
-        ")": TokenKind.RPAREN,
-        "{": TokenKind.LBRACE,
-        "}": TokenKind.RBRACE,
-        ",": TokenKind.COMMA,
-        ";": TokenKind.SEMI,
-        ":": TokenKind.COLON,
-        ".": TokenKind.DOT,
-        "*": TokenKind.STAR,
-        "+": TokenKind.PLUS,
-        "/": TokenKind.SLASH,
-        "%": TokenKind.PERCENT,
-    }
-
-    def _lex_punct(self, start_line: int, start_col: int) -> None:
-        ch = self._advance()
-        two = ch + self._peek()
-        span_one = self._span_from(start_line, start_col)
-
-        if two == "->":
-            self._advance()
-            self._emit(TokenKind.ARROW, two, self._span_from(start_line, start_col))
-        elif two == "==":
-            self._advance()
-            self._emit(TokenKind.EQEQ, two, self._span_from(start_line, start_col))
-        elif two == "!=":
-            self._advance()
-            self._emit(TokenKind.NE, two, self._span_from(start_line, start_col))
-        elif two == "<=":
-            self._advance()
-            self._emit(TokenKind.LE, two, self._span_from(start_line, start_col))
-        elif two == ">=":
-            self._advance()
-            self._emit(TokenKind.GE, two, self._span_from(start_line, start_col))
-        elif two == "&&":
-            self._advance()
-            self._emit(TokenKind.ANDAND, two, self._span_from(start_line, start_col))
-        elif two == "||":
-            self._advance()
-            self._emit(TokenKind.OROR, two, self._span_from(start_line, start_col))
-        elif ch == "&":
-            self._emit(TokenKind.AMP, ch, span_one)
-        elif ch == "-":
-            self._emit(TokenKind.MINUS, ch, span_one)
-        elif ch == "!":
-            self._emit(TokenKind.BANG, ch, span_one)
-        elif ch == "<":
-            self._emit(TokenKind.LT, ch, span_one)
-        elif ch == ">":
-            self._emit(TokenKind.GT, ch, span_one)
-        elif ch == "=":
-            self._emit(TokenKind.EQ, ch, span_one)
-        elif ch in self._SINGLE:
-            self._emit(self._SINGLE[ch], ch, span_one)
-        else:
-            raise LexError(f"unexpected character {ch!r}", span_one)
+_PUNCT = {
+    "->": TokenKind.ARROW,
+    "==": TokenKind.EQEQ,
+    "!=": TokenKind.NE,
+    "<=": TokenKind.LE,
+    ">=": TokenKind.GE,
+    "&&": TokenKind.ANDAND,
+    "||": TokenKind.OROR,
+    "&": TokenKind.AMP,
+    "-": TokenKind.MINUS,
+    "!": TokenKind.BANG,
+    "<": TokenKind.LT,
+    ">": TokenKind.GT,
+    "=": TokenKind.EQ,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    "{": TokenKind.LBRACE,
+    "}": TokenKind.RBRACE,
+    ",": TokenKind.COMMA,
+    ";": TokenKind.SEMI,
+    ":": TokenKind.COLON,
+    ".": TokenKind.DOT,
+    "*": TokenKind.STAR,
+    "+": TokenKind.PLUS,
+    "/": TokenKind.SLASH,
+    "%": TokenKind.PERCENT,
+}
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source`` and return the token list (ending in EOF)."""
-    return Lexer(source).tokenize()
+    tokens: List[Token] = []
+    append = tokens.append
+    for lineno, line in enumerate(source.split("\n"), 1):
+        for match in _TOKEN_RE.finditer(line):
+            group = match.lastgroup
+            if group is None:
+                continue
+            text = match.group()
+            start, end = match.span()
+            span = Span(lineno, start + 1, lineno, end + 1)
+            if group == "ident":
+                append(Token(KEYWORDS.get(text, TokenKind.IDENT), text, span, text))
+            elif group == "punct":
+                append(Token(_PUNCT[text], text, span))
+            elif group == "int":
+                append(Token(TokenKind.INT, text, span, int(text.replace("_", ""))))
+            elif group == "lifetime":
+                append(Token(TokenKind.LIFETIME, text, span, text[1:]))
+            elif group == "word" and text[0].isalpha():
+                append(Token(TokenKind.IDENT, text, span, text))
+            else:
+                where = Span(lineno, start + 1, lineno, start + 2)
+                if text == "'":
+                    raise LexError("expected lifetime name after \"'\"", where)
+                raise LexError(f"unexpected character {text[0]!r}", where)
+    append(Token(TokenKind.EOF, "", Span.point(lineno, len(line) + 1)))
+    return tokens

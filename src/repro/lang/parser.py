@@ -39,7 +39,12 @@ from repro.lang.types import (
 
 
 class Parser:
-    """Parses a token stream into MiniRust AST nodes."""
+    """Parses a token stream into MiniRust AST nodes.
+
+    The token list must end in an EOF token, as :func:`tokenize`'s always
+    does.  ``_advance`` never moves past EOF, so ``self.pos`` always indexes
+    a token and lookahead needs no bounds check.
+    """
 
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -47,12 +52,11 @@ class Parser:
 
     # -- token stream helpers ----------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def _check(self, kind: TokenKind, offset: int = 0) -> bool:
-        return self._peek(offset).kind is kind
+    def _check(self, kind: TokenKind) -> bool:
+        return self.tokens[self.pos].kind is kind
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]

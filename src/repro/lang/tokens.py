@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.errors import Span
 
 
 class TokenKind(Enum):
-    """All token kinds produced by :class:`repro.lang.lexer.Lexer`."""
+    """All token kinds produced by :func:`repro.lang.lexer.tokenize`."""
 
     # Literals and identifiers
     INT = auto()
@@ -85,8 +84,7 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexed token: its kind, raw text, decoded value, and span."""
 
     kind: TokenKind

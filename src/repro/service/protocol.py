@@ -16,7 +16,8 @@ keeps reading.  ``error`` stays a human-readable string; ``error_code`` is a
 stable machine-readable code (``unknown_function``, ``unknown_variable``,
 ``position_out_of_range``, ``protocol_error``, ...) that clients dispatch on
 instead of parsing messages.  The ``shutdown`` method ends the loop (EOF
-does too).
+does too, and so does a line over :data:`MAX_REQUEST_CHARS`, after its
+``request_too_large`` answer).
 
 Methods: ``open``, ``update``, ``close``, ``analyze``, ``slice``, ``focus``,
 ``ifc``, ``warm``, ``stats``, ``metrics``, ``version``, ``ping``,
@@ -45,6 +46,12 @@ from repro.errors import QueryError, ReproError
 from repro.obs import get_registry, new_trace_id, start_trace
 from repro.service.session import AnalysisSession
 from repro.version import __version__
+
+# The longest request line a client may send, counting its newline, on stdio
+# and on sockets.  A longer line is never buffered whole: the reader stops
+# one character past the bound, answers ``request_too_large`` and stops
+# reading.
+MAX_REQUEST_CHARS = 8 * 1024 * 1024
 
 
 class ProtocolError(ReproError):
@@ -114,11 +121,19 @@ class AnalysisService:
         try:
             request = decode_request(line)
         except MalformedRequest as error:
-            response = error_response(None, str(error), error.code)
-            count_request(None, "ndjson", response)
-            response["trace_id"] = new_trace_id()
-            return response
+            return self.reject_line(error.code, str(error))
         return self.handle(request)
+
+    def reject_line(self, code: str, error: str) -> dict:
+        """Answer a line that never became a request (unparseable, too long).
+
+        It is still a request to the telemetry: one failed request of
+        method ``invalid`` with a fresh ``trace_id``.
+        """
+        response = error_response(None, error, code)
+        count_request(None, "ndjson", response)
+        response["trace_id"] = new_trace_id()
+        return response
 
     def handle(self, request: dict) -> dict:
         """Dispatch one parsed request to its ``_method_*`` handler.
@@ -302,18 +317,31 @@ class AnalysisService:
 
 
 def serve(in_stream: IO[str], out_stream: IO[str], session: Optional[AnalysisSession] = None) -> int:
-    """Run the request/response loop until EOF or ``shutdown``; returns 0."""
+    """Run the request/response loop until EOF or ``shutdown``; returns 0.
+
+    A line longer than :data:`MAX_REQUEST_CHARS` is answered with one
+    ``request_too_large`` error, and the loop stops reading.
+    """
     service = AnalysisService(session)
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        response = service.handle_line(line)
+
+    def emit(response: dict) -> None:
         out_stream.write(json.dumps(response, sort_keys=True) + "\n")
         try:
             out_stream.flush()
         except (AttributeError, OSError):
             pass
+
+    for line in iter(lambda: in_stream.readline(MAX_REQUEST_CHARS + 1), ""):
+        if len(line) > MAX_REQUEST_CHARS:
+            emit(service.reject_line(
+                "request_too_large",
+                f"request line exceeds {MAX_REQUEST_CHARS} characters",
+            ))
+            break
+        line = line.strip()
+        if not line:
+            continue
+        emit(service.handle_line(line))
         if service.shutdown_requested:
             break
     return 0

@@ -44,6 +44,7 @@ from repro.obs.slowlog import HealthTracker, SlowLog
 from repro.service.locks import RWLock
 from repro.service.persist import has_workspace, open_or_create_workspace, save_workspace
 from repro.service.protocol import (
+    MAX_REQUEST_CHARS,
     AnalysisService,
     MalformedRequest,
     count_request,
@@ -55,11 +56,6 @@ from repro.version import __version__
 
 SERVER_NAME = "repro-flowistry"
 PROTOCOLS = ("ndjson",)
-
-# The longest request line a socket client may send, counting its newline.
-# A longer line is never buffered whole: the reader stops one character past
-# the bound, answers ``request_too_large`` and hangs up.
-MAX_REQUEST_CHARS = 8 * 1024 * 1024
 
 # One structured line per request when the access log is enabled; emitted at
 # INFO so the default (no handler configured → dropped) keeps stdout-replay

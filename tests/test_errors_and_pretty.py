@@ -1,5 +1,7 @@
 """Tests for diagnostics, spans, and the pretty printers."""
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -46,6 +48,15 @@ def test_span_contains_line_and_point():
     assert point.contains_line(7)
     assert str(point) == "7:1"
     assert str(DUMMY_SPAN) == "<unknown>"
+
+
+def test_span_is_an_immutable_value():
+    span = Span(1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        span.start_line = 5
+    assert pickle.loads(pickle.dumps(span)) == span
+    # Hashed as the tuple of its fields, so set order over spans is stable.
+    assert hash(span) == hash((1, 2, 3, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from helpers import GET_COUNT_SOURCE, HELPER_CALLER_SOURCE
 
 from repro.cli import main
+from repro.obs import get_registry
 from repro.service.protocol import AnalysisService, condition_from_params, serve
 from repro.service.session import AnalysisSession
 
@@ -106,16 +107,20 @@ class TestServeLoop:
             + "\n"
             + json.dumps({"id": 4, "method": "ping"})
             + "\n"
+            + json.dumps({"id": 5, "method": "open", "params": {"source": "let x = ²;"}})
+            + "\n"
         )
         out_stream = io.StringIO()
         serve(in_stream, out_stream)
         responses = [json.loads(line) for line in out_stream.getvalue().splitlines()]
-        assert [r["ok"] for r in responses] == [False, False, False, True]
+        assert [r["ok"] for r in responses] == [False, False, False, True, False]
         assert all(len(r["trace_id"]) == 16 for r in responses)
         assert "invalid JSON" in responses[0]["error"]
         assert "unknown method" in responses[1]["error"]
         assert "no sources opened" in responses[2]["error"]
         assert responses[3]["result"]["pong"] is True
+        # A superscript digit is a digit to str.isdigit but not to int().
+        assert responses[4]["error_code"] == "repro_error"
 
     def test_failed_open_rolls_back_local_crate(self):
         service = AnalysisService()
@@ -146,6 +151,26 @@ class TestServeLoop:
         assert not responses[0]["ok"]
         assert "internal error: RuntimeError: boom" in responses[0]["error"]
         assert responses[1]["ok"]
+
+    def test_oversized_line_is_refused_then_reading_stops(self, monkeypatch):
+        from repro.service import protocol as protocol_module
+
+        monkeypatch.setattr(protocol_module, "MAX_REQUEST_CHARS", 1024)
+        invalid = get_registry().counter(
+            "requests_total", method="invalid", protocol="ndjson", status="error"
+        )
+        before = invalid.value
+        ping = json.dumps({"id": 1, "method": "ping"}) + "\n"
+        in_stream = io.StringIO(ping + "x" * 2000)  # no newline: the line never ends
+        out_stream = io.StringIO()
+        assert serve(in_stream, out_stream) == 0
+        pong, refused = [json.loads(line) for line in out_stream.getvalue().splitlines()]
+        assert pong["ok"]
+        assert refused["ok"] is False
+        assert refused["error_code"] == "request_too_large"
+        assert len(refused["trace_id"]) == 16
+        assert invalid.value == before + 1
+        assert in_stream.tell() == len(ping) + 1025  # stopped one past the bound
 
     def test_blank_lines_are_ignored(self):
         in_stream = io.StringIO("\n\n" + json.dumps({"id": 1, "method": "ping"}) + "\n\n")
