@@ -13,7 +13,7 @@ columns (``end_col`` is the column *after* the last character).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from repro.errors import Span
 from repro.mir.ir import Body, Location
@@ -63,11 +63,6 @@ def lines_of_spans(spans: Iterable[Span]) -> FrozenSet[int]:
 def spans_to_json(spans: Iterable[Span]) -> List[List[int]]:
     """Span set as ``[[start_line, start_col, end_line, end_col], ...]``."""
     return [list(span.to_tuple()) for span in spans]
-
-
-def spans_from_json(data: Iterable[Sequence[int]]) -> Tuple[Span, ...]:
-    """Rebuild a span tuple from its JSON ``[l0, c0, l1, c1]`` lists."""
-    return tuple(Span.from_tuple(item) for item in data)
 
 
 def location_span(body: Body, location: Location) -> Span:

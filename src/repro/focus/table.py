@@ -6,33 +6,28 @@ per-cursor by re-running the analysis would throw that away.  A
 :class:`FocusTable` materialises the all-places view: after a single
 :class:`~repro.core.analysis.FunctionFlowResult` is available, one pass over
 the body inverts the "written place depends on ℓ" relation into a forward
-influence map, and every direct place's backward and forward slice (as
-locations *and* as normalised source spans) is tabulated.
+influence map, and every direct place's backward and forward slice is
+tabulated as MIR locations.
 
-Tables are plain JSON-serialisable values, so the analysis service caches
-them in the content-addressed :class:`~repro.service.cache.SummaryStore`
-keyed by the function's fingerprint: a warm focus query is a dictionary
-lookup, and an edit invalidates tables through the same call-graph plan as
-every other cached result.
+A table *is* its JSON value: entries keyed by label, plus an index from each
+place to its entry, and no source spans.  The analysis service caches that
+value in the content-addressed :class:`~repro.service.cache.SummaryStore`
+keyed by the function's fingerprint, so a warm focus query wraps the stored
+dict, finds its entry with two dictionary lookups, and decodes that entry
+alone — deriving its spans from the current body.  An edit invalidates
+tables through the same call-graph plan as every other cached result.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.analysis import FunctionFlowResult
-from repro.core.theta import IndexedDependencyContext, arg_location, is_arg_location
+from repro.core.theta import IndexedDependencyContext, arg_location
 from repro.errors import QueryError, Span
 from repro.obs import stage as obs_stage
-from repro.focus.spans import (
-    lines_of_spans,
-    location_span,
-    normalize_spans,
-    spans_from_json,
-    spans_to_json,
-)
+from repro.focus.spans import lines_of_spans, spans_of_locations, spans_to_json
 from repro.mir.ir import (
     Body,
     CallTerminator,
@@ -60,9 +55,21 @@ def _place_from_json(data) -> Place:
     return Place(local, projection)
 
 
+def _place_key(place: Place) -> str:
+    """The ``places`` index key of ``place``, e.g. ``3.deref0.field1``."""
+    return ".".join(
+        [str(place.local)]
+        + [f"{elem.kind.value}{elem.index}" for elem in place.projection]
+    )
+
+
 @dataclass(frozen=True)
 class FocusEntry:
-    """Both slice directions for one direct place, span-mapped."""
+    """Both slice directions for one direct place, span-mapped.
+
+    Only ``place``, ``label`` and the two location tuples are stored; the
+    spans are derived from the body the entry was decoded against.
+    """
 
     place: Place
     label: str
@@ -72,42 +79,37 @@ class FocusEntry:
     backward_spans: Tuple[Span, ...]
     forward_spans: Tuple[Span, ...]
 
-    def to_json_dict(self) -> dict:
-        """One tabulated place as JSON (locations + normalised spans)."""
-        return {
-            "place": _place_to_json(self.place),
-            "label": self.label,
-            "defining_span": list(self.defining_span.to_tuple()),
-            "backward": [[loc.block, loc.statement] for loc in self.backward],
-            "forward": [[loc.block, loc.statement] for loc in self.forward],
-            "backward_spans": spans_to_json(self.backward_spans),
-            "forward_spans": spans_to_json(self.forward_spans),
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FocusEntry":
-        """Rebuild one entry from :meth:`to_json_dict` output."""
-        return cls(
-            place=_place_from_json(data["place"]),
-            label=str(data["label"]),
-            defining_span=Span.from_tuple(data["defining_span"]),
-            backward=tuple(Location(int(b), int(s)) for b, s in data["backward"]),
-            forward=tuple(Location(int(b), int(s)) for b, s in data["forward"]),
-            backward_spans=spans_from_json(data["backward_spans"]),
-            forward_spans=spans_from_json(data["forward_spans"]),
-        )
-
-
-@dataclass
+@dataclass(frozen=True)
 class FocusTable:
-    """All-places focus information for one function under one condition."""
+    """All-places focus information for one function under one condition.
 
-    fn_name: str
-    condition: str
-    fingerprint: str
-    entries: Dict[str, FocusEntry] = field(default_factory=dict)
+    ``data`` is the stored JSON value, read but never mutated: the store
+    hands the same dict to every reader thread.  ``body`` is the function's
+    current body, which every decoded entry takes its spans from.
+    """
+
+    data: dict
+    body: Optional[Body] = None
 
     # -- lookup ------------------------------------------------------------------
+
+    def _entry(self, key: str) -> FocusEntry:
+        """Decode the stored entry under ``key`` against the bound body."""
+        stored = self.data["entries"][key]
+        body = self.body
+        place = _place_from_json(stored["place"])
+        backward = tuple(Location(block, stmt) for block, stmt in stored["backward"])
+        forward = tuple(Location(block, stmt) for block, stmt in stored["forward"])
+        return FocusEntry(
+            place=place,
+            label=stored["label"],
+            defining_span=body.locals[place.local].span,
+            backward=backward,
+            forward=forward,
+            backward_spans=spans_of_locations(body, backward),
+            forward_spans=spans_of_locations(body, forward),
+        )
 
     def entry_for_place(self, place: Place) -> Optional[FocusEntry]:
         """The entry for ``place``, falling back to its base local.
@@ -117,11 +119,11 @@ class FocusTable:
         with the base local's entry — a sound over-approximation, the same
         the dependency context itself makes.
         """
-        for candidate in (place, place.base_local()):
-            for entry in self.entries.values():
-                if entry.place == candidate:
-                    return entry
-        return None
+        places = self.data["places"]
+        key = places.get(_place_key(place))
+        if key is None:
+            key = places.get(_place_key(place.base_local()))
+        return self._entry(key) if key is not None else None
 
     def entry_for_variable(self, variable: str) -> FocusEntry:
         """Entry by source-level variable name (raises a typed error).
@@ -129,17 +131,16 @@ class FocusTable:
         Entry labels are source-level renderings (``x``, ``x.0``, ``(*p)``),
         so a plain variable name is itself a label.
         """
-        entry = self.entries.get(variable)
-        if entry is None:
+        if variable not in self.data["entries"]:
             raise QueryError(
-                f"function {self.fn_name!r} has no variable {variable!r}",
+                f"function {self.data['fn_name']!r} has no variable {variable!r}",
                 code=QueryError.UNKNOWN_VARIABLE,
             )
-        return entry
+        return self._entry(variable)
 
     def labels(self) -> List[str]:
         """The printable labels of every tabulated place, sorted."""
-        return sorted(self.entries)
+        return sorted(self.data["entries"])
 
     # -- construction -------------------------------------------------------------
 
@@ -163,12 +164,12 @@ class FocusTable:
         re-deriving Θ-after from scratch per location.  Under the indexed
         engine the whole inversion additionally stays in bit-matrix space
         (location masks keyed by dependency index) and only converts to
-        location/span objects when the table entries are materialised.
+        locations when the table entries are written.
         """
         with obs_stage("focus_table", fn=result.body.fn_name) as sp:
             table = cls._build(result, fingerprint, condition)
             if sp is not None:
-                sp.set(entries=len(table.entries))
+                sp.set(entries=len(table.data["entries"]))
             return table
 
     @classmethod
@@ -232,7 +233,8 @@ class FocusTable:
             locations_of = domain.locations.locations_of
             conflicts_mask = domain.places.conflicts_mask
 
-        table = cls(fn_name=body.fn_name, condition=condition, fingerprint=fingerprint)
+        entries: Dict[str, dict] = {}
+        keys_by_place: Dict[str, str] = {}
         for place in sorted(places, key=lambda p: (p.local, tuple(
             (elem.kind.value, elem.index) for elem in p.projection
         ))):
@@ -270,91 +272,64 @@ class FocusTable:
                 if local.is_arg and place.is_local():
                     forward_set |= influenced.get(arg_location(place.local - 1), set())
                 forward = tuple(sorted(forward_set))
-            entry = FocusEntry(
-                place=place,
-                label=place.pretty(body),
-                defining_span=body.locals[place.local].span,
-                backward=backward,
-                forward=forward,
-                backward_spans=normalize_spans(
-                    location_span(body, loc) for loc in backward
-                ),
-                forward_spans=normalize_spans(
-                    location_span(body, loc) for loc in forward
-                ),
-            )
+            label = place.pretty(body)
             # Shadowed bindings render to the same label; the first (lowest
             # local index) keeps the bare name so name lookups agree with
             # `Body.local_by_name`, while later bindings stay addressable by
             # place (cursor queries) under a disambiguated key.
-            key = entry.label
-            if key in table.entries:
-                key = f"{entry.label}@{place.local}"
-            table.entries[key] = entry
-        return table
+            key = label if label not in entries else f"{label}@{place.local}"
+            entries[key] = {
+                "place": _place_to_json(place),
+                "label": label,
+                "backward": [[loc.block, loc.statement] for loc in backward],
+                "forward": [[loc.block, loc.statement] for loc in forward],
+            }
+            keys_by_place[_place_key(place)] = key
+        data = {
+            "fn_name": body.fn_name,
+            "condition": condition,
+            "fingerprint": fingerprint,
+            "entries": entries,
+            "places": keys_by_place,
+        }
+        return cls(data, body)
 
     def respan(self, body: Body) -> "FocusTable":
-        """Re-derive every span in this table from ``body``'s current spans.
+        """This table bound to ``body``, the function's current body.
 
         Focus tables are cached under a *span-insensitive* content
         fingerprint (the lowered MIR), so an edit that only shifts a
         function's position — a comment added above it, a sibling edited —
-        legitimately serves the cached locations, but their old source
-        spans would point at the wrong lines.  Locations are stable across
-        such edits (same MIR); spans are positional.  Serving layers call
-        this with the current body so highlights always track the text on
-        screen.
+        legitimately serves the cached locations, but spans are positional.
+        Entries therefore store no spans: each entry a lookup on the result
+        decodes derives them from ``body``, so highlights always track the
+        text on screen.
         """
-        respanned = FocusTable(
-            fn_name=self.fn_name, condition=self.condition, fingerprint=self.fingerprint
-        )
-        for key, entry in self.entries.items():
-            respanned.entries[key] = dataclasses.replace(
-                entry,
-                defining_span=body.locals[entry.place.local].span,
-                backward_spans=normalize_spans(
-                    location_span(body, loc) for loc in entry.backward
-                ),
-                forward_spans=normalize_spans(
-                    location_span(body, loc) for loc in entry.forward
-                ),
-            )
-        return respanned
+        return FocusTable(self.data, body)
 
     # -- serialisation ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         """The whole table as the JSON value cached in the SummaryStore."""
-        return {
-            "fn_name": self.fn_name,
-            "condition": self.condition,
-            "fingerprint": self.fingerprint,
-            "entries": {
-                label: entry.to_json_dict()
-                for label, entry in sorted(self.entries.items())
-            },
-        }
+        return self.data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FocusTable":
-        """Rebuild a table from :meth:`to_json_dict` output (a warm hit)."""
-        table = cls(
-            fn_name=str(data["fn_name"]),
-            condition=str(data["condition"]),
-            fingerprint=str(data["fingerprint"]),
-        )
-        for label, entry in data["entries"].items():
-            table.entries[str(label)] = FocusEntry.from_json_dict(entry)
-        return table
+        """Wrap a stored :meth:`to_json_dict` value (a warm hit).
+
+        Nothing is decoded or copied: entries are decoded one at a time by
+        the lookups, once :meth:`respan` has bound the current body.
+        """
+        return cls(data)
 
     # -- views --------------------------------------------------------------------
 
     def response_for(self, entry: FocusEntry, direction: str = "both") -> dict:
         """The JSON payload served for one focus query over this table."""
         out: dict = {
-            "function": self.fn_name,
+            "function": self.data["fn_name"],
             "target": entry.label,
-            "condition": self.condition,
+            "condition": self.data["condition"],
             "defining_span": list(entry.defining_span.to_tuple()),
             "direction": direction,
         }

@@ -52,9 +52,11 @@ KIND_FOCUS = "focus"
 # On-disk / wire format version of cached values.  Bumped to 2 when records
 # moved to the compact index form (a per-record location table plus integer
 # indices) and body fingerprints started covering the interning-table digest;
-# the version participates in every key digest, so entries written by an
+# bumped to 3 when focus tables stopped storing spans and gained a
+# place-to-entry index, so a warm query decodes just the entry it needs.
+# The version participates in every key digest, so entries written by an
 # older release are simply unreachable rather than misdecoded.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 def _digest(text: str) -> str:

@@ -73,6 +73,8 @@ class AnalysisSession:
         self._call_graph: Optional[CallGraph] = None
         self._fingerprints: Optional[FingerprintIndex] = None
         self._engines: Dict[str, FlowEngine] = {}
+        # unit name -> (line offset in the joined source, line count).
+        self._unit_lines: Dict[str, Tuple[int, int]] = {}
         # Serialises cache-miss computation when the session is shared across
         # threads (the concurrent server's read path): warm queries are pure
         # store lookups and stay fully concurrent, but the dataflow engines
@@ -194,6 +196,13 @@ class AnalysisSession:
         checked = check_program(program)
         lowered = lower_program(checked)
         call_graph = build_call_graph(lowered)
+        unit_lines: Dict[str, Tuple[int, int]] = {}
+        offset = 0
+        for name, source in self._units.items():
+            lines = source.count("\n") + 1
+            unit_lines[name] = (offset, lines)
+            offset += lines
+        self._unit_lines = unit_lines
         self._checked = checked
         self._lowered = lowered
         self._call_graph = call_graph
@@ -356,24 +365,18 @@ class AnalysisSession:
             "stats": self.store.stats.to_dict(),
         }
 
-    def _unit_line_offset(self, unit: Optional[str]) -> int:
-        """Line offset of ``unit`` within the joined workspace source.
+    def _unit_position(self, unit: str) -> Tuple[int, int]:
+        """``(line offset, line count)`` of ``unit`` in the joined source.
 
         The workspace concatenates units with newlines, so a client that
         addresses positions within one document (the LSP model) needs its
         cursor shifted into — and response spans shifted out of — the joined
         coordinate space.
         """
-        if unit is None:
-            return 0
-        if unit not in self._units:
+        position = self._unit_lines.get(unit)
+        if position is None:
             raise QueryError(f"no open unit named {unit!r}", code=QueryError.UNKNOWN_UNIT)
-        offset = 0
-        for name, source in self._units.items():
-            if name == unit:
-                return offset
-            offset += source.count("\n") + 1
-        return offset
+        return position
 
     @staticmethod
     def _shift_focus_response(out: dict, delta: int) -> dict:
@@ -496,7 +499,7 @@ class AnalysisSession:
         config = config or MODULAR
         self._bump("focus_queries")
         self._require_workspace()
-        offset = self._unit_line_offset(unit)
+        offset, unit_lines = self._unit_position(unit) if unit is not None else (0, None)
 
         if function is not None and variable is not None:
             body = self._body(function)
@@ -510,9 +513,14 @@ class AnalysisSession:
             seed_span = entry.defining_span
             fn_body = body
         elif line is not None and col is not None:
-            target = resolve_cursor(
-                self._checked, self._lowered, int(line) + offset, int(col)
-            )
+            line = int(line)
+            if unit_lines is not None and not 1 <= line <= unit_lines:
+                raise QueryError(
+                    f"position {line}:{col} is outside unit {unit!r} "
+                    f"(lines 1-{unit_lines})",
+                    code=QueryError.POSITION_OUT_OF_RANGE,
+                )
+            target = resolve_cursor(self._checked, self._lowered, line + offset, int(col))
             fn_body = self._body(target.fn_name)
             table, cache = self._focus_table(target.fn_name, config)
             entry = table.entry_for_place(target.place)

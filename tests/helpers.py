@@ -9,11 +9,13 @@ from this module instead.
 from __future__ import annotations
 
 import multiprocessing
+from typing import List, Tuple
 
 import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.engine import FlowEngine
+from repro.lang import ast
 from repro.lang.parser import parse_program
 from repro.lang.typeck import check_program
 from repro.mir.lower import lower_program
@@ -75,3 +77,20 @@ def analyze(source: str, fn_name: str, config: AnalysisConfig | None = None):
     """End-to-end helper: analyse one function of a source snippet."""
     engine = FlowEngine.from_source(source, config=config)
     return engine.analyze_function(fn_name)
+
+
+def place_expr_cursors(source: str) -> List[Tuple[int, int]]:
+    """Every distinct cursor on a place expression of ``source``'s bodies.
+
+    Each place expression contributes its first and its last character, so
+    a field access yields both its base (the ``p`` of ``p.x``) and the field.
+    """
+    cursors = set()
+    for fn in checked_from(source).program.all_functions():
+        if fn.body is None:
+            continue
+        for expr in ast.walk_block(fn.body):
+            if expr.is_place():
+                cursors.add((expr.span.start_line, expr.span.start_col))
+                cursors.add((expr.span.end_line, expr.span.end_col - 1))
+    return sorted(cursors)

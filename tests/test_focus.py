@@ -15,7 +15,13 @@ import json
 
 import pytest
 
-from helpers import GET_COUNT_SOURCE, HELPER_CALLER_SOURCE, analyze, lowered_from
+from helpers import (
+    GET_COUNT_SOURCE,
+    HELPER_CALLER_SOURCE,
+    analyze,
+    lowered_from,
+    place_expr_cursors,
+)
 
 from repro.apps.slicer import ProgramSlicer, forward_slice_locations
 from repro.cli import main
@@ -205,6 +211,26 @@ def _named_variables(body):
     return [local.name for local in body.user_locals() if local.name is not None]
 
 
+def _keys_anywhere(value) -> set:
+    """Every dict key at any depth of a JSON value."""
+    if isinstance(value, dict):
+        keys = set(value)
+        for item in value.values():
+            keys |= _keys_anywhere(item)
+        return keys
+    if isinstance(value, list):
+        return set().union(*(_keys_anywhere(item) for item in value))
+    return set()
+
+
+SPAN_KEYS = {"defining_span", "backward_spans", "forward_spans"}
+
+
+def _stored_focus_table(session: AnalysisSession, fn_name: str) -> dict:
+    """The focus-table value ``session``'s store holds for ``fn_name``."""
+    return session.store.get(session._fingerprints.focus_key(fn_name, MODULAR))
+
+
 class TestFocusTableProperties:
     @pytest.mark.parametrize(
         "source,fn_name",
@@ -251,10 +277,9 @@ class TestFocusTableProperties:
                 )
 
     def test_warm_focus_results_byte_equal_to_cold(self):
-        """Property (c): a table served from cache yields the same bytes."""
-        session = AnalysisSession()
-        session.open_unit("main", COMPUTE_SOURCE)
-        line, col = find_pos(COMPUTE_SOURCE, "x + y")
+        """Property (c): a table served from cache yields the same bytes, at
+        every place-expression cursor.  A warm query decodes only its own
+        entry, so clobbering every other stored entry leaves it unchanged."""
 
         def canonical(response: dict) -> str:
             response = dict(response)
@@ -262,18 +287,41 @@ class TestFocusTableProperties:
             response.pop("cache", None)
             return json.dumps(response, sort_keys=True)
 
-        cold = session.focus(line=line, col=col)
-        warm = session.focus(line=line, col=col)
-        assert cold["cache"] == "miss"
-        assert warm["cache"] == "hit"
-        assert canonical(cold) == canonical(warm)
+        for source in (COMPUTE_SOURCE, STRUCT_SOURCE):
+            for line, col in place_expr_cursors(source):
+                session = AnalysisSession()
+                session.open_unit("main", source)
+                cold = session.focus(line=line, col=col)
+                warm = session.focus(line=line, col=col)
+                assert cold["cache"] == "miss"
+                assert warm["cache"] == "hit"
+                assert canonical(cold) == canonical(warm), (line, col)
+
+                stored = _stored_focus_table(session, cold["function"])
+                assert not _keys_anywhere(stored) & SPAN_KEYS
+                others = [key for key in stored["entries"] if key != cold["target"]]
+                assert others
+                for key in others:
+                    stored["entries"][key] = {}
+                clobbered = session.focus(line=line, col=col)
+                assert clobbered["cache"] == "hit"
+                assert canonical(clobbered) == canonical(cold), (line, col)
 
     def test_table_json_round_trip(self):
         result = analyze(STRUCT_SOURCE, "shift")
         table = FocusTable.build(result, fingerprint="fp", condition="Modular")
-        clone = FocusTable.from_json_dict(table.to_json_dict())
+        stored = json.loads(json.dumps(table.to_json_dict()))
+        assert not _keys_anywhere(stored) & SPAN_KEYS
+        clone = FocusTable.from_json_dict(stored)
         assert clone.to_json_dict() == table.to_json_dict()
         assert clone.labels() == table.labels()
+        # Decoding an entry against the body reproduces the built entry,
+        # and reading never mutates the stored value.
+        before = json.dumps(stored, sort_keys=True)
+        bound = clone.respan(result.body)
+        for label in table.labels():
+            assert bound.entry_for_variable(label) == table.entry_for_variable(label)
+        assert json.dumps(stored, sort_keys=True) == before
 
     def test_spans_of_locations_matches_entry_spans(self):
         result = analyze(COMPUTE_SOURCE, "compute")
@@ -380,6 +428,15 @@ class TestSessionFocus:
         # The same bare position without a unit hits lib.mr's coordinates.
         unscoped = session.focus(line=2, col=13)
         assert unscoped["function"] == "alpha"
+
+        # A cursor past the end of its unit (lib.mr has 5 lines) or before
+        # its first line never answers from a neighbouring unit: line 7 of
+        # lib.mr would be main.mr's `let x` in the joined source.
+        for unit, line_out in (("lib.mr", 7), ("main.mr", 0), ("main.mr", -4)):
+            with pytest.raises(QueryError) as excinfo:
+                session.focus(line=line_out, col=9, unit=unit)
+            assert excinfo.value.code == QueryError.POSITION_OUT_OF_RANGE
+        assert session.focus(line=7, col=9)["function"] == "compute"
 
         # Reference: a single-unit session must agree with the scoped query.
         solo = AnalysisSession()

@@ -12,13 +12,16 @@ randomly chosen generated corpus crate:
 
 from __future__ import annotations
 
+import copy
 import gc
 import random
+import sys
+import threading
 import weakref
 
 import pytest
 
-from helpers import GET_COUNT_SOURCE, HELPER_CALLER_SOURCE
+from helpers import GET_COUNT_SOURCE, HELPER_CALLER_SOURCE, place_expr_cursors
 
 from repro.apps.slicer import ProgramSlicer
 from repro.core.config import MODULAR, MUT_BLIND, REF_BLIND, WHOLE_PROGRAM
@@ -44,6 +47,42 @@ fn leak(p: &Password) {
 
 fn fine(x: u32) {
     insecure_print(x);
+}
+"""
+
+
+# Several functions with field, loop and branch flow: the shared-session
+# stress test's workspace.
+WORKSPACE_SOURCE = """\
+struct Pair { a: u32, b: u32 }
+
+fn sum(p: &Pair) -> u32 {
+    let s = p.a + p.b;
+    s
+}
+
+fn scale(p: &mut Pair, k: u32) -> u32 {
+    p.a = p.a * k;
+    p.b = p.b * k;
+    sum(p)
+}
+
+fn pick(c: bool, x: u32, y: u32) -> u32 {
+    let mut r = x;
+    if c {
+        r = y;
+    }
+    r + 1
+}
+
+fn count(n: u32) -> u32 {
+    let mut i = 0;
+    let mut acc = 0;
+    while i < n {
+        acc = acc + i;
+        i = i + 1;
+    }
+    acc
 }
 """
 
@@ -331,3 +370,71 @@ class TestDiskTier:
         response = second.analyze()
         assert response["cache_hits"] == 2
         assert second.store.stats.disk_hits == 2
+
+
+class TestSharedSessionFocus:
+    def test_concurrent_warm_focus_matches_serial_and_leaves_store_intact(self):
+        """Reader threads share one session and the store's dicts: every
+        warm answer equals the serial one, and no stored table is mutated."""
+        session = AnalysisSession()
+        session.open_unit("main", WORKSPACE_SOURCE)
+        cursors = place_expr_cursors(WORKSPACE_SOURCE)
+
+        def answer(line, col):
+            response = session.focus(line=line, col=col)
+            assert response["cache"] == "hit"
+            return {k: v for k, v in response.items() if k not in ("cache", "stats")}
+
+        for line, col in cursors:
+            session.focus(line=line, col=col)  # fills every function's table
+        serial = {cursor: answer(*cursor) for cursor in cursors}
+        keys = [
+            session._fingerprints.focus_key(fn_name, MODULAR)
+            for fn_name in session.function_names()
+        ]
+        stored = [session.store.get(key) for key in keys]
+        assert all(value is not None for value in stored)
+        copies = copy.deepcopy(stored)
+
+        workers = 8  # more threads than cores, so readers are preempted mid-query
+        barrier = threading.Barrier(workers)
+        lock = threading.Lock()
+        inside = [0]
+        peak = [0]
+        mismatches = []
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(10):
+                    for cursor in cursors:
+                        with lock:
+                            inside[0] += 1
+                            peak[0] = max(peak[0], inside[0])
+                        try:
+                            got = answer(*cursor)
+                        finally:
+                            with lock:
+                                inside[0] -= 1
+                        if got != serial[cursor]:
+                            mismatches.append(cursor)
+            except Exception as error:  # reported by the assertions below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
+        assert [session.store.get(key) for key in keys] == copies
+        assert peak[0] > 1, "the threads never overlapped inside focus"
