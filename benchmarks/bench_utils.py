@@ -39,7 +39,7 @@ def write_report(report_dir: Path, name: str, text: str) -> Path:
     """Persist a rendered table/figure and echo it to stdout.
 
     Creates the report directory idempotently so callers can write without
-    going through the ``report_dir`` fixture (CLI runs, fuzz campaigns).
+    going through the ``report_dir`` fixture (CLI runs).
     """
     report_dir.mkdir(parents=True, exist_ok=True)
     path = report_dir / f"{name}.txt"

@@ -12,11 +12,12 @@ extension) with a small set of subcommands over MiniRust source files:
   sizes, exit-Θ bitset density, and fixpoint iteration counts (debugging
   aid for the indexed dataflow substrate),
 * ``repro ifc FILE --secret-type T ... --sink F ...`` — run the IFC checker,
-* ``repro fuzz [--seed N --count K --size S]`` — run a differential fuzzing
-  campaign (seeded program generation + the five-oracle battery, shrinking
-  any failure to a minimal repro artifact); ``repro fuzz repro ART.json``
-  replays an artifact; ``repro stats --campaign REPORT.json`` renders the
-  feature-coverage histogram,
+* ``repro eval run [--count K --seed N --dir DIR --workers W --gate]`` — run
+  a corpus (a seeded fuzz sweep and/or ``.mrs`` directories) through the
+  five-oracle battery, shrinking each failure to a minimal repro artifact
+  (exit 1 on any failure); ``repro eval report REPORT.json`` re-renders the
+  aggregate report,
+* ``repro fuzz repro ART.json`` — replay a repro artifact,
 * ``repro corpus [--scale S] [--crate NAME]`` — generate the evaluation corpus,
 * ``repro experiment [--scale S]`` — run the Section 5 experiment and print
   the headline comparison,
@@ -134,16 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats",
         help="per-function interning-table sizes, bitset density, and "
-             "fixpoint iteration counts; --campaign renders the "
-             "feature-coverage histogram of a fuzz campaign report",
+             "fixpoint iteration counts",
     )
-    stats.add_argument("file", nargs="?",
-                       help="MiniRust file (omit when using --campaign)")
+    stats.add_argument("file", help="MiniRust file")
     stats.add_argument("--function", help="only this function (default: all)")
-    stats.add_argument("--campaign", metavar="REPORT_JSON",
-                       help="render per-campaign aggregates (feature-coverage "
-                            "histogram, oracle pass/fail counts) from a "
-                            "`repro fuzz` JSON report instead of file stats")
     stats.add_argument("--json", action="store_true", help="machine-readable output")
     _add_condition_flags(stats)
 
@@ -157,37 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz",
-        help="differential fuzzing & metamorphic testing: `repro fuzz` runs a "
-             "budgeted campaign over seeded generated programs; "
-             "`repro fuzz repro ARTIFACT.json` replays a shrunk repro artifact",
+        help="`repro fuzz repro ARTIFACT.json` replays a shrunk repro artifact "
+             "(fuzz sweeps run with `repro eval run --count N`)",
     )
     fuzz.add_argument(
         "repro_args", nargs="*", metavar="repro ARTIFACT",
-        help="replay mode: the literal word `repro` followed by an artifact path",
+        help="the literal word `repro` followed by an artifact path",
     )
-    fuzz.add_argument("--seed", type=int, default=0,
-                      help="first seed; program i uses seed+i (default: 0)")
-    fuzz.add_argument("--count", type=int, default=50,
-                      help="number of programs to generate (default: 50)")
-    fuzz.add_argument("--time-budget", type=float, default=None, metavar="SECONDS",
-                      help="stop generating after this many seconds")
-    fuzz.add_argument("--size", default="small", choices=["small", "medium", "large"],
-                      help="generator size profile (default: small)")
-    fuzz.add_argument("--oracles",
-                      help="comma-separated oracle subset (default: all five)")
-    fuzz.add_argument("--inject", metavar="NAME",
-                      help="add a synthetic always-wrong oracle (exercises the "
-                           "shrink/repro pipeline; see docs/FUZZING.md)")
-    fuzz.add_argument("--no-shrink", action="store_true",
-                      help="keep failing programs unreduced")
-    fuzz.add_argument("--report-dir", default="benchmarks/reports",
-                      help="where the campaign JSON and repro artifacts are "
-                           "written (created idempotently; default: "
-                           "benchmarks/reports)")
-    fuzz.add_argument("--export-corpus", metavar="DIR",
-                      help="also write every generated program as a .mrs file")
     fuzz.add_argument("--json", action="store_true",
-                      help="print the campaign report as JSON")
+                      help="print the replay verdicts as JSON")
 
     corpus = sub.add_parser("corpus", help="generate the synthetic evaluation corpus")
     corpus.add_argument("--scale", type=float, default=0.25)
@@ -304,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     eval_run = esub.add_parser(
         "run",
         help="ingest a corpus (fuzz sweep and/or .mrs directories), fan it "
-             "across workers, write the aggregate report",
+             "across workers, shrink each failure to a repro artifact, write "
+             "the aggregate report (exit 1 on any oracle failure)",
     )
     eval_run.add_argument("--count", type=int, default=0,
                           help="fuzz seed-sweep size; program i uses seed+i "
@@ -325,20 +299,21 @@ def build_parser() -> argparse.ArgumentParser:
     eval_run.add_argument("--oracles",
                           help="comma-separated oracle subset (default: all five)")
     eval_run.add_argument("--inject", metavar="NAME",
-                          help="add a synthetic always-wrong oracle "
-                               "(self-test for the failure path)")
+                          help="add a synthetic always-wrong oracle (exercises "
+                               "the shrink/repro pipeline; see docs/FUZZING.md)")
     eval_run.add_argument("--out-dir", default="benchmarks/reports/massrun",
                           help="report + manifest + failure artifacts root "
                                "(created idempotently; default: "
                                "benchmarks/reports/massrun)")
-    eval_run.add_argument("--ledger-dir", default="benchmarks/reports/history",
-                          help="bench-history ledger for the massrun row "
-                               "(default: benchmarks/reports/history)")
-    eval_run.add_argument("--no-ledger", action="store_true",
-                          help="skip the bench-history ledger row")
+    eval_run.add_argument("--ledger-dir", metavar="DIR",
+                          help="append a massrun row to this bench-history "
+                               "ledger (default: no row)")
+    eval_run.add_argument("--export-corpus", metavar="DIR",
+                          help="also write the sweep's programs as .mrs files "
+                               "plus their corpus manifest")
     eval_run.add_argument("--gate", action="store_true",
-                          help="exit 1 on any oracle failure or empty "
-                               "feature bucket")
+                          help="also exit 1 on an empty feature bucket "
+                               "(any oracle failure always exits 1)")
     eval_run.add_argument("--json", action="store_true",
                           help="print the aggregate report as JSON")
     eval_report_cmd = esub.add_parser(
@@ -493,27 +468,6 @@ def cmd_focus(args: argparse.Namespace, out) -> int:
 def cmd_stats(args: argparse.Namespace, out) -> int:
     import json
 
-    if args.campaign is not None:
-        from repro.fuzz.campaign import render_feature_histogram, render_oracle_counts
-
-        data = json.loads(Path(args.campaign).read_text(encoding="utf-8"))
-        if args.json:
-            aggregates = {
-                key: data.get(key)
-                for key in ("generated", "seed", "size", "oracle_counts",
-                            "feature_histogram", "feature_programs", "total_loc")
-            }
-            out.write(json.dumps(aggregates, indent=2, sort_keys=True) + "\n")
-            return 0
-        out.write(render_feature_histogram(data) + "\n")
-        counts = data.get("oracle_counts") or {}
-        if counts:
-            out.write("\noracle battery:\n")
-            out.write("\n".join(render_oracle_counts(counts)) + "\n")
-        return 0
-    if args.file is None:
-        raise ReproError("`stats` needs a FILE (or --campaign REPORT_JSON)")
-
     config = _config_from_args(args)
     engine = FlowEngine.from_source(_read_source(args.file), config=config)
     rows = []
@@ -573,50 +527,20 @@ def cmd_ifc(args: argparse.Namespace, out) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace, out) -> int:
-    import json
-
-    from repro.fuzz.campaign import (
-        CampaignConfig,
-        render_campaign_report,
-        run_campaign,
-    )
-
-    if args.repro_args:
-        if args.repro_args[0] != "repro" or len(args.repro_args) != 2:
-            raise ReproError(
-                "usage: `repro fuzz [flags]` for a campaign, or "
-                "`repro fuzz repro ARTIFACT.json` to replay a shrunk repro"
-            )
-        return _fuzz_replay(args.repro_args[1], args, out)
-
-    config = CampaignConfig(
-        seed=args.seed,
-        count=args.count,
-        time_budget=args.time_budget,
-        size=args.size,
-        oracles=[name.strip() for name in args.oracles.split(",")] if args.oracles else None,
-        inject=args.inject,
-        shrink_failures=not args.no_shrink,
-        report_dir=args.report_dir,
-        export_dir=args.export_corpus,
-    )
-    report = run_campaign(config)
-    if args.json:
-        out.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_campaign_report(report) + "\n")
-    return 0 if report.passed else 1
-
-
-def _fuzz_replay(artifact_path: str, args: argparse.Namespace, out) -> int:
     """``repro fuzz repro ARTIFACT``: re-run the recorded oracle on the
     shrunk program.  Exit 0 when the failure reproduces as recorded, 1 when
     it no longer does (fixed or flaky)."""
     import json
 
     from repro.errors import render_error_with_source
-    from repro.fuzz.campaign import replay_artifact
+    from repro.fuzz.artifact import replay_artifact
 
+    if len(args.repro_args) != 2 or args.repro_args[0] != "repro":
+        raise ReproError(
+            "usage: `repro fuzz repro ARTIFACT.json` replays a shrunk repro "
+            "artifact (fuzz sweeps run with `repro eval run --count N`)"
+        )
+    artifact_path = args.repro_args[1]
     outcome = replay_artifact(artifact_path)
     artifact = outcome.artifact
     if args.json:
@@ -1036,7 +960,8 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
         oracles=args.oracles.split(",") if args.oracles else None,
         inject=args.inject,
         out_dir=args.out_dir,
-        ledger_dir=None if args.no_ledger else args.ledger_dir,
+        ledger_dir=args.ledger_dir,
+        export_dir=args.export_corpus,
     )
     report = run_mass_evaluation(config)
     data = report.to_json_dict()
@@ -1060,7 +985,7 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
                 out.write(f"gate: {problem}\n")
             return 1
         out.write("gate: ok\n")
-    return 0
+    return 1 if report.failures else 0
 
 
 _HANDLERS = {

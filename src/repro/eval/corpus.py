@@ -728,10 +728,10 @@ def generate_fuzz_corpus(
     """A corpus of :mod:`repro.fuzz` generated crates, template-corpus shaped.
 
     Each crate is one seeded fuzz program (grammar-directed, feature-diverse)
-    wrapped in the :class:`GeneratedCrate` interface the experiment and perf
-    harnesses consume, so the fig2-style workloads can run over program
-    shapes — deep borrow chains, dense branching, generated call graphs —
-    that the hand-built template corpus never produces, at any ``count``.
+    wrapped in the :class:`GeneratedCrate` interface, so the differential
+    engine tests run over program shapes — deep borrow chains, dense
+    branching, generated call graphs — that the hand-built template corpus
+    never produces, at any ``count``.
     """
     from repro.fuzz.generator import generate_program, profile
 
@@ -867,6 +867,18 @@ class Corpus:
         return path
 
 
+def write_corpus_files(programs: Sequence[CorpusProgram], directory) -> None:
+    """Write ``programs`` as ``NAME.mrs`` files plus their ``corpus_manifest.json``
+    (each program's content digest and feature histogram) — the layout
+    :func:`load_corpus_dir` ingests, so an exported fuzz sweep keeps its
+    per-feature breakdowns when it is evaluated again as a ``--dir``."""
+    corpus = dedup_programs(programs)
+    for program in corpus.programs:
+        path = safe_artifact_path(directory, program.name, suffix=".mrs")
+        path.write_text(program.source, encoding="utf-8")
+    corpus.write_manifest(directory)
+
+
 def dedup_programs(programs: Iterable[CorpusProgram]) -> Corpus:
     """Deduplicate by content digest, order-independently.
 
@@ -933,7 +945,7 @@ def load_corpus_dir(directory, crate_name: str = "fuzzed") -> List[CorpusProgram
     """Ingest every ``*.mrs`` file under ``directory`` (sorted, recursive).
 
     If a ``corpus_manifest.json`` sits alongside (as written by
-    ``repro fuzz --export-corpus`` and by the mass runner itself), its
+    ``repro eval run --export-corpus`` and into every ``--out-dir``), its
     per-digest feature histograms and seeds are re-attached — matching on
     content digest, so a stale manifest can never mislabel a program.
     """

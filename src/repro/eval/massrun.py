@@ -20,14 +20,17 @@ one machine-readable report:
   :meth:`~repro.service.session.AnalysisSession.snapshot` JSON hashed), so
   two corpus runs can be diffed program-by-program without storing outputs.
 
-Failures are written as self-contained repro artifacts (the same format as
-``repro fuzz`` — replay with ``repro fuzz repro ARTIFACT.json``), and each
-run can append a ``massrun`` row to the benchmark history ledger so pass
-rate and throughput trend in ``repro bench report``.
+Each failing program is shrunk, inside the worker that found it, to a
+minimal program that fails the same oracle the same way
+(:func:`repro.fuzz.reduce.shrink`), and written as a self-contained repro
+artifact (:mod:`repro.fuzz.artifact`; replay with ``repro fuzz repro
+ARTIFACT.json``).  A run given a ledger directory appends a ``massrun`` row
+to the benchmark history ledger so pass rate and throughput trend in
+``repro bench report``.
 
 Everything written lands strictly under the user-supplied ``--out-dir`` /
-``--ledger-dir`` roots, created idempotently, with program-derived file
-names routed through the path-traversal guard.
+``--ledger-dir`` / ``--export-corpus`` roots, created idempotently, with
+program-derived file names routed through the path-traversal guard.
 """
 
 from __future__ import annotations
@@ -44,9 +47,19 @@ from repro.eval.corpus import (
     CorpusProgram,
     ingest_corpus,
     safe_artifact_path,
+    write_corpus_files,
 )
 from repro.eval.stats import percentile
-from repro.fuzz.generator import GENERATOR_FEATURES, GENERATOR_VERSION
+from repro.fuzz.artifact import write_repro_artifact
+from repro.fuzz.generator import GENERATOR_FEATURES, GENERATOR_VERSION, profile
+from repro.fuzz.oracles import (
+    DEFAULT_ORACLES,
+    INJECTED_ORACLES,
+    OracleVerdict,
+    first_failure,
+    run_battery,
+)
+from repro.fuzz.reduce import ReductionResult, shrink
 from repro.obs import metrics as obs_metrics
 from repro.obs import span as obs_span
 from repro.service.scheduler import map_shards
@@ -55,6 +68,8 @@ REPORT_KIND = "repro-mass-eval"
 REPORT_VERSION = 1
 REPORT_NAME = "massrun_report.json"
 FAILURE_DIR = "failures"
+#: Oracle re-runs one failing program's shrink may spend.
+MAX_SHRINK_PROBES = 1500
 
 #: Report keys that vary run-to-run on identical inputs (timing, host paths,
 #: ledger provenance).  Golden tests and doc replays compare reports with
@@ -82,13 +97,25 @@ class MassRunConfig:
     max_snapshot_variables: int = 4
     out_dir: Optional[str] = None  # report + manifest + failure artifacts
     ledger_dir: Optional[str] = None  # bench-history ledger for the massrun row
+    export_dir: Optional[str] = None  # the sweep's programs as .mrs files
 
     def oracle_names(self) -> List[str]:
-        from repro.fuzz.campaign import CampaignConfig
-
-        # Reuse the campaign's validation (unknown oracle/injection names
-        # raise the same error text everywhere).
-        return CampaignConfig(oracles=self.oracles, inject=self.inject).oracle_names()
+        """The battery to run: ``oracles`` (whitespace-stripped; default all
+        five) plus ``injected:<inject>``.  Unknown oracle names are refused
+        by the battery itself; an unknown injection is refused here."""
+        names = (
+            [name.strip() for name in self.oracles]
+            if self.oracles is not None
+            else list(DEFAULT_ORACLES)
+        )
+        if self.inject is not None:
+            if self.inject not in INJECTED_ORACLES:
+                raise ReproError(
+                    f"unknown injected oracle {self.inject!r} "
+                    f"(known: {sorted(INJECTED_ORACLES)})"
+                )
+            names.append(f"injected:{self.inject}")
+        return names
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,36 +148,40 @@ def evaluate_program(
 ) -> dict:
     """Run the battery (plus precision/snapshot probes) on one corpus member.
 
-    Pure function of its inputs; returns a JSON-ready verdict record.  Any
-    crash outside the battery (snapshot/precision probes) is folded into the
-    record rather than raised, so one hostile program cannot sink a shard.
+    Pure function of its inputs; returns a JSON-ready verdict record.  A
+    program that fails a battery oracle is shrunk against its first failing
+    verdict: the record carries the ``reduced_source`` and the ``reduction``
+    statistics.  Any crash outside the battery (snapshot/precision probes)
+    is folded into the record rather than raised, so one hostile program
+    cannot sink a shard.
     """
-    from repro.fuzz.oracles import run_battery
-
     started = time.perf_counter()
+    crate_name = task.get("crate_name", "fuzzed")
+    seed = int(task.get("seed", 0))
     verdicts = run_battery(
-        task["source"],
-        crate_name=task.get("crate_name", "fuzzed"),
-        oracles=list(oracles),
-        seed=int(task.get("seed", 0)),
+        task["source"], crate_name=crate_name, oracles=list(oracles), seed=seed
     )
-    ok = all(verdict.ok for verdict in verdicts)
+    failing = first_failure(verdicts)
     record = {
         "name": task["name"],
         "digest": task["digest"],
         "origin": task.get("origin", "fuzz"),
-        "seed": int(task.get("seed", 0)),
+        "seed": seed,
         "loc": int(task.get("loc", 0)),
         "features": task.get("features") or {},
-        "ok": ok,
+        "ok": failing is None,
         "verdicts": [verdict.to_json_dict() for verdict in verdicts],
         "snapshot_digest": None,
         "precision": None,
     }
-    if ok:
+    if failing is not None:
+        reduction = _shrink_failure(task["source"], failing, crate_name, seed)
+        record["reduced_source"] = reduction.reduced
+        record["reduction"] = reduction.to_json_dict()
+    else:
         try:
             record["snapshot_digest"], record["precision"] = _verdict_probes(
-                task["source"], task.get("crate_name", "fuzzed"), snapshot_vars
+                task["source"], crate_name, snapshot_vars
             )
         except Exception as error:  # probe crash = failing program, not a crash
             record["ok"] = False
@@ -163,6 +194,28 @@ def evaluate_program(
             )
     record["seconds"] = time.perf_counter() - started
     return record
+
+
+def _shrink_failure(
+    source: str, failing: OracleVerdict, crate_name: str, seed: int
+) -> ReductionResult:
+    """Delta-debug ``source`` while the same oracle still fails with the same
+    failure kind (so reduction cannot drift into a different failure)."""
+    target_oracle = failing.oracle
+    target_kind = failing.kind()
+
+    def still_fails(candidate: str) -> bool:
+        verdicts = run_battery(
+            candidate, crate_name=crate_name, oracles=[target_oracle], seed=seed
+        )
+        for verdict in verdicts:
+            if not verdict.ok and verdict.oracle == target_oracle:
+                return verdict.kind() == target_kind
+        return False
+
+    return shrink(
+        source, still_fails, crate_name=crate_name, max_probes=MAX_SHRINK_PROBES
+    )
 
 
 def _verdict_probes(
@@ -343,6 +396,7 @@ class MassRunReport:
                 "detail": next(
                     (v["detail"] for v in result["verdicts"] if not v["ok"]), ""
                 ),
+                "reduction": result.get("reduction"),
                 "artifact": result.get("artifact"),
             }
             for result in self.failures
@@ -419,7 +473,8 @@ def run_mass_evaluation(
     """Ingest (or accept) a corpus, fan it through the battery, aggregate.
 
     Writes ``massrun_report.json``, the corpus manifest, and per-failure
-    repro artifacts under ``config.out_dir`` (if given), and appends a
+    repro artifacts under ``config.out_dir`` (if given), the sweep's
+    programs under ``config.export_dir`` (if given), and appends a
     ``massrun`` row to the bench-history ledger under ``config.ledger_dir``
     (if given).  Never raises on program failures — those are data; raises
     only on configuration errors (unknown oracles, missing corpus dirs,
@@ -473,44 +528,45 @@ def run_mass_evaluation(
 
     if config.out_dir is not None:
         _write_outputs(report, config)
+    if config.export_dir is not None:
+        write_corpus_files(
+            [program for program in corpus.programs if program.origin == "fuzz"],
+            config.export_dir,
+        )
     if config.ledger_dir is not None:
         report.ledger = _record_ledger(report, config)
     return report
 
 
 def _write_outputs(report: MassRunReport, config: MassRunConfig) -> None:
-    """Report + manifest + failure artifacts, all under ``out_dir``."""
-    from repro.fuzz.campaign import write_repro_artifact
-    from repro.fuzz.generator import profile
+    """Report + manifest + failure artifacts, all under ``out_dir``.
 
+    Artifact stems carry the program's digest prefix, so two failing
+    programs with the same name (``a/p.mrs`` and ``b/p.mrs``) never share a
+    file.
+    """
     out_dir = Path(config.out_dir)
     report.manifest_path = str(report.corpus.write_manifest(out_dir))
     failure_root = safe_artifact_path(out_dir, FAILURE_DIR)
     generator_config = (
         profile(config.size).to_json_dict() if config.count > 0 else None
     )
-    for result in report.results:
-        if result["ok"]:
-            continue
-        failing = next((v for v in result["verdicts"] if not v["ok"]), None)
+    by_digest = {program.digest: program for program in report.corpus.programs}
+    for result in report.failures:
+        program = by_digest[result["digest"]]
+        failing = next(v for v in result["verdicts"] if not v["ok"])
         result["artifact"] = write_repro_artifact(
             failure_root,
+            name=f"massrun_repro_{result['name']}_{result['digest'][:12]}",
             seed=result["seed"],
-            oracle=failing["oracle"] if failing else "unknown",
-            detail=failing["detail"] if failing else "",
-            source=next(
-                program.source
-                for program in report.corpus.programs
-                if program.digest == result["digest"]
-            ),
+            oracle=failing["oracle"],
+            detail=failing["detail"],
+            source=result.get("reduced_source", program.source),
             size=config.size,
-            crate_name=next(
-                program.crate_name
-                for program in report.corpus.programs
-                if program.digest == result["digest"]
-            ),
+            crate_name=program.crate_name,
+            original_loc=result["loc"],
             generator_config=generator_config if result["origin"] == "fuzz" else None,
-            name=f"massrun_repro_{result['name']}",
+            reduction=result.get("reduction"),
         )
     report_path = safe_artifact_path(out_dir, REPORT_NAME)
     report_path.write_text(
@@ -580,10 +636,18 @@ def gate_problems(report_data: dict) -> List[str]:
     return problems
 
 
-def render_mass_report(data: dict) -> str:
-    """The human-readable ``repro eval report`` rendering."""
-    from repro.fuzz.campaign import render_oracle_counts
+def render_oracle_counts(oracle_counts: Dict[str, dict]) -> List[str]:
+    """One line per oracle from a report's ``oracles`` mapping."""
+    lines = []
+    for name, counts in sorted(oracle_counts.items()):
+        fails = counts.get("fail", 0)
+        status = "ok" if fails == 0 else f"FAIL x{fails}"
+        lines.append(f"  {name:<22} pass {counts.get('pass', 0):>5}   {status}")
+    return lines
 
+
+def render_mass_report(data: dict) -> str:
+    """The human-readable ``repro eval run`` / ``repro eval report`` rendering."""
     corpus = data.get("corpus", {})
     timing = data.get("timing") or {}
     lines = [
@@ -608,14 +672,7 @@ def render_mass_report(data: dict) -> str:
     )
     lines.append("")
     lines.append("oracle battery:")
-    lines.extend(
-        render_oracle_counts(
-            {
-                oracle: {"pass": counts["pass"], "fail": counts["fail"]}
-                for oracle, counts in data.get("oracles", {}).items()
-            }
-        )
-    )
+    lines.extend(render_oracle_counts(data.get("oracles", {})))
     features = data.get("features", {})
     if features:
         lines.append("")
@@ -657,11 +714,16 @@ def render_mass_report(data: dict) -> str:
     failures = data.get("failures", [])
     if failures:
         lines.append("")
-        lines.append("failures:")
+        lines.append("failures (shrunk repros):")
         for failure in failures[:20]:
-            lines.append(
-                f"  {failure['name']} [{failure['oracle']}] {failure['detail']}"
+            reduction = failure.get("reduction")
+            shrunk = (
+                f"{reduction['original_loc']} -> {reduction['reduced_loc']} LOC"
+                if reduction
+                else "not shrunk"
             )
+            lines.append(f"  {failure['name']} [{failure['oracle']}] {shrunk}")
+            lines.append(f"    {failure['detail']}")
             if failure.get("artifact"):
                 lines.append(f"    replay: repro fuzz repro {failure['artifact']}")
         if len(failures) > 20:

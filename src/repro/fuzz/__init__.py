@@ -13,11 +13,13 @@ turns scenario diversity into a machine-checked property:
   interpreter-backed noninterference, focus-table agreement, MIR validity),
 * :mod:`repro.fuzz.reduce` — a delta-debugging shrinker that minimises a
   failing program while preserving the oracle verdict,
-* :mod:`repro.fuzz.campaign` — budgeted campaigns, JSON reports, corpus
-  export, and self-contained repro artifacts behind ``repro fuzz``.
+* :mod:`repro.fuzz.artifact` — the self-contained repro artifact format
+  and its replay (``repro fuzz repro ARTIFACT.json``).
+
+The batch runner that drives the battery over a corpus, shrinking each
+failure into an artifact, is :mod:`repro.eval.massrun` (``repro eval run``).
 """
 
-from repro.fuzz.campaign import CampaignConfig, CampaignReport, run_campaign
 from repro.fuzz.generator import (
     SIZE_PROFILES,
     GeneratedProgram,
@@ -33,8 +35,6 @@ from repro.fuzz.oracles import (
 from repro.fuzz.reduce import ReductionResult, shrink
 
 __all__ = [
-    "CampaignConfig",
-    "CampaignReport",
     "DEFAULT_ORACLES",
     "GeneratedProgram",
     "GeneratorConfig",
@@ -44,6 +44,5 @@ __all__ = [
     "generate_program",
     "generate_source",
     "run_battery",
-    "run_campaign",
     "shrink",
 ]

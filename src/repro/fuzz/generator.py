@@ -11,9 +11,9 @@ exclusively from one :class:`random.Random` stream over ordered pools, so a
 seed in a bug report replays the exact program anywhere.
 
 The generator also records a *feature histogram* per program (how many
-loops/borrows/extern calls/... were emitted), which campaigns aggregate so
-corpus diversity is measurable rather than asserted (``repro stats
---campaign``).
+loops/borrows/extern calls/... were emitted), which the mass-evaluation
+runner aggregates per feature so corpus diversity is measurable rather than
+asserted (``repro eval report``).
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class GeneratorConfig:
         return cls(**kwargs)  # type: ignore[arg-type]
 
 
-#: Named size profiles for campaigns (``repro fuzz --size``).
+#: Named size profiles for fuzz sweeps (``repro eval run --size``).
 SIZE_PROFILES: Dict[str, GeneratorConfig] = {
     "small": GeneratorConfig(),
     "medium": GeneratorConfig(
@@ -652,7 +652,7 @@ def generate(seed: int, config: Optional[GeneratorConfig] = None) -> GeneratedPr
 
 
 def generate_program(seed: int, config: Optional[GeneratorConfig] = None) -> GeneratedProgram:
-    """Alias of :func:`generate` (the name the CLI and campaigns use)."""
+    """Alias of :func:`generate` (the name the corpus sweeps use)."""
     return generate(seed, config)
 
 

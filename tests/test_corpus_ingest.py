@@ -208,7 +208,7 @@ def test_safe_artifact_path_never_escapes_root_via_absolute_name(tmp_path):
 def test_hostile_program_name_lands_inside_out_dir(tmp_path):
     # The end-to-end version of the guard: a corpus member whose *name*
     # attempts traversal still writes its failure artifact under out_dir.
-    from repro.fuzz.campaign import write_repro_artifact
+    from repro.fuzz.artifact import write_repro_artifact
 
     artifact = write_repro_artifact(
         tmp_path / "failures",

@@ -1,4 +1,5 @@
-"""End-to-end CLI coverage for `repro fuzz` and its satellites."""
+"""End-to-end CLI coverage for `repro fuzz repro` (artifact replay), fuzz
+sweep output directories and corpus export, and error surfacing."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fuzz.campaign import CampaignConfig, run_campaign
 
 
 def run_cli(*argv):
@@ -18,87 +18,53 @@ def run_cli(*argv):
 
 
 # ---------------------------------------------------------------------------
-# Campaign mode
+# Fuzz sweeps (`repro eval run --count N`)
 # ---------------------------------------------------------------------------
-
-
-def test_fuzz_campaign_all_oracles_pass(tmp_path):
-    code, output = run_cli(
-        "fuzz", "--seed", "0", "--count", "4", "--report-dir", str(tmp_path)
-    )
-    assert code == 0
-    assert "fuzz campaign: 4 programs" in output
-    for oracle in ("validate", "engine_equivalence", "cache_equality",
-                   "noninterference", "focus_agreement"):
-        assert oracle in output
-    report = json.loads((tmp_path / "fuzz_campaign.json").read_text())
-    assert report["generated"] == 4
-    assert report["failures"] == []
-    assert report["feature_histogram"]
-
-
-def test_fuzz_campaign_json_output(tmp_path):
-    code, output = run_cli(
-        "fuzz", "--seed", "0", "--count", "2", "--report-dir", str(tmp_path),
-        "--json",
-    )
-    assert code == 0
-    data = json.loads(output)
-    assert data["kind"] == "repro-fuzz-campaign"
-    assert data["oracle_counts"]["validate"]["pass"] == 2
 
 
 def test_fuzz_report_dir_is_created_idempotently(tmp_path):
     nested = tmp_path / "a" / "b" / "reports"
     for _ in range(2):  # second run re-writes into the existing directory
         code, _ = run_cli(
-            "fuzz", "--seed", "0", "--count", "1", "--report-dir", str(nested)
+            "eval", "run", "--seed", "0", "--count", "1", "--oracles", "validate",
+            "--out-dir", str(nested),
         )
         assert code == 0
-    assert (nested / "fuzz_campaign.json").exists()
+    assert (nested / "massrun_report.json").exists()
 
 
 def test_fuzz_export_corpus_writes_mrs_files(tmp_path):
     corpus_dir = tmp_path / "corpus"
     code, _ = run_cli(
-        "fuzz", "--seed", "5", "--count", "3",
-        "--report-dir", str(tmp_path), "--export-corpus", str(corpus_dir),
+        "eval", "run", "--seed", "5", "--count", "3", "--oracles", "validate",
+        "--out-dir", str(tmp_path / "out"), "--export-corpus", str(corpus_dir),
     )
     assert code == 0
     files = sorted(corpus_dir.glob("*.mrs"))
-    assert len(files) == 3
+    assert [path.stem for path in files] == [
+        "fuzz_small_seed5", "fuzz_small_seed6", "fuzz_small_seed7",
+    ]
     assert "crate fuzzed {" in files[0].read_text()
+    # The exported manifest is the run's own corpus manifest, so the
+    # directory re-ingests with its feature histograms intact.
+    assert (corpus_dir / "corpus_manifest.json").read_text() == (
+        tmp_path / "out" / "corpus_manifest.json"
+    ).read_text()
+
+
+# ---------------------------------------------------------------------------
+# Artifact replay (`repro fuzz repro`)
+# ---------------------------------------------------------------------------
 
 
 def test_fuzz_usage_error_on_bad_positional():
     code, output = run_cli("fuzz", "banana")
     assert code == 2
     assert "repro fuzz repro" in output
-
-
-# ---------------------------------------------------------------------------
-# Injected violations → shrunk artifact → replay
-# ---------------------------------------------------------------------------
-
-
-def test_injected_violation_is_shrunk_and_replayable(tmp_path):
-    code, output = run_cli(
-        "fuzz", "--seed", "0", "--count", "2", "--inject", "while_loop",
-        "--report-dir", str(tmp_path),
-    )
-    assert code == 1
-    assert "injected:while_loop" in output
-    artifacts = sorted(tmp_path.glob("fuzz_repro_seed*_injected_while_loop.json"))
-    assert len(artifacts) == 2
-
-    artifact = json.loads(artifacts[0].read_text())
-    assert artifact["kind"] == "repro-fuzz-artifact"
-    assert artifact["reduction"]["reduced_loc"] < artifact["reduction"]["original_loc"]
-
-    replay_code, replay_output = run_cli("fuzz", "repro", str(artifacts[0]))
-    assert replay_code == 0
-    assert "reproduced as recorded" in replay_output
-    assert "while" in replay_output  # the shrunk source is printed
+    # Without an artifact there is nothing to do: sweeps are `repro eval run`.
+    code, output = run_cli("fuzz")
+    assert code == 2
+    assert "repro eval run" in output
 
 
 def test_replay_of_fixed_artifact_exits_nonzero(tmp_path):
@@ -125,38 +91,11 @@ def test_replay_rejects_non_artifact_files(tmp_path):
     assert "not a repro fuzz artifact" in output
 
 
-# ---------------------------------------------------------------------------
-# `repro stats --campaign` (per-campaign aggregates)
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture()
-def campaign_report(tmp_path):
-    config = CampaignConfig(seed=0, count=3, report_dir=str(tmp_path))
-    report = run_campaign(config)
-    return report.report_path
-
-
-def test_stats_campaign_renders_feature_histogram(campaign_report):
-    code, output = run_cli("stats", "--campaign", campaign_report)
-    assert code == 0
-    assert "feature coverage over 3 generated programs" in output
-    assert "entry" in output
-    assert "oracle battery:" in output
-
-
-def test_stats_campaign_json(campaign_report):
-    code, output = run_cli("stats", "--campaign", campaign_report, "--json")
-    assert code == 0
-    data = json.loads(output)
-    assert data["generated"] == 3
-    assert data["feature_histogram"]["entry"] >= 3
-
-
-def test_stats_without_file_or_campaign_is_a_clean_error():
-    code, output = run_cli("stats")
-    assert code == 2
-    assert "--campaign" in output
+def test_stats_without_file_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("stats")
+    assert exit_info.value.code == 2
+    assert "file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.fuzz.oracles import (
     run_battery,
 )
 
-SWEEP = 10  # tier-1 sweep; CI's fuzz-smoke job runs the full 200
+SWEEP = 10  # tier-1 sweep; CI's mass-eval-smoke job runs 500
 
 
 # ---------------------------------------------------------------------------

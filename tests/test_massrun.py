@@ -76,20 +76,41 @@ def test_empty_corpus_raises():
         run_mass_evaluation(MassRunConfig(count=0))
 
 
+def _artifact_sources(data: dict) -> list:
+    return [
+        json.loads(Path(failure["artifact"]).read_text(encoding="utf-8"))["source"]
+        for failure in data["failures"]
+    ]
+
+
 @requires_fork
 def test_parallel_and_serial_agree_on_everything_nonvolatile(tmp_path):
-    serial = run_mass_evaluation(MassRunConfig(count=4, seed=0, workers=0))
-    parallel = run_mass_evaluation(
-        MassRunConfig(count=4, seed=0, workers=2, chunk_size=2)
-    )
-    assert (parallel.mode, parallel.fanout_error) == ("parallel", None)
-    serial_data = strip_volatile(serial.to_json_dict())
-    parallel_data = strip_volatile(parallel.to_json_dict())
-    # The worker count is honest config, not volatility; all *results*
-    # (verdicts, digests, buckets, failures) must be identical.
-    serial_data.pop("config")
-    parallel_data.pop("config")
-    assert serial_data == parallel_data
+    # The second input fails every program, so shrinking runs inside the
+    # pool workers and its reductions must match the serial run's too.
+    for inject in (None, "while_loop"):
+        runs = {}
+        for workers in (0, 2):
+            out_dir = tmp_path / f"{inject}-{workers}"
+            runs[workers] = run_mass_evaluation(
+                MassRunConfig(
+                    count=4, seed=0, workers=workers, chunk_size=2,
+                    inject=inject, out_dir=str(out_dir),
+                )
+            )
+        serial, parallel = runs[0], runs[2]
+        assert (parallel.mode, parallel.fanout_error) == ("parallel", None)
+        serial_data = strip_volatile(serial.to_json_dict())
+        parallel_data = strip_volatile(parallel.to_json_dict())
+        # The worker count is honest config, not volatility; all *results*
+        # (verdicts, digests, buckets, failures, reductions) must be identical.
+        serial_data.pop("config")
+        parallel_data.pop("config")
+        assert serial_data == parallel_data
+        assert len(serial_data["failures"]) == (4 if inject else 0)
+        assert all(failure["reduction"] for failure in serial_data["failures"])
+        assert _artifact_sources(serial.to_json_dict()) == _artifact_sources(
+            parallel.to_json_dict()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +213,13 @@ def test_injected_oracle_fails_gate_with_replayable_artifacts(tmp_path):
     assert len(data["failures"]) == 3
     problems = gate_problems(data)
     assert any("injected:while_loop" in problem for problem in problems)
-    from repro.fuzz.campaign import replay_artifact
+    from repro.fuzz.artifact import replay_artifact
 
     for failure in data["failures"]:
         artifact = Path(failure["artifact"])
         assert artifact.is_relative_to(tmp_path)
+        assert failure["digest"][:12] in artifact.name
+        assert failure["reduction"]["reduced_loc"] < failure["reduction"]["original_loc"]
         assert replay_artifact(artifact).reproduced
 
 
@@ -222,6 +245,9 @@ def test_front_end_crash_is_a_verdict_not_an_exception():
     )
     assert not result["ok"]
     assert result["verdicts"][0]["oracle"] == "validate"
+    # Nothing structured is left to remove, so shrinking is a no-op.
+    assert result["reduction"]["probes"] == 0
+    assert result["reduced_source"] == "fn main( {"
 
 
 # ---------------------------------------------------------------------------
