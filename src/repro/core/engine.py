@@ -176,10 +176,6 @@ class RecursiveSummaryProvider(CallSummaryProvider):
         return summary
 
 
-# Backwards-compatible alias for the pre-service private name.
-_RecursiveSummaryProvider = RecursiveSummaryProvider
-
-
 @dataclass
 class ProgramFlowResult:
     """Results of analysing every function of the local crate."""

@@ -57,6 +57,7 @@ from repro.fuzz.oracles import (
     INJECTED_ORACLES,
     OracleVerdict,
     first_failure,
+    oracle_names as battery_oracle_names,
     run_battery,
 )
 from repro.fuzz.reduce import ReductionResult, shrink
@@ -543,7 +544,9 @@ def _write_outputs(report: MassRunReport, config: MassRunConfig) -> None:
 
     Artifact stems carry the program's digest prefix, so two failing
     programs with the same name (``a/p.mrs`` and ``b/p.mrs``) never share a
-    file.
+    file.  Only a battery oracle's failure gets an artifact, because replay
+    re-runs that oracle; a probe crash (``snapshot``) stays a report row
+    with ``artifact: null``.
     """
     out_dir = Path(config.out_dir)
     report.manifest_path = str(report.corpus.write_manifest(out_dir))
@@ -552,9 +555,12 @@ def _write_outputs(report: MassRunReport, config: MassRunConfig) -> None:
         profile(config.size).to_json_dict() if config.count > 0 else None
     )
     by_digest = {program.digest: program for program in report.corpus.programs}
+    replayable = set(battery_oracle_names(include_injected=True))
     for result in report.failures:
         program = by_digest[result["digest"]]
         failing = next(v for v in result["verdicts"] if not v["ok"])
+        if failing["oracle"] not in replayable:
+            continue
         result["artifact"] = write_repro_artifact(
             failure_root,
             name=f"massrun_repro_{result['name']}_{result['digest'][:12]}",

@@ -1,16 +1,20 @@
 """Call graph construction over lowered MIR bodies.
 
-The whole-program analysis variant (Section 5's ``Whole-program`` condition)
-recurses into callee definitions; the call graph provides the reachability
-and cycle information needed to bound that recursion.  The evaluation harness
-also uses it to build the deep-call-graph performance workload (the
-``GameEngine::render`` style case from Section 5.1).
+The incremental service keys each function's cached results by its callees
+(:class:`~repro.service.cache.FingerprintIndex`) and walks the reverse edges
+to find what an edit invalidates (:mod:`repro.service.invalidate`).  The graph
+does not bound the whole-program analysis's recursion into callee bodies
+(Section 5's ``Whole-program`` condition): the engine's
+:class:`~repro.core.engine.RecursiveSummaryProvider` does, with its
+in-progress set on call cycles and its depth budget on long chains.  The
+evaluation harness also uses the graph to size the deep-call-graph
+performance workload (the ``GameEngine::render`` style case from Section 5.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.mir.ir import Body, CallTerminator
 from repro.mir.lower import LoweredProgram
@@ -81,38 +85,6 @@ class CallGraph:
             seen.add(current)
             stack.extend(self.edges.get(current, []))
         return seen
-
-    def transitive_call_count(self, name: str) -> int:
-        """Number of distinct functions reachable from ``name`` (excluding it)."""
-        return len(self.reachable_from(name)) - 1
-
-    def in_cycle(self, name: str) -> bool:
-        """Whether ``name`` participates in a call cycle (including self-recursion)."""
-        for callee in self.edges.get(name, []):
-            if callee == name:
-                return True
-            if name in self.reachable_from(callee):
-                return True
-        return False
-
-    def topological_order(self) -> List[str]:
-        """Callees-before-callers order; cycles are broken arbitrarily."""
-        visited: Dict[str, int] = {}
-        order: List[str] = []
-
-        def visit(node: str) -> None:
-            state = visited.get(node, 0)
-            if state != 0:
-                return
-            visited[node] = 1
-            for callee in self.edges.get(node, []):
-                visit(callee)
-            visited[node] = 2
-            order.append(node)
-
-        for node in sorted(self.nodes):
-            visit(node)
-        return order
 
 
 def calls_in_body(body: Body) -> List[str]:

@@ -45,7 +45,6 @@ _HELP_TEXTS = {
     "lock_hold_seconds": "Time a workspace lock was held, by mode.",
     "server_inflight": "Requests currently executing in the socket server.",
     "server_connections": "Open socket connections.",
-    "scheduler_wave_size": "Functions per SCC wave scheduled by the batch scheduler.",
     "scheduler_batches_total": "Batches run by the batch scheduler.",
     "scheduler_fallbacks_total": "Process-pool fan-outs that fell back to serial on a pool failure.",
     "massrun_programs_total": "Mass-evaluation programs processed, by verdict.",

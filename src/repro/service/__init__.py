@@ -10,8 +10,9 @@ library into a long-lived service that exploits that modularity:
 * :mod:`repro.service.invalidate` — call-graph-aware invalidation: an edit
   evicts exactly the functions whose results could change (just the edited
   function under the modular condition — the paper's modularity payoff),
-* :mod:`repro.service.scheduler` — a topological batch scheduler that
-  analyses functions callees-first in SCC waves,
+* :mod:`repro.service.scheduler` — the batch scheduler, one pass that
+  analyses every local function into the store (``warm``), and the
+  process-pool fan-out mass evaluation runs on,
 * :mod:`repro.service.session` — the :class:`AnalysisSession` façade owning a
   mutable workspace of MiniRust sources and answering analyze/slice/ifc
   queries through the cache,
@@ -43,7 +44,7 @@ from repro.service.persist import (
     open_or_create_workspace,
     save_workspace,
 )
-from repro.service.scheduler import BatchResult, BatchScheduler, schedule_waves
+from repro.service.scheduler import BatchResult, BatchScheduler
 from repro.service.session import AnalysisSession
 from repro.service.protocol import AnalysisService, serve
 from repro.service.server import (
@@ -78,6 +79,5 @@ __all__ = [
     "open_or_create_workspace",
     "plan_invalidation",
     "save_workspace",
-    "schedule_waves",
     "serve",
 ]

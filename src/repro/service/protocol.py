@@ -36,7 +36,6 @@ to open-and-analyze in one round trip.  See ``docs/OBSERVABILITY.md``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from typing import IO, Optional
@@ -92,17 +91,30 @@ def count_request(method, protocol: str, response: dict) -> None:
     ).inc()
 
 
+# The paper's three evaluation conditions are the only flags a request sets.
+CONDITION_FLAGS = ("whole_program", "mut_blind", "ref_blind")
+
+
 def condition_from_params(params: dict) -> Optional[AnalysisConfig]:
-    """Build an :class:`AnalysisConfig` from a request's ``condition`` block."""
+    """Build an :class:`AnalysisConfig` from a request's ``condition`` block.
+
+    Each key must be one of :data:`CONDITION_FLAGS` and each value a JSON
+    boolean; anything else is a :class:`ProtocolError`, raised before any
+    engine exists for the condition.
+    """
     condition = params.get("condition")
     if condition is None:
         return None
     if not isinstance(condition, dict):
         raise ProtocolError("`condition` must be an object of boolean flags")
-    known = {f.name for f in dataclasses.fields(AnalysisConfig)}
-    unknown = set(condition) - known
+    unknown = set(condition) - set(CONDITION_FLAGS)
     if unknown:
         raise ProtocolError(f"unknown condition flags: {sorted(unknown)}")
+    for flag, value in condition.items():
+        if type(value) is not bool:
+            raise ProtocolError(
+                f"condition flag {flag!r} must be true or false, got {json.dumps(value)}"
+            )
     return AnalysisConfig(**condition)
 
 
@@ -233,6 +245,7 @@ class AnalysisService:
         return self.session.close_unit(str(params.get("unit", "main")))
 
     def _method_analyze(self, params: dict) -> dict:
+        config = condition_from_params(params)
         source = params.get("source")
         if source is not None:
             # Open-and-analyze in one request: the single round trip whose
@@ -242,10 +255,7 @@ class AnalysisService:
             if not isinstance(source, str):
                 raise ProtocolError("`source` must be a string when present")
             self._method_open(params)
-        return self.session.analyze(
-            function=params.get("function"),
-            config=condition_from_params(params),
-        )
+        return self.session.analyze(function=params.get("function"), config=config)
 
     def _method_slice(self, params: dict) -> dict:
         function = params.get("function")

@@ -582,7 +582,8 @@ class AnalysisSession:
         }
 
     def warm(self, config: Optional[AnalysisConfig] = None) -> dict:
-        """Batch-analyse the whole workspace into the store, callees first."""
+        """Batch-analyse every local function into the store, in one pass;
+        functions the store already holds are served from it."""
         config = config or MODULAR
         engine = self.engine(config)
         with self._compute_lock:

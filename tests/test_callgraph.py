@@ -47,20 +47,6 @@ def test_reachability_and_transitive_count():
     cg, _ = graph()
     reachable = cg.reachable_from("top")
     assert {"top", "middle", "leaf", "ext"} == reachable
-    assert cg.transitive_call_count("top") == 3
-    assert cg.transitive_call_count("leaf") == 0
-
-
-def test_cycle_detection_for_recursion():
-    cg, _ = graph()
-    assert cg.in_cycle("looper")
-    assert not cg.in_cycle("top")
-
-
-def test_topological_order_places_callees_first():
-    cg, _ = graph()
-    order = cg.topological_order()
-    assert order.index("leaf") < order.index("middle") < order.index("top")
 
 
 def test_calls_in_body_lists_terminator_targets():

@@ -250,6 +250,33 @@ def test_front_end_crash_is_a_verdict_not_an_exception():
     assert result["reduced_source"] == "fn main( {"
 
 
+def test_probe_crash_fails_the_run_without_an_unreplayable_artifact(
+    tmp_path, monkeypatch
+):
+    # A crash in the snapshot/precision probes fails the program under the
+    # name "snapshot", which is no battery oracle: replay could not re-run
+    # it, so the row is reported with no artifact.
+    import repro.eval.massrun as massrun
+
+    def crashing_probes(*args):
+        raise RuntimeError("probe blew up")
+
+    monkeypatch.setattr(massrun, "_verdict_probes", crashing_probes)
+    report = run_mass_evaluation(
+        MassRunConfig(
+            count=1, seed=0, workers=0, oracles=["validate"], out_dir=str(tmp_path)
+        )
+    )
+    data = report.to_json_dict()
+    assert not report.passed()
+    assert any("snapshot" in problem for problem in gate_problems(data))
+    [failure] = data["failures"]
+    assert failure["oracle"] == "snapshot"
+    assert "probe blew up" in failure["detail"]
+    assert failure["artifact"] is None
+    assert list((tmp_path / "failures").glob("*.json")) == []
+
+
 # ---------------------------------------------------------------------------
 # Ledger integration
 # ---------------------------------------------------------------------------

@@ -32,13 +32,34 @@ class TestConditionParsing:
         config = condition_from_params({"condition": {"whole_program": True}})
         assert config.whole_program and not config.mut_blind
 
+    # (condition, the key its error must name): only the paper's three flags,
+    # each a JSON boolean, are accepted.
+    INVALID_CONDITIONS = [
+        ({"bogus": True}, "bogus"),
+        ({"whole_program": "no"}, "whole_program"),
+        ({"mut_blind": None}, "mut_blind"),
+        ({"ref_blind": 1}, "ref_blind"),
+        ({"max_whole_program_depth": -1, "whole_program": True}, "max_whole_program_depth"),
+        ({"max_whole_program_depth": "x", "whole_program": True}, "max_whole_program_depth"),
+        ({"engine": "object"}, "engine"),
+    ]
+
     def test_unknown_flag_rejected(self):
         service = AnalysisService()
-        response = service.handle(
-            {"id": 9, "method": "analyze", "params": {"condition": {"bogus": True}}}
-        )
-        assert not response["ok"]
-        assert "bogus" in response["error"]
+        service.handle({"id": 1, "method": "open", "params": {"source": GET_COUNT_SOURCE}})
+        assert service.handle({"id": 2, "method": "warm"})["ok"]
+        engines = dict(service.session._engines)
+        for condition, key in self.INVALID_CONDITIONS:
+            for method in ("analyze", "warm"):
+                line = json.dumps(
+                    {"id": 9, "method": method, "params": {"condition": condition}}
+                )
+                response = service.handle_line(line)
+                assert not response["ok"], (method, condition)
+                assert response["error_code"] == "protocol_error", (method, condition)
+                assert key in response["error"], (method, condition)
+                # Refused before the session made an engine for the condition.
+                assert service.session._engines == engines, (method, condition)
 
 
 class TestServeLoop:

@@ -1,18 +1,25 @@
-"""Tests for the topological batch scheduler and the shard fan-out."""
+"""Tests for the batch scheduler's one pass over a program's local
+functions, and for the shard fan-out."""
 
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
-from helpers import lowered_from, requires_fork
+from helpers import requires_fork
 
-from repro.core.config import MODULAR, WHOLE_PROGRAM
+from repro.core.analysis import FunctionFlowAnalysis
+from repro.core.config import MODULAR, WHOLE_PROGRAM, AnalysisConfig
 from repro.core.engine import FlowEngine
+from repro.eval.perf import deep_call_graph_program
+from repro.lang.parser import parse_program
+from repro.lang.typeck import check_program
 from repro.mir.callgraph import build_call_graph
+from repro.mir.lower import lower_program
 from repro.obs import get_registry
-from repro.service.cache import FingerprintIndex, SummaryStore
-from repro.service.scheduler import BatchScheduler, map_shards, schedule_waves
+from repro.service.cache import FingerprintIndex, StoreBackedSummaryProvider, SummaryStore
+from repro.service.scheduler import BatchScheduler, map_shards
 
 
 CHAIN_SOURCE = """
@@ -48,30 +55,14 @@ fn top(x: u32) -> u32 {
 """
 
 
-def engine_for(source, config=MODULAR):
-    checked, lowered = lowered_from(source)
+def engine_for(source, config=MODULAR, local_crate="main"):
+    checked = check_program(parse_program(source, local_crate=local_crate))
+    lowered = lower_program(checked)
     engine = FlowEngine(checked, lowered=lowered, config=config)
     fingerprints = FingerprintIndex(
         lowered, checked.signatures, checked.program.local_crate, build_call_graph(lowered)
     )
     return engine, fingerprints
-
-
-class TestScheduleWaves:
-    def test_callees_come_before_callers(self):
-        engine, _ = engine_for(CHAIN_SOURCE)
-        waves = schedule_waves(engine.call_graph, ["root", "mid", "leaf", "lone"])
-        assert waves == [["leaf", "lone"], ["mid"], ["root"]]
-
-    def test_cycle_collapses_into_one_wave(self):
-        engine, _ = engine_for(CYCLE_SOURCE)
-        waves = schedule_waves(engine.call_graph, ["top", "ping", "pong"])
-        assert waves == [["ping", "pong"], ["top"]]
-
-    def test_subset_only_constrained_by_in_batch_deps(self):
-        engine, _ = engine_for(CHAIN_SOURCE)
-        # leaf is not in the batch, so mid has no in-batch dependency.
-        assert schedule_waves(engine.call_graph, ["root", "mid"]) == [["mid"], ["root"]]
 
 
 class TestSerialRuns:
@@ -105,6 +96,69 @@ class TestSerialRuns:
         assert result.mode == "serial"
         assert result.to_json_dict()["mode"] == "serial"
         assert "error" not in result.to_json_dict()
+
+
+WALK_ORDER_PROGRAMS = {
+    "chain": (CHAIN_SOURCE, "main"),
+    "cycle": (CYCLE_SOURCE, "main"),
+    "deep": (deep_call_graph_program(depth=4), "engine"),
+}
+WALK_ORDER_CONDITIONS = {
+    "modular": MODULAR,
+    "whole_program": WHOLE_PROGRAM,
+    "whole_program_depth2": AnalysisConfig(whole_program=True, max_whole_program_depth=2),
+}
+
+
+def _walk(source, local_crate, config, order):
+    """One batch over a fresh store, through a store-backed engine whose
+    local functions come in ``order`` (a function of the sorted names).
+
+    Returns each function's stored record and the names of the functions
+    whose fixpoint ran, callee summaries included, sorted.
+    """
+    engine, fingerprints = engine_for(source, config=config, local_crate=local_crate)
+    store = SummaryStore()
+    engine.set_provider(StoreBackedSummaryProvider(engine, store, fingerprints))
+    names = order(engine.local_function_names())
+    runs = []
+    real_run = FunctionFlowAnalysis.run
+
+    def counting_run(analysis):
+        runs.append(analysis.body.fn_name)
+        return real_run(analysis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "local_function_names", lambda: names)
+        patch.setattr(FunctionFlowAnalysis, "run", counting_run)
+        batch = BatchScheduler().run(engine, store=store, fingerprints=fingerprints)
+    assert list(batch.records) == names
+    records = {name: store.get(fingerprints.record_key(name, config)) for name in names}
+    return records, sorted(runs)
+
+
+def _shuffled(names):
+    names = list(names)
+    random.Random(21).shuffle(names)
+    return names
+
+
+@pytest.mark.parametrize("condition", WALK_ORDER_CONDITIONS, ids=str)
+@pytest.mark.parametrize("program", WALK_ORDER_PROGRAMS, ids=str)
+def test_walk_order_changes_no_record_and_no_work(program, condition):
+    # Why warm() may walk the local functions in any one order: callers read
+    # only callee signatures (modular) or memoised complete callee summaries
+    # (whole-program), so neither the records nor the fixpoint runs depend
+    # on which function comes first.
+    source, local_crate = WALK_ORDER_PROGRAMS[program]
+    config = WALK_ORDER_CONDITIONS[condition]
+    orders = (sorted, lambda names: sorted(names, reverse=True), _shuffled)
+    walks = [_walk(source, local_crate, config, order) for order in orders]
+    records, runs = walks[0]
+    assert len(records) >= 3
+    for other_records, other_runs in walks[1:]:
+        assert other_records == records
+        assert other_runs == runs
 
 
 def _double_chunk(chunk):
