@@ -196,14 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["quiet", "info", "debug"],
                            help="socket mode: access-log verbosity (one structured "
                                 "line per request to stderr; default quiet)")
-    serve_cmd.add_argument("--slowlog-threshold-ms", type=float, default=None,
-                           help="socket mode: retain trace exemplars for requests "
-                                "slower than this (default: adaptive rolling p99)")
-    serve_cmd.add_argument("--slowlog-capacity", type=int, default=32,
-                           help="socket mode: slow-request ring buffer size")
-    serve_cmd.add_argument("--no-slowlog", action="store_true",
-                           help="socket mode: disable the slow-request log "
-                                "(and its per-request tracing)")
     serve_cmd.add_argument("--trace-dir",
                            help="socket mode: write one rotated Chrome-trace JSON "
                                 "file per request into this directory")
@@ -337,28 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_cmd.add_argument("--port", type=int, required=True)
     metrics_cmd.add_argument("--prometheus", action="store_true",
                              help="Prometheus text exposition instead of JSON")
-    metrics_cmd.add_argument("--slowlog", action="store_true",
-                             help="fetch the slow-request log instead of metrics")
-    metrics_cmd.add_argument("--health", action="store_true",
-                             help="fetch the health summary instead of metrics")
-    metrics_cmd.add_argument("--limit", type=int, default=None,
-                             help="with --slowlog: at most N entries")
-    metrics_cmd.add_argument("--no-traces", action="store_true",
-                             help="with --slowlog: omit the span-tree exemplars")
-
-    top_cmd = sub.add_parser(
-        "top",
-        help="live terminal dashboard of a running `repro serve --port` server",
-    )
-    top_cmd.add_argument("--host", default="127.0.0.1")
-    top_cmd.add_argument("--port", type=int, required=True)
-    top_cmd.add_argument("--interval", type=float, default=2.0,
-                         help="seconds between frames (default: 2)")
-    top_cmd.add_argument("--frames", type=int, default=None,
-                         help="render N frames then exit (default: until ^C)")
-    top_cmd.add_argument("--no-clear", action="store_true",
-                         help="do not clear the screen between frames "
-                              "(scripted/log-friendly output)")
 
     sub.add_parser("version", help="print the package version")
 
@@ -636,9 +606,6 @@ def _serve_socket(args: argparse.Namespace, out) -> int:
         default_workspace=args.workspace,
         log_level=args.log_level,
         trace_dir=args.trace_dir,
-        slowlog=not args.no_slowlog,
-        slowlog_threshold_ms=args.slowlog_threshold_ms,
-        slowlog_capacity=args.slowlog_capacity,
     )
     if args.file is not None:
         handle = server.registry.handle(args.workspace)
@@ -679,9 +646,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         return _serve_socket(args, out)
 
     for flag, value in (("--log-level", args.log_level if args.log_level != "quiet" else None),
-                        ("--trace-dir", args.trace_dir),
-                        ("--slowlog-threshold-ms", args.slowlog_threshold_ms),
-                        ("--no-slowlog", args.no_slowlog or None)):
+                        ("--trace-dir", args.trace_dir)):
         if value:
             raise ReproError(
                 f"{flag} is a socket-mode flag and has no effect without --port"
@@ -850,22 +815,12 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace, out) -> int:
-    """Scrape a live socket server: ``metrics``, ``--slowlog``, or ``--health``."""
+    """Scrape a live socket server's ``metrics`` method."""
     import json
     import socket as socket_module
 
     from repro.obs.export import render_prometheus
 
-    if args.slowlog and args.health:
-        raise ReproError("--slowlog and --health are mutually exclusive")
-    request: dict = {"id": 1, "method": "metrics"}
-    if args.slowlog:
-        params: dict = {"traces": not args.no_traces}
-        if args.limit is not None:
-            params["limit"] = args.limit
-        request = {"id": 1, "method": "slowlog", "params": params}
-    elif args.health:
-        request = {"id": 1, "method": "health"}
     try:
         conn = socket_module.create_connection((args.host, args.port), timeout=10.0)
     except OSError as error:
@@ -879,32 +834,18 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
         if "hello" not in hello:
             out.write(f"error: unexpected greeting: {hello}\n")
             return 2
-        wfile.write(json.dumps(request) + "\n")
+        wfile.write(json.dumps({"id": 1, "method": "metrics"}) + "\n")
         wfile.flush()
         response = json.loads(rfile.readline())
     if not response.get("ok"):
         out.write(f"error: {response.get('error')}\n")
         return 2
     result = response["result"]
-    if args.prometheus and not (args.slowlog or args.health):
+    if args.prometheus:
         out.write(render_prometheus(result))
     else:
         out.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
     return 0
-
-
-def cmd_top(args: argparse.Namespace, out) -> int:
-    """Live fleet dashboard against a running socket server."""
-    from repro.obs.dashboard import run_top
-
-    return run_top(
-        args.host,
-        args.port,
-        interval=args.interval,
-        frames=args.frames,
-        out=out,
-        clear=not args.no_clear,
-    )
 
 
 def cmd_bench(args: argparse.Namespace, out) -> int:
@@ -1003,7 +944,6 @@ _HANDLERS = {
     "bench": cmd_bench,
     "eval": cmd_eval,
     "metrics": cmd_metrics,
-    "top": cmd_top,
     "workspace": cmd_workspace,
     "version": cmd_version,
     "query": cmd_query,

@@ -11,15 +11,8 @@ Three pieces, one import surface:
 * :mod:`repro.obs.export` — Prometheus text exposition, Chrome trace-event
   JSON, and rotated per-request trace files.
 
-Plus the performance observatory built on top of them:
-
-* :mod:`repro.obs.history` — the append-only benchmark ledger behind
-  ``repro bench`` and its regression verdicts.
-* :mod:`repro.obs.slowlog` — tail-sampled slow-request exemplars and the
-  per-method health windows behind the server's ``slowlog``/``health``
-  methods.
-* :mod:`repro.obs.dashboard` — the ``repro top`` terminal dashboard frames
-  built from a live server's metrics/health/slowlog responses.
+Plus :mod:`repro.obs.history`, the append-only benchmark ledger behind
+``repro bench`` and its regression verdicts.
 
 The span tree is the one way this package attributes time: span
 self-times sum exactly to the root duration.  For per-function detail, run
@@ -50,7 +43,6 @@ from repro.obs.metrics import (
     series_name,
     snapshot_delta,
 )
-from repro.obs.slowlog import HealthTracker, SlowLog
 from repro.obs.state import is_enabled, set_enabled
 from repro.obs.trace import (
     Span,
@@ -66,11 +58,9 @@ from repro.obs.export import help_text, register_help
 
 __all__ = [
     "BenchRecord",
-    "HealthTracker",
     "HistoryLedger",
     "MetricPolicy",
     "MetricsRegistry",
-    "SlowLog",
     "Span",
     "Trace",
     "active_span",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -36,10 +37,31 @@ MANIFEST_FORMAT = 1
 
 PathLike = Union[str, Path]
 
+# A workspace name is one directory under the persist dir: no separator, and
+# no leading dot, so neither ``..`` nor an absolute path can leave it.
+WORKSPACE_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9._-]{0,127}")
+
+
+def check_workspace_name(name: object) -> str:
+    """Return ``name`` if it is a valid workspace name.
+
+    Workspace names arrive from clients and from the command line, and each
+    one becomes a directory under ``--persist-dir``.  Anything but a string
+    matching :data:`WORKSPACE_NAME` raises :class:`QueryError` with code
+    ``invalid_params``.
+    """
+    if not isinstance(name, str) or WORKSPACE_NAME.fullmatch(name) is None:
+        raise QueryError(
+            f"invalid workspace name {name!r}: use 1-128 of A-Z a-z 0-9 . _ -, "
+            "starting with a letter, digit or underscore",
+            code=QueryError.INVALID_PARAMS,
+        )
+    return name
+
 
 def workspace_dir(persist_dir: PathLike, name: str = "default") -> Path:
     """The directory holding one named workspace's manifest and cache tier."""
-    return Path(persist_dir) / name
+    return Path(persist_dir) / check_workspace_name(name)
 
 
 def cache_dir(persist_dir: PathLike, name: str = "default") -> Path:

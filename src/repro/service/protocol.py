@@ -22,9 +22,9 @@ does too, and so does a line over :data:`MAX_REQUEST_CHARS`, after its
 Methods: ``open``, ``update``, ``close``, ``analyze``, ``slice``, ``focus``,
 ``ifc``, ``warm``, ``stats``, ``metrics``, ``version``, ``ping``,
 ``shutdown``.  The concurrent front door (:mod:`repro.service.server`)
-serves the same protocol on sockets and adds the mux-level ``workspace``,
-``slowlog`` and ``health`` methods.  ``docs/PROTOCOL.md`` documents every
-request/response shape with replayable transcripts.
+serves the same protocol on sockets and adds the mux-level ``workspace``
+method.  ``docs/PROTOCOL.md`` documents every request/response shape with
+replayable transcripts.
 
 Telemetry: every response carries a ``trace_id``, including the
 ``parse_error`` answer to a line that is not a JSON object (counted as a
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import IO, Optional
+from typing import IO, List, Optional
 
 from repro.core.config import AnalysisConfig
 from repro.errors import QueryError, ReproError
@@ -116,6 +116,18 @@ def condition_from_params(params: dict) -> Optional[AnalysisConfig]:
                 f"condition flag {flag!r} must be true or false, got {json.dumps(value)}"
             )
     return AnalysisConfig(**condition)
+
+
+def _string_list_param(params: dict, key: str) -> List[str]:
+    """``params[key]`` as a list of strings; absent means empty.
+
+    Anything but a JSON array of strings is a :class:`ProtocolError` naming
+    the key: a bare string would otherwise be read one character at a time.
+    """
+    value = params.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ProtocolError(f"`{key}` must be an array of strings")
+    return value
 
 
 class AnalysisService:
@@ -295,9 +307,9 @@ class AnalysisService:
 
     def _method_ifc(self, params: dict) -> dict:
         return self.session.ifc(
-            secret_types=[str(t) for t in params.get("secret_types", [])],
-            secret_variables=[str(v) for v in params.get("secret_variables", [])],
-            sinks=[str(s) for s in params.get("sinks", [])],
+            secret_types=_string_list_param(params, "secret_types"),
+            secret_variables=_string_list_param(params, "secret_variables"),
+            sinks=_string_list_param(params, "sinks"),
             config=condition_from_params(params),
         )
 

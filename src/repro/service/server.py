@@ -40,9 +40,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import QueryError
 from repro.obs import get_registry, new_trace_id, start_trace
 from repro.obs.export import TraceDirWriter
-from repro.obs.slowlog import HealthTracker, SlowLog
 from repro.service.locks import RWLock
-from repro.service.persist import has_workspace, open_or_create_workspace, save_workspace
+from repro.service.persist import (
+    check_workspace_name,
+    has_workspace,
+    open_or_create_workspace,
+    save_workspace,
+)
 from repro.service.protocol import (
     MAX_REQUEST_CHARS,
     AnalysisService,
@@ -65,10 +69,6 @@ ACCESS_LOG = logging.getLogger("repro.access")
 # Methods that mutate the shared workspace and therefore take the write side
 # of the session's RW lock; everything else is a concurrent read.
 NDJSON_WRITE_METHODS = frozenset({"open", "update", "close", "warm"})
-
-# Sentinel default for ConnectionHandler's slow_log/health parameters:
-# "create a private instance" — distinct from an explicit None ("disabled").
-_CREATE: object = object()
 
 
 def is_write_request(message: dict) -> bool:
@@ -214,17 +214,11 @@ class ConnectionHandler:
     workspace session and wraps each dispatch in the workspace's read or
     write lock according to the method.
 
-    Three mux-level methods exist on top of the service's own:
+    One mux-level method exists on top of the service's own:
     ``{"method": "workspace", "params": {"name": ...}}`` switches this
     connection to another (shared) workspace — the name must be live or
     saved unless ``"create": true`` is passed (so a typo cannot silently
     spawn an empty workspace); without ``name`` it reports the current one.
-    ``{"method": "slowlog"}`` returns the retained slow-request exemplars
-    (tail-based trace sampling — see :mod:`repro.obs.slowlog`), and
-    ``{"method": "health"}`` the uptime/error-rate/per-method-latency
-    summary.  Both read state shared across every connection when the
-    server injects its ``slow_log``/``health``; a directly-constructed
-    handler gets private instances so the mux is self-contained.
     """
 
     def __init__(
@@ -234,17 +228,11 @@ class ConnectionHandler:
         on_mutation: Optional[Callable[[SessionHandle], None]] = None,
         log_level: str = "quiet",
         trace_writer: Optional[TraceDirWriter] = None,
-        slow_log: Optional[SlowLog] = _CREATE,
-        health: Optional[HealthTracker] = _CREATE,
-        server_stats: Optional[Callable[[], dict]] = None,
     ):
         self.registry = registry
         self.on_mutation = on_mutation if on_mutation is not None else registry.note_mutation
         self.log_level = log_level
         self.trace_writer = trace_writer
-        self.slow_log = SlowLog() if slow_log is _CREATE else slow_log
-        self.health = HealthTracker() if health is _CREATE else health
-        self.server_stats = server_stats
         self._bind(registry.handle(workspace))
 
     def _bind(self, handle: SessionHandle) -> None:
@@ -269,7 +257,10 @@ class ConnectionHandler:
         params = request.get("params") or {}
         name = params.get("name") if isinstance(params, dict) else None
         if name is not None:
-            name = str(name)
+            try:
+                check_workspace_name(name)
+            except QueryError as error:
+                return error_response(request.get("id"), str(error), error.code)
             if not params.get("create") and not self.registry.exists(name):
                 return error_response(
                     request.get("id"),
@@ -299,53 +290,12 @@ class ConnectionHandler:
             }
         return {"id": request.get("id"), "ok": True, "result": result}
 
-    def _slowlog_response(self, request: dict) -> dict:
-        if self.slow_log is None:
-            return error_response(
-                request.get("id"),
-                "slow-request log disabled on this server",
-                "slowlog_disabled",
-            )
-        params = request.get("params") or {}
-        limit = params.get("limit") if isinstance(params, dict) else None
-        include = params.get("traces", True) if isinstance(params, dict) else True
-        return {
-            "id": request.get("id"),
-            "ok": True,
-            "result": self.slow_log.snapshot(
-                limit=int(limit) if isinstance(limit, int) else None,
-                include_traces=bool(include),
-            ),
-        }
-
-    def _health_response(self, request: dict) -> dict:
-        extra = {"inflight": 0}
-        if self.server_stats is not None:
-            stats = self.server_stats()
-            extra = {
-                "inflight": stats.get("inflight", 0),
-                "open_connections": stats.get("open_connections", 0),
-                "draining": stats.get("draining", False),
-            }
-        return {
-            "id": request.get("id"),
-            "ok": True,
-            "result": self.health.snapshot(extra=extra),
-        }
-
     def handle_message(self, message: dict) -> dict:
         """Dispatch one parsed message under the appropriate lock."""
-        method = message.get("method")
-        if method in ("workspace", "slowlog", "health"):
-            # Mux-level methods: no workspace lock — they touch connection
-            # or telemetry state only, never a session.
-            if method == "slowlog":
-                response = self._slowlog_response(message)
-            elif method == "health":
-                response = self._health_response(message)
-            else:
-                response = self._switch_workspace(message)
-            count_request(method, "mux", response)
+        if message.get("method") == "workspace":
+            # Mux-level: no workspace lock — it rebinds this connection only.
+            response = self._switch_workspace(message)
+            count_request("workspace", "mux", response)
             return response
         handle = self.handle_ref
         write = is_write_request(message)
@@ -359,12 +309,10 @@ class ConnectionHandler:
         """Parse one wire line and dispatch it; never raises.
 
         The connection-level telemetry wrapper: stamps a ``trace_id`` into
-        the message (the service echoes it), traces the request when a
-        ``--trace-dir`` writer is attached *or* a slow log wants tail
-        exemplars, feeds the health tracker, and emits one structured
-        access log line unless the log level is ``quiet``.  Tail-based
-        sampling means every request is traced but the span tree is
-        *retained* only when the slow log judges the request slow.
+        the message (the service echoes it), traces the request only when a
+        ``--trace-dir`` writer is attached, and emits one structured access
+        log line unless the log level is ``quiet``.  Request counts and
+        latencies land in the metrics registry, recorded by the service.
         """
         started = time.perf_counter()
         try:
@@ -377,19 +325,15 @@ class ConnectionHandler:
         method = message.get("method")
         method = method if isinstance(method, str) else None
         workspace = self.handle_ref.name
-        trace = trace_path = None
-        if self.trace_writer is not None or self.slow_log is not None:
+        if self.trace_writer is not None:
             # A client-requested in-band trace ("trace": true) opens its own
             # nested trace; the server-side file then only covers the mux.
             with start_trace(method or "invalid", trace_id=trace_id) as trace:
                 response = self.handle_message(message)
-            if self.trace_writer is not None:
-                trace_path = self.trace_writer.write(trace)
+            self.trace_writer.write(trace)
         else:
             response = self.handle_message(message)
-        return self._observe(
-            response, method, trace_id, workspace, started, trace, trace_path
-        )
+        return self._observe(response, method, trace_id, workspace, started)
 
     def reject_line(self, code: str, error: str) -> dict:
         """Answer a line that never became a request (unparseable, too long).
@@ -410,33 +354,18 @@ class ConnectionHandler:
         trace_id: str,
         workspace: str,
         started: float,
-        trace=None,
-        trace_path=None,
     ) -> dict:
-        """Feed one answered line to health, the slow log and the access log."""
-        duration_ms = (time.perf_counter() - started) * 1e3
-        status = "ok" if response.get("ok") else "error"
-        if self.health is not None:
-            self.health.observe(method, duration_ms, ok=status == "ok")
-        if self.slow_log is not None:
-            self.slow_log.observe(
-                method,
-                duration_ms,
-                trace_id=trace_id,
-                status=status,
-                workspace=workspace,
-                trace=trace.to_dict() if trace is not None else None,
-                trace_path=str(trace_path) if trace_path is not None else None,
-            )
+        """Stamp one answered line's ``trace_id`` and write its access-log line."""
         response.setdefault("trace_id", trace_id)
         if self.log_level != "quiet":
+            duration_ms = (time.perf_counter() - started) * 1e3
             ACCESS_LOG.info(
                 json.dumps(
                     {
                         "trace_id": trace_id,
                         "method": method,
                         "workspace": workspace,
-                        "status": status,
+                        "status": "ok" if response.get("ok") else "error",
                         "duration_ms": round(duration_ms, 3),
                     },
                     sort_keys=True,
@@ -474,9 +403,6 @@ class ThreadedAnalysisServer:
         default_workspace: str = "default",
         log_level: str = "quiet",
         trace_dir: Optional[str] = None,
-        slowlog: bool = True,
-        slowlog_threshold_ms: Optional[float] = None,
-        slowlog_capacity: int = 32,
     ):
         self.registry = WorkspaceRegistry(
             persist_dir=persist_dir, max_entries=max_entries, local_crate=local_crate
@@ -484,15 +410,6 @@ class ThreadedAnalysisServer:
         self.default_workspace = default_workspace
         self.log_level = log_level
         self.trace_writer = TraceDirWriter(trace_dir) if trace_dir else None
-        # One slow log + health tracker shared by every connection, so
-        # `slowlog`/`health` answer for the whole server regardless of
-        # which connection asks.
-        self.slow_log = (
-            SlowLog(capacity=slowlog_capacity, threshold_ms=slowlog_threshold_ms)
-            if slowlog
-            else None
-        )
-        self.health = HealthTracker()
         self.workers = max(1, workers)
         self._listener = socket.create_server((host, port), backlog=128)
         self.host, self.port = self._listener.getsockname()[:2]
@@ -669,9 +586,6 @@ class ThreadedAnalysisServer:
                     self.default_workspace,
                     log_level=self.log_level,
                     trace_writer=self.trace_writer,
-                    slow_log=self.slow_log,
-                    health=self.health,
-                    server_stats=self.stats,
                 )
             except Exception as error:
                 failed = error_response(

@@ -1,11 +1,10 @@
 """Tests for the observability subsystem: tracing, metrics, request-scoped
-telemetry, exports, the trace noise filter, HELP lines, the slow log, the
-serve access log, and the `repro top` dashboard frames."""
+telemetry, exports, the trace noise filter, HELP lines, and the serve
+access log."""
 
 from __future__ import annotations
 
 import gc
-import io
 import json
 import logging
 import time
@@ -37,9 +36,7 @@ from repro.obs.export import (
     render_prometheus,
     write_chrome_trace,
 )
-from repro.obs.dashboard import TopState, build_frame
 from repro.obs.metrics import COUNT_BUCKETS
-from repro.obs.slowlog import SlowLog
 from repro.service.protocol import AnalysisService
 
 
@@ -661,115 +658,3 @@ class TestPrometheusHelp:
         name, labels = parse_series(series[len("repro_"):])
         assert name == "cache_get_total"
         assert labels == {"kind": 'tricky"name', "tier": "memory"}
-
-
-# ---------------------------------------------------------------------------
-# Slow-log trace-file attribution
-# ---------------------------------------------------------------------------
-
-
-class TestSlowLogAttribution:
-    def test_entry_carries_trace_path(self):
-        log = SlowLog(threshold_ms=1.0)
-        retained = log.observe(
-            "warm",
-            25.0,
-            trace_id="a" * 16,
-            trace={"name": "warm", "attrs": {}, "children": []},
-            trace_path="traces/trace-aaaa.json",
-        )
-        assert retained
-        entry = log.entries()[0]
-        assert entry["trace_path"] == "traces/trace-aaaa.json"
-
-    def test_attribution_fields_omitted_when_absent(self):
-        log = SlowLog(threshold_ms=1.0)
-        log.observe("analyze", 25.0, trace_id="b" * 16)
-        entry = log.entries()[0]
-        assert "trace_path" not in entry
-
-
-# ---------------------------------------------------------------------------
-# The `repro top` dashboard
-# ---------------------------------------------------------------------------
-
-
-class TestDashboard:
-    METRICS = {
-        "counters": {
-            'cache_get_total{kind="record",tier="memory"}': 6.0,
-            'cache_get_total{kind="record",tier="miss"}': 2.0,
-        },
-        "gauges": {"server_inflight": 2.0},
-        "histograms": {},
-    }
-    HEALTH = {
-        "uptime_seconds": 3723.0,
-        "requests_total": 100,
-        "error_rate": 0.02,
-        "inflight": 1,
-        "open_connections": 4,
-        "methods": {
-            "analyze": {"count": 80, "errors": 2, "p50_ms": 3.0, "p95_ms": 9.0, "p99_ms": 20.0},
-        },
-    }
-    SLOWLOG = {
-        "threshold_ms": 15.0,
-        "entries": [
-            {
-                "trace_id": "c" * 16,
-                "method": "warm",
-                "status": "ok",
-                "duration_ms": 120.0,
-            }
-        ],
-    }
-
-    def test_frame_covers_header_methods_cache_slowlog(self):
-        frame = build_frame(self.METRICS, self.HEALTH, self.SLOWLOG)
-        text = "\n".join(frame)
-        assert "up 1h02m" in text and "100 req" in text and "2.00% err" in text
-        assert "inflight 1" in text and "conns 4" in text
-        assert "analyze" in text and "9.0ms" in text
-        assert "record" in text and "75.0% hit" in text
-        assert "slow requests (threshold 15.0 ms)" in text
-        assert ("c" * 16) in text
-
-    def test_sparkline_trend_appears_after_repeat_frames(self):
-        state = TopState()
-        build_frame(self.METRICS, self.HEALTH, None, state=state)
-        health2 = json.loads(json.dumps(self.HEALTH))
-        health2["methods"]["analyze"]["p95_ms"] = 42.0
-        frame = build_frame(self.METRICS, health2, None, state=state)
-        from repro.obs.history import SPARK_GLYPHS
-
-        line = next(l for l in frame if l.strip().startswith("analyze"))
-        assert any(glyph in line for glyph in SPARK_GLYPHS)
-
-    def test_frame_degrades_without_health_or_slowlog(self):
-        frame = build_frame(self.METRICS, None, None)
-        text = "\n".join(frame)
-        assert text.startswith("repro top")
-        assert "inflight 2" in text  # falls back to the gauge
-
-    def test_cli_top_renders_frames_against_live_server(self):
-        """End to end: a real socket server, two dashboard frames."""
-        from repro.cli import main
-        from repro.service.server import ThreadedAnalysisServer
-
-        with ThreadedAnalysisServer(port=0, workers=2) as server:
-            out = io.StringIO()
-            rc = main(
-                [
-                    "top",
-                    "--port", str(server.address[1]),
-                    "--interval", "0.01",
-                    "--frames", "2",
-                    "--no-clear",
-                ],
-                out=out,
-            )
-            text = out.getvalue()
-        assert rc == 0
-        assert text.count("repro top") == 2
-        assert "uptime" not in text  # rendered compactly, not raw JSON

@@ -3,9 +3,8 @@
 Every fenced block tagged ``transcript`` in the protocol reference is
 executed here: ``>`` lines are sent through a fresh
 :class:`~repro.service.server.ConnectionHandler` (the same mux the socket
-server uses, so the ``workspace``, ``slowlog`` and ``health`` methods are
-available), and the JSON on each ``<`` line must be a recursive *subset* of
-the actual response.
+server uses, so the ``workspace`` method is available), and the JSON on
+each ``<`` line must be a recursive *subset* of the actual response.
 
 Subset semantics: documented objects may omit fields (the volatile
 ``stats`` block, the release-dependent ``version`` strings); documented

@@ -280,13 +280,64 @@ class TestConnectionHandler:
         assert counted.get(
             'requests_total{method="invalid",protocol="mux",status="error"}'
         ) == 1
-        health = handler.handle_message({"id": 1, "method": "health"})["result"]
-        assert health["requests_total"] == 1 and health["errors_total"] == 1
 
     def test_version_method(self):
         handler = ConnectionHandler(WorkspaceRegistry())
         response = handler.handle_line(json.dumps({"id": 5, "method": "version"}))
         assert response["ok"] and response["result"]["version"] == __version__
+
+    @pytest.mark.parametrize(
+        "name",
+        ["../escaped", "<absolute>", "a/b", "..", "", 7, ["x"]],
+        ids=["parent", "absolute", "nested", "dotdot", "empty", "int", "list"],
+    )
+    def test_workspace_name_must_be_one_plain_path_component(self, tmp_path, name):
+        persist = tmp_path / "persist"
+        if name == "<absolute>":
+            name = str(tmp_path / "absolute")
+        registry = WorkspaceRegistry(persist_dir=str(persist))
+        handler = ConnectionHandler(registry)
+        before = registry.names()
+        response = handler.handle_line(json.dumps(
+            {"id": 1, "method": "workspace", "params": {"name": name, "create": True}}
+        ))
+        assert response["ok"] is False
+        assert response["error_code"] == "invalid_params"
+        assert repr(name) in response["error"]
+        assert registry.names() == before
+        # Had the switch gone through, these would write the workspace's
+        # manifest and cache records wherever its name pointed.
+        for message in (
+            {"id": 2, "method": "open", "params": {"source": SECOND_SOURCE}},
+            {"id": 3, "method": "analyze", "params": {}},
+        ):
+            assert handler.handle_line(json.dumps(message))["ok"]
+        assert handler.handle_ref.name == "default"
+        outside = [
+            path for path in tmp_path.rglob("*")
+            if path != persist and persist not in path.parents
+        ]
+        assert outside == []
+
+    def test_mux_opens_a_trace_only_for_a_trace_dir(self, tmp_path, monkeypatch):
+        import repro.service.server as server_module
+        from repro.obs.export import TraceDirWriter
+
+        opened = []
+        real_start_trace = server_module.start_trace
+
+        def counting_start_trace(*args, **kwargs):
+            opened.append(args)
+            return real_start_trace(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "start_trace", counting_start_trace)
+        ping = json.dumps({"id": 1, "method": "ping"})
+        assert ConnectionHandler(WorkspaceRegistry()).handle_line(ping)["ok"]
+        assert opened == []
+        writer = TraceDirWriter(tmp_path)
+        handler = ConnectionHandler(WorkspaceRegistry(), trace_writer=writer)
+        assert handler.handle_line(ping)["ok"]
+        assert len(opened) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -573,158 +624,3 @@ class TestPersistence:
         with pytest.raises(QueryError) as excinfo:
             load_workspace(tmp_path, "nope")
         assert excinfo.value.code == "unknown_workspace"
-
-
-# ---------------------------------------------------------------------------
-# Slow-request log + health (mux methods, tail-based retention)
-# ---------------------------------------------------------------------------
-
-
-class TestSlowLogUnit:
-    def test_explicit_threshold_retains_only_slow_requests(self):
-        from repro.obs import SlowLog
-
-        log = SlowLog(capacity=4, threshold_ms=50.0)
-        assert not log.observe("ping", 10.0, trace_id="t1")
-        assert log.observe("analyze", 80.0, trace_id="t2", trace={"root": {}})
-        snapshot = log.snapshot()
-        assert snapshot["observed"] == 2 and snapshot["kept"] == 1
-        assert not snapshot["adaptive"]
-        (entry,) = snapshot["entries"]
-        assert entry["trace_id"] == "t2" and entry["method"] == "analyze"
-        assert entry["trace"] == {"root": {}}
-        # Traces can be elided from the snapshot without losing the entry.
-        assert "trace" not in log.snapshot(include_traces=False)["entries"][0]
-
-    def test_adaptive_threshold_calibrates_before_judging(self):
-        from repro.obs import SlowLog
-
-        log = SlowLog(capacity=8, min_samples=10)
-        # During calibration nothing is slow — not even a huge outlier.
-        assert not log.observe("analyze", 10_000.0, trace_id="warmup")
-        for index in range(9):
-            log.observe("ping", 1.0, trace_id=f"w{index}")
-        assert log.kept == 0
-        # Calibrated: the rolling p99 is dominated by the warmup outlier at
-        # first, but a fresh outlier above the bar is kept.  The threshold
-        # is read before the sample joins the window, so the outlier cannot
-        # hide itself.
-        for index in range(60):
-            log.observe("ping", 1.0, trace_id=f"s{index}")
-        assert log.current_threshold_ms() is not None
-        assert log.observe("analyze", 50_000.0, trace_id="slow")
-        assert log.entries()[0]["trace_id"] == "slow"
-
-    def test_ring_is_bounded_newest_first(self):
-        from repro.obs import SlowLog
-
-        log = SlowLog(capacity=2, threshold_ms=0.0)
-        for index in range(5):
-            log.observe("m", float(index + 1), trace_id=f"t{index}")
-        entries = log.entries()
-        assert [e["trace_id"] for e in entries] == ["t4", "t3"]
-        assert log.snapshot(limit=1)["entries"][0]["trace_id"] == "t4"
-        assert log.kept == 5 and log.capacity == 2
-
-
-class TestHealthTrackerUnit:
-    def test_counts_errors_and_percentiles(self):
-        from repro.obs import HealthTracker
-
-        tracker = HealthTracker(window=16, started_at=1000.0)
-        for duration in (1.0, 2.0, 3.0, 4.0):
-            tracker.observe("analyze", duration)
-        tracker.observe("nope", 5.0, ok=False)
-        health = tracker.snapshot(now=1010.0, extra={"inflight": 2})
-        assert health["status"] == "ok"
-        assert health["uptime_seconds"] == 10.0
-        assert health["requests_total"] == 5 and health["errors_total"] == 1
-        assert health["error_rate"] == 0.2
-        assert health["inflight"] == 2
-        analyze = health["methods"]["analyze"]
-        assert analyze["count"] == 4 and analyze["errors"] == 0
-        assert analyze["p50_ms"] == 2.0 or analyze["p50_ms"] == 3.0
-        assert analyze["max_ms"] == 4.0
-        assert health["methods"]["nope"]["errors"] == 1
-
-
-class TestSlowLogOverTheWire:
-    def test_handler_tail_retention_and_mux_methods(self):
-        from repro.obs import HealthTracker, SlowLog
-
-        slow_log = SlowLog(capacity=4, threshold_ms=0.0)  # everything is slow
-        health = HealthTracker()
-        handler = ConnectionHandler(
-            WorkspaceRegistry(), slow_log=slow_log, health=health
-        )
-        handler.handle_line(json.dumps({"id": 1, "method": "ping"}))
-        handler.handle_line(json.dumps({"id": 2, "method": "nope"}))
-
-        slowlog = handler.handle_message({"id": 3, "method": "slowlog"})
-        assert slowlog["ok"]
-        result = slowlog["result"]
-        assert result["observed"] == 2 and result["kept"] == 2
-        newest, oldest = result["entries"]
-        assert oldest["method"] == "ping" and oldest["status"] == "ok"
-        assert newest["method"] == "nope" and newest["status"] == "error"
-        # Tail-based sampling retained the span tree of the wire requests.
-        assert oldest["trace"]["root"]["name"] == "ping"
-        assert len(oldest["trace_id"]) == 16
-
-        checked = handler.handle_message({"id": 4, "method": "health"})
-        assert checked["ok"]
-        payload = checked["result"]
-        assert payload["requests_total"] == 2 and payload["errors_total"] == 1
-        assert payload["inflight"] == 0
-        assert payload["methods"]["ping"]["count"] == 1
-
-    def test_fast_requests_are_observed_but_not_retained(self):
-        from repro.obs import SlowLog
-
-        slow_log = SlowLog(capacity=4, threshold_ms=60_000.0)
-        handler = ConnectionHandler(WorkspaceRegistry(), slow_log=slow_log)
-        handler.handle_line(json.dumps({"id": 1, "method": "ping"}))
-        snapshot = handler.handle_message({"id": 2, "method": "slowlog"})["result"]
-        assert snapshot["observed"] == 1
-        assert snapshot["kept"] == 0 and snapshot["entries"] == []
-
-    def test_disabled_slowlog_is_a_typed_error(self):
-        handler = ConnectionHandler(WorkspaceRegistry(), slow_log=None)
-        response = handler.handle_message({"id": 1, "method": "slowlog"})
-        assert not response["ok"]
-        assert response["error_code"] == "slowlog_disabled"
-        # Health stays available: it has no per-request retention to disable.
-        assert handler.handle_message({"id": 2, "method": "health"})["ok"]
-
-    def test_socket_server_shares_one_slowlog_across_connections(self):
-        with ThreadedAnalysisServer(
-            port=0, workers=2, slowlog_threshold_ms=0.0
-        ) as server:
-            sock, rfile, wfile, _ = connect(server)
-            request(rfile, wfile, {"id": 1, "method": "ping"})
-            sock.close()
-
-            sock2, rfile2, wfile2, _ = connect(server)
-            request(rfile2, wfile2, {"id": 1, "method": "ping"})
-            snapshot = request(rfile2, wfile2, {"id": 2, "method": "slowlog"})
-            health = request(rfile2, wfile2, {"id": 3, "method": "health"})
-            sock2.close()
-
-        assert snapshot["ok"]
-        # Both connections' pings were retained by the shared log; the
-        # slowlog request itself is observed only *after* its snapshot is
-        # taken, so it cannot appear in its own answer.
-        assert snapshot["result"]["observed"] >= 2
-        assert {e["method"] for e in snapshot["result"]["entries"]} == {"ping"}
-        assert health["ok"]
-        assert health["result"]["requests_total"] >= 2
-        assert health["result"]["uptime_seconds"] >= 0.0
-        assert "open_connections" in health["result"]
-
-    def test_no_slowlog_server_flag(self):
-        with ThreadedAnalysisServer(port=0, workers=2, slowlog=False) as server:
-            sock, rfile, wfile, _ = connect(server)
-            response = request(rfile, wfile, {"id": 1, "method": "slowlog"})
-            assert not response["ok"]
-            assert response["error_code"] == "slowlog_disabled"
-            sock.close()

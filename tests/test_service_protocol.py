@@ -62,6 +62,52 @@ class TestConditionParsing:
                 assert service.session._engines == engines, (method, condition)
 
 
+# `main` passes a field of its secret-typed argument to the sink `leak`.
+IFC_LEAK_SOURCE = """
+struct Secret { v: u32 }
+extern fn leak(x: u32);
+fn main(s: Secret) { leak(s.v); }
+"""
+
+
+class TestIfcParams:
+    @staticmethod
+    def ifc(params):
+        service = AnalysisService()
+        service.handle({"id": 1, "method": "open", "params": {"source": IFC_LEAK_SOURCE}})
+        return service.handle_line(
+            json.dumps({"id": 2, "method": "ifc", "params": params})
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"secret_types": ["Secret"], "sinks": ["leak"]},
+            {"secret_variables": ["main:s"], "sinks": ["leak"]},
+        ],
+    )
+    def test_arrays_of_strings_find_the_leak(self, params):
+        response = self.ifc(params)
+        assert response["ok"] and response["result"]["count"] == 1
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"secret_types": "Secret", "sinks": "leak"}, "secret_types"),
+            ({"secret_types": ["Secret"], "sinks": "leak"}, "sinks"),
+            ({"secret_types": 5}, "secret_types"),
+            ({"sinks": [1, 2]}, "sinks"),
+            ({"secret_variables": "main:s", "sinks": ["leak"]}, "secret_variables"),
+            ({"secret_types": None}, "secret_types"),
+        ],
+    )
+    def test_list_params_must_be_arrays_of_strings(self, params, key):
+        response = self.ifc(params)
+        assert response["ok"] is False
+        assert response["error_code"] == "protocol_error"
+        assert f"`{key}`" in response["error"]
+
+
 class TestServeLoop:
     def test_analyze_twice_second_served_from_store(self):
         responses = run_requests(
