@@ -470,10 +470,15 @@ Item = Union[FnDecl, StructDef]
 
 @dataclass
 class Crate(Node):
-    """A named collection of items — the unit of analysis in the evaluation."""
+    """A named collection of items — the unit of analysis in the evaluation.
+
+    ``implicit`` marks the crate that collects the items written outside any
+    ``crate`` block (always named ``main``).
+    """
 
     name: str = "main"
     items: List[Item] = field(default_factory=list)
+    implicit: bool = False
 
     def functions(self) -> List[FnDecl]:
         return [item for item in self.items if isinstance(item, FnDecl)]

@@ -7,8 +7,9 @@ single character, so a character that starts no token is still matched, and
 the lexer reports it with the exact one-column span of that character.
 
 The source is split on ``\\n`` only, so a token's line is its line's index
-and its columns are character offsets within that line: a ``\\t`` or ``\\r``
-takes one column like any other character.  No token spans two lines.
+(counted from ``first_line``) and its columns are character offsets within
+that line: a ``\\t`` or ``\\r`` takes one column like any other character.
+No token spans two lines.
 
 In these ``str`` patterns ``\\w`` matches exactly the characters for which
 ``str.isalnum()`` holds, plus ``_``, and ``\\d`` exactly those for which
@@ -65,11 +66,15 @@ _PUNCT = {
 }
 
 
-def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` and return the token list (ending in EOF)."""
+def tokenize(source: str, first_line: int = 1) -> List[Token]:
+    """Tokenize ``source`` and return the token list (ending in EOF).
+
+    ``first_line`` is the line number of the source's first line: a unit
+    lexed on its own gets the spans it has inside the joined workspace.
+    """
     tokens: List[Token] = []
     append = tokens.append
-    for lineno, line in enumerate(source.split("\n"), 1):
+    for lineno, line in enumerate(source.split("\n"), first_line):
         for match in _TOKEN_RE.finditer(line):
             group = match.lastgroup
             if group is None:

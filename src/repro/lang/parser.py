@@ -14,12 +14,13 @@ The grammar is a small subset of Rust's:
     expr      := precedence-climbing over || && == != < <= > >= + - * / % ! unary- & * ...
 
 Programs written without an explicit ``crate`` wrapper are placed in a single
-crate named ``main``.
+crate named ``main``.  :func:`assemble_program` applies that rule to the
+crates of one source or of several separately parsed units alike.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ParseError, Span
 from repro.lang import ast
@@ -84,21 +85,14 @@ class Parser:
 
     def parse_program(self, local_crate: str = "main") -> ast.Program:
         """Parse a whole program (one or more crates)."""
-        crates: List[ast.Crate] = []
-        default_crate = ast.Crate(name="main")
-        saw_explicit_crate = False
+        bare = ast.Crate(name="main", implicit=True)
+        crates: List[ast.Crate] = [bare]
         while not self._at_end():
             if self._check(TokenKind.KW_CRATE):
-                saw_explicit_crate = True
                 crates.append(self._parse_crate_block())
             else:
-                default_crate.add(self._parse_item(default_crate.name))
-        if default_crate.items or not saw_explicit_crate:
-            crates.insert(0, default_crate)
-        chosen_local = local_crate
-        if not any(c.name == chosen_local for c in crates) and crates:
-            chosen_local = crates[0].name
-        return ast.Program(crates=crates, local_crate=chosen_local)
+                bare.add(self._parse_item(bare.name))
+        return assemble_program(crates, local_crate)
 
     def parse_crate(self, name: str = "main") -> ast.Crate:
         """Parse a bare item list as a single crate."""
@@ -553,15 +547,41 @@ class Parser:
         return ast.Var(name=name, span=name_token.span)
 
 
+def assemble_program(crates: Iterable[ast.Crate], local_crate: str = "main") -> ast.Program:
+    """Assemble parsed crates, in source order, into one program.
+
+    The items of every implicit crate (those written outside a ``crate``
+    block) go, in order, into one new implicit ``main`` crate, which comes
+    first when it holds items or when there is no explicit crate; the
+    explicit crates follow in order.  The input crates are not modified.
+    ``local_crate`` falls back to the first crate when no crate has that
+    name.
+    """
+    bare = ast.Crate(name="main", implicit=True)
+    explicit: List[ast.Crate] = []
+    for crate in crates:
+        if crate.implicit:
+            bare.items.extend(crate.items)
+        else:
+            explicit.append(crate)
+    assembled = [bare] + explicit if bare.items or not explicit else explicit
+    if not any(crate.name == local_crate for crate in assembled):
+        local_crate = assembled[0].name
+    return ast.Program(crates=assembled, local_crate=local_crate)
+
+
 # ---------------------------------------------------------------------------
 # Convenience entry points
 # ---------------------------------------------------------------------------
 
 
-def parse_program(source: str, local_crate: str = "main") -> ast.Program:
-    """Parse source text into a :class:`repro.lang.ast.Program`."""
+def parse_program(source: str, local_crate: str = "main", first_line: int = 1) -> ast.Program:
+    """Parse source text into a :class:`repro.lang.ast.Program`.
+
+    ``first_line`` numbers the source's first line (see :func:`tokenize`).
+    """
     with obs_stage("parse") as sp:
-        program = Parser(tokenize(source)).parse_program(local_crate=local_crate)
+        program = Parser(tokenize(source, first_line)).parse_program(local_crate=local_crate)
         if sp is not None:
             sp.set(bytes=len(source), crates=len(program.crates))
         return program

@@ -21,7 +21,7 @@ lifetime names on signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import DiagnosticSink, Span, TypeCheckError
 from repro.lang import ast
@@ -101,6 +101,10 @@ class CheckedProgram:
     applications) consume this object rather than raw ASTs: it guarantees
     every expression has a type, every field access has a resolved index, and
     every called function has a known signature.
+
+    ``env_key`` renders everything a function's check reads besides its own
+    declaration (see :meth:`TypeChecker.environment_key`); ``reused`` names
+    the functions whose checked form was taken over from a previous check.
     """
 
     program: ast.Program
@@ -109,6 +113,8 @@ class CheckedProgram:
     crates: Dict[str, CheckedCrate]
     fn_crates: Dict[str, str]
     diagnostics: DiagnosticSink
+    env_key: Tuple = ()
+    reused: FrozenSet[str] = frozenset()
 
     def function(self, name: str) -> Optional[CheckedFunction]:
         for checked in self.crates.values():
@@ -134,10 +140,19 @@ class CheckedProgram:
 
 
 class TypeChecker:
-    """Checks a :class:`repro.lang.ast.Program` and annotates it in place."""
+    """Checks a :class:`repro.lang.ast.Program` and annotates it in place.
 
-    def __init__(self, program: ast.Program):
+    With ``previous``, the check of an earlier program whose declarations
+    this one shares, a function whose declaration is the very object that
+    ``previous`` checked keeps its checked form when the environment key is
+    unchanged: its annotations were computed from equal inputs.  Signatures
+    are still collected for every function (the key needs them), and that
+    re-resolves each declaration's parameter and return types in place.
+    """
+
+    def __init__(self, program: ast.Program, previous: Optional["CheckedProgram"] = None):
         self.program = program
+        self.previous = previous
         self.registry = StructRegistry()
         self.signatures: Dict[str, ast.FnSig] = {}
         self.fn_crates: Dict[str, str] = {}
@@ -150,11 +165,22 @@ class TypeChecker:
         """Check the whole program, raising :class:`TypeCheckError` on errors."""
         self._collect_structs()
         self._collect_signatures()
+        env_key = self.environment_key()
+        served: Dict[str, CheckedFunction] = {}
+        if self.previous is not None and self.previous.env_key == env_key:
+            for previous_crate in self.previous.crates.values():
+                served.update(previous_crate.functions)
+        reused: List[str] = []
         crates: Dict[str, CheckedCrate] = {}
         for crate in self.program.crates:
             checked = CheckedCrate(crate=crate)
             for fn in crate.functions():
-                checked.functions[fn.name] = self._check_function(fn)
+                kept = served.get(fn.name)
+                if kept is not None and kept.decl is fn:
+                    checked.functions[fn.name] = kept
+                    reused.append(fn.name)
+                else:
+                    checked.functions[fn.name] = self._check_function(fn)
             crates[crate.name] = checked
         self.diagnostics.raise_if_errors(TypeCheckError)
         return CheckedProgram(
@@ -164,7 +190,28 @@ class TypeChecker:
             crates=crates,
             fn_crates=self.fn_crates,
             diagnostics=self.diagnostics,
+            env_key=env_key,
+            reused=frozenset(reused),
         )
+
+    def environment_key(self) -> Tuple:
+        """Everything a function body's check reads besides the body itself.
+
+        Every struct (name, opacity, and each field's name and type, in
+        order) and every signature with its crate, rendered as text.  Types
+        are compared by rendering because their ``==`` is weaker:
+        ``StructType`` compares by name only and ``RefType`` ignores
+        lifetimes.
+        """
+        structs = tuple(
+            (struct.name, struct.opaque, tuple((name, ty.pretty()) for name, ty in struct.fields))
+            for struct in self.registry.structs.values()
+        )
+        signatures = tuple(
+            (name, self.fn_crates[name], signature.pretty())
+            for name, signature in self.signatures.items()
+        )
+        return structs, signatures
 
     # -- item collection -------------------------------------------------------
 
@@ -618,10 +665,16 @@ class TypeChecker:
         return struct
 
 
-def check_program(program: ast.Program) -> CheckedProgram:
-    """Type check ``program`` and return the checked form."""
+def check_program(
+    program: ast.Program, previous: Optional[CheckedProgram] = None
+) -> CheckedProgram:
+    """Type check ``program`` and return the checked form.
+
+    ``previous`` lends its checked functions to the declarations ``program``
+    shares with it (see :class:`TypeChecker`).
+    """
     with obs_stage("typecheck") as sp:
-        checked = TypeChecker(program).check()
+        checked = TypeChecker(program, previous).check()
         if sp is not None:
             sp.set(functions=len(checked.signatures))
         return checked

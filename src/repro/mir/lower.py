@@ -537,15 +537,26 @@ def lower_function(checked: CheckedProgram, name: str) -> Body:
     return FunctionLowerer(checked, decl).lower()
 
 
-def lower_program(checked: CheckedProgram) -> LoweredProgram:
-    """Lower every function with a body (in every crate) to MIR."""
+def lower_program(
+    checked: CheckedProgram, previous: Optional[LoweredProgram] = None
+) -> LoweredProgram:
+    """Lower every function with a body (in every crate) to MIR.
+
+    A function whose checked form ``checked`` reused from an earlier check
+    keeps its body from ``previous``, the lowering of that earlier check:
+    the body derives from nothing else.
+    """
     with obs_stage("mir_lower") as sp:
         lowered = LoweredProgram(checked=checked)
+        kept = previous.bodies if previous is not None else {}
         for crate in checked.program.crates:
             for decl in crate.functions():
                 if decl.body is None:
                     continue
-                lowered.bodies[decl.name] = FunctionLowerer(checked, decl).lower()
+                body = kept.get(decl.name) if decl.name in checked.reused else None
+                if body is None:
+                    body = FunctionLowerer(checked, decl).lower()
+                lowered.bodies[decl.name] = body
         if sp is not None:
             sp.set(bodies=len(lowered.bodies))
         return lowered

@@ -125,6 +125,11 @@ class FingerprintIndex:
     modular analysis only ever sees their signatures); ``body_fingerprint``
     covers local bodies; ``shallow_fingerprint`` and ``cone_fingerprint`` are
     the per-condition cache keys described in the module docstring.
+
+    ``previous``, the index of an earlier program, lends the body
+    fingerprints it already computed for the very ``Body`` objects this
+    program still holds.  Only the fingerprint strings are copied, so the
+    new index keeps nothing of the earlier program alive.
     """
 
     def __init__(
@@ -133,6 +138,7 @@ class FingerprintIndex:
         signatures: Dict[str, object],
         local_crate: str,
         call_graph: CallGraph,
+        previous: Optional["FingerprintIndex"] = None,
     ):
         self.lowered = lowered
         self.signatures = signatures
@@ -142,6 +148,11 @@ class FingerprintIndex:
         self._body: Dict[str, Optional[str]] = {}
         self._shallow: Dict[str, str] = {}
         self._cone: Dict[str, str] = {}
+        if previous is not None:
+            bodies, previous_bodies = lowered.bodies, previous.lowered.bodies
+            for name, fingerprint in previous._body.items():
+                if fingerprint is not None and bodies.get(name) is previous_bodies.get(name):
+                    self._body[name] = fingerprint
 
     def signature_fingerprint(self, name: str) -> str:
         """Fingerprint of the function's rendered signature (any function)."""

@@ -321,7 +321,7 @@ class ConnectionHandler:
             return self.reject_line(error.code, str(error))
         trace_id = message.get("trace_id")
         trace_id = str(trace_id) if trace_id else new_trace_id()
-        message.setdefault("trace_id", trace_id)
+        message["trace_id"] = trace_id
         method = message.get("method")
         method = method if isinstance(method, str) else None
         workspace = self.handle_ref.name
@@ -404,10 +404,12 @@ class ThreadedAnalysisServer:
         log_level: str = "quiet",
         trace_dir: Optional[str] = None,
     ):
+        # A bad name is a start-up error, not a server whose every
+        # connection fails to bind its workspace.
+        self.default_workspace = check_workspace_name(default_workspace)
         self.registry = WorkspaceRegistry(
             persist_dir=persist_dir, max_entries=max_entries, local_crate=local_crate
         )
-        self.default_workspace = default_workspace
         self.log_level = log_level
         self.trace_writer = TraceDirWriter(trace_dir) if trace_dir else None
         self.workers = max(1, workers)

@@ -10,7 +10,11 @@ only what :mod:`repro.service.invalidate` says could have changed.
 The interaction-time contract this encodes is the paper's: modular analysis
 makes per-function results independent of other bodies, so in the common
 (modular) configuration an edit costs one re-analysis regardless of
-workspace size.
+workspace size.  The rebuild before it has the same locality: units are
+parsed one by one, and only a unit whose text or first line changed is
+parsed again; a function whose text and position are unchanged keeps its
+declaration, and while no struct or signature changed also its checked
+form, lowered body and body fingerprint.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from repro.apps.ifc import IfcChecker, IfcPolicy
 from repro.apps.slicer import lines_of_locations
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, Span
 from repro.focus.resolve import resolve_cursor
 from repro.focus.table import FocusTable
-from repro.lang.parser import parse_program
+from repro.lang import ast
+from repro.lang.parser import assemble_program, parse_program
 from repro.lang.typeck import check_program
 from repro.mir.callgraph import CallGraph, build_call_graph
 from repro.mir.ir import Body
@@ -42,6 +47,56 @@ from repro.service.cache import (
 )
 from repro.service.invalidate import InvalidationPlan, apply_invalidation, plan_both_conditions
 from repro.service.scheduler import BatchScheduler
+
+
+# One unit's parse: (source, first line in the joined workspace, program).
+UnitParse = Tuple[str, int, ast.Program]
+
+
+def _span_text(lines: List[str], first_line: int, span: Span) -> str:
+    """The text of a unit (split into ``lines``, numbered from
+    ``first_line``) that ``span`` covers."""
+    start, end = span.start_line - first_line, span.end_line - first_line
+    if start == end:
+        return lines[start][span.start_col - 1 : span.end_col - 1]
+    middle = lines[start + 1 : end]
+    return "\n".join([lines[start][span.start_col - 1 :], *middle, lines[end][: span.end_col - 1]])
+
+
+def _keep_unchanged_functions(
+    program: ast.Program, source: str, first_line: int, served: UnitParse
+) -> None:
+    """Put the served declaration of each function of a re-parsed unit
+    whose text and position are unchanged back in ``program``.
+
+    The served declaration is then the object the served check and
+    lowering saw, which is what lets them be reused.  ``extern`` comes
+    before the span (which starts at ``fn``), so it is compared apart.
+    """
+    served_source, served_first_line, served_program = served
+    served_fns = {
+        fn.name: fn
+        for crate in served_program.crates
+        for fn in crate.functions()
+        if fn.body is not None
+    }
+    if not served_fns:
+        return
+    lines, served_lines = source.split("\n"), served_source.split("\n")
+    for crate in program.crates:
+        for index, item in enumerate(crate.items):
+            if not isinstance(item, ast.FnDecl) or item.body is None:
+                continue
+            old = served_fns.get(item.name)
+            if (
+                old is not None
+                and old.span == item.span
+                and old.crate == item.crate
+                and old.is_extern == item.is_extern
+                and _span_text(served_lines, served_first_line, old.span)
+                == _span_text(lines, first_line, item.span)
+            ):
+                crate.items[index] = old
 
 
 class AnalysisSession:
@@ -75,6 +130,9 @@ class AnalysisSession:
         self._engines: Dict[str, FlowEngine] = {}
         # unit name -> (line offset in the joined source, line count).
         self._unit_lines: Dict[str, Tuple[int, int]] = {}
+        # unit name -> its parse in the served generation, which the next
+        # rebuild may reuse.
+        self._parsed: Dict[str, UnitParse] = {}
         # Serialises cache-miss computation when the session is shared across
         # threads (the concurrent server's read path): warm queries are pure
         # store lookups and stay fully concurrent, but the dataflow engines
@@ -175,16 +233,38 @@ class AnalysisSession:
         """Re-derive program state after a workspace change and evict exactly
         the cache entries the edit can have affected."""
         with obs_span("rebuild") as sp:
-            out = self._rebuild_inner()
+            out, work = self._rebuild_inner()
             if sp is not None:
                 sp.set(
                     generation=out["generation"],
                     functions=out["functions"],
                     evicted_entries=out["evicted_entries"],
+                    **work,
                 )
             return out
 
-    def _rebuild_inner(self) -> dict:
+    def _parse_units(self) -> Tuple[Dict[str, UnitParse], Dict[str, Tuple[int, int]]]:
+        """Each unit's parse, reusing the served one where the unit's text
+        and first line are unchanged, plus each unit's line position."""
+        parsed: Dict[str, UnitParse] = {}
+        unit_lines: Dict[str, Tuple[int, int]] = {}
+        offset = 0
+        for name, source in self._units.items():
+            lines = source.count("\n") + 1
+            unit_lines[name] = (offset, lines)
+            first_line = offset + 1
+            offset += lines
+            served = self._parsed.get(name)
+            if served is not None and served[0] == source and served[1] == first_line:
+                parsed[name] = served
+                continue
+            program = parse_program(source, first_line=first_line)
+            if served is not None:
+                _keep_unchanged_functions(program, source, first_line, served)
+            parsed[name] = (source, first_line, program)
+        return parsed, unit_lines
+
+    def _rebuild_inner(self) -> Tuple[dict, Dict[str, int]]:
         old_snapshot = (
             self._fingerprints.snapshot() if self._fingerprints is not None else {}
         )
@@ -192,16 +272,36 @@ class AnalysisSession:
 
         # Derive everything into locals first: if any stage fails, the
         # session keeps serving the previous workspace generation intact.
-        program = parse_program(self.source, local_crate=self.local_crate)
-        checked = check_program(program)
-        lowered = lower_program(checked)
-        call_graph = build_call_graph(lowered)
-        unit_lines: Dict[str, Tuple[int, int]] = {}
-        offset = 0
-        for name, source in self._units.items():
-            lines = source.count("\n") + 1
-            unit_lines[name] = (offset, lines)
-            offset += lines
+        parsed, unit_lines = self._parse_units()
+        program = assemble_program(
+            (crate for _, _, unit in parsed.values() for crate in unit.crates),
+            self.local_crate,
+        )
+        try:
+            checked = check_program(program, previous=self._checked)
+            lowered = lower_program(checked, previous=self._lowered)
+            call_graph = build_call_graph(lowered)
+        except Exception:
+            # The check annotates declarations in place, and this program
+            # shares declarations with the served one: check the served
+            # program again to restore its annotations.
+            if self._checked is not None:
+                check_program(self._checked.program)
+            raise
+        previous_bodies = self._lowered.bodies if self._lowered is not None else {}
+        work = {
+            "units_parsed": sum(
+                entry is not self._parsed.get(name) for name, entry in parsed.items()
+            ),
+            "functions_checked": sum(
+                function.decl.name not in checked.reused
+                for function in checked.functions_with_bodies()
+            ),
+            "bodies_lowered": sum(
+                body is not previous_bodies.get(name) for name, body in lowered.bodies.items()
+            ),
+        }
+        self._parsed = parsed
         self._unit_lines = unit_lines
         self._checked = checked
         self._lowered = lowered
@@ -211,6 +311,7 @@ class AnalysisSession:
             checked.signatures,
             program.local_crate,
             call_graph,
+            previous=self._fingerprints,
         )
         self._engines.clear()
         self.generation += 1
@@ -261,7 +362,7 @@ class AnalysisSession:
                 ("whole_program" if wp else "modular"): plan.to_json_dict()
                 for wp, plan in (plans or {}).items()
             },
-        }
+        }, work
 
     # -- engines and results -----------------------------------------------------
 

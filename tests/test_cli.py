@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 from helpers import GET_COUNT_SOURCE
@@ -369,6 +374,21 @@ def test_workspace_save_rejects_a_name_outside_the_persist_dir(tmp_path, source_
     assert code == 2
     assert "invalid workspace name '../x'" in output
     assert [p.name for p in tmp_path.iterdir()] == ["program.mrs"]
+
+
+def test_serve_port_rejects_a_bad_workspace_name_before_serving(tmp_path):
+    # A subprocess, so a server that does start is killed by the timeout
+    # rather than blocking the test run.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--persist-dir", str(tmp_path / "ws"), "--workspace", "../x"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert completed.returncode == 2
+    assert "invalid workspace name '../x'" in completed.stdout
+    assert "hello" not in completed.stdout and "serving" not in completed.stdout
 
 
 def test_serve_stdio_rejects_socket_only_flags(tmp_path):

@@ -531,6 +531,19 @@ class TestAccessLog:
         assert len(ok_line["trace_id"]) == 16
         assert err_line["method"] == "nope" and err_line["status"] == "error"
 
+    @pytest.mark.parametrize("client_id", ["", "abc"])
+    def test_response_and_log_line_share_the_trace_id(self, capture, client_id):
+        from repro.service.server import ConnectionHandler, WorkspaceRegistry
+
+        handler = ConnectionHandler(WorkspaceRegistry(), log_level="info")
+        response = handler.handle_line(
+            json.dumps({"id": 1, "method": "ping", "trace_id": client_id})
+        )
+        (line,) = (json.loads(record) for record in capture.records)
+        assert response["trace_id"] == line["trace_id"]
+        assert response["trace_id"] == (client_id or response["trace_id"])
+        assert response["trace_id"]
+
     def test_quiet_default_emits_nothing(self, capture):
         from repro.service.server import ConnectionHandler, WorkspaceRegistry
 

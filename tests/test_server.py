@@ -12,6 +12,7 @@ import pytest
 
 from helpers import GET_COUNT_SOURCE
 
+from repro.errors import QueryError
 from repro.obs import MetricsRegistry, get_registry, snapshot_delta
 from repro.service.locks import RWLock
 from repro.service.persist import (
@@ -537,6 +538,34 @@ class TestThreadedServer:
             pong = request(rfile, wfile, {"id": 2, "method": "ping"})
             assert pong["ok"]
             sock.close()
+
+    def test_bad_default_workspace_name_fails_at_construction(self, tmp_path):
+        with pytest.raises(QueryError) as info:
+            ThreadedAnalysisServer(
+                port=0, persist_dir=str(tmp_path), default_workspace="../x"
+            )
+        assert info.value.code == QueryError.INVALID_PARAMS
+        assert list(tmp_path.iterdir()) == []
+
+    def test_workspace_whose_units_split_an_item_fails_to_load(self, tmp_path):
+        # Units are parsed one by one, so a crate block may not open in one
+        # unit and close in the next, even though the joined text parses.
+        persist = tmp_path / "persist"
+        (persist / "split").mkdir(parents=True)
+        units = [
+            {"name": "a", "source": "crate dep {\nfn g() -> u32 { 1 }"},
+            {"name": "b", "source": "}"},
+        ]
+        (persist / "split" / "manifest.json").write_text(
+            json.dumps({"units": units}), encoding="utf-8"
+        )
+        handler = ConnectionHandler(WorkspaceRegistry(persist_dir=str(persist)))
+        response = handler.handle_line(
+            json.dumps({"id": 1, "method": "workspace", "params": {"name": "split"}})
+        )
+        assert response["ok"] is False
+        assert response["error_code"] == "workspace_load_failed"
+        assert handler.handle_line(json.dumps({"id": 2, "method": "ping"}))["ok"]
 
     def test_corrupt_default_workspace_reports_load_failure(self, tmp_path):
         persist = tmp_path / "persist"

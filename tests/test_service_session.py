@@ -192,12 +192,15 @@ class TestEditInvalidation:
         session.analyze(config=WHOLE_PROGRAM)
         session.focus(function="caller", variable="x")
         previous = weakref.ref(session._lowered)
+        edited_body = weakref.ref(session._lowered.body("helper"))
 
         session.update_unit("main", HELPER_CALLER_SOURCE.replace("y + 1", "y + 2"))
         gc.collect()
         # Results computed before the edit refer to the old bodies; nothing
-        # the session keeps may hold that generation alive.
+        # the session keeps may hold that generation alive, nor the edited
+        # function's old body, which the new generation does not reuse.
         assert previous() is None
+        assert edited_body() is None
 
     def test_failed_open_does_not_poison_the_workspace(self):
         session = AnalysisSession()
