@@ -145,8 +145,13 @@ def resolve_cursor(
     lowered: LoweredProgram,
     line: int,
     col: int,
+    line_offset: int = 0,
 ) -> FocusTarget:
     """Resolve a cursor position to the enclosing MIR place.
+
+    ``line_offset`` moves ``line`` into the program's lines, for a cursor
+    given relative to one unit of a joined workspace; error messages name
+    the position as given.
 
     Raises :class:`QueryError` with a typed code when the position lies
     outside every function body (``position_out_of_range``) or inside one but
@@ -157,7 +162,8 @@ def resolve_cursor(
             f"position {line}:{col} is not a valid 1-based source position",
             code=QueryError.POSITION_OUT_OF_RANGE,
         )
-    fn = resolve_function_at(checked, line, col)
+    at = line + line_offset
+    fn = resolve_function_at(checked, at, col)
     if fn is None:
         raise QueryError(
             f"position {line}:{col} is not inside any function body",
@@ -171,7 +177,7 @@ def resolve_cursor(
         )
 
     # A cursor on a binding occurrence (let name, parameter) wins outright.
-    binding = _binding_at(fn, line, col)
+    binding = _binding_at(fn, at, col)
     if binding is not None:
         name, span = binding
         local = body.local_by_name(name)
@@ -185,7 +191,7 @@ def resolve_cursor(
                 defining_span=local.span,
             )
 
-    candidates = _place_expr_candidates(fn, line, col)
+    candidates = _place_expr_candidates(fn, at, col)
     resolved: List[Tuple[ast.Expr, Place]] = []
     for expr in candidates:
         place = place_expr_to_mir(expr, body)

@@ -496,6 +496,11 @@ class Crate(Node):
         self.items.append(item)
 
 
+# A top-level entry of a source, an item or a ``crate`` block, with the
+# lines of its first and last token: ``(first line, last line, entry)``.
+Entry = Tuple[int, int, Union[Item, Crate]]
+
+
 @dataclass
 class Program(Node):
     """A whole program: one *local* crate plus any number of dependency crates.
@@ -508,6 +513,9 @@ class Program(Node):
 
     crates: List[Crate] = field(default_factory=list)
     local_crate: str = "main"
+    # The parser's top-level entries, in source order (empty for a program
+    # not built by the parser).
+    entries: List[Entry] = field(default_factory=list)
 
     def crate(self, name: str) -> Optional[Crate]:
         for crate in self.crates:

@@ -15,7 +15,8 @@ The grammar is a small subset of Rust's:
 
 Programs written without an explicit ``crate`` wrapper are placed in a single
 crate named ``main``.  :func:`assemble_program` applies that rule to the
-crates of one source or of several separately parsed units alike.
+top-level entries of one source or the crates of several separately parsed
+units alike.
 """
 
 from __future__ import annotations
@@ -84,15 +85,19 @@ class Parser:
     # -- top level -----------------------------------------------------------
 
     def parse_program(self, local_crate: str = "main") -> ast.Program:
-        """Parse a whole program (one or more crates)."""
-        bare = ast.Crate(name="main", implicit=True)
-        crates: List[ast.Crate] = [bare]
+        """Parse a whole program (one or more crates), recording each
+        top-level entry with the lines of its first and last token."""
+        entries: List[ast.Entry] = []
         while not self._at_end():
+            first_line = self._peek().span.start_line
             if self._check(TokenKind.KW_CRATE):
-                crates.append(self._parse_crate_block())
+                entry: Union[ast.Item, ast.Crate] = self._parse_crate_block()
             else:
-                bare.add(self._parse_item(bare.name))
-        return assemble_program(crates, local_crate)
+                entry = self._parse_item("main")
+            entries.append((first_line, self.tokens[self.pos - 1].span.end_line, entry))
+        program = assemble_program((entry for _, _, entry in entries), local_crate)
+        program.entries = entries
+        return program
 
     def parse_crate(self, name: str = "main") -> ast.Crate:
         """Parse a bare item list as a single crate."""
@@ -547,23 +552,29 @@ class Parser:
         return ast.Var(name=name, span=name_token.span)
 
 
-def assemble_program(crates: Iterable[ast.Crate], local_crate: str = "main") -> ast.Program:
-    """Assemble parsed crates, in source order, into one program.
+def assemble_program(
+    parts: Iterable[Union[ast.Item, ast.Crate]], local_crate: str = "main"
+) -> ast.Program:
+    """Assemble a program from its parts in source order: top-level items
+    and parsed crates.
 
-    The items of every implicit crate (those written outside a ``crate``
-    block) go, in order, into one new implicit ``main`` crate, which comes
-    first when it holds items or when there is no explicit crate; the
-    explicit crates follow in order.  The input crates are not modified.
+    Top-level items and the items of every implicit crate (those written
+    outside a ``crate`` block) go, in order, into one new implicit ``main``
+    crate, which comes first when it holds items or when there is no
+    explicit crate; the explicit crates follow in order.  No part is
+    modified, so parts that another program holds can be assembled again.
     ``local_crate`` falls back to the first crate when no crate has that
     name.
     """
     bare = ast.Crate(name="main", implicit=True)
     explicit: List[ast.Crate] = []
-    for crate in crates:
-        if crate.implicit:
-            bare.items.extend(crate.items)
+    for part in parts:
+        if not isinstance(part, ast.Crate):
+            bare.add(part)
+        elif part.implicit:
+            bare.items.extend(part.items)
         else:
-            explicit.append(crate)
+            explicit.append(part)
     assembled = [bare] + explicit if bare.items or not explicit else explicit
     if not any(crate.name == local_crate for crate in assembled):
         local_crate = assembled[0].name

@@ -20,6 +20,7 @@ lifetime names on signatures.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -157,7 +158,6 @@ class TypeChecker:
         self.signatures: Dict[str, ast.FnSig] = {}
         self.fn_crates: Dict[str, str] = {}
         self.diagnostics = DiagnosticSink()
-        self._lifetime_counter = 0
 
     # -- public API ----------------------------------------------------------
 
@@ -263,10 +263,17 @@ class TypeChecker:
         inputs (the conservative choice required for soundness).
         """
         lifetime_params = list(fn.lifetime_params)
+        # Fresh names are numbered per signature, so an edit to one signature
+        # renames no other's, and skip every name the signature mentions.
+        taken = set(lifetime_params)
+        for ty in (*(p.ty for p in fn.params), fn.ret_type):
+            taken.update(ty.lifetimes())
+        counter = itertools.count(1)
 
         def fresh(prefix: str) -> str:
-            self._lifetime_counter += 1
-            name = f"{prefix}{self._lifetime_counter}"
+            name = f"{prefix}{next(counter)}"
+            while name in taken:
+                name = f"{prefix}{next(counter)}"
             lifetime_params.append(name)
             return name
 

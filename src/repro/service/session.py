@@ -12,14 +12,17 @@ makes per-function results independent of other bodies, so in the common
 (modular) configuration an edit costs one re-analysis regardless of
 workspace size.  The rebuild before it has the same locality: units are
 parsed one by one, and only a unit whose text or first line changed is
-parsed again; a function whose text and position are unchanged keeps its
-declaration, and while no struct or signature changed also its checked
-form, lowered body and body fingerprint.
+parsed again.  In a unit whose first line stayed, only the runs of
+top-level items (or ``crate`` blocks) on the lines the edit changed are
+parsed again; every other item is kept as the served declaration, and
+while no struct or signature changed a kept function keeps its checked
+form, lowered body and body fingerprint too.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -27,7 +30,7 @@ from repro.apps.ifc import IfcChecker, IfcPolicy
 from repro.apps.slicer import lines_of_locations
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
-from repro.errors import QueryError, ReproError, Span
+from repro.errors import LexError, ParseError, QueryError
 from repro.focus.resolve import resolve_cursor
 from repro.focus.table import FocusTable
 from repro.lang import ast
@@ -50,53 +53,94 @@ from repro.service.scheduler import BatchScheduler
 
 
 # One unit's parse: (source, first line in the joined workspace, program).
+# The program's entries carry their lines, which lets the next parse of the
+# unit keep every entry on lines an edit left alone.
 UnitParse = Tuple[str, int, ast.Program]
 
 
-def _span_text(lines: List[str], first_line: int, span: Span) -> str:
-    """The text of a unit (split into ``lines``, numbered from
-    ``first_line``) that ``span`` covers."""
-    start, end = span.start_line - first_line, span.end_line - first_line
-    if start == end:
-        return lines[start][span.start_col - 1 : span.end_col - 1]
-    middle = lines[start + 1 : end]
-    return "\n".join([lines[start][span.start_col - 1 :], *middle, lines[end][: span.end_col - 1]])
+def _changed_lines(old: List[str], new: List[str], first_line: int) -> Sequence[int]:
+    """The lines, numbered from ``first_line``, that an edit from ``old`` to
+    ``new`` touched, in order: each line whose text differs when the line
+    count is unchanged, else every line from the first difference on,
+    because every later line moves.  When ``new`` is a line prefix of
+    ``old``, its last line counts as changed: an item the cut splits holds
+    that line, so it is parsed again and fails as a fresh parse fails."""
+    if len(old) == len(new):
+        return [line for line, (a, b) in enumerate(zip(old, new), first_line) if a != b]
+    first = next(
+        (index for index, (a, b) in enumerate(zip(old, new)) if a != b),
+        min(len(old), len(new) - 1),
+    )
+    return range(first_line + first, first_line + max(len(old), len(new)))
 
 
-def _keep_unchanged_functions(
-    program: ast.Program, source: str, first_line: int, served: UnitParse
-) -> None:
-    """Put the served declaration of each function of a re-parsed unit
-    whose text and position are unchanged back in ``program``.
+def _touches(changed: Sequence[int], first: int, last: int) -> bool:
+    """Whether a line of ``first..last`` is in the sorted ``changed``."""
+    index = bisect_left(changed, first)
+    return index < len(changed) and changed[index] <= last
 
-    The served declaration is then the object the served check and
-    lowering saw, which is what lets them be reused.  ``extern`` comes
-    before the span (which starts at ``fn``), so it is compared apart.
+
+def _kept_entries(entries: List[ast.Entry], changed: Sequence[int]) -> List[bool]:
+    """For each entry, whether it is kept: no changed line is on its lines,
+    nor on the lines of an entry it shares a line with (``} fn b() {``,
+    ``} extern``).  Only neighbours share lines, so one pass each way
+    spreads a touch along a chain of shared lines."""
+    kept = [not _touches(changed, first, last) for first, last, _ in entries]
+    for index in range(1, len(entries)):
+        if not kept[index - 1] and entries[index][0] <= entries[index - 1][1]:
+            kept[index] = False
+    for index in range(len(entries) - 2, -1, -1):
+        if not kept[index + 1] and entries[index][1] >= entries[index + 1][0]:
+            kept[index] = False
+    return kept
+
+
+def _parse_unit(
+    source: str, first_line: int, served: Optional[UnitParse]
+) -> Tuple[UnitParse, int]:
+    """The parse of one unit whose first line is ``first_line``, and the
+    number of top-level entries parsed for it.
+
+    When the served parse starts on the same line, its entries that the
+    edit left alone are kept, as the served objects, and only each run of
+    lines between kept entries that holds a changed line is parsed again.
+    A run parsed alone is exact: no token spans two lines, and an item's
+    parse never looks past its closing ``}`` or ``;``, so a run that cuts
+    an item in two does not parse.  When a run does not parse, the whole
+    unit is parsed, which raises the error a fresh parse raises or gives
+    its result.
     """
-    served_source, served_first_line, served_program = served
-    served_fns = {
-        fn.name: fn
-        for crate in served_program.crates
-        for fn in crate.functions()
-        if fn.body is not None
-    }
-    if not served_fns:
-        return
-    lines, served_lines = source.split("\n"), served_source.split("\n")
-    for crate in program.crates:
-        for index, item in enumerate(crate.items):
-            if not isinstance(item, ast.FnDecl) or item.body is None:
-                continue
-            old = served_fns.get(item.name)
-            if (
-                old is not None
-                and old.span == item.span
-                and old.crate == item.crate
-                and old.is_extern == item.is_extern
-                and _span_text(served_lines, served_first_line, old.span)
-                == _span_text(lines, first_line, item.span)
-            ):
-                crate.items[index] = old
+    if served is None or served[1] != first_line:
+        program = parse_program(source, first_line=first_line)
+        return (source, first_line, program), len(program.entries)
+    lines = source.split("\n")
+    changed = _changed_lines(served[0].split("\n"), lines, first_line)
+    # (first line, last line, the kept entry after them or None at the end).
+    stretches: List[Tuple[int, int, Optional[ast.Entry]]] = []
+    next_line = first_line
+    served_entries = served[2].entries
+    for entry, kept in zip(served_entries, _kept_entries(served_entries, changed)):
+        if kept:
+            stretches.append((next_line, entry[0] - 1, entry))
+            next_line = entry[1] + 1
+    stretches.append((next_line, first_line + len(lines) - 1, None))
+    entries: List[ast.Entry] = []
+    parsed = 0
+    try:
+        for first, last, entry in stretches:
+            if _touches(changed, first, last):
+                text = "\n".join(lines[first - first_line : last - first_line + 1])
+                run = parse_program(text, first_line=first).entries
+                entries.extend(run)
+                parsed += len(run)
+            if entry is not None:
+                entries.append(entry)
+    except (LexError, ParseError):
+        program = parse_program(source, first_line=first_line)
+        return (source, first_line, program), len(program.entries)
+    program = assemble_program(entry for _, _, entry in entries)
+    program.entries = entries
+    return (source, first_line, program), parsed
 
 
 class AnalysisSession:
@@ -243,11 +287,13 @@ class AnalysisSession:
                 )
             return out
 
-    def _parse_units(self) -> Tuple[Dict[str, UnitParse], Dict[str, Tuple[int, int]]]:
+    def _parse_units(self) -> Tuple[Dict[str, UnitParse], Dict[str, Tuple[int, int]], int]:
         """Each unit's parse, reusing the served one where the unit's text
-        and first line are unchanged, plus each unit's line position."""
+        and first line are unchanged, each unit's line position, and the
+        number of top-level entries parsed."""
         parsed: Dict[str, UnitParse] = {}
         unit_lines: Dict[str, Tuple[int, int]] = {}
+        items_parsed = 0
         offset = 0
         for name, source in self._units.items():
             lines = source.count("\n") + 1
@@ -258,11 +304,9 @@ class AnalysisSession:
             if served is not None and served[0] == source and served[1] == first_line:
                 parsed[name] = served
                 continue
-            program = parse_program(source, first_line=first_line)
-            if served is not None:
-                _keep_unchanged_functions(program, source, first_line, served)
-            parsed[name] = (source, first_line, program)
-        return parsed, unit_lines
+            parsed[name], items = _parse_unit(source, first_line, served)
+            items_parsed += items
+        return parsed, unit_lines, items_parsed
 
     def _rebuild_inner(self) -> Tuple[dict, Dict[str, int]]:
         old_snapshot = (
@@ -272,7 +316,7 @@ class AnalysisSession:
 
         # Derive everything into locals first: if any stage fails, the
         # session keeps serving the previous workspace generation intact.
-        parsed, unit_lines = self._parse_units()
+        parsed, unit_lines, items_parsed = self._parse_units()
         program = assemble_program(
             (crate for _, _, unit in parsed.values() for crate in unit.crates),
             self.local_crate,
@@ -293,6 +337,7 @@ class AnalysisSession:
             "units_parsed": sum(
                 entry is not self._parsed.get(name) for name, entry in parsed.items()
             ),
+            "items_parsed": items_parsed,
             "functions_checked": sum(
                 function.decl.name not in checked.reused
                 for function in checked.functions_with_bodies()
@@ -479,6 +524,13 @@ class AnalysisSession:
             raise QueryError(f"no open unit named {unit!r}", code=QueryError.UNKNOWN_UNIT)
         return position
 
+    def _unit_at_line(self, line: int) -> Optional[str]:
+        """The unit that holds ``line`` of the joined source."""
+        for name, (offset, lines) in self._unit_lines.items():
+            if offset < line <= offset + lines:
+                return name
+        return None
+
     @staticmethod
     def _shift_focus_response(out: dict, delta: int) -> dict:
         """Shift every line number in a focus response by ``delta``."""
@@ -604,6 +656,13 @@ class AnalysisSession:
 
         if function is not None and variable is not None:
             body = self._body(function)
+            if unit is not None:
+                owner = self._unit_at_line(body.span.start_line)
+                if owner != unit:
+                    raise QueryError(
+                        f"function {function!r} is in unit {owner!r}, not {unit!r}",
+                        code=QueryError.INVALID_PARAMS,
+                    )
             if body.local_by_name(variable) is None:
                 raise QueryError(
                     f"function {function!r} has no variable {variable!r}",
@@ -621,7 +680,9 @@ class AnalysisSession:
                     f"(lines 1-{unit_lines})",
                     code=QueryError.POSITION_OUT_OF_RANGE,
                 )
-            target = resolve_cursor(self._checked, self._lowered, line + offset, int(col))
+            target = resolve_cursor(
+                self._checked, self._lowered, line, int(col), line_offset=offset
+            )
             fn_body = self._body(target.fn_name)
             table, cache = self._focus_table(target.fn_name, config)
             entry = table.entry_for_place(target.place)

@@ -487,6 +487,39 @@ class TestSessionFocus:
             session.focus(line=1, col=1, unit="nope.mr")
         assert excinfo.value.code == QueryError.UNKNOWN_UNIT
 
+    TWO_UNITS = [
+        ("a", "fn f(x: u32) -> u32 {\n    let y = x + 1;\n    y\n}"),
+        ("b", "\nfn g(v: u32) -> u32 {\n    v + 1\n}"),
+    ]
+
+    def test_unit_relative_errors_name_the_position_sent(self):
+        """A typed error for a cursor given with a unit names the position
+        the client sent, not its line in the joined workspace (unit a has 4
+        lines, so line 1 of b is line 5 there)."""
+        session = AnalysisSession()
+        session.open_units(self.TWO_UNITS)
+        with pytest.raises(QueryError) as excinfo:
+            session.focus(line=1, col=5, unit="b")  # a blank line
+        assert excinfo.value.code == QueryError.POSITION_OUT_OF_RANGE
+        assert str(excinfo.value) == "position 1:5 is not inside any function body"
+        with pytest.raises(QueryError) as excinfo:
+            session.focus(line=3, col=7, unit="b")  # the `+` of `v + 1`
+        assert excinfo.value.code == QueryError.NO_PLACE_AT_POSITION
+        assert str(excinfo.value) == "no place expression at 3:7 in function 'g'"
+
+    def test_function_focus_with_a_unit_that_does_not_hold_it(self):
+        session = AnalysisSession()
+        session.open_units(self.TWO_UNITS)
+        with pytest.raises(QueryError) as excinfo:
+            session.focus(function="f", variable="y", unit="b")
+        assert excinfo.value.code == QueryError.INVALID_PARAMS
+        assert str(excinfo.value) == "function 'f' is in unit 'a', not 'b'"
+        # With the unit that holds it, spans and lines are that unit's.
+        out = session.focus(function="f", variable="y", unit="a")
+        assert out["seed_span"] == [2, 9, 2, 10]
+        assert out["function_span"] == [1, 1, 4, 2]
+        assert session.focus(function="g", variable="v", unit="b")["function_span"] == [2, 1, 4, 2]
+
     def test_slice_reports_spans(self):
         session = AnalysisSession()
         session.open_unit("main", COMPUTE_SOURCE)

@@ -1,17 +1,21 @@
 """Referee tests for the session's incremental rebuild.
 
-An edit re-parses only the units whose text or first line changed, keeps the
-declaration of every function whose text and position are unchanged, and,
-while no struct or signature changed, that function's checked form, lowered
-body and body fingerprint too.  After every step these tests compare the
+An edit re-parses only the units whose text or first line changed, and in
+such a unit only the runs of top-level items (or ``crate`` blocks) on the
+lines it changed; every other item is kept as the served declaration, and,
+while no struct or signature changed, so are that function's checked form,
+lowered body and body fingerprint.  After every step these tests compare the
 edited session with a fresh session opened on the same units: the
 whole-workspace snapshot digest under the Modular and Whole-program
-conditions, and the focus answer at every place-expression cursor of every
-function, addressed relative to its unit.
+conditions, the focus answer at every place-expression cursor of every
+function, addressed relative to its unit, and each unit's parse against a
+fresh parse of its text.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import random
 import re
 
@@ -20,8 +24,11 @@ import pytest
 from helpers import place_expr_cursors
 
 from repro.core.config import MODULAR, WHOLE_PROGRAM
-from repro.errors import ParseError, QueryError, TypeCheckError
+from repro.errors import ParseError, QueryError, ReproError, TypeCheckError
 from repro.fuzz.generator import generate_source, profile
+from repro.lang import ast
+from repro.lang.parser import parse_program
+from repro.lang.types import Type
 from repro.obs import start_trace
 from repro.service.session import AnalysisSession
 
@@ -93,14 +100,53 @@ def focus_answers(session, cursors):
     return answers
 
 
+def parse_dump(value):
+    """A canonical form of a parse: every field but node ids and the
+    checker's annotations (an expression's ``ty``, a field access's
+    ``field_index``).  Types are rendered as text, because the checker
+    resolves declared types in place."""
+    if isinstance(value, ast.Node):
+        return (type(value).__name__,) + tuple(
+            (item.name, parse_dump(getattr(value, item.name)))
+            for item in dataclasses.fields(value)
+            if item.name not in ("node_id", "field_index")
+            and not (item.name == "ty" and isinstance(value, ast.Expr))
+        )
+    if isinstance(value, Type):
+        return value.pretty()
+    if isinstance(value, (list, tuple)):
+        return tuple(parse_dump(item) for item in value)
+    return value
+
+
+def assert_parses_match_fresh(session):
+    for name, source in session.units():
+        first_line = session._unit_lines[name][0] + 1
+        served = session._parsed[name][2]
+        assert parse_dump(served) == parse_dump(parse_program(source, first_line=first_line)), name
+
+
 def assert_matches_fresh(session):
     units = session.units()
+    assert_parses_match_fresh(session)
     fresh = AnalysisSession(local_crate=session.local_crate)
     fresh.open_units(units)
     for config in (MODULAR, WHOLE_PROGRAM):
         assert session.snapshot_digest(config) == fresh.snapshot_digest(config), config
     cursors = unit_cursors(units)
     assert focus_answers(session, cursors) == focus_answers(fresh, cursors)
+
+
+def assert_fails_like_fresh(session, edit, units):
+    """``edit()`` fails as a fresh session opened on ``units`` fails: the
+    same exception type, message and span."""
+    with pytest.raises(ReproError) as edited:
+        edit()
+    with pytest.raises(ReproError) as fresh:
+        AnalysisSession(local_crate=session.local_crate).open_units(units)
+    assert type(edited.value) is type(fresh.value)
+    assert str(edited.value) == str(fresh.value)
+    assert getattr(edited.value, "span", None) == getattr(fresh.value, "span", None)
 
 
 def edited_session():
@@ -165,6 +211,19 @@ def test_lifetime_only_signature_change():
     assert_matches_fresh(session)
 
 
+def test_elided_reference_added_to_one_signature_changes_only_that_signature():
+    session = AnalysisSession()
+    session.open_units([
+        ("a", "fn a(x: u32) -> u32 { x }"),
+        ("b", "fn b(p: &u32) -> u32 { *p }\nfn c(q: &mut u32, r: &u32) {\n    *q = *r;\n}"),
+    ])
+    session.warm()
+    report = session.update_unit("a", "fn a(x: &u32) -> u32 { *x }")
+    assert report["sig_changed"] == ["a"]
+    assert report["evicted_entries"] == 1
+    assert_matches_fresh(session)
+
+
 def test_function_moved_to_another_unit():
     session = edited_session()
     moved = "fn h(x: u32) -> u32 { x }\n"
@@ -206,6 +265,140 @@ def test_failed_edit_keeps_the_served_annotations():
 
 
 # ---------------------------------------------------------------------------
+# Item-level re-parse
+# ---------------------------------------------------------------------------
+
+# `extern` belongs to `h`, but sits on the line that closes `b`.
+EXTERN_ON_BRACE_LINE = """\
+fn b(x: u32) -> u32 {
+    x + 1
+} extern
+fn h(x: u32) -> u32 {
+    x + 2
+}
+"""
+
+TWO_ON_ONE_LINE = "fn p(a: u32) -> u32 { a + 1 } fn q(b: u32) -> u32 { b * 2 }\n"
+
+CRATE_BLOCK = """\
+crate dep {
+    fn g(x: u32) -> u32 {
+        x + 1
+    }
+    fn k(x: u32) -> u32 { x }
+}
+fn top(y: u32) -> u32 {
+    y
+}
+"""
+
+THREE_FUNCTIONS = """\
+fn one(a: u32) -> u32 {
+    a + 1
+}
+
+fn two(a: u32) -> u32 {
+    a + 2
+}
+
+fn three(a: u32) -> u32 {
+    a + 3
+}
+"""
+
+
+def test_extern_on_the_closing_brace_line_of_the_previous_item():
+    # Parsed alone, the lines of `h` would give `h` without `extern`: the
+    # item `b` that shares its first line is parsed again with it.
+    session = AnalysisSession()
+    session.open_units([("a", UNIT_A), ("t", EXTERN_ON_BRACE_LINE)])
+    work = traced_rebuild(session, "t", EXTERN_ON_BRACE_LINE.replace("x + 2", "x + 3"))
+    assert session._checked.program.function("h").is_extern
+    assert work["items_parsed"] == 2
+    assert_matches_fresh(session)
+
+
+def test_second_of_two_items_on_one_line():
+    session = AnalysisSession()
+    session.open_units([("a", UNIT_A), ("o", TWO_ON_ONE_LINE)])
+    report = session.update_unit("o", TWO_ON_ONE_LINE.replace("b * 2", "b * 3"))
+    assert report["body_changed"] == ["q"]
+    assert_matches_fresh(session)
+
+
+def test_edit_inside_a_crate_block():
+    session = AnalysisSession()
+    session.open_units([("a", UNIT_A), ("d", CRATE_BLOCK)])
+    top = session._checked.program.function("top")
+    work = traced_rebuild(session, "d", CRATE_BLOCK.replace("x + 1", "x + 5"))
+    assert work["items_parsed"] == 1
+    assert session._checked.program.function("top") is top
+    assert_matches_fresh(session)
+
+
+def test_comment_only_edit_between_two_items():
+    session = edited_session()
+    work = traced_rebuild(session, "b", UNIT_B.replace("}\n\nfn h", "}\n// h\nfn h"))
+    assert work == {
+        "units_parsed": 1, "items_parsed": 0, "functions_checked": 0, "bodies_lowered": 0
+    }
+    assert_matches_fresh(session)
+
+
+def test_edits_at_two_distant_lines_keep_the_functions_between():
+    session = AnalysisSession()
+    session.open_units([("a", UNIT_A), ("n", THREE_FUNCTIONS)])
+    two = session._lowered.bodies["two"]
+    edited = THREE_FUNCTIONS.replace("a + 1", "a + 10").replace("a + 3", "a + 30")
+    work = traced_rebuild(session, "n", edited)
+    assert work["items_parsed"] == 2
+    assert work["bodies_lowered"] == 2
+    assert session._lowered.bodies["two"] is two
+    assert session.last_plans[False].to_json_dict()["evict"] == {
+        "one": "edited", "three": "edited"
+    }
+    assert_matches_fresh(session)
+
+
+# Unit b ending, with no trailing newline as an editor may leave a file, on
+# the closing-brace line of a function that `build` calls (`h`) or that
+# nothing calls (`spare`).
+H_LAST = UNIT_B.replace("fn h(x: u32) -> u32 { x }\n", "fn h(x: u32) -> u32 {\n    x\n}")
+SPARE_LAST = UNIT_B + "fn spare(y: u32) -> u32 {\n    y\n}"
+
+# Unit b's served text and an edit of it that does not parse.
+BROKEN_EDITS = {
+    "deleted_brace": (
+        UNIT_B,
+        UNIT_B.replace("    x + bump(t) + h(t)\n}\n", "    x + bump(t) + h(t)\n\n"),
+    ),
+    "stray_at": (UNIT_B, UNIT_B.replace("let x = r.b;", "let x = r.b; @")),
+    "lone_quote": (UNIT_B, UNIT_B.replace("let x = r.b;", "let x = ' r.b;")),
+    # The new text is a line prefix of the served one (two backspaces at
+    # the end of the file): the function the cut splits must be parsed
+    # again, not dropped.
+    "cut_called_function": (H_LAST, H_LAST[: -len("\n}")]),
+    "cut_uncalled_function": (SPARE_LAST, SPARE_LAST[: -len("\n}")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_EDITS))
+def test_broken_edit_fails_like_a_fresh_open(name):
+    served, broken = BROKEN_EDITS[name]
+    assert broken != served
+    workspace = [(unit, served if unit == "b" else text) for unit, text in WORKSPACE]
+    session = AnalysisSession()
+    session.open_units(workspace)
+    cursors = unit_cursors(workspace)
+    before = focus_answers(session, cursors)
+    units = [(unit, broken if unit == "b" else text) for unit, text in workspace]
+    assert_fails_like_fresh(session, lambda: session.update_unit("b", broken), units)
+    assert session.units() == workspace
+    assert focus_answers(session, cursors) == before
+    assert_matches_fresh(session)
+
+
+# ---------------------------------------------------------------------------
 # Units hold whole items
 # ---------------------------------------------------------------------------
 
@@ -227,21 +420,32 @@ def test_an_item_cannot_span_two_units():
 # ---------------------------------------------------------------------------
 
 
+WORK = ("units_parsed", "items_parsed", "functions_checked", "bodies_lowered")
+
+
+def traced_work(rebuild):
+    with start_trace("rebuild") as trace:
+        rebuild()
+    (span,) = trace.to_dict()["root"]["children"]
+    assert span["name"] == "rebuild"
+    return {key: span["attrs"][key] for key in WORK}
+
+
 def traced_rebuild(session, unit, source):
-    with start_trace("update") as trace:
-        session.update_unit(unit, source)
-    (rebuild,) = trace.to_dict()["root"]["children"]
-    assert rebuild["name"] == "rebuild"
-    attrs = rebuild["attrs"]
-    return attrs["units_parsed"], attrs["functions_checked"], attrs["bodies_lowered"]
+    return traced_work(lambda: session.update_unit(unit, source))
 
 
 def test_rebuild_span_counts_the_work_done():
     session = AnalysisSession()
-    session.open_units([("a", UNIT_A), ("b", UNIT_B)])
-    assert traced_rebuild(session, "a", UNIT_A.replace("t + 1", "t + 7")) == (1, 1, 1)
-    # A struct edit changes every function's environment.
-    assert traced_rebuild(session, "a", REORDERED_A) == (1, 4, 4)
+    # A cold open parses every item: `S`, `bump`, `first`, `build`, `h`.
+    work = traced_work(lambda: session.open_units([("a", UNIT_A), ("b", UNIT_B)]))
+    assert [work[key] for key in WORK] == [2, 5, 4, 4]
+    work = traced_rebuild(session, "a", UNIT_A.replace("t + 1", "t + 7"))
+    assert [work[key] for key in WORK] == [1, 1, 1, 1]
+    # A struct edit changes every function's environment (this one also
+    # reverts the literal edit in `bump`, so two items are parsed).
+    work = traced_rebuild(session, "a", REORDERED_A)
+    assert [work[key] for key in WORK] == [1, 2, 4, 4]
 
 
 def test_unchanged_functions_keep_their_bodies():
@@ -286,8 +490,26 @@ def unit_texts(workspace):
 
 
 def random_edit(rng, workspace):
-    """Apply one random edit in place; return the indices of changed units."""
-    kind = rng.choice(("literal", "blank", "move"))
+    """Apply one random edit in place; return the indices of changed units.
+
+    A ``line`` edit deletes, duplicates or swaps lines of one unit, so it
+    can leave the unit broken; that unit's items become its lines.
+    """
+    kind = rng.choice(("literal", "blank", "move", "line"))
+    if kind == "line":
+        unit = rng.choice([unit for unit in range(3) if workspace[unit]])
+        lines = "\n".join(workspace[unit]).split("\n")
+        index = rng.randrange(len(lines))
+        action = rng.choice(("delete", "duplicate", "swap"))
+        if action == "delete":
+            del lines[index]
+        elif action == "duplicate":
+            lines.insert(index, lines[index])
+        else:
+            other = rng.randrange(len(lines))
+            lines[index], lines[other] = lines[other], lines[index]
+        workspace[unit] = lines
+        return [unit]
     if kind == "literal":
         spots = [
             (unit, index)
@@ -312,14 +534,31 @@ def random_edit(rng, workspace):
     return [source, target]
 
 
+def cut_last_line(rng, workspace):
+    """Delete the last line of one unit, as two backspaces at the end of a
+    file with no trailing newline do; return the index of that unit."""
+    unit = rng.choice([unit for unit in range(3) if workspace[unit]])
+    workspace[unit] = "\n".join(workspace[unit]).split("\n")[:-1]
+    return [unit]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_seeded_edit_sweep(seed):
     rng = random.Random(seed)
     workspace = fuzz_workspace(seed)
     session = AnalysisSession()
     session.open_units(unit_texts(workspace))
-    for _ in range(5):
-        changed = random_edit(rng, workspace)
+    for edit in [random_edit] * 5 + [cut_last_line]:
+        before = copy.deepcopy(workspace)
+        changed = edit(rng, workspace)
         texts = unit_texts(workspace)
-        session.open_units([texts[unit] for unit in changed])
+        try:
+            session.open_units([texts[unit] for unit in changed])
+        except ReproError:
+            # Both fail alike, and the session serves the workspace before.
+            assert_fails_like_fresh(
+                session, lambda: session.open_units([texts[unit] for unit in changed]), texts
+            )
+            workspace[:] = before
+            assert session.units() == unit_texts(workspace)
         assert_matches_fresh(session)

@@ -6,6 +6,7 @@ from repro.errors import TypeCheckError
 from repro.lang.parser import parse_program
 from repro.lang.typeck import check_program
 from repro.lang.types import BoolType, Mutability, RefType, StructType, TupleType, U32Type, UnitType
+from repro.service.session import AnalysisSession
 
 from helpers import checked_from
 
@@ -134,6 +135,45 @@ def test_explicit_lifetimes_are_preserved():
     assert sig.param_types[0].lifetime == "a"
     assert sig.ret_type.lifetime == "a"
     assert sig.param_types[1].lifetime != "a"
+
+
+def test_fresh_lifetimes_skip_the_names_a_signature_declares():
+    checked = checked_from("extern fn f<'in1>(x: &'in1 mut u32, y: &mut u32) -> &'in1 mut u32;")
+    assert checked.signature("f").pretty() == (
+        "fn f<'in1, 'in2>(x: &'in1 mut u32, y: &'in2 mut u32) -> &'in1 mut u32"
+    )
+
+
+def test_fresh_lifetimes_are_numbered_per_signature():
+    # An elided reference added to one signature renames no later one's.
+    before = checked_from("extern fn a(x: u32);\nextern fn b(p: &u32, q: &u32);")
+    after = checked_from("extern fn a(x: &u32);\nextern fn b(p: &u32, q: &u32);")
+    assert after.signature("b").pretty() == before.signature("b").pretty()
+
+
+CALLER_OF_A_LIFETIME_TIED_RESULT = """\
+fn f<'L>(x: &'L mut u32, y: &mut u32) -> &'L mut u32 {
+    x
+}
+
+fn g(a: u32, b: u32) -> u32 {
+    let mut m = a;
+    let mut n = b;
+    let r = f(&mut m, &mut n);
+    *r = 5;
+    m
+}
+"""
+
+
+def test_renaming_a_lifetime_does_not_change_the_answer():
+    # `'in1` is also the name elision would give `y`'s lifetime.
+    answers = []
+    for name in ("q", "in1"):
+        session = AnalysisSession()
+        session.open_unit("main", CALLER_OF_A_LIFETIME_TIED_RESULT.replace("'L", f"'{name}"))
+        answers.append(session.analyze(function="g")["functions"]["g"]["dependency_sizes"])
+    assert answers[0] == answers[1]
 
 
 def test_signature_pretty_includes_lifetimes():
