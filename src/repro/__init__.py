@@ -44,7 +44,7 @@ Package map:
   line-delimited JSON protocol behind ``repro serve``.
 """
 
-from repro.core.analysis import FunctionFlowResult, analyze_body
+from repro.core.analysis import FunctionFlowResult
 from repro.core.config import AnalysisConfig, all_conditions, condition_name
 from repro.core.engine import FlowEngine, ProgramFlowResult, analyze_program, analyze_source
 from repro.core.theta import DependencyContext
@@ -74,7 +74,6 @@ __all__ = [
     "Slice",
     "SliceDirection",
     "all_conditions",
-    "analyze_body",
     "analyze_program",
     "analyze_source",
     "check_program",

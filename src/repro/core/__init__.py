@@ -27,7 +27,7 @@ from repro.core.theta import (
     IndexedThetaLattice,
     ThetaLattice,
 )
-from repro.core.analysis import FunctionFlowAnalysis, FunctionFlowResult, analyze_body
+from repro.core.analysis import FunctionFlowAnalysis, FunctionFlowResult
 from repro.core.engine import FlowEngine, ProgramFlowResult, analyze_program, analyze_source
 from repro.core.summaries import (
     CallSummaryProvider,
@@ -50,7 +50,6 @@ __all__ = [
     "ThetaLattice",
     "WholeProgramSummary",
     "all_conditions",
-    "analyze_body",
     "analyze_program",
     "analyze_source",
     "condition_name",

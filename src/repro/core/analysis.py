@@ -333,13 +333,3 @@ class FunctionFlowAnalysis:
             transfer=transfer,
             fixpoint=fixpoint,
         )
-
-
-def analyze_body(
-    body: Body,
-    signatures: Dict[str, FnSig],
-    config: Optional[AnalysisConfig] = None,
-    provider: Optional[CallSummaryProvider] = None,
-) -> FunctionFlowResult:
-    """Convenience wrapper: analyse one body and return the result."""
-    return FunctionFlowAnalysis(body, signatures, config, provider).run()

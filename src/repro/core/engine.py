@@ -13,7 +13,7 @@ available definitions are those within the package being analyzed".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.borrowck.signatures import summarize_signature
 from repro.core.analysis import FunctionFlowAnalysis, FunctionFlowResult
@@ -29,6 +29,28 @@ from repro.lang.typeck import CheckedProgram, check_program
 from repro.mir.callgraph import CallGraph, build_call_graph
 from repro.mir.ir import Body
 from repro.mir.lower import LoweredProgram, lower_program
+
+
+# Per parameter index, the field paths of its mutable references.
+MutableRefPaths = Dict[int, Tuple[Tuple[int, ...], ...]]
+
+
+def mutable_ref_paths(
+    signatures: Dict[str, FnSig], cache: Dict[str, MutableRefPaths], fn_name: str
+) -> MutableRefPaths:
+    """Per parameter of ``fn_name``, the paths of its mutable references,
+    memoised in ``cache``."""
+    if fn_name not in cache:
+        sig = signatures.get(fn_name)
+        paths: MutableRefPaths = {}
+        if sig is not None:
+            summary = summarize_signature(sig)
+            for index in range(sig.arity()):
+                refs = summary.mutable_refs_of_param(index)
+                if refs:
+                    paths[index] = tuple(info.path for info in refs)
+        cache[fn_name] = paths
+    return cache[fn_name]
 
 
 class RecursiveSummaryProvider(CallSummaryProvider):
@@ -56,7 +78,14 @@ class RecursiveSummaryProvider(CallSummaryProvider):
     """
 
     def __init__(self, engine: "FlowEngine", root_crate: str):
-        self.engine = engine
+        # Hold the engine's parts, not the engine: the engine holds its
+        # provider, so a back-reference would make every engine cyclic
+        # garbage.  The mutable-reference-path cache is shared as the dict
+        # itself, because a bound method would hold the engine too.
+        self.lowered = engine.lowered
+        self.signatures = engine.signatures
+        self.config = engine.config
+        self._mutable_ref_paths = engine._mutable_ref_paths
         self.root_crate = root_crate
         self._cache: Dict[str, Optional[WholeProgramSummary]] = {}
         # Computation height (number of stack frames a fresh recursion
@@ -67,7 +96,7 @@ class RecursiveSummaryProvider(CallSummaryProvider):
         self._stack: List[List[object]] = []
 
     def is_crate_boundary(self, callee: str) -> bool:
-        body = self.engine.lowered.body(callee)
+        body = self.lowered.body(callee)
         return body is None or body.crate != self.root_crate
 
     def _taint_all(self) -> None:
@@ -85,7 +114,7 @@ class RecursiveSummaryProvider(CallSummaryProvider):
     def _fits_budget(self, height: int) -> bool:
         """Whether a fresh recursion of ``height`` frames would complete
         without hitting the depth bound from the current stack."""
-        return len(self._stack) + height <= self.engine.config.max_whole_program_depth
+        return len(self._stack) + height <= self.config.max_whole_program_depth
 
     def _bump_parent(self, child_height: int) -> None:
         if self._stack:
@@ -128,7 +157,7 @@ class RecursiveSummaryProvider(CallSummaryProvider):
             self._taint_all()
             return None
 
-        body = self.engine.lowered.body(callee)
+        body = self.lowered.body(callee)
         assert body is not None
         if callee not in self._cache:
             external = self.lookup_summary(callee, body)
@@ -140,7 +169,7 @@ class RecursiveSummaryProvider(CallSummaryProvider):
                     self._bump_parent(height)
                     return summary
                 # Insufficient budget: ignore the hit and recompute.
-        if len(self._stack) >= self.engine.config.max_whole_program_depth:
+        if len(self._stack) >= self.config.max_whole_program_depth:
             self._taint_all()
             return None
 
@@ -150,8 +179,8 @@ class RecursiveSummaryProvider(CallSummaryProvider):
         try:
             result = FunctionFlowAnalysis(
                 body=body,
-                signatures=self.engine.signatures,
-                config=self.engine.config,
+                signatures=self.signatures,
+                config=self.config,
                 provider=self,
             ).run()
             # The exit state is materialised while the callee is still marked
@@ -161,7 +190,9 @@ class RecursiveSummaryProvider(CallSummaryProvider):
             summary = summary_from_exit_state(
                 body=body,
                 exit_theta=result.exit_theta,
-                mutable_ref_paths=self.engine.mutable_ref_paths(callee),
+                mutable_ref_paths=mutable_ref_paths(
+                    self.signatures, self._mutable_ref_paths, callee
+                ),
             )
         finally:
             self._stack.pop()
@@ -220,7 +251,7 @@ class FlowEngine:
         self.signatures: Dict[str, FnSig] = checked.signatures
         self._results: Dict[str, FunctionFlowResult] = {}
         self._call_graph: Optional[CallGraph] = None
-        self._mutable_ref_paths: Dict[str, Dict[int, Tuple[Tuple[int, ...], ...]]] = {}
+        self._mutable_ref_paths: Dict[str, MutableRefPaths] = {}
         self._provider = self._make_provider()
 
     # -- construction helpers ----------------------------------------------------
@@ -269,19 +300,9 @@ class FlowEngine:
     def body(self, name: str) -> Optional[Body]:
         return self.lowered.body(name)
 
-    def mutable_ref_paths(self, fn_name: str) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
+    def mutable_ref_paths(self, fn_name: str) -> MutableRefPaths:
         """Per parameter, the paths of its mutable references (cached)."""
-        if fn_name not in self._mutable_ref_paths:
-            sig = self.signatures.get(fn_name)
-            paths: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-            if sig is not None:
-                summary = summarize_signature(sig)
-                for index in range(sig.arity()):
-                    refs = summary.mutable_refs_of_param(index)
-                    if refs:
-                        paths[index] = tuple(info.path for info in refs)
-            self._mutable_ref_paths[fn_name] = paths
-        return self._mutable_ref_paths[fn_name]
+        return mutable_ref_paths(self.signatures, self._mutable_ref_paths, fn_name)
 
     # -- analysis -------------------------------------------------------------------
 

@@ -273,7 +273,8 @@ class DiagnosticSink:
 
         The first error's span is attached to the raised exception so
         callers (the CLI, fuzz repro rendering) can point at the offending
-        source position even for multi-diagnostic failures.
+        source position even for multi-diagnostic failures, and the errors
+        themselves as ``diagnostics``, so a caller can render them anew.
         """
         if self.has_errors():
             errors = self.errors
@@ -281,6 +282,7 @@ class DiagnosticSink:
             error = exc_class(message)
             if getattr(error, "span", DUMMY_SPAN) == DUMMY_SPAN:
                 error.span = errors[0].span
+            error.diagnostics = tuple(errors)
             raise error
 
     def extend(self, other: "DiagnosticSink") -> None:

@@ -20,7 +20,6 @@ from repro.focus.spans import (
     location_span,
     normalize_spans,
     spans_of_locations,
-    union_spans,
 )
 from repro.focus.table import FocusEntry, FocusTable
 from repro.focus.render import render_focus_markers, render_focus_response
@@ -36,5 +35,4 @@ __all__ = [
     "render_focus_response",
     "resolve_cursor",
     "spans_of_locations",
-    "union_spans",
 ]

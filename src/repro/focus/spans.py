@@ -42,14 +42,6 @@ def normalize_spans(spans: Iterable[Span]) -> Tuple[Span, ...]:
     return tuple(merged)
 
 
-def union_spans(*groups: Iterable[Span]) -> Tuple[Span, ...]:
-    """Normalised union of several span collections."""
-    combined: List[Span] = []
-    for group in groups:
-        combined.extend(group)
-    return normalize_spans(combined)
-
-
 def lines_of_spans(spans: Iterable[Span]) -> FrozenSet[int]:
     """Every source line touched by the span set (for line-level fallbacks)."""
     lines: Set[int] = set()

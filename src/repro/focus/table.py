@@ -281,8 +281,8 @@ class FocusTable:
             entries[key] = {
                 "place": _place_to_json(place),
                 "label": label,
-                "backward": [[loc.block, loc.statement] for loc in backward],
-                "forward": [[loc.block, loc.statement] for loc in forward],
+                "backward": [list(loc) for loc in backward],
+                "forward": [list(loc) for loc in forward],
             }
             keys_by_place[_place_key(place)] = key
         data = {

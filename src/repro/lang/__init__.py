@@ -31,7 +31,7 @@ from repro.lang.ast import (
 )
 from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse_crate, parse_expr, parse_program
-from repro.lang.typeck import TypeChecker, check_crate, check_program
+from repro.lang.typeck import TypeChecker, check_program
 from repro.lang.types import (
     BoolType,
     FnType,
@@ -72,7 +72,6 @@ __all__ = [
     "U32Type",
     "UnitType",
     "Value",
-    "check_crate",
     "check_program",
     "evaluate_function",
     "parse_crate",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import DiagnosticSink, Span, TypeCheckError
 from repro.lang import ast
@@ -138,6 +138,31 @@ class CheckedProgram:
 
     def signature(self, name: str) -> Optional[ast.FnSig]:
         return self.signatures.get(name)
+
+
+# Signature elision helpers.  They are module functions rather than closures
+# because a closure that calls itself holds its own cell, and every
+# elaboration would leave that cycle behind for the garbage collector.
+
+
+def _name_refs(ty: Type, fresh: Callable[[str], str], prefix: str) -> Type:
+    """``ty`` with each un-annotated reference given the lifetime ``fresh(prefix)``."""
+    if isinstance(ty, RefType):
+        lifetime = ty.lifetime if ty.lifetime is not None else fresh(prefix)
+        return RefType(_name_refs(ty.pointee, fresh, prefix), ty.mutability, lifetime)
+    if isinstance(ty, TupleType):
+        return TupleType(tuple(_name_refs(t, fresh, prefix) for t in ty.elements))
+    return ty
+
+
+def _elide_output(ty: Type, lifetime: str) -> Type:
+    """``ty`` with each un-annotated reference given ``lifetime``."""
+    if isinstance(ty, RefType):
+        named = ty.lifetime if ty.lifetime is not None else lifetime
+        return RefType(_elide_output(ty.pointee, lifetime), ty.mutability, named)
+    if isinstance(ty, TupleType):
+        return TupleType(tuple(_elide_output(t, lifetime) for t in ty.elements))
+    return ty
 
 
 class TypeChecker:
@@ -277,32 +302,15 @@ class TypeChecker:
             lifetime_params.append(name)
             return name
 
-        def name_refs(ty: Type, prefix: str) -> Type:
-            if isinstance(ty, RefType):
-                lifetime = ty.lifetime if ty.lifetime is not None else fresh(prefix)
-                return RefType(name_refs(ty.pointee, prefix), ty.mutability, lifetime)
-            if isinstance(ty, TupleType):
-                return TupleType(tuple(name_refs(t, prefix) for t in ty.elements))
-            return ty
-
-        param_types = tuple(name_refs(p.ty, "in") for p in fn.params)
+        param_types = tuple(_name_refs(p.ty, fresh, "in") for p in fn.params)
         input_lifetimes: List[str] = []
         for ty in param_types:
             input_lifetimes.extend(ty.lifetimes())
 
         if len(set(input_lifetimes)) == 1:
-
-            def elide_output(ty: Type) -> Type:
-                if isinstance(ty, RefType):
-                    lifetime = ty.lifetime if ty.lifetime is not None else input_lifetimes[0]
-                    return RefType(elide_output(ty.pointee), ty.mutability, lifetime)
-                if isinstance(ty, TupleType):
-                    return TupleType(tuple(elide_output(t) for t in ty.elements))
-                return ty
-
-            ret_type = elide_output(fn.ret_type)
+            ret_type = _elide_output(fn.ret_type, input_lifetimes[0])
         else:
-            ret_type = name_refs(fn.ret_type, "out")
+            ret_type = _name_refs(fn.ret_type, fresh, "out")
 
         return ast.FnSig(
             name=fn.name,
@@ -685,9 +693,3 @@ def check_program(
         if sp is not None:
             sp.set(functions=len(checked.signatures))
         return checked
-
-
-def check_crate(crate: ast.Crate) -> CheckedProgram:
-    """Type check a single crate as a stand-alone program."""
-    program = ast.Program(crates=[crate], local_crate=crate.name)
-    return check_program(program)

@@ -45,7 +45,7 @@ from repro.mir.ir import (
     RETURN_LOCAL,
 )
 from repro.mir.lower import lower_function, lower_program, LoweredProgram
-from repro.mir.pretty import pretty_body, pretty_place
+from repro.mir.pretty import pretty_body
 from repro.mir.validate import validate_body
 from repro.mir.callgraph import CallGraph, build_call_graph
 
@@ -83,6 +83,5 @@ __all__ = [
     "lower_function",
     "lower_program",
     "pretty_body",
-    "pretty_place",
     "validate_body",
 ]

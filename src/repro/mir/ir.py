@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import DUMMY_SPAN, Span
 from repro.lang.ast import BinOp, FnSig, UnOp
@@ -41,18 +41,11 @@ class ProjectionKind(Enum):
     DEREF = "deref"
 
 
-@dataclass(frozen=True)
-class PlaceElem:
+class PlaceElem(NamedTuple):
     """One step of a place's projection path."""
 
     kind: ProjectionKind
     index: int = 0  # field index; unused for derefs
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     @staticmethod
     def deref() -> "PlaceElem":
@@ -69,25 +62,18 @@ class PlaceElem:
         return "*" if self.is_deref() else f".{self.index}"
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A memory location: a local plus a projection path.
 
     ``Place(2, (Field(1),))`` is written ``_2.1`` and ``Place(3, (Deref,))``
-    is written ``(*_3)``.  Places are hashable so they can key the dependency
-    context Θ.
+    is written ``(*_3)``.  Places key the dependency context Θ, the
+    interning tables and every memo on the analysis hot path, so they are
+    plain tuples: hashing and comparing run in C, with no cached hash.  A
+    place therefore equals the tuple ``(local, projection)``.
     """
 
     local: int
     projection: Tuple[PlaceElem, ...] = ()
-
-    def __post_init__(self) -> None:
-        # Places key the dependency context, the interning tables, and every
-        # memo on the analysis hot path: compute the hash once.
-        object.__setattr__(self, "_hash", hash((self.local, self.projection)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     @staticmethod
     def from_local(local: int) -> "Place":
@@ -454,27 +440,21 @@ class Local:
         return f"{label}: {self.ty.pretty()}"
 
 
-@dataclass(frozen=True, order=True)
-class Location:
+class Location(NamedTuple):
     """A point in the CFG: block index plus statement index.
 
     The statement index ``len(block.statements)`` denotes the terminator.
     Locations are the dependency labels collected by the analysis: they are
     hashed millions of times per fixpoint (as Θ set elements and interning
-    keys), so the hash is computed once at construction.  The generated
-    ordering (``(block, statement)`` lexicographic) is total, which lets the
-    interning tables of :mod:`repro.mir.indices` assign indices monotone in
-    location order and iterate bitsets deterministically without sorting.
+    keys), so they are plain tuples with no cached hash, and a location
+    equals the tuple ``(block, statement)``.  Their ordering (``(block,
+    statement)`` lexicographic) is total, which lets the interning tables of
+    :mod:`repro.mir.indices` assign indices monotone in location order and
+    iterate bitsets deterministically without sorting.
     """
 
     block: int
     statement: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.block, self.statement)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
     def pretty(self) -> str:
         return f"bb{self.block}[{self.statement}]"

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.mir.ir import Body, Place, Location
-
-
-def pretty_place(place: Place, body: Optional[Body] = None) -> str:
-    """Render a place using user-facing local names when available."""
-    return place.pretty(body)
+from repro.mir.ir import Body, Location
 
 
 def pretty_body(body: Body, annotations: Optional[Dict[Location, str]] = None) -> str:

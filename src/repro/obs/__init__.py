@@ -54,7 +54,7 @@ from repro.obs.trace import (
     span,
     start_trace,
 )
-from repro.obs.export import help_text, register_help
+from repro.obs.export import register_help
 
 __all__ = [
     "BenchRecord",
@@ -67,7 +67,6 @@ __all__ = [
     "evaluate_metric",
     "filter_span_tree",
     "get_registry",
-    "help_text",
     "is_enabled",
     "new_trace_id",
     "parse_series",

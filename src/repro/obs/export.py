@@ -57,11 +57,6 @@ def register_help(name: str, text: str) -> None:
     _HELP_TEXTS[name] = text
 
 
-def help_text(name: str) -> Optional[str]:
-    """The registered help text for a registry metric name, if any."""
-    return _HELP_TEXTS.get(name)
-
-
 def _escape_help(text: str) -> str:
     """HELP-line escaping: backslash and newline only (quotes stay)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")

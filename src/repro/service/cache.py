@@ -580,7 +580,7 @@ class FunctionRecord:
             else:
                 label = local.name if local.name is not None else f"_{local.index}"
             deps = theta.read_conflicts(Place.from_local(local.index))
-            exit_deps[label] = sorted((loc.block, loc.statement) for loc in deps)
+            exit_deps[label] = sorted(deps)
         return cls(
             fn_name=body.fn_name,
             crate=body.crate,
@@ -623,7 +623,7 @@ class StoreBackedSummaryProvider(RecursiveSummaryProvider):
         self, callee: str, body: Body
     ) -> Optional[Tuple[WholeProgramSummary, int]]:
         """A stored ``(summary, height)`` for ``callee``, or ``None`` on miss."""
-        key = self.fingerprints.summary_key(callee, self.engine.config)
+        key = self.fingerprints.summary_key(callee, self.config)
         data = self.store.get(key)
         if data is None or "summary" not in data:
             return None
@@ -636,5 +636,5 @@ class StoreBackedSummaryProvider(RecursiveSummaryProvider):
         self, callee: str, body: Body, summary: WholeProgramSummary, height: int
     ) -> None:
         """Persist a freshly computed callee summary with its height."""
-        key = self.fingerprints.summary_key(callee, self.engine.config)
+        key = self.fingerprints.summary_key(callee, self.config)
         self.store.put(key, {"summary": summary.to_json_dict(), "height": height})

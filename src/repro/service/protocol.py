@@ -274,11 +274,13 @@ class AnalysisService:
         variable = params.get("variable")
         if not isinstance(function, str) or not isinstance(variable, str):
             raise ProtocolError("`slice` needs string `function` and `variable`")
+        unit = params.get("unit")
         return self.session.slice(
             function,
             variable,
             direction=str(params.get("direction", "backward")),
             config=condition_from_params(params),
+            unit=str(unit) if unit is not None else None,
         )
 
     def _method_focus(self, params: dict) -> dict:

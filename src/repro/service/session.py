@@ -30,7 +30,7 @@ from repro.apps.ifc import IfcChecker, IfcPolicy
 from repro.apps.slicer import lines_of_locations
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
-from repro.errors import LexError, ParseError, QueryError
+from repro.errors import Diagnostic, LexError, ParseError, QueryError, ReproError, Severity, Span
 from repro.focus.resolve import resolve_cursor
 from repro.focus.table import FocusTable
 from repro.lang import ast
@@ -141,6 +141,49 @@ def _parse_unit(
     program = assemble_program(entry for _, _, entry in entries)
     program.entries = entries
     return (source, first_line, program), parsed
+
+
+def _unit_at_line(unit_lines: Dict[str, Tuple[int, int]], line: int) -> Optional[str]:
+    """The unit that holds ``line`` of the joined source."""
+    for name, (offset, lines) in unit_lines.items():
+        if offset < line <= offset + lines:
+            return name
+    return None
+
+
+def _locate_in_units(error: ReproError, unit_lines: Dict[str, Tuple[int, int]]) -> None:
+    """Rewrite ``error`` so that each position it names is relative to the
+    unit that holds it, and names that unit.
+
+    Units are parsed and checked in the lines of the joined source, but a
+    client addresses positions within one unit.  An error none of whose
+    positions lies in a unit is left as it is.
+    """
+    span = getattr(error, "span", None)
+    if span is None:
+        return
+    diagnostics = getattr(error, "diagnostics", None) or (
+        Diagnostic(Severity.ERROR, str(error), span),
+    )
+    messages: List[str] = []
+    spans: List[Span] = []
+    located = False
+    for diagnostic in diagnostics:
+        span = diagnostic.span
+        unit = None if span.is_dummy() else _unit_at_line(unit_lines, span.start_line)
+        if unit is None:
+            messages.append(diagnostic.render())
+        else:
+            offset = unit_lines[unit][0]
+            span = Span(
+                span.start_line - offset, span.start_col, span.end_line - offset, span.end_col
+            )
+            messages.append(f"error in unit {unit!r} at {span}: {diagnostic.message}")
+            located = True
+        spans.append(span)
+    if located:
+        error.args = ("\n".join(messages),)
+        error.span = spans[0]
 
 
 class AnalysisSession:
@@ -304,7 +347,11 @@ class AnalysisSession:
             if served is not None and served[0] == source and served[1] == first_line:
                 parsed[name] = served
                 continue
-            parsed[name], items = _parse_unit(source, first_line, served)
+            try:
+                parsed[name], items = _parse_unit(source, first_line, served)
+            except ReproError as error:
+                _locate_in_units(error, unit_lines)
+                raise
             items_parsed += items
         return parsed, unit_lines, items_parsed
 
@@ -325,12 +372,14 @@ class AnalysisSession:
             checked = check_program(program, previous=self._checked)
             lowered = lower_program(checked, previous=self._lowered)
             call_graph = build_call_graph(lowered)
-        except Exception:
+        except Exception as error:
             # The check annotates declarations in place, and this program
             # shares declarations with the served one: check the served
             # program again to restore its annotations.
             if self._checked is not None:
                 check_program(self._checked.program)
+            if isinstance(error, ReproError):
+                _locate_in_units(error, unit_lines)
             raise
         previous_bodies = self._lowered.bodies if self._lowered is not None else {}
         work = {
@@ -524,12 +573,14 @@ class AnalysisSession:
             raise QueryError(f"no open unit named {unit!r}", code=QueryError.UNKNOWN_UNIT)
         return position
 
-    def _unit_at_line(self, line: int) -> Optional[str]:
-        """The unit that holds ``line`` of the joined source."""
-        for name, (offset, lines) in self._unit_lines.items():
-            if offset < line <= offset + lines:
-                return name
-        return None
+    def _require_in_unit(self, function: str, body: Body, unit: str) -> None:
+        """Raise ``invalid_params`` unless ``unit`` holds ``function``."""
+        owner = _unit_at_line(self._unit_lines, body.span.start_line)
+        if owner != unit:
+            raise QueryError(
+                f"function {function!r} is in unit {owner!r}, not {unit!r}",
+                code=QueryError.INVALID_PARAMS,
+            )
 
     @staticmethod
     def _shift_focus_response(out: dict, delta: int) -> dict:
@@ -588,12 +639,15 @@ class AnalysisSession:
         variable: str,
         direction: str = "backward",
         config: Optional[AnalysisConfig] = None,
+        unit: Optional[str] = None,
     ) -> dict:
         """A backward or forward slice, rendered as source line numbers.
 
         Both directions are served from the function's focus table: the
         all-places tabulation already holds every variable's slice, so a
-        repeated query in either direction is a cache hit.
+        repeated query in either direction is a cache hit.  With ``unit``,
+        which must hold ``function``, lines and spans are relative to that
+        unit, as in :meth:`focus`.
         """
         if direction not in ("backward", "forward"):
             raise QueryError(
@@ -602,6 +656,10 @@ class AnalysisSession:
         config = config or MODULAR
         self._bump("slice_queries")
         body = self._body(function)
+        offset = 0
+        if unit is not None:
+            offset = self._unit_position(unit)[0]
+            self._require_in_unit(function, body, unit)
         if body.local_by_name(variable) is None:
             raise QueryError(
                 f"function {function!r} has no variable {variable!r}",
@@ -617,10 +675,13 @@ class AnalysisSession:
             "direction": direction,
             "condition": condition_name(config),
             "size": len(locations),
-            "lines": sorted(lines_of_locations(body, locations)),
-            "spans": [list(span.to_tuple()) for span in (
-                entry.backward_spans if direction == "backward" else entry.forward_spans
-            )],
+            "lines": [line - offset for line in sorted(lines_of_locations(body, locations))],
+            "spans": [
+                [span.start_line - offset, span.start_col, span.end_line - offset, span.end_col]
+                for span in (
+                    entry.backward_spans if direction == "backward" else entry.forward_spans
+                )
+            ],
             "cache": cache,
             "stats": self.store.stats.to_dict(),
         }
@@ -657,12 +718,7 @@ class AnalysisSession:
         if function is not None and variable is not None:
             body = self._body(function)
             if unit is not None:
-                owner = self._unit_at_line(body.span.start_line)
-                if owner != unit:
-                    raise QueryError(
-                        f"function {function!r} is in unit {owner!r}, not {unit!r}",
-                        code=QueryError.INVALID_PARAMS,
-                    )
+                self._require_in_unit(function, body, unit)
             if body.local_by_name(variable) is None:
                 raise QueryError(
                     f"function {function!r} has no variable {variable!r}",

@@ -108,6 +108,97 @@ class TestIfcParams:
         assert f"`{key}`" in response["error"]
 
 
+# Unit `a` holds lines 1-3 of the joined workspace, so unit `b` starts on
+# line 4: a position in `b` names its own line, never the joined one.
+UNIT_A_SOURCE = "fn f(x: u32) -> u32 {\n    x + 1\n}"
+UNIT_B_SOURCE = "fn g(y: u32) -> u32 {\n    let w = y + 1;\n    w\n}"
+
+
+class TestUnitPositions:
+    @staticmethod
+    def service_with_unit_a():
+        service = AnalysisService()
+        opened = service.handle(
+            {"id": 1, "method": "open", "params": {"unit": "a", "source": UNIT_A_SOURCE}}
+        )
+        assert opened["ok"]
+        return service
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("y @ 1", "error in unit 'b' at 1:3: unexpected character '@'"),
+            (
+                "fn g(y: u32) -> u32 {\n    y +\n}",
+                "error in unit 'b' at 3:1: expected expression, found '}'",
+            ),
+            (
+                "fn g(y: u32) -> u32 {\n    y + true\n}",
+                "error in unit 'b' at 2:5: right operand of '+' must be u32, found bool",
+            ),
+        ],
+        ids=["lex", "parse", "type"],
+    )
+    @pytest.mark.parametrize("method", ["open", "update"])
+    def test_failed_rebuild_names_the_unit_and_its_own_position(self, source, error, method):
+        service = self.service_with_unit_a()
+        if method == "update":
+            opened = service.handle(
+                {"id": 2, "method": "open", "params": {"unit": "b", "source": UNIT_B_SOURCE}}
+            )
+            assert opened["ok"]
+        response = service.handle(
+            {"id": 3, "method": method, "params": {"unit": "b", "source": source}}
+        )
+        assert response["ok"] is False
+        assert response["error_code"] == "repro_error"
+        assert response["error"] == error
+
+    def test_every_type_error_names_its_unit(self):
+        service = self.service_with_unit_a()
+        response = service.handle(
+            {"id": 2, "method": "open", "params": {
+                "unit": "b", "source": "fn g(y: u32) -> u32 {\n    zz\n}"}}
+        )
+        assert response["error"].splitlines() == [
+            "error in unit 'b' at 2:5: unknown variable 'zz'",
+            "error in unit 'b' at 1:1: function 'g' returns () but is declared to return u32",
+        ]
+
+    def test_slice_with_unit_answers_in_unit_lines(self):
+        service = self.service_with_unit_a()
+        service.handle(
+            {"id": 2, "method": "open", "params": {"unit": "b", "source": UNIT_B_SOURCE}}
+        )
+        joined = service.handle(
+            {"id": 3, "method": "slice", "params": {"function": "g", "variable": "w"}}
+        )
+        relative = service.handle(
+            {"id": 4, "method": "slice", "params": {"unit": "b", "function": "g", "variable": "w"}}
+        )
+        focus = service.handle(
+            {"id": 5, "method": "focus", "params": {"unit": "b", "function": "g", "variable": "w"}}
+        )
+        assert joined["result"]["lines"] == [5]
+        assert joined["result"]["spans"] == [[5, 5, 5, 19]]
+        assert relative["result"]["lines"] == [2]
+        assert relative["result"]["spans"] == [[2, 5, 2, 19]]
+        assert relative["result"]["lines"] == focus["result"]["backward"]["lines"]
+        assert relative["result"]["spans"] == focus["result"]["backward"]["spans"]
+
+    def test_slice_of_a_function_outside_the_unit_is_invalid_params(self):
+        service = self.service_with_unit_a()
+        service.handle(
+            {"id": 2, "method": "open", "params": {"unit": "b", "source": UNIT_B_SOURCE}}
+        )
+        response = service.handle(
+            {"id": 3, "method": "slice", "params": {"unit": "a", "function": "g", "variable": "w"}}
+        )
+        assert response["ok"] is False
+        assert response["error_code"] == "invalid_params"
+        assert response["error"] == "function 'g' is in unit 'b', not 'a'"
+
+
 class TestServeLoop:
     def test_analyze_twice_second_served_from_store(self):
         responses = run_requests(
