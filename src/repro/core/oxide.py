@@ -168,7 +168,8 @@ class OxideFlowAnalysis:
         for param in self.decl.params:
             label = param.node_id
             self.param_labels[param.name] = label
-            for place, _ty in self._subplaces(param.name, param.ty):
+            ty = self.checked.registry.resolve(param.ty)
+            for place, _ty in self._subplaces(param.name, ty):
                 theta.set(place, frozenset({label}))
 
         return_deps, theta = self._analyze_block(self.decl.body, theta)

@@ -128,9 +128,11 @@ class Diagnostic:
     span: Span = DUMMY_SPAN
     notes: tuple = ()
 
-    def render(self) -> str:
-        """Format the diagnostic the way a command-line compiler would."""
-        loc = "" if self.span.is_dummy() else f" at {self.span}"
+    def render(self, filename: Optional[str] = None) -> str:
+        """Format the diagnostic the way a command-line compiler would, its
+        position prefixed with ``filename`` when one is given."""
+        where = f"{filename}:" if filename else ""
+        loc = "" if self.span.is_dummy() else f" at {where}{self.span}"
         lines = [f"{self.severity.value}{loc}: {self.message}"]
         for note in self.notes:
             lines.append(f"  note: {note}")
@@ -331,22 +333,26 @@ def source_excerpt(source: str, span: Span, context: int = 1) -> str:
 def render_error_with_source(
     error: Exception, source: str, filename: str = "<input>"
 ) -> str:
-    """``line:column`` plus a source excerpt for any span-carrying error.
+    """``file:line:column`` plus a source excerpt for any span-carrying error.
 
     Works on every :class:`ReproError` subclass that records a ``span``
     (parse, typecheck, lowering, eval, query errors); errors without a usable
-    span fall back to the plain message.  This is how shrunk fuzz repros stay
-    debuggable from the CLI: ``repro fuzz repro`` and the top-level error
-    path both print through here.
+    span fall back to the plain message.  Each of the error's diagnostics is
+    rendered from its own message, because the error's message may already
+    name the position (``error at L:C: ...`` from a type check, ``error in
+    unit 'u' at L:C: ...`` from a session).  This is how shrunk fuzz repros
+    stay debuggable from the CLI: ``repro fuzz repro`` and the top-level
+    error path both print through here.
     """
     span = getattr(error, "span", None)
-    header = f"error: {error}"
-    if isinstance(span, Span) and not span.is_dummy():
-        header = f"error at {filename}:{span.start_line}:{span.start_col}: {error}"
-        excerpt = source_excerpt(source, span)
-        if excerpt:
-            return f"{header}\n{excerpt}"
-    return header
+    if not isinstance(span, Span) or span.is_dummy():
+        return f"error: {error}"
+    diagnostics = getattr(error, "diagnostics", None) or (
+        getattr(error, "diagnostic", None) or Diagnostic(Severity.ERROR, str(error), span),
+    )
+    header = "\n".join(diagnostic.render(filename) for diagnostic in diagnostics)
+    excerpt = source_excerpt(source, span)
+    return f"{header}\n{excerpt}" if excerpt else header
 
 
 def first_error(diags: Iterable[Diagnostic]) -> Optional[Diagnostic]:

@@ -455,15 +455,6 @@ class FnDecl(Node):
     def has_body(self) -> bool:
         return self.body is not None
 
-    def signature(self) -> FnSig:
-        return FnSig(
-            name=self.name,
-            param_names=tuple(p.name for p in self.params),
-            param_types=tuple(p.ty for p in self.params),
-            ret_type=self.ret_type,
-            lifetime_params=tuple(self.lifetime_params),
-        )
-
 
 Item = Union[FnDecl, StructDef]
 

@@ -77,6 +77,15 @@ class _Scope:
         return None
 
 
+# What a function body's check reads besides the body itself: every struct
+# (name, opacity, and each field's name and type, in order) and, by function
+# name, every signature's crate and rendering.  Types are compared by
+# rendering because their ``==`` is weaker: ``StructType`` compares by name
+# only and ``RefType`` ignores lifetimes.
+StructsKey = Tuple[Tuple[str, bool, Tuple[Tuple[str, str], ...]], ...]
+EnvironmentKey = Tuple[StructsKey, Dict[str, Tuple[str, str]]]
+
+
 @dataclass
 class CheckedFunction:
     """A type-checked function: the declaration plus derived facts."""
@@ -104,8 +113,8 @@ class CheckedProgram:
     every called function has a known signature.
 
     ``env_key`` renders everything a function's check reads besides its own
-    declaration (see :meth:`TypeChecker.environment_key`); ``reused`` names
-    the functions whose checked form was taken over from a previous check.
+    declaration (an ``EnvironmentKey``); ``reused`` names the functions
+    whose checked form was taken over from a previous check.
     """
 
     program: ast.Program
@@ -114,7 +123,7 @@ class CheckedProgram:
     crates: Dict[str, CheckedCrate]
     fn_crates: Dict[str, str]
     diagnostics: DiagnosticSink
-    env_key: Tuple = ()
+    env_key: EnvironmentKey
     reused: FrozenSet[str] = frozenset()
 
     def function(self, name: str) -> Optional[CheckedFunction]:
@@ -166,14 +175,23 @@ def _elide_output(ty: Type, lifetime: str) -> Type:
 
 
 class TypeChecker:
-    """Checks a :class:`repro.lang.ast.Program` and annotates it in place.
+    """Checks a :class:`repro.lang.ast.Program` and annotates its bodies in place.
+
+    Declarations are left as parsed: a signature's resolved and elaborated
+    types live in its :class:`~repro.lang.ast.FnSig`, and a body's check
+    reads its parameters' types through the struct registry, as lowering
+    does.  The check writes only into the bodies it checks.
 
     With ``previous``, the check of an earlier program whose declarations
-    this one shares, a function whose declaration is the very object that
-    ``previous`` checked keeps its checked form when the environment key is
-    unchanged: its annotations were computed from equal inputs.  Signatures
-    are still collected for every function (the key needs them), and that
-    re-resolves each declaration's parameter and return types in place.
+    this one shares, a declaration that is the very object ``previous``
+    checked keeps its elaborated signature and its rendering in the
+    environment key while the struct part of the key is unchanged, and
+    keeps its checked form when the whole key is unchanged: each was
+    computed from equal inputs.  So a rebuild elaborates only the
+    declarations it parsed again, and checks a body ``previous`` checked
+    only in a changed environment.  A failed check raises
+    :class:`TypeCheckError` with the environment key it checked bodies in
+    as ``env_key``.
     """
 
     def __init__(self, program: ast.Program, previous: Optional["CheckedProgram"] = None):
@@ -189,12 +207,17 @@ class TypeChecker:
     def check(self) -> CheckedProgram:
         """Check the whole program, raising :class:`TypeCheckError` on errors."""
         self._collect_structs()
-        self._collect_signatures()
-        env_key = self.environment_key()
+        structs = self._structs_key()
+        previous = self.previous
         served: Dict[str, CheckedFunction] = {}
-        if self.previous is not None and self.previous.env_key == env_key:
-            for previous_crate in self.previous.crates.values():
+        rendered: Dict[str, Tuple[str, str]] = {}
+        if previous is not None and previous.env_key[0] == structs:
+            for previous_crate in previous.crates.values():
                 served.update(previous_crate.functions)
+            rendered = previous.env_key[1]
+        env_key = (structs, self._collect_signatures(served, rendered))
+        if previous is None or previous.env_key != env_key:
+            served = {}
         reused: List[str] = []
         crates: Dict[str, CheckedCrate] = {}
         for crate in self.program.crates:
@@ -207,7 +230,11 @@ class TypeChecker:
                 else:
                     checked.functions[fn.name] = self._check_function(fn)
             crates[crate.name] = checked
-        self.diagnostics.raise_if_errors(TypeCheckError)
+        try:
+            self.diagnostics.raise_if_errors(TypeCheckError)
+        except TypeCheckError as error:
+            error.env_key = env_key
+            raise
         return CheckedProgram(
             program=self.program,
             registry=self.registry,
@@ -218,25 +245,6 @@ class TypeChecker:
             env_key=env_key,
             reused=frozenset(reused),
         )
-
-    def environment_key(self) -> Tuple:
-        """Everything a function body's check reads besides the body itself.
-
-        Every struct (name, opacity, and each field's name and type, in
-        order) and every signature with its crate, rendered as text.  Types
-        are compared by rendering because their ``==`` is weaker:
-        ``StructType`` compares by name only and ``RefType`` ignores
-        lifetimes.
-        """
-        structs = tuple(
-            (struct.name, struct.opaque, tuple((name, ty.pretty()) for name, ty in struct.fields))
-            for struct in self.registry.structs.values()
-        )
-        signatures = tuple(
-            (name, self.fn_crates[name], signature.pretty())
-            for name, signature in self.signatures.items()
-        )
-        return structs, signatures
 
     # -- item collection -------------------------------------------------------
 
@@ -263,7 +271,21 @@ class TypeChecker:
                 StructType(name=struct.name, fields=tuple(fields), opaque=struct.opaque)
             )
 
-    def _collect_signatures(self) -> None:
+    def _structs_key(self) -> StructsKey:
+        """The struct part of the environment key."""
+        return tuple(
+            (struct.name, struct.opaque, tuple((name, ty.pretty()) for name, ty in struct.fields))
+            for struct in self.registry.structs.values()
+        )
+
+    def _collect_signatures(
+        self, served: Dict[str, CheckedFunction], rendered: Dict[str, Tuple[str, str]]
+    ) -> Dict[str, Tuple[str, str]]:
+        """Each function's signature, and the signature part of the
+        environment key: by name, the function's crate and its rendered
+        signature.  A declaration that ``served`` holds as the very object
+        keeps its signature and the rendering in ``rendered``."""
+        entries: Dict[str, Tuple[str, str]] = {}
         for crate in self.program.crates:
             for fn in crate.functions():
                 if fn.name in self.signatures:
@@ -271,12 +293,17 @@ class TypeChecker:
                         f"duplicate function definition {fn.name!r}", fn.span
                     )
                     continue
-                for param in fn.params:
-                    param.ty = self._resolve_type(param.ty, param.span)
-                fn.ret_type = self._resolve_type(fn.ret_type, fn.span)
-                signature = self._elaborate_signature(fn)
+                kept = served.get(fn.name)
+                if kept is not None and kept.decl is fn:
+                    signature = kept.signature
+                    text = rendered[fn.name][1]
+                else:
+                    signature = self._elaborate_signature(fn)
+                    text = signature.pretty()
                 self.signatures[fn.name] = signature
                 self.fn_crates[fn.name] = crate.name
+                entries[fn.name] = (crate.name, text)
+        return entries
 
     def _elaborate_signature(self, fn: ast.FnDecl) -> ast.FnSig:
         """Apply lifetime elision so every reference in the signature is named.
@@ -287,11 +314,13 @@ class TypeChecker:
         distinct name that the signature summary treats as tied to *all*
         inputs (the conservative choice required for soundness).
         """
+        declared = [self._resolve_type(p.ty, p.span) for p in fn.params]
+        declared_ret = self._resolve_type(fn.ret_type, fn.span)
         lifetime_params = list(fn.lifetime_params)
         # Fresh names are numbered per signature, so an edit to one signature
         # renames no other's, and skip every name the signature mentions.
         taken = set(lifetime_params)
-        for ty in (*(p.ty for p in fn.params), fn.ret_type):
+        for ty in (*declared, declared_ret):
             taken.update(ty.lifetimes())
         counter = itertools.count(1)
 
@@ -302,15 +331,15 @@ class TypeChecker:
             lifetime_params.append(name)
             return name
 
-        param_types = tuple(_name_refs(p.ty, fresh, "in") for p in fn.params)
+        param_types = tuple(_name_refs(ty, fresh, "in") for ty in declared)
         input_lifetimes: List[str] = []
         for ty in param_types:
             input_lifetimes.extend(ty.lifetimes())
 
         if len(set(input_lifetimes)) == 1:
-            ret_type = _elide_output(fn.ret_type, input_lifetimes[0])
+            ret_type = _elide_output(declared_ret, input_lifetimes[0])
         else:
-            ret_type = _name_refs(fn.ret_type, fresh, "out")
+            ret_type = _name_refs(declared_ret, fresh, "out")
 
         return ast.FnSig(
             name=fn.name,
@@ -329,6 +358,8 @@ class TypeChecker:
     # -- function bodies ---------------------------------------------------------
 
     def _check_function(self, fn: ast.FnDecl) -> CheckedFunction:
+        """Check one body.  The declared return type is read as parsed: it
+        is only compared, and struct types compare by name."""
         signature = self.signatures[fn.name]
         checked = CheckedFunction(decl=fn, signature=signature)
         if fn.body is None:
@@ -338,8 +369,9 @@ class TypeChecker:
         for param in fn.params:
             # Parameters are immutable bindings; mutation happens through
             # `&mut` references, matching idiomatic Rust and the corpus.
-            scope.declare(LocalInfo(param.name, param.ty, mutable=False, span=param.span))
-            checked.locals[param.name] = param.ty
+            ty = self.registry.resolve(param.ty)
+            scope.declare(LocalInfo(param.name, ty, mutable=False, span=param.span))
+            checked.locals[param.name] = ty
 
         body_ty = self._check_block(fn.body, scope, fn, checked)
         if not isinstance(fn.ret_type, UnitType) and fn.body.tail is not None:

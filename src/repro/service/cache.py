@@ -126,8 +126,8 @@ class FingerprintIndex:
     covers local bodies; ``shallow_fingerprint`` and ``cone_fingerprint`` are
     the per-condition cache keys described in the module docstring.
 
-    ``previous``, the index of an earlier program, lends the body
-    fingerprints it already computed for the very ``Body`` objects this
+    ``previous``, the index of an earlier program, lends the fingerprints
+    it already computed for the very ``Body`` and ``FnSig`` objects this
     program still holds.  Only the fingerprint strings are copied, so the
     new index keeps nothing of the earlier program alive.
     """
@@ -153,6 +153,11 @@ class FingerprintIndex:
             for name, fingerprint in previous._body.items():
                 if fingerprint is not None and bodies.get(name) is previous_bodies.get(name):
                     self._body[name] = fingerprint
+            previous_signatures = previous.signatures
+            for name, fingerprint in previous._sig.items():
+                signature = signatures.get(name)
+                if signature is not None and signature is previous_signatures.get(name):
+                    self._sig[name] = fingerprint
 
     def signature_fingerprint(self, name: str) -> str:
         """Fingerprint of the function's rendered signature (any function)."""

@@ -14,13 +14,15 @@ workspace size.  The rebuild before it has the same locality: units are
 parsed one by one, and only a unit whose text or first line changed is
 parsed again.  In a unit whose first line stayed, only the runs of
 top-level items (or ``crate`` blocks) on the lines the edit changed are
-parsed again; every other item is kept as the served declaration, and
-while no struct or signature changed a kept function keeps its checked
+parsed again; every other item is kept as the served declaration.  While
+no struct changed, a kept function keeps its elaborated signature and
+signature fingerprint, and while no signature changed either, its checked
 form, lowered body and body fingerprint too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
@@ -152,8 +154,9 @@ def _unit_at_line(unit_lines: Dict[str, Tuple[int, int]], line: int) -> Optional
 
 
 def _locate_in_units(error: ReproError, unit_lines: Dict[str, Tuple[int, int]]) -> None:
-    """Rewrite ``error`` so that each position it names is relative to the
-    unit that holds it, and names that unit.
+    """Rewrite ``error`` so that each position it names, in its message and
+    in its ``diagnostics``, is relative to the unit that holds it, and the
+    message names that unit.
 
     Units are parsed and checked in the lines of the joined source, but a
     client addresses positions within one unit.  An error none of whose
@@ -166,7 +169,7 @@ def _locate_in_units(error: ReproError, unit_lines: Dict[str, Tuple[int, int]]) 
         Diagnostic(Severity.ERROR, str(error), span),
     )
     messages: List[str] = []
-    spans: List[Span] = []
+    relative: List[Diagnostic] = []
     located = False
     for diagnostic in diagnostics:
         span = diagnostic.span
@@ -179,11 +182,13 @@ def _locate_in_units(error: ReproError, unit_lines: Dict[str, Tuple[int, int]]) 
                 span.start_line - offset, span.start_col, span.end_line - offset, span.end_col
             )
             messages.append(f"error in unit {unit!r} at {span}: {diagnostic.message}")
+            diagnostic = dataclasses.replace(diagnostic, span=span)
             located = True
-        spans.append(span)
+        relative.append(diagnostic)
     if located:
         error.args = ("\n".join(messages),)
-        error.span = spans[0]
+        error.span = relative[0].span
+        error.diagnostics = tuple(relative)
 
 
 class AnalysisSession:
@@ -368,25 +373,33 @@ class AnalysisSession:
             (crate for _, _, unit in parsed.values() for crate in unit.crates),
             self.local_crate,
         )
+        checked = None
         try:
             checked = check_program(program, previous=self._checked)
             lowered = lower_program(checked, previous=self._lowered)
             call_graph = build_call_graph(lowered)
         except Exception as error:
-            # The check annotates declarations in place, and this program
-            # shares declarations with the served one: check the served
-            # program again to restore its annotations.
-            if self._checked is not None:
+            # The check annotates the bodies it checks in place.  It checks
+            # a body the served program shares only when the environment
+            # key changed; then check the served program again to restore
+            # that body's annotations.
+            env_key = checked.env_key if checked is not None else getattr(error, "env_key", None)
+            if self._checked is not None and env_key != self._checked.env_key:
                 check_program(self._checked.program)
             if isinstance(error, ReproError):
                 _locate_in_units(error, unit_lines)
             raise
+        previous_signatures = self._checked.signatures if self._checked is not None else {}
         previous_bodies = self._lowered.bodies if self._lowered is not None else {}
         work = {
             "units_parsed": sum(
                 entry is not self._parsed.get(name) for name, entry in parsed.items()
             ),
             "items_parsed": items_parsed,
+            "signatures_elaborated": sum(
+                signature is not previous_signatures.get(name)
+                for name, signature in checked.signatures.items()
+            ),
             "functions_checked": sum(
                 function.decl.name not in checked.reused
                 for function in checked.functions_with_bodies()

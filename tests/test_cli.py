@@ -186,6 +186,26 @@ def test_corpus_command_unknown_crate_errors():
     assert "error" in output
 
 
+# Line 2 adds a bool to a u32.
+TYPE_ERROR_SOURCE = "fn f(y: u32) -> u32 {\n    y + true\n}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "query"])
+def test_type_error_names_its_position_once(tmp_path, command):
+    path = tmp_path / "bad.mrs"
+    path.write_text(TYPE_ERROR_SOURCE, encoding="utf-8")
+    code, output = run_cli(command, str(path))
+    assert code == 2
+    lines = output.splitlines()
+    assert lines[0] == f"error at {path}:2:5: right operand of '+' must be u32, found bool"
+    assert lines[1:] == [
+        "  1 | fn f(y: u32) -> u32 {",
+        "  2 |     y + true",
+        "    |     ^^^^^^^^",
+        "  3 | }",
+    ]
+
+
 def test_missing_file_is_a_clean_error():
     code, output = run_cli("mir", "/does/not/exist.mrs")
     assert code == 2

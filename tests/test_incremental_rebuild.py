@@ -2,14 +2,14 @@
 
 An edit re-parses only the units whose text or first line changed, and in
 such a unit only the runs of top-level items (or ``crate`` blocks) on the
-lines it changed; every other item is kept as the served declaration, and,
-while no struct or signature changed, so are that function's checked form,
-lowered body and body fingerprint.  After every step these tests compare the
-edited session with a fresh session opened on the same units: the
-whole-workspace snapshot digest under the Modular and Whole-program
-conditions, the focus answer at every place-expression cursor of every
-function, addressed relative to its unit, and each unit's parse against a
-fresh parse of its text.
+lines it changed; every other item is kept as the served declaration, with
+its signature while no struct changed, and, while no struct or signature
+changed, with that function's checked form, lowered body and body
+fingerprint.  After every step these tests compare the edited session with
+a fresh session opened on the same units: the whole-workspace snapshot
+digest under the Modular and Whole-program conditions, the focus answer at
+every place-expression cursor of every function, addressed relative to its
+unit, and each unit's parse against a fresh parse of its text.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.errors import ParseError, QueryError, ReproError, TypeCheckError
 from repro.fuzz.generator import generate_source, profile
 from repro.lang import ast
 from repro.lang.parser import parse_program
+from repro.lang.typeck import TypeChecker
 from repro.lang.types import Type
 from repro.obs import start_trace
 from repro.service.session import AnalysisSession
@@ -104,7 +105,7 @@ def parse_dump(value):
     """A canonical form of a parse: every field but node ids and the
     checker's annotations (an expression's ``ty``, a field access's
     ``field_index``).  Types are rendered as text, because the checker
-    resolves declared types in place."""
+    resolves a ``let``'s declared type in place."""
     if isinstance(value, ast.Node):
         return (type(value).__name__,) + tuple(
             (item.name, parse_dump(getattr(value, item.name)))
@@ -253,13 +254,41 @@ def test_failed_edit_then_good_edit():
     assert_matches_fresh(session)
 
 
-def test_failed_edit_keeps_the_served_annotations():
+def counted_checks(monkeypatch):
+    """A list that gains an entry each time ``TypeChecker.check`` runs."""
+    calls = []
+    check = TypeChecker.check
+
+    def counted(self):
+        calls.append(self.program)
+        return check(self)
+
+    monkeypatch.setattr(TypeChecker, "check", counted)
+    return calls
+
+
+def test_type_error_in_one_body_checks_once(monkeypatch):
+    # The environment is unchanged, so the failing check re-checks no body
+    # the served generation shares, and there is nothing to restore.
+    session = edited_session()
+    calls = counted_checks(monkeypatch)
+    with pytest.raises(TypeCheckError):
+        session.update_unit("a", UNIT_A.replace("t + 1", "t + true"))
+    assert len(calls) == 1
+    assert_matches_fresh(session)
+
+
+def test_failed_edit_keeps_the_served_annotations(monkeypatch):
     # The failing check re-annotated `build` (shared with the served
-    # generation) for the reordered struct before it failed.
+    # generation) for the reordered struct before it failed, so the served
+    # program is checked again.
     session = edited_session()
     assert field_target(session) == "r.1"
+    calls = counted_checks(monkeypatch)
     with pytest.raises(TypeCheckError):
         session.update_unit("a", REORDERED_A.replace("t + 1", "t + true"))
+    assert len(calls) == 2
+    assert calls[1] is session._checked.program
     assert field_target(session) == "r.1"
     assert_matches_fresh(session)
 
@@ -340,7 +369,11 @@ def test_comment_only_edit_between_two_items():
     session = edited_session()
     work = traced_rebuild(session, "b", UNIT_B.replace("}\n\nfn h", "}\n// h\nfn h"))
     assert work == {
-        "units_parsed": 1, "items_parsed": 0, "functions_checked": 0, "bodies_lowered": 0
+        "units_parsed": 1,
+        "items_parsed": 0,
+        "signatures_elaborated": 0,
+        "functions_checked": 0,
+        "bodies_lowered": 0,
     }
     assert_matches_fresh(session)
 
@@ -420,7 +453,9 @@ def test_an_item_cannot_span_two_units():
 # ---------------------------------------------------------------------------
 
 
-WORK = ("units_parsed", "items_parsed", "functions_checked", "bodies_lowered")
+WORK = (
+    "units_parsed", "items_parsed", "signatures_elaborated", "functions_checked", "bodies_lowered"
+)
 
 
 def traced_work(rebuild):
@@ -439,13 +474,20 @@ def test_rebuild_span_counts_the_work_done():
     session = AnalysisSession()
     # A cold open parses every item: `S`, `bump`, `first`, `build`, `h`.
     work = traced_work(lambda: session.open_units([("a", UNIT_A), ("b", UNIT_B)]))
-    assert [work[key] for key in WORK] == [2, 5, 4, 4]
+    assert [work[key] for key in WORK] == [2, 5, 4, 4, 4]
     work = traced_rebuild(session, "a", UNIT_A.replace("t + 1", "t + 7"))
-    assert [work[key] for key in WORK] == [1, 1, 1, 1]
-    # A struct edit changes every function's environment (this one also
-    # reverts the literal edit in `bump`, so two items are parsed).
+    assert [work[key] for key in WORK] == [1, 1, 1, 1, 1]
+    # A struct edit changes every signature's and every function's
+    # environment (this one also reverts the literal edit in `bump`, so two
+    # items are parsed).
     work = traced_rebuild(session, "a", REORDERED_A)
-    assert [work[key] for key in WORK] == [1, 2, 4, 4]
+    assert [work[key] for key in WORK] == [1, 2, 4, 4, 4]
+    # A signature edit elaborates that signature alone, but re-checks and
+    # re-lowers every function, whose environment it changed.
+    work = traced_rebuild(
+        session, "b", UNIT_B.replace("fn h(x: u32) -> u32 { x }", "fn h(y: u32) -> u32 { y }")
+    )
+    assert [work[key] for key in WORK] == [1, 1, 1, 4, 4]
 
 
 def test_unchanged_functions_keep_their_bodies():
@@ -462,6 +504,11 @@ def test_unchanged_functions_keep_their_bodies():
 # ---------------------------------------------------------------------------
 
 LITERAL = re.compile(r"(?<![\w.])\d+\b")
+# A line that declares a function or a struct, and a `u32` or `&u32`
+# parameter, return or field type on it.
+SIGNATURE_LINE = re.compile(r"^ *(?:extern fn|fn|struct) .*$", re.M)
+DECLARED_U32 = re.compile(r"(?:: |-> )(&?u32)\b")
+PARAMETER = re.compile(r"[(,] ?(\w+): ")
 
 
 def fuzz_workspace(seed):
@@ -493,9 +540,13 @@ def random_edit(rng, workspace):
     """Apply one random edit in place; return the indices of changed units.
 
     A ``line`` edit deletes, duplicates or swaps lines of one unit, so it
-    can leave the unit broken; that unit's items become its lines.
+    can leave the unit broken; that unit's items become its lines.  A
+    ``signature`` edit toggles one declared type between ``u32`` and
+    ``&u32``; it mostly fails to check, but not where nothing uses the type
+    (an uncalled extern function's parameter).  A ``rename`` edit renames a
+    parameter throughout its function, a signature edit that checks.
     """
-    kind = rng.choice(("literal", "blank", "move", "line"))
+    kind = rng.choice(("literal", "blank", "move", "line", "signature", "rename"))
     if kind == "line":
         unit = rng.choice([unit for unit in range(3) if workspace[unit]])
         lines = "\n".join(workspace[unit]).split("\n")
@@ -522,6 +573,31 @@ def random_edit(rng, workspace):
         match = rng.choice(list(LITERAL.finditer(item)))
         bumped = str(int(match.group()) + 1)
         workspace[unit][index] = item[: match.start()] + bumped + item[match.end() :]
+        return [unit]
+    if kind == "signature":
+        spots = [
+            (unit, index, line.start() + match.start(1), line.start() + match.end(1))
+            for unit, items in enumerate(workspace)
+            for index, item in enumerate(items)
+            for line in SIGNATURE_LINE.finditer(item)
+            for match in DECLARED_U32.finditer(line.group())
+        ]
+        unit, index, start, end = rng.choice(spots)
+        item = workspace[unit][index]
+        declared = item[start:end]
+        toggled = declared[1:] if declared.startswith("&") else "&" + declared
+        workspace[unit][index] = item[:start] + toggled + item[end:]
+        return [unit]
+    if kind == "rename":
+        spots = [
+            (unit, index, match.group(1))
+            for unit, items in enumerate(workspace)
+            for index, item in enumerate(items)
+            if item.startswith("fn ")
+            for match in PARAMETER.finditer(item.split("\n", 1)[0])
+        ]
+        unit, index, name = rng.choice(spots)
+        workspace[unit][index] = re.sub(rf"\b{name}\b", f"{name}_r", workspace[unit][index])
         return [unit]
     if kind == "blank":
         unit = rng.randrange(3)

@@ -84,8 +84,12 @@ def test_edit_frees_the_previous_generation_at_once(config, collector_off):
     session = _analysed_session(config)
     gc.collect()  # count only what the edit leaves
     previous = weakref.ref(session.engine(config))
+    # The edit keeps every other function's signature, which must not keep
+    # the check that elaborated it alive.
+    previous_check = weakref.ref(session._checked)
     result = session.update_unit("main", _edited_source())
     assert result["body_changed"]
     assert previous() is None
+    assert previous_check() is None
     assert gc.collect() == 0
     assert session.analyze(config=config)["functions"]

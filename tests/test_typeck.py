@@ -3,9 +3,18 @@
 import pytest
 
 from repro.errors import TypeCheckError
-from repro.lang.parser import parse_program
+from repro.lang.parser import assemble_program, parse_program
 from repro.lang.typeck import check_program
-from repro.lang.types import BoolType, Mutability, RefType, StructType, TupleType, U32Type, UnitType
+from repro.lang.types import (
+    U32,
+    BoolType,
+    Mutability,
+    RefType,
+    StructType,
+    TupleType,
+    U32Type,
+    UnitType,
+)
 from repro.service.session import AnalysisSession
 
 from helpers import checked_from
@@ -335,3 +344,49 @@ def test_functions_with_bodies_spans_all_crates():
     )
     names = {f.decl.name for f in checked.functions_with_bodies()}
     assert names == {"dep_fn", "local_fn"}
+
+
+# ---------------------------------------------------------------------------
+# Checking with a previous check
+# ---------------------------------------------------------------------------
+
+
+def items_of(source):
+    return parse_program(source).crates[0].items
+
+
+def test_check_leaves_declarations_as_parsed():
+    program = parse_program("struct S { a: u32 }\nfn f(s: S) -> S { s }")
+    fn = program.function("f")
+    param_ty, ret_type = fn.params[0].ty, fn.ret_type
+    checked = check_program(program)
+    assert fn.params[0].ty is param_ty and fn.ret_type is ret_type
+    assert param_ty.fields == ()
+    assert checked.signature("f").param_types[0].fields == (("a", U32),)
+    assert checked.function("f").locals["s"].fields == (("a", U32),)
+
+
+def test_previous_lends_the_signatures_of_shared_declarations():
+    struct, get, bump = items_of(
+        "struct S { a: u32, b: u32 }\nfn get(s: &S) -> u32 { s.b }\nfn bump(x: u32) -> u32 { x }"
+    )
+    first = check_program(assemble_program([struct, get, bump]))
+    (edited,) = items_of("fn bump(x: u32) -> u32 { x + 1 }")
+    second = check_program(assemble_program([struct, get, edited]), previous=first)
+    assert second.signature("get") is first.signature("get")
+    assert second.signature("bump") is not first.signature("bump")
+    assert second.reused == {"get"}
+    # A struct edit elaborates every signature again, with the new fields.
+    (reordered,) = items_of("struct S { b: u32, a: u32 }")
+    third = check_program(assemble_program([reordered, get, edited]), previous=second)
+    assert third.signature("get") is not second.signature("get")
+    assert third.signature("get").param_types[0].pointee.field_names() == ["b", "a"]
+    assert third.reused == frozenset()
+
+
+def test_failed_check_carries_its_environment_key():
+    with pytest.raises(TypeCheckError) as excinfo:
+        check_program(parse_program("struct S { a: u32 }\nfn f(s: &S) -> u32 { true }"))
+    structs, signatures = excinfo.value.env_key
+    assert structs == (("S", False, (("a", "u32"),)),)
+    assert signatures == {"f": ("main", "fn f<'in1>(s: &'in1 S) -> u32")}
