@@ -13,19 +13,26 @@ cursor: on ``*point.x`` a cursor over ``x`` resolves to the field, one over
 ``point`` to the base variable, and one on the ``*`` to the whole deref.
 Cursors on a ``let`` binding's name or a parameter name resolve to the bound
 variable itself.
+
+A :class:`CursorIndex` makes finding the candidates a lookup: the function
+under the cursor is found by bisection over the functions' starts, and
+only the binding names and place expressions on the cursor's line are
+tested.  The analysis service keeps one index per workspace generation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import QueryError, Span
 from repro.lang import ast
 from repro.lang.typeck import CheckedProgram
 from repro.lang.types import RefType
-from repro.mir.ir import Body, Location, Place
+from repro.mir.ir import Body, Place
 from repro.mir.lower import LoweredProgram
+from repro.obs import span as obs_span
 
 
 @dataclass(frozen=True)
@@ -39,70 +46,145 @@ class FocusTarget:
     defining_span: Span  # span of the base variable's definition
 
 
-def resolve_function_at(
-    checked: CheckedProgram, line: int, col: int
-) -> Optional[ast.FnDecl]:
+class _FunctionLines(NamedTuple):
+    """One function's cursor targets, each under every line its span covers."""
+
+    bindings: Dict[int, List[Tuple[str, Span]]]  # parameters, then ``let``s
+    places: Dict[int, List[ast.Expr]]  # place expressions, in walk order
+
+
+def _add_by_line(table: dict, span: Span, entry) -> None:
+    for line in range(span.start_line, span.end_line + 1):
+        table.setdefault(line, []).append(entry)
+
+
+class CursorIndex:
+    """Where a cursor can land in one program, each table built on first use.
+
+    The function table lists the functions with bodies by span start.
+    Items never nest, so the last function starting at or before a cursor
+    is the only one that can hold it.  A function's own table, built on the
+    first query into it, files its binding names and its place expressions
+    under every line they cover, in the order of a walk of its body, so a
+    query tests only the entries on its line.
+
+    Readers on several threads may share one index.  Each table is built
+    whole, published with one assignment and never changed afterwards, so
+    a reader sees either no table or a complete one; two threads racing to
+    build the same table build equal ones, and keeping either is right.
+    """
+
+    __slots__ = ("_program", "_functions", "_lines")
+
+    def __init__(self, program: ast.Program):
+        self._program = program
+        self._functions: Optional[Tuple[List[Tuple[int, int]], List[ast.FnDecl]]] = None
+        self._lines: Dict[str, _FunctionLines] = {}
+
+    def functions(self) -> Tuple[List[Tuple[int, int]], List[ast.FnDecl]]:
+        """The functions with bodies sorted by span start, and those starts."""
+        table = self._functions
+        if table is None:
+            with obs_span("cursor_index") as sp:
+                functions = sorted(
+                    (fn for fn in self._program.all_functions() if fn.body is not None),
+                    key=lambda fn: fn.span[:2],
+                )
+                table = ([fn.span[:2] for fn in functions], functions)
+                if sp is not None:
+                    sp.set(functions=len(functions))
+            self._functions = table
+        return table
+
+    def lines_of(self, fn: ast.FnDecl) -> _FunctionLines:
+        """``fn``'s binding names and place expressions by line."""
+        lines = self._lines.get(fn.name)
+        if lines is None:
+            assert fn.body is not None
+            with obs_span("cursor_index", fn=fn.name) as sp:
+                places: List[ast.Expr] = []
+                lets: List[ast.LetStmt] = []
+                _collect_block(fn.body, places, lets, True)
+                lines = _FunctionLines({}, {})
+                for param in fn.params:
+                    _add_by_line(lines.bindings, param.span, (param.name, param.span))
+                for stmt in lets:
+                    _add_by_line(lines.bindings, stmt.name_span, (stmt.name, stmt.name_span))
+                for expr in places:
+                    _add_by_line(lines.places, expr.span, expr)
+                if sp is not None:
+                    sp.set(expressions=len(places))
+            self._lines[fn.name] = lines
+        return lines
+
+
+def resolve_function_at(index: CursorIndex, line: int, col: int) -> Optional[ast.FnDecl]:
     """The function whose body encloses the cursor, if any."""
-    best: Optional[ast.FnDecl] = None
-    for fn in checked.program.all_functions():
-        if fn.body is None:
-            continue
-        if fn.span.contains(line, col) and (
-            best is None or fn.span.tightness() < best.span.tightness()
-        ):
-            best = fn
-    return best
-
-
-def _place_expr_candidates(fn: ast.FnDecl, line: int, col: int) -> List[ast.Expr]:
-    """Every place expression of ``fn`` whose span contains the cursor."""
-    assert fn.body is not None
-    out: List[ast.Expr] = []
-    for expr in ast.walk_block(fn.body):
-        if expr.is_place() and expr.span.contains(line, col):
-            out.append(expr)
-    return out
-
-
-def _binding_at(fn: ast.FnDecl, line: int, col: int) -> Optional[Tuple[str, Span]]:
-    """A ``let`` name or parameter name under the cursor, if any."""
-    for param in fn.params:
-        if param.span.contains(line, col):
-            return param.name, param.span
-    assert fn.body is not None
-    for stmt in _walk_stmts(fn.body):
-        if isinstance(stmt, ast.LetStmt) and stmt.name_span.contains(line, col):
-            return stmt.name, stmt.name_span
+    starts, functions = index.functions()
+    at = bisect_right(starts, (line, col)) - 1
+    if at >= 0 and functions[at].span.contains(line, col):
+        return functions[at]
     return None
 
 
-def _walk_stmts(block: ast.Block):
+def _place_expr_candidates(lines: _FunctionLines, line: int, col: int) -> List[ast.Expr]:
+    """Every place expression of the function whose span contains the cursor."""
+    return [expr for expr in lines.places.get(line, ()) if expr.span.contains(line, col)]
+
+
+def _binding_at(lines: _FunctionLines, line: int, col: int) -> Optional[Tuple[str, Span]]:
+    """A ``let`` name or parameter name under the cursor, if any."""
+    for name, span in lines.bindings.get(line, ()):
+        if span.contains(line, col):
+            return name, span
+    return None
+
+
+def _collect_block(
+    block: ast.Block, places: List[ast.Expr], lets: List[ast.LetStmt], named: bool
+) -> None:
+    """Append ``block``'s place expressions to ``places``, in the preorder of
+    :func:`ast.walk_block`, and while ``named`` its ``let`` statements to
+    ``lets``, each before the ones nested in its initialiser.
+
+    The ``let``s inside a condition or an assignment target are not
+    collected: cursors on them never named a binding.
+    """
     for stmt in block.stmts:
-        yield stmt
-        if isinstance(stmt, ast.WhileStmt):
-            yield from _walk_stmts(stmt.body)
-        elif isinstance(stmt, ast.ExprStmt):
-            yield from _walk_stmts_of_expr(stmt.expr)
-        elif isinstance(stmt, ast.LetStmt) and stmt.init is not None:
-            yield from _walk_stmts_of_expr(stmt.init)
+        if isinstance(stmt, ast.LetStmt):
+            if named:
+                lets.append(stmt)
+            if stmt.init is not None:
+                _collect_expr(stmt.init, places, lets, named)
         elif isinstance(stmt, ast.AssignStmt):
-            yield from _walk_stmts_of_expr(stmt.value)
+            _collect_expr(stmt.target, places, lets, False)
+            _collect_expr(stmt.value, places, lets, named)
+        elif isinstance(stmt, ast.ExprStmt):
+            _collect_expr(stmt.expr, places, lets, named)
+        elif isinstance(stmt, ast.WhileStmt):
+            _collect_expr(stmt.cond, places, lets, False)
+            _collect_block(stmt.body, places, lets, named)
         elif isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
-            yield from _walk_stmts_of_expr(stmt.value)
+            _collect_expr(stmt.value, places, lets, named)
     if block.tail is not None:
-        yield from _walk_stmts_of_expr(block.tail)
+        _collect_expr(block.tail, places, lets, named)
 
 
-def _walk_stmts_of_expr(expr: ast.Expr):
+def _collect_expr(
+    expr: ast.Expr, places: List[ast.Expr], lets: List[ast.LetStmt], named: bool
+) -> None:
+    if expr.is_place():
+        places.append(expr)
     if isinstance(expr, ast.If):
-        yield from _walk_stmts(expr.then_block)
+        _collect_expr(expr.cond, places, lets, False)
+        _collect_block(expr.then_block, places, lets, named)
         if expr.else_block is not None:
-            yield from _walk_stmts(expr.else_block)
+            _collect_block(expr.else_block, places, lets, named)
     elif isinstance(expr, ast.BlockExpr):
-        yield from _walk_stmts(expr.block)
+        _collect_block(expr.block, places, lets, named)
     else:
         for child in expr.children():
-            yield from _walk_stmts_of_expr(child)
+            _collect_expr(child, places, lets, named)
 
 
 def place_expr_to_mir(expr: ast.Expr, body: Body) -> Optional[Place]:
@@ -146,12 +228,15 @@ def resolve_cursor(
     line: int,
     col: int,
     line_offset: int = 0,
+    index: Optional[CursorIndex] = None,
 ) -> FocusTarget:
     """Resolve a cursor position to the enclosing MIR place.
 
     ``line_offset`` moves ``line`` into the program's lines, for a cursor
     given relative to one unit of a joined workspace; error messages name
-    the position as given.
+    the position as given.  ``index`` is the :class:`CursorIndex` of
+    ``checked``'s program that a caller keeps across queries; without one,
+    this query builds its own.
 
     Raises :class:`QueryError` with a typed code when the position lies
     outside every function body (``position_out_of_range``) or inside one but
@@ -162,8 +247,10 @@ def resolve_cursor(
             f"position {line}:{col} is not a valid 1-based source position",
             code=QueryError.POSITION_OUT_OF_RANGE,
         )
+    if index is None:
+        index = CursorIndex(checked.program)
     at = line + line_offset
-    fn = resolve_function_at(checked, at, col)
+    fn = resolve_function_at(index, at, col)
     if fn is None:
         raise QueryError(
             f"position {line}:{col} is not inside any function body",
@@ -177,7 +264,8 @@ def resolve_cursor(
         )
 
     # A cursor on a binding occurrence (let name, parameter) wins outright.
-    binding = _binding_at(fn, at, col)
+    lines = index.lines_of(fn)
+    binding = _binding_at(lines, at, col)
     if binding is not None:
         name, span = binding
         local = body.local_by_name(name)
@@ -191,7 +279,7 @@ def resolve_cursor(
                 defining_span=local.span,
             )
 
-    candidates = _place_expr_candidates(fn, at, col)
+    candidates = _place_expr_candidates(lines, at, col)
     resolved: List[Tuple[ast.Expr, Place]] = []
     for expr in candidates:
         place = place_expr_to_mir(expr, body)

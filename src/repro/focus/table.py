@@ -226,9 +226,20 @@ class FocusTable:
         places.update(place for _, place in writes)
 
         if indexed:
-            writes_idx = [
-                (loc_index(loc), place_index(written)) for loc, written in writes
-            ]
+            # Written place index -> its writing locations and everything
+            # they influence, so a place visits only the written places it
+            # conflicts with.
+            written_mask = 0
+            written_forward: Dict[int, int] = {}
+            for loc, written in writes:
+                written_idx = place_index(written)
+                write_loc_idx = loc_index(loc)
+                written_mask |= 1 << written_idx
+                written_forward[written_idx] = (
+                    written_forward.get(written_idx, 0)
+                    | 1 << write_loc_idx
+                    | influenced_masks.get(write_loc_idx, 0)
+                )
             arg_tag_mask = domain.locations.arg_tag_mask
             locations_of = domain.locations.locations_of
             conflicts_mask = domain.places.conflicts_mask
@@ -246,13 +257,12 @@ class FocusTable:
                 backward_bits = exit_theta.read_many_bits(
                     result.oracle.resolve_indices(place, domain.places)
                 ) & ~arg_tag_mask
-                place_idx = place_index(place)
-                conflicts = conflicts_mask(place_idx)
+                hits = conflicts_mask(place_index(place)) & written_mask
                 forward_bits = 0
-                for write_loc_idx, written_idx in writes_idx:
-                    if (conflicts >> written_idx) & 1:
-                        forward_bits |= 1 << write_loc_idx
-                        forward_bits |= influenced_masks.get(write_loc_idx, 0)
+                while hits:
+                    lsb = hits & -hits
+                    hits ^= lsb
+                    forward_bits |= written_forward[lsb.bit_length() - 1]
                 if local.is_arg and place.is_local():
                     tag_idx = loc_index(arg_location(place.local - 1))
                     forward_bits |= influenced_masks.get(tag_idx, 0)

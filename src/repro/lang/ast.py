@@ -100,6 +100,11 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
+# The kinds of place (l-value) expressions, looked up once: an enum
+# member's class attribute lookup costs more than the membership test.
+_PLACE_KINDS = (ExprKind.VAR, ExprKind.FIELD, ExprKind.DEREF)
+
+
 @dataclass
 class Expr(Node):
     """Base class for expressions.  ``ty`` is filled in by the type checker."""
@@ -109,7 +114,7 @@ class Expr(Node):
 
     def is_place(self) -> bool:
         """Whether this expression denotes a place (l-value)."""
-        return self.kind in (ExprKind.VAR, ExprKind.FIELD, ExprKind.DEREF)
+        return self.kind in _PLACE_KINDS
 
     def children(self) -> List["Expr"]:
         """Direct sub-expressions, for generic traversals."""

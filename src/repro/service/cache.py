@@ -32,7 +32,7 @@ from repro.core.analysis import FunctionFlowResult
 from repro.core.config import AnalysisConfig
 from repro.core.engine import FlowEngine, RecursiveSummaryProvider
 from repro.core.summaries import WholeProgramSummary
-from repro.core.theta import is_arg_location
+from repro.core.theta import IndexedDependencyContext, is_arg_location
 from repro.mir.callgraph import CallGraph
 from repro.mir.indices import index_body
 from repro.mir.ir import Body, Location, Place, RETURN_LOCAL
@@ -575,23 +575,41 @@ class FunctionRecord:
     def from_result(
         cls, result: FunctionFlowResult, fingerprint: str, condition: str
     ) -> "FunctionRecord":
-        """Serialise a fresh analysis result into its cacheable record."""
+        """Serialise a fresh analysis result into its cacheable record.
+
+        Each local's exit dependencies are read once, in location order; its
+        dependency size is their count, as
+        :meth:`~repro.core.analysis.FunctionFlowResult.dependency_sizes`
+        counts them.  The bitset engine's rows convert straight to sorted
+        locations; the object engine's sets are sorted.
+        """
         body = result.body
         theta = result.exit_theta
+        if isinstance(theta, IndexedDependencyContext):
+            base_index = theta.domain.places.base_index
+            locations_of = theta.domain.locations.locations_of
+
+            def read(local: int) -> List[Location]:
+                return locations_of(theta.read_conflicts_bits(base_index(local)))
+
+        else:
+
+            def read(local: int) -> List[Location]:
+                return sorted(theta.read_conflicts(Place.from_local(local)))
+
         exit_deps: Dict[str, List[Tuple[int, int]]] = {}
         for local in body.locals:
             if local.index == RETURN_LOCAL:
                 label = "<return>"
             else:
                 label = local.name if local.name is not None else f"_{local.index}"
-            deps = theta.read_conflicts(Place.from_local(local.index))
-            exit_deps[label] = sorted(deps)
+            exit_deps[label] = read(local.index)
         return cls(
             fn_name=body.fn_name,
             crate=body.crate,
             condition=condition,
             fingerprint=fingerprint,
-            dependency_sizes=result.dependency_sizes(),
+            dependency_sizes={label: len(deps) for label, deps in exit_deps.items()},
             exit_deps=exit_deps,
         )
 

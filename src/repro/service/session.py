@@ -33,7 +33,7 @@ from repro.apps.slicer import lines_of_locations
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
 from repro.errors import Diagnostic, LexError, ParseError, QueryError, ReproError, Severity, Span
-from repro.focus.resolve import resolve_cursor
+from repro.focus.resolve import CursorIndex, resolve_cursor
 from repro.focus.table import FocusTable
 from repro.lang import ast
 from repro.lang.parser import assemble_program, parse_program
@@ -219,6 +219,9 @@ class AnalysisSession:
         self._lowered = None
         self._call_graph: Optional[CallGraph] = None
         self._fingerprints: Optional[FingerprintIndex] = None
+        # The served program's cursor index; its tables are built by the
+        # generation's first cursor queries.
+        self._cursor_index: Optional[CursorIndex] = None
         self._engines: Dict[str, FlowEngine] = {}
         # unit name -> (line offset in the joined source, line count).
         self._unit_lines: Dict[str, Tuple[int, int]] = {}
@@ -412,6 +415,7 @@ class AnalysisSession:
         self._unit_lines = unit_lines
         self._checked = checked
         self._lowered = lowered
+        self._cursor_index = CursorIndex(checked.program)
         self._call_graph = call_graph
         self._fingerprints = FingerprintIndex(
             lowered,
@@ -750,7 +754,12 @@ class AnalysisSession:
                     code=QueryError.POSITION_OUT_OF_RANGE,
                 )
             target = resolve_cursor(
-                self._checked, self._lowered, line, int(col), line_offset=offset
+                self._checked,
+                self._lowered,
+                line,
+                int(col),
+                line_offset=offset,
+                index=self._cursor_index,
             )
             fn_body = self._body(target.fn_name)
             table, cache = self._focus_table(target.fn_name, config)

@@ -10,7 +10,9 @@ every local function and compared against the object referee on:
 * the per-variable dependency sizes (the Figure 2 measurement),
 * the Θ annotations rendered per location (Figure 1 printouts),
 * the serialised :class:`~repro.service.cache.FunctionRecord` (the service's
-  query answer, minus the condition string which names the engine), and
+  query answer, minus the condition string which names the engine), which
+  ``from_result`` reads from each engine's exit state its own way, and whose
+  sizes must be the result's ``dependency_sizes()``, and
 * the serialised :class:`~repro.focus.table.FocusTable` (focus/slice
   answers).
 
@@ -62,6 +64,7 @@ def test_indexed_engines_match_object_engine_on_corpus(condition, tier):
             obj_record = FunctionRecord.from_result(obj, "fp", "cond").to_json_dict()
             idx_record = FunctionRecord.from_result(idx, "fp", "cond").to_json_dict()
             assert obj_record == idx_record, context
+            assert obj_record["dependency_sizes"] == obj.dependency_sizes(), context
 
             obj_table = FocusTable.build(obj, fingerprint="fp").to_json_dict()
             idx_table = FocusTable.build(idx, fingerprint="fp").to_json_dict()

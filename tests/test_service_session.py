@@ -378,7 +378,9 @@ class TestDiskTier:
 class TestSharedSessionFocus:
     def test_concurrent_warm_focus_matches_serial_and_leaves_store_intact(self):
         """Reader threads share one session and the store's dicts: every
-        warm answer equals the serial one, and no stored table is mutated."""
+        warm answer equals the serial one, and no stored table is mutated.
+        They start on a generation whose cursor index nobody has built, so
+        they also race to build its tables."""
         session = AnalysisSession()
         session.open_unit("main", WORKSPACE_SOURCE)
         cursors = place_expr_cursors(WORKSPACE_SOURCE)
@@ -398,6 +400,12 @@ class TestSharedSessionFocus:
         stored = [session.store.get(key) for key in keys]
         assert all(value is not None for value in stored)
         copies = copy.deepcopy(stored)
+
+        # A new generation with the same functions: every table stays warm,
+        # and its cursor index is not built yet.
+        session.update_unit("main", WORKSPACE_SOURCE + "\n// a new generation\n")
+        index = session._cursor_index
+        assert index._functions is None and index._lines == {}
 
         workers = 8  # more threads than cores, so readers are preempted mid-query
         barrier = threading.Barrier(workers)
@@ -441,3 +449,5 @@ class TestSharedSessionFocus:
         assert mismatches == []
         assert [session.store.get(key) for key in keys] == copies
         assert peak[0] > 1, "the threads never overlapped inside focus"
+        assert session._cursor_index is index and index._functions is not None
+        assert sorted(index._lines) == session.function_names()
