@@ -13,23 +13,13 @@ thin layers over :class:`repro.core.engine.FlowEngine`.
 
 from repro.apps.slicer import ProgramSlicer, Slice, SliceDirection
 from repro.apps.ifc import IfcChecker, IfcPolicy, IfcViolation, SecurityLabel
-from repro.apps.interprocedural import (
-    FlowGraph,
-    InterproceduralIfcChecker,
-    InterproceduralFlows,
-    build_flow_graph,
-)
 
 __all__ = [
-    "FlowGraph",
     "IfcChecker",
     "IfcPolicy",
     "IfcViolation",
-    "InterproceduralFlows",
-    "InterproceduralIfcChecker",
     "ProgramSlicer",
     "SecurityLabel",
     "Slice",
     "SliceDirection",
-    "build_flow_graph",
 ]

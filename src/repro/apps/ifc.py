@@ -55,6 +55,22 @@ class IfcPolicy:
     insecure_functions: Set[str] = field(default_factory=set)
     declassified_functions: Set[str] = field(default_factory=set)
 
+    @classmethod
+    def from_specs(
+        cls,
+        secret_types: Iterable[str] = (),
+        secret_variables: Iterable[str] = (),
+        sinks: Iterable[str] = (),
+    ) -> "IfcPolicy":
+        """A policy from string specs, as ``repro ifc`` and the ``ifc`` request
+        take them: a secret variable is ``fn:var``, or a bare ``var`` for
+        that name in every function (the ``*`` wildcard)."""
+        policy = cls(secret_types=set(secret_types), insecure_functions=set(sinks))
+        for spec in secret_variables:
+            fn_name, colon, variable = spec.partition(":")
+            policy.secret_variables.add((fn_name, variable) if colon else ("*", spec))
+        return policy
+
     def mark_type_secret(self, type_name: str) -> "IfcPolicy":
         self.secret_types.add(type_name)
         return self

@@ -479,17 +479,7 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 
 
 def cmd_ifc(args: argparse.Namespace, out) -> int:
-    policy = IfcPolicy()
-    for type_name in args.secret_types:
-        policy.mark_type_secret(type_name)
-    for spec in args.secret_variables:
-        if ":" in spec:
-            fn_name, variable = spec.split(":", 1)
-        else:
-            fn_name, variable = "*", spec
-        policy.secret_variables.add((fn_name, variable))
-    for sink in args.sinks:
-        policy.mark_function_insecure(sink)
+    policy = IfcPolicy.from_specs(args.secret_types, args.secret_variables, args.sinks)
     checker = IfcChecker(_read_source(args.file), policy)
     violations = checker.check_all()
     out.write(checker.report() + "\n")

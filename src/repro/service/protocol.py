@@ -19,26 +19,23 @@ instead of parsing messages.  The ``shutdown`` method ends the loop (EOF
 does too, and so does a line over :data:`MAX_REQUEST_CHARS`, after its
 ``request_too_large`` answer).
 
-Methods: ``open``, ``update``, ``close``, ``analyze``, ``slice``, ``focus``,
-``ifc``, ``warm``, ``stats``, ``metrics``, ``version``, ``ping``,
-``shutdown``.  The concurrent front door (:mod:`repro.service.server`)
-serves the same protocol on sockets and adds the mux-level ``workspace``
-method.  ``docs/PROTOCOL.md`` documents every request/response shape with
-replayable transcripts.
+:data:`PARAMS` declares every method and its params, and each request is
+checked against it before dispatch.  The concurrent front door
+(:mod:`repro.service.server`) serves the same protocol on sockets and adds
+the mux-level ``workspace`` method.  ``docs/PROTOCOL.md`` documents every
+request/response shape with replayable transcripts.
 
-Telemetry: every response carries a ``trace_id``, including the
-``parse_error`` answer to a line that is not a JSON object (counted as a
-failed request of method ``invalid``); any request may set
+Telemetry: every response carries a ``trace_id``; any request may set
 ``"trace": true`` (top level, next to ``method``) to get the request's span
-tree back under ``trace``; ``analyze`` accepts an optional ``source`` param
-to open-and-analyze in one round trip.  See ``docs/OBSERVABILITY.md``.
+tree back under ``trace``.  See ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 import time
-from typing import IO, List, Optional
+from typing import IO, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.config import AnalysisConfig
 from repro.errors import QueryError, ReproError
@@ -54,7 +51,7 @@ MAX_REQUEST_CHARS = 8 * 1024 * 1024
 
 
 class ProtocolError(ReproError):
-    """A malformed request (bad JSON, unknown method, missing params)."""
+    """A malformed request envelope (unknown method, ``params`` not an object)."""
 
     code = "protocol_error"
 
@@ -63,6 +60,12 @@ class MalformedRequest(ProtocolError):
     """A request line that is not a JSON object."""
 
     code = "parse_error"
+
+
+class InvalidParams(ProtocolError):
+    """A request param its method does not take, lacks, or has the wrong type of."""
+
+    code = QueryError.INVALID_PARAMS
 
 
 def decode_request(line: str) -> dict:
@@ -85,49 +88,105 @@ def count_request(method, protocol: str, response: dict) -> None:
     """Add one answered request to ``requests_total`` under its real status."""
     get_registry().counter(
         "requests_total",
-        method=method if isinstance(method, str) else "invalid",
+        method=method_label(method),
         protocol=protocol,
         status="ok" if response.get("ok") else "error",
     ).inc()
 
 
+# -- the request schema ----------------------------------------------------------
+
 # The paper's three evaluation conditions are the only flags a request sets.
 CONDITION_FLAGS = ("whole_program", "mut_blind", "ref_blind")
 
 
-def condition_from_params(params: dict) -> Optional[AnalysisConfig]:
-    """Build an :class:`AnalysisConfig` from a request's ``condition`` block.
+class ParamType(NamedTuple):
+    """A JSON type a param takes: its name in ``docs/PROTOCOL.md`` and its test."""
 
-    Each key must be one of :data:`CONDITION_FLAGS` and each value a JSON
-    boolean; anything else is a :class:`ProtocolError`, raised before any
-    engine exists for the condition.
+    name: str
+    accepts: Callable[[object], bool]
+
+
+def one_of(*choices: str) -> ParamType:
+    """A string from a fixed set."""
+    return ParamType("one of " + ", ".join(map(json.dumps, choices)), lambda v: v in choices)
+
+
+STRING = ParamType("string", lambda v: isinstance(v, str))
+INTEGER = ParamType("integer", lambda v: type(v) is int)  # a JSON boolean is no integer
+BOOLEAN = ParamType("boolean", lambda v: type(v) is bool)
+STRINGS = ParamType(
+    "array of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
+)
+CONDITION = ParamType(
+    "object of boolean flags " + ", ".join(CONDITION_FLAGS),
+    lambda v: isinstance(v, dict)
+    and set(v) <= set(CONDITION_FLAGS)
+    and all(type(flag) is bool for flag in v.values()),
+)
+REQUIRED = object()  # the default of a param every request must send
+_CONDITION = {"condition": (CONDITION, None)}
+
+# Every method's params, name -> (type, default or REQUIRED).  A default of
+# None means absent: a client never sends ``null``.  ``workspace`` is the
+# socket mux's own method (repro.service.server).
+PARAMS: Dict[str, Dict[str, Tuple[ParamType, object]]] = {
+    "open": {"source": (STRING, REQUIRED), "unit": (STRING, "main"),
+             "local_crate": (STRING, None)},
+    "update": {"source": (STRING, REQUIRED), "unit": (STRING, "main")},
+    "close": {"unit": (STRING, "main")},
+    # ``source``, ``unit`` and ``local_crate`` open a unit before analysing.
+    "analyze": {"function": (STRING, None), "source": (STRING, None), "unit": (STRING, "main"),
+                "local_crate": (STRING, None), **_CONDITION},
+    "slice": {"function": (STRING, REQUIRED), "variable": (STRING, REQUIRED),
+              "direction": (one_of("backward", "forward"), "backward"),
+              "unit": (STRING, None), **_CONDITION},
+    "focus": {"line": (INTEGER, None), "col": (INTEGER, None),
+              "function": (STRING, None), "variable": (STRING, None),
+              "direction": (one_of("backward", "forward", "both"), "both"),
+              "unit": (STRING, None), **_CONDITION},
+    "ifc": {"secret_types": (STRINGS, ()), "secret_variables": (STRINGS, ()),
+            "sinks": (STRINGS, ()), **_CONDITION},
+    "warm": _CONDITION,
+    "stats": {}, "metrics": {}, "version": {}, "ping": {}, "shutdown": {},
+    "workspace": {"name": (STRING, None), "create": (BOOLEAN, False)},
+}
+
+
+def method_label(method) -> str:
+    """A request's ``method`` metric label: ``invalid`` unless in :data:`PARAMS`."""
+    return method if isinstance(method, str) and method in PARAMS else "invalid"
+
+
+def checked_params(method: str, params) -> dict:
+    """``params`` of a ``method`` request checked against :data:`PARAMS`,
+    with every default filled in.
+
+    ``params`` that is not an object is a :class:`ProtocolError`.  An unknown
+    param, a missing required one or a value of the wrong type (``null``
+    included) is ``invalid_params``, naming the method, the param and the value.
     """
-    condition = params.get("condition")
-    if condition is None:
-        return None
-    if not isinstance(condition, dict):
-        raise ProtocolError("`condition` must be an object of boolean flags")
-    unknown = set(condition) - set(CONDITION_FLAGS)
-    if unknown:
-        raise ProtocolError(f"unknown condition flags: {sorted(unknown)}")
-    for flag, value in condition.items():
-        if type(value) is not bool:
-            raise ProtocolError(
-                f"condition flag {flag!r} must be true or false, got {json.dumps(value)}"
+    if not isinstance(params, dict):
+        raise ProtocolError("`params` must be an object")
+    schema = PARAMS[method]
+    for name, value in params.items():
+        if name not in schema:
+            raise InvalidParams(f"`{method}` has no param `{name}` (got {reprlib.repr(value)})")
+        kind = schema[name][0]
+        if not kind.accepts(value):
+            raise InvalidParams(
+                f"`{method}` param `{name}` takes {kind.name}, got {reprlib.repr(value)}"
             )
-    return AnalysisConfig(**condition)
+    for name, (_, default) in schema.items():
+        if default is REQUIRED and name not in params:
+            raise InvalidParams(f"`{method}` needs param `{name}`")
+    return {name: params.get(name, default) for name, (_, default) in schema.items()}
 
 
-def _string_list_param(params: dict, key: str) -> List[str]:
-    """``params[key]`` as a list of strings; absent means empty.
-
-    Anything but a JSON array of strings is a :class:`ProtocolError` naming
-    the key: a bare string would otherwise be read one character at a time.
-    """
-    value = params.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ProtocolError(f"`{key}` must be an array of strings")
-    return value
+def condition_from_params(params: dict) -> Optional[AnalysisConfig]:
+    """The :class:`AnalysisConfig` a request's checked ``condition`` selects."""
+    condition = params.get("condition")
+    return None if condition is None else AnalysisConfig(**condition)
 
 
 class AnalysisService:
@@ -168,9 +227,9 @@ class AnalysisService:
 
         Telemetry contract: every response carries a ``trace_id`` (a
         client-supplied one is honoured, so the front-door server can stamp
-        requests before dispatch); ``"trace": true`` on any request wraps
-        the handler in a trace and returns the span tree under ``trace``;
-        each request lands in ``requests_total``/``request_seconds``.
+        requests before dispatch); ``"trace": true`` returns the span tree
+        under ``trace``; each request lands in ``requests_total`` and
+        ``request_seconds`` under :func:`method_label`.
         """
         request_id = request.get("id")
         self.requests_handled += 1
@@ -183,35 +242,24 @@ class AnalysisService:
             if not isinstance(method, str):
                 raise ProtocolError("missing `method`")
             handler = getattr(self, f"_method_{method}", None)
-            if handler is None:
+            if handler is None or method not in PARAMS:
                 raise ProtocolError(f"unknown method {method!r}")
-            params = request.get("params", {})
-            if not isinstance(params, dict):
-                raise ProtocolError("`params` must be an object")
+            params = checked_params(method, request.get("params", {}))
             if request.get("trace") is True:
                 with start_trace(method, trace_id=trace_id) as trace:
                     result = handler(params)
             else:
                 result = handler(params)
             response = {"id": request_id, "ok": True, "result": result}
-        except QueryError as error:
-            response = error_response(request_id, str(error), error.code)
-        except ProtocolError as error:
+        except (QueryError, ProtocolError) as error:
             response = error_response(request_id, str(error), error.code)
         except ReproError as error:
             response = error_response(request_id, str(error), "repro_error")
-        except (KeyError, TypeError, ValueError) as error:
-            response = error_response(request_id, f"bad request: {error}", "bad_request")
         except Exception as error:  # the loop survives anything a query throws
-            response = error_response(
-                request_id,
-                f"internal error: {type(error).__name__}: {error}",
-                "internal_error",
-            )
+            message = f"internal error: {type(error).__name__}: {error}"
+            response = error_response(request_id, message, "internal_error")
         elapsed = time.perf_counter() - started
-        get_registry().histogram(
-            "request_seconds", method=method if isinstance(method, str) else "invalid"
-        ).observe(elapsed)
+        get_registry().histogram("request_seconds", method=method_label(method)).observe(elapsed)
         count_request(method, "ndjson", response)
         response["trace_id"] = trace_id
         if trace is not None:
@@ -221,26 +269,17 @@ class AnalysisService:
     # -- methods -----------------------------------------------------------------
 
     def _method_ping(self, params: dict) -> dict:
-        return {
-            "pong": True,
-            "version": __version__,
-            "requests_handled": self.requests_handled,
-        }
+        return {"pong": True, "version": __version__, "requests_handled": self.requests_handled}
 
     def _method_version(self, params: dict) -> dict:
         return {"name": "repro-flowistry", "version": __version__}
 
     def _method_open(self, params: dict) -> dict:
-        source = params.get("source")
-        if not isinstance(source, str):
-            raise ProtocolError("`open` needs a string `source`")
-        unit = params.get("unit", "main")
-        local_crate = params.get("local_crate")
         previous_crate = self.session.local_crate
-        if local_crate is not None:
-            self.session.local_crate = str(local_crate)
+        if params["local_crate"] is not None:
+            self.session.local_crate = params["local_crate"]
         try:
-            return self.session.open_unit(str(unit), source)
+            return self.session.open_unit(params["unit"], params["source"])
         except Exception:
             # Keep the failed open fully transactional: the crate selection
             # must roll back along with the unit map.
@@ -248,70 +287,36 @@ class AnalysisService:
             raise
 
     def _method_update(self, params: dict) -> dict:
-        source = params.get("source")
-        if not isinstance(source, str):
-            raise ProtocolError("`update` needs a string `source`")
-        return self.session.update_unit(str(params.get("unit", "main")), source)
+        return self.session.update_unit(params["unit"], params["source"])
 
     def _method_close(self, params: dict) -> dict:
-        return self.session.close_unit(str(params.get("unit", "main")))
+        return self.session.close_unit(params["unit"])
 
     def _method_analyze(self, params: dict) -> dict:
-        config = condition_from_params(params)
-        source = params.get("source")
-        if source is not None:
+        if params["source"] is not None:
             # Open-and-analyze in one request: the single round trip whose
             # trace covers the whole pipeline (parse → fixpoint → cache).
             # Callers routing through the concurrent server take the write
             # lock for it (see repro.service.server.is_write_request).
-            if not isinstance(source, str):
-                raise ProtocolError("`source` must be a string when present")
             self._method_open(params)
-        return self.session.analyze(function=params.get("function"), config=config)
+        return self.session.analyze(params["function"], config=condition_from_params(params))
 
     def _method_slice(self, params: dict) -> dict:
-        function = params.get("function")
-        variable = params.get("variable")
-        if not isinstance(function, str) or not isinstance(variable, str):
-            raise ProtocolError("`slice` needs string `function` and `variable`")
-        unit = params.get("unit")
         return self.session.slice(
-            function,
-            variable,
-            direction=str(params.get("direction", "backward")),
-            config=condition_from_params(params),
-            unit=str(unit) if unit is not None else None,
+            params["function"], params["variable"], direction=params["direction"],
+            config=condition_from_params(params), unit=params["unit"],
         )
 
     def _method_focus(self, params: dict) -> dict:
-        line = params.get("line")
-        col = params.get("col")
-        function = params.get("function")
-        variable = params.get("variable")
-        by_cursor = line is not None and col is not None
-        by_name = isinstance(function, str) and isinstance(variable, str)
-        if not by_cursor and not by_name:
-            raise ProtocolError(
-                "`focus` needs integer `line` and `col`, or string `function` and `variable`"
-            )
-        if by_cursor and not (isinstance(line, int) and isinstance(col, int)):
-            raise ProtocolError("`focus` positions must be 1-based integers")
-        unit = params.get("unit")
         return self.session.focus(
-            line=line if by_cursor else None,
-            col=col if by_cursor else None,
-            function=function if by_name else None,
-            variable=variable if by_name else None,
-            direction=str(params.get("direction", "both")),
-            config=condition_from_params(params),
-            unit=str(unit) if unit is not None else None,
+            line=params["line"], col=params["col"], function=params["function"],
+            variable=params["variable"], direction=params["direction"],
+            config=condition_from_params(params), unit=params["unit"],
         )
 
     def _method_ifc(self, params: dict) -> dict:
         return self.session.ifc(
-            secret_types=_string_list_param(params, "secret_types"),
-            secret_variables=_string_list_param(params, "secret_variables"),
-            sinks=_string_list_param(params, "sinks"),
+            params["secret_types"], params["secret_variables"], params["sinks"],
             config=condition_from_params(params),
         )
 
@@ -322,12 +327,8 @@ class AnalysisService:
         return self.session.stats()
 
     def _method_metrics(self, params: dict) -> dict:
-        """The process-wide metrics registry snapshot (plus session counters).
-
-        Counters/histograms are cumulative since process start; consumers
-        wanting a window take two snapshots and diff
-        (:func:`repro.obs.snapshot_delta`).
-        """
+        """The process-wide metrics registry snapshot (cumulative since process
+        start; :func:`repro.obs.snapshot_delta` diffs two), plus session counters."""
         snapshot = get_registry().snapshot()
         snapshot["session"] = {
             "counters": dict(self.session.counters),

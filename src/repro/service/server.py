@@ -51,6 +51,8 @@ from repro.service.protocol import (
     MAX_REQUEST_CHARS,
     AnalysisService,
     MalformedRequest,
+    ProtocolError,
+    checked_params,
     count_request,
     decode_request,
     error_response,
@@ -219,6 +221,7 @@ class ConnectionHandler:
     connection to another (shared) workspace — the name must be live or
     saved unless ``"create": true`` is passed (so a typo cannot silently
     spawn an empty workspace); without ``name`` it reports the current one.
+    Its params are checked against the protocol's ``PARAMS`` table too.
     """
 
     def __init__(
@@ -254,32 +257,25 @@ class ConnectionHandler:
         }
 
     def _switch_workspace(self, request: dict) -> dict:
-        params = request.get("params") or {}
-        name = params.get("name") if isinstance(params, dict) else None
-        if name is not None:
-            try:
+        name = None
+        try:
+            params = checked_params("workspace", request.get("params", {}))
+            name = params["name"]
+            if name is not None:
                 check_workspace_name(name)
-            except QueryError as error:
-                return error_response(request.get("id"), str(error), error.code)
-            if not params.get("create") and not self.registry.exists(name):
-                return error_response(
-                    request.get("id"),
-                    f"no workspace named {name!r} (pass \"create\": true to create it)",
-                    QueryError.UNKNOWN_WORKSPACE,
-                )
-            try:
+                if not params["create"] and not self.registry.exists(name):
+                    raise QueryError(
+                        f"no workspace named {name!r} (pass \"create\": true to create it)",
+                        code=QueryError.UNKNOWN_WORKSPACE,
+                    )
                 self._bind(self.registry.handle(name))
-            except QueryError as error:
-                # exists() saw a manifest but loading it failed (corrupt
-                # manifest, source that no longer compiles): answer with the
-                # typed error instead of unwinding the connection.
-                return error_response(request.get("id"), str(error), error.code)
-            except Exception as error:
-                return error_response(
-                    request.get("id"),
-                    f"workspace {name!r} failed to load: {error}",
-                    "workspace_load_failed",
-                )
+        except (ProtocolError, QueryError) as error:
+            return error_response(request.get("id"), str(error), error.code)
+        except Exception as error:
+            # A manifest exists() saw can still fail to load (corrupt, or
+            # source that no longer compiles): answer, do not unwind.
+            message = f"workspace {name!r} failed to load: {error}"
+            return error_response(request.get("id"), message, "workspace_load_failed")
         handle = self.handle_ref
         with handle.lock.read_locked():
             result = {

@@ -801,17 +801,7 @@ class AnalysisSession:
         """
         self._require_workspace()
         self._bump("ifc_queries")
-        policy = IfcPolicy()
-        for type_name in secret_types:
-            policy.mark_type_secret(type_name)
-        for spec in secret_variables:
-            if ":" in spec:
-                fn_name, variable = spec.split(":", 1)
-            else:
-                fn_name, variable = "*", spec
-            policy.secret_variables.add((fn_name, variable))
-        for sink in sinks:
-            policy.mark_function_insecure(sink)
+        policy = IfcPolicy.from_specs(secret_types, secret_variables, sinks)
         with self._compute_lock:
             checker = IfcChecker(self.source, policy, engine=self.engine(config or MODULAR))
             violations = checker.check_all()

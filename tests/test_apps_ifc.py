@@ -86,6 +86,18 @@ def test_wildcard_variable_policy():
     assert checker.check_function("leak_variable")
 
 
+def test_policy_from_specs_reads_fn_var_and_bare_names():
+    policy = IfcPolicy.from_specs(
+        secret_types=["Password"],
+        secret_variables=["leak_variable:secret_token", "noise"],
+        sinks=["insecure_print"],
+    )
+    assert policy.secret_types == {"Password"}
+    assert policy.secret_variables == {("leak_variable", "secret_token"), ("*", "noise")}
+    assert policy.insecure_functions == {"insecure_print"}
+    assert IfcPolicy.from_specs() == IfcPolicy()
+
+
 def test_declassified_function_is_not_reported():
     checker = make_checker()
     checker.policy.mark_function_insecure("declassify_and_print")

@@ -397,19 +397,22 @@ class TestRequestTelemetry:
     def test_error_responses_carry_trace_ids_and_count_as_errors(self):
         service = AnalysisService()
         registry = get_registry()
-        series = 'requests_total{method="nope",protocol="ndjson",status="error"}'
+        # An unknown method is counted under `invalid`, so a client cannot
+        # add series to the process-wide registry by making names up.
+        series = 'requests_total{method="invalid",protocol="ndjson",status="error"}'
         before = registry.snapshot()["counters"].get(series, 0)
         response = service.handle({"id": 1, "method": "nope"})
         assert not response["ok"]
         assert response["trace_id"]
-        assert registry.snapshot()["counters"][series] == before + 1
+        snapshot = registry.snapshot()
+        assert snapshot["counters"][series] == before + 1
+        named = [key for kind in ("counters", "histograms") for key in snapshot[kind]]
+        assert not [key for key in named if 'method="nope"' in key]
         # A line that is not a JSON object is one failed request too.
-        series = 'requests_total{method="invalid",protocol="ndjson",status="error"}'
-        before = registry.snapshot()["counters"].get(series, 0)
         response = service.handle_line("[not, json")
         assert response["error_code"] == "parse_error"
         assert response["trace_id"]
-        assert registry.snapshot()["counters"][series] == before + 1
+        assert registry.snapshot()["counters"][series] == before + 2
 
     def test_metrics_method_returns_registry_and_session_views(self):
         service = AnalysisService()

@@ -1,4 +1,5 @@
-"""Replay the transcripts of ``docs/PROTOCOL.md`` against a live session.
+"""Replay the transcripts of ``docs/PROTOCOL.md`` against a live session, and
+compare its param tables with the protocol's ``PARAMS``.
 
 Every fenced block tagged ``transcript`` in the protocol reference is
 executed here: ``>`` lines are sent through a fresh
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.service.protocol import PARAMS, REQUIRED
 from repro.service.server import ConnectionHandler, WorkspaceRegistry
 
 PROTOCOL_MD = Path(__file__).resolve().parents[1] / "docs" / "PROTOCOL.md"
@@ -87,3 +89,36 @@ def test_transcript_replays(index):
         actual = handler.handle_message(request)
         where = f"block {index}, step {step}, request {json.dumps(request)[:80]}"
         assert_subset(expected, actual, path=where)
+
+
+def documented_params():
+    """``{method: {param: (type, default)}}`` from the tables under "Params"."""
+    text = PROTOCOL_MD.read_text(encoding="utf-8")
+    section = text.split("\n### Params\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for block in section.split("\n#### ")[1:]:
+        heading, _, body = block.partition("\n")
+        rows = {}
+        for line in body.splitlines():
+            if line.startswith("| `"):
+                name, kind, default = [cell.strip() for cell in line.strip("|").split("|")][:3]
+                rows[name.strip("`")] = (kind, default)
+        for method in re.findall(r"`(\w+)`", heading):
+            documented[method] = rows
+    return documented
+
+
+def documented_default(default):
+    if default is REQUIRED:
+        return "required"
+    return "—" if default is None else f"`{json.dumps(default)}`"
+
+
+def test_param_tables_match_the_schema():
+    assert documented_params() == {
+        method: {
+            name: (kind.name, documented_default(default))
+            for name, (kind, default) in schema.items()
+        }
+        for method, schema in PARAMS.items()
+    }

@@ -11,7 +11,18 @@ from helpers import GET_COUNT_SOURCE, HELPER_CALLER_SOURCE
 
 from repro.cli import main
 from repro.obs import get_registry
-from repro.service.protocol import AnalysisService, condition_from_params, serve
+from repro.service.protocol import (
+    BOOLEAN,
+    CONDITION,
+    INTEGER,
+    PARAMS,
+    STRING,
+    STRINGS,
+    AnalysisService,
+    condition_from_params,
+    serve,
+)
+from repro.service.server import ConnectionHandler, WorkspaceRegistry
 from repro.service.session import AnalysisSession
 
 
@@ -56,7 +67,7 @@ class TestConditionParsing:
                 )
                 response = service.handle_line(line)
                 assert not response["ok"], (method, condition)
-                assert response["error_code"] == "protocol_error", (method, condition)
+                assert response["error_code"] == "invalid_params", (method, condition)
                 assert key in response["error"], (method, condition)
                 # Refused before the session made an engine for the condition.
                 assert service.session._engines == engines, (method, condition)
@@ -104,8 +115,80 @@ class TestIfcParams:
     def test_list_params_must_be_arrays_of_strings(self, params, key):
         response = self.ifc(params)
         assert response["ok"] is False
-        assert response["error_code"] == "protocol_error"
+        assert response["error_code"] == "invalid_params"
         assert f"`{key}`" in response["error"]
+
+
+# A value of another JSON type for each param type (`direction`'s one-of
+# types get an array).
+WRONG_TYPE = {
+    STRING: 7, INTEGER: True, BOOLEAN: "no", STRINGS: "x", CONDITION: {"engine": "object"},
+}
+
+# Requests a hand-written param reader once misread (as a default, a
+# coercion, or a silently ignored typo), each with the param it must name.
+MISREADS = [
+    ("analyze", {"functon": "get_count"}, "functon"),
+    ("warm", {"conditon": {"whole_program": True}}, "conditon"),
+    ("open", {"unit": 7, "source": GET_COUNT_SOURCE}, "unit"),
+    ("open", {"local_crate": 5, "source": GET_COUNT_SOURCE}, "local_crate"),
+    ("focus", {"line": True, "col": True}, "line"),
+    ("focus", {"direction": ["both"], "function": "get_count", "variable": "k"}, "direction"),
+    ("close", {"unit": ["a"]}, "unit"),
+    ("analyze", {"function": 5}, "function"),
+    ("workspace", {"name": "typo", "create": "no"}, "create"),
+    ("workspace", {"nmae": "x"}, "nmae"),
+]
+
+
+def schema_cases():
+    """For every method an unknown param, and for every param a value of
+    the wrong type and ``null``; then the misreads."""
+    for method, schema in sorted(PARAMS.items()):
+        yield method, {"no_such_param": 1}, "no_such_param"
+        for name, (kind, _) in schema.items():
+            yield method, {name: WRONG_TYPE.get(kind, ["both"])}, name
+            yield method, {name: None}, name
+    yield from MISREADS
+
+
+class TestRequestSchema:
+    def test_every_served_method_has_one_entry(self):
+        handlers = {name[len("_method_"):] for name in dir(AnalysisService)
+                    if name.startswith("_method_")}
+        assert set(PARAMS) == handlers | {"workspace"}
+
+    @pytest.mark.parametrize("method, params, named", list(schema_cases()))
+    def test_bad_params_are_refused_before_anything_happens(self, method, params, named):
+        registry = WorkspaceRegistry()
+        handler = ConnectionHandler(registry)
+        handler.handle_message({"id": 1, "method": "open", "params": {"source": GET_COUNT_SOURCE}})
+        handler.handle_message({"id": 2, "method": "warm"})
+        session = handler.handle_ref.session
+
+        def state():
+            return (
+                registry.names(), handler.handle_ref.name, session.unit_names(),
+                session.local_crate, session.generation, sorted(session._engines),
+                dict(session.counters), len(session.store), handler.done,
+            )
+
+        before = state()
+        response = handler.handle_line(
+            json.dumps({"id": 3, "method": method, "params": params})
+        )
+        assert response["ok"] is False
+        assert response["error_code"] == "invalid_params", response
+        assert f"`{method}`" in response["error"] and f"`{named}`" in response["error"]
+        assert state() == before
+
+    @pytest.mark.parametrize("params", ["x", None, ["name"]])
+    @pytest.mark.parametrize("method", ["workspace", "analyze"])
+    def test_params_that_are_not_an_object_break_the_envelope(self, method, params):
+        handler = ConnectionHandler(WorkspaceRegistry())
+        response = handler.handle_line(json.dumps({"id": 1, "method": method, "params": params}))
+        assert response["error_code"] == "protocol_error"
+        assert handler.registry.names() == ["default"]
 
 
 # Unit `a` holds lines 1-3 of the joined workspace, so unit `b` starts on
