@@ -11,7 +11,7 @@ Run with::
     python examples/ifc_audit.py
 """
 
-from repro import IfcChecker, IfcPolicy
+from repro import IfcChecker, IfcPolicy, render_report
 
 
 SOURCE = """
@@ -51,12 +51,12 @@ def main() -> None:
         .mark_type_secret("Password")
         .mark_function_insecure("insecure_print")
     )
-    checker = IfcChecker(SOURCE, policy)
+    checker = IfcChecker.from_source(SOURCE, policy)
 
     print("=" * 72)
     print("IFC audit of the example program")
     print("=" * 72)
-    print(checker.report())
+    print(render_report(checker.check_all()))
     print()
 
     print("Per-function verdicts:")

@@ -48,7 +48,7 @@ from repro.core.analysis import FunctionFlowResult
 from repro.core.config import AnalysisConfig, all_conditions, condition_name
 from repro.core.engine import FlowEngine, ProgramFlowResult, analyze_program, analyze_source
 from repro.core.theta import DependencyContext
-from repro.apps.ifc import IfcChecker, IfcPolicy, IfcViolation
+from repro.apps.ifc import IfcChecker, IfcPolicy, IfcViolation, render_report
 from repro.apps.slicer import ProgramSlicer, Slice, SliceDirection
 from repro.focus.table import FocusEntry, FocusTable
 from repro.focus.resolve import FocusTarget, resolve_cursor
@@ -82,6 +82,7 @@ __all__ = [
     "parse_crate",
     "parse_program",
     "pretty_body",
+    "render_report",
     "resolve_cursor",
     "__version__",
 ]

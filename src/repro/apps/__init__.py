@@ -12,7 +12,7 @@ thin layers over :class:`repro.core.engine.FlowEngine`.
 """
 
 from repro.apps.slicer import ProgramSlicer, Slice, SliceDirection
-from repro.apps.ifc import IfcChecker, IfcPolicy, IfcViolation, SecurityLabel
+from repro.apps.ifc import IfcChecker, IfcPolicy, IfcViolation, SecurityLabel, render_report
 
 __all__ = [
     "IfcChecker",
@@ -22,4 +22,5 @@ __all__ = [
     "SecurityLabel",
     "Slice",
     "SliceDirection",
+    "render_report",
 ]

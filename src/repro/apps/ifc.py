@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.analysis import FunctionFlowResult
-from repro.core.config import AnalysisConfig
 from repro.core.engine import FlowEngine
 from repro.core.theta import is_arg_location
 from repro.mir.ir import Body, CallTerminator, Location, Place
@@ -117,21 +116,32 @@ class IfcViolation:
         )
 
 
-class IfcChecker:
-    """Checks every function of a program against an :class:`IfcPolicy`."""
+def render_report(violations: List[IfcViolation]) -> str:
+    """The checker's text report of ``violations``: a count, then one line
+    per violation."""
+    if not violations:
+        return "ifc: no insecure flows detected"
+    lines = [f"ifc: {len(violations)} insecure flow(s) detected"]
+    for violation in violations:
+        lines.append("  " + violation.render())
+    return "\n".join(lines)
 
-    def __init__(
-        self,
-        source: str,
-        policy: IfcPolicy,
-        config: Optional[AnalysisConfig] = None,
-        engine: Optional[FlowEngine] = None,
-    ):
+
+class IfcChecker:
+    """Checks every function of a program against an :class:`IfcPolicy`.
+
+    ``engine`` analyses the program; the analysis service's session passes
+    the one it already holds, and :meth:`from_source` runs the front end.
+    """
+
+    def __init__(self, engine: FlowEngine, policy: IfcPolicy):
+        self.engine = engine
         self.policy = policy
-        # A caller that already holds a checked+lowered program (the analysis
-        # service's session) passes its engine; otherwise the checker runs
-        # the front end itself.
-        self.engine = engine if engine is not None else FlowEngine.from_source(source, config=config)
+
+    @classmethod
+    def from_source(cls, source: str, policy: IfcPolicy) -> "IfcChecker":
+        """A checker over the program ``source``, under the Modular condition."""
+        return cls(FlowEngine.from_source(source), policy)
 
     # -- secret seeds ---------------------------------------------------------------
 
@@ -259,12 +269,3 @@ class IfcChecker:
         for name in self.engine.local_function_names():
             violations.extend(self.check_function(name))
         return violations
-
-    def report(self) -> str:
-        violations = self.check_all()
-        if not violations:
-            return "ifc: no insecure flows detected"
-        lines = [f"ifc: {len(violations)} insecure flow(s) detected"]
-        for violation in violations:
-            lines.append("  " + violation.render())
-        return "\n".join(lines)

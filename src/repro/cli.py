@@ -49,7 +49,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.apps.ifc import IfcChecker, IfcPolicy
+from repro.apps.ifc import IfcChecker, IfcPolicy, render_report
 from repro.apps.slicer import ProgramSlicer
 from repro.core.config import AnalysisConfig
 from repro.core.engine import FlowEngine
@@ -480,9 +480,8 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 
 def cmd_ifc(args: argparse.Namespace, out) -> int:
     policy = IfcPolicy.from_specs(args.secret_types, args.secret_variables, args.sinks)
-    checker = IfcChecker(_read_source(args.file), policy)
-    violations = checker.check_all()
-    out.write(checker.report() + "\n")
+    violations = IfcChecker.from_source(_read_source(args.file), policy).check_all()
+    out.write(render_report(violations) + "\n")
     return 1 if violations else 0
 
 

@@ -26,6 +26,7 @@ from repro.core.theta import (
     is_arg_location,
 )
 from repro.core.transfer import FlowTransfer, IndexedFlowTransfer
+from repro.dataflow.bitset import popcount
 from repro.dataflow.control_deps import compute_control_deps
 from repro.dataflow.engine import FixpointResult, ForwardAnalysis
 from repro.lang.ast import FnSig
@@ -130,44 +131,35 @@ class FunctionFlowResult:
     def deps_of_return(self) -> FrozenSet[Location]:
         return self.deps_of_place(Place.from_local(RETURN_LOCAL))
 
-    def dependency_sizes(
-        self, include_temporaries: bool = True, count_arg_tags: bool = True
-    ) -> Dict[str, int]:
-        """The evaluation metric of Section 5.1: per local variable, the size
-        of its dependency set at the function exit.
+    def dependency_sizes(self) -> Dict[str, int]:
+        """The evaluation metric of Section 5.1: for every MIR local (the
+        paper analyses temporaries too), the size of its dependency set at
+        the function exit, argument tags included.
 
-        ``include_temporaries`` controls whether compiler-introduced temporaries
-        count as variables (the paper analyses all MIR locals).  ``count_arg_tags``
-        controls whether the synthetic per-argument seed tags are counted.
+        A temporary is labelled ``_<index>`` and the return place
+        ``<return>``.  The bitset engine's rows are counted in place,
+        without building a set.
         """
         theta = self.exit_theta
-        out: Dict[str, int] = {}
-        indexed = isinstance(theta, IndexedDependencyContext)
-        if indexed:
-            from repro.dataflow.bitset import popcount
+        if isinstance(theta, IndexedDependencyContext):
+            base_index = theta.domain.places.base_index
+            read_bits = theta.read_conflicts_bits
 
-            place_index = theta.domain.places.index
-            arg_tag_mask = theta.domain.locations.arg_tag_mask
+            def size(local: int) -> int:
+                return popcount(read_bits(base_index(local)))
+
+        else:
+
+            def size(local: int) -> int:
+                return len(theta.read_conflicts(Place.from_local(local)))
+
+        out: Dict[str, int] = {}
         for local in self.body.locals:
             if local.index == RETURN_LOCAL:
                 label = "<return>"
-            elif local.name is not None:
-                label = local.name
-            elif include_temporaries:
-                label = f"_{local.index}"
             else:
-                continue
-            if indexed:
-                # Count bits directly: no frozenset materialisation.
-                bits = theta.read_conflicts_bits(place_index(Place.from_local(local.index)))
-                if not count_arg_tags:
-                    bits &= ~arg_tag_mask
-                out[label] = popcount(bits)
-                continue
-            deps = theta.read_conflicts(Place.from_local(local.index))
-            if not count_arg_tags:
-                deps = frozenset(d for d in deps if not is_arg_location(d))
-            out[label] = len(deps)
+                label = local.name if local.name is not None else f"_{local.index}"
+            out[label] = size(local.index)
         return out
 
     # -- slicing ----------------------------------------------------------------------

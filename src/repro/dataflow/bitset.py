@@ -20,18 +20,9 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, Iterator, Tuple
 
-try:  # Python >= 3.10
-    (0).bit_count
-
-    def popcount(bits: int) -> int:
-        """Number of set bits of a non-negative int."""
-        return bits.bit_count()
-
-except AttributeError:  # pragma: no cover - exercised on 3.9 CI only
-
-    def popcount(bits: int) -> int:
-        """Number of set bits of a non-negative int."""
-        return bin(bits).count("1")
+def popcount(bits: int) -> int:
+    """Number of set bits of a non-negative int."""
+    return bits.bit_count()
 
 
 def iter_bits(bits: int) -> Iterator[int]:

@@ -24,10 +24,9 @@ This module is the interning layer of that substrate:
 * :class:`BodyIndex` bundles both tables for one body and is what the
   indexed analysis stack (theta, transfer, focus, loans, cache) shares.
 
-Both tables expose a stable :meth:`digest` so cache fingerprints can include
-the interning table itself: two processes that intern the same body obtain
-the same tables, and a summary serialised in index form is only ever decoded
-against the table it was encoded with.
+Both tables expose a stable :meth:`digest`: two processes that intern the
+same body obtain the same tables.  The service's body fingerprints still
+include it, although since cache format 4 no cached value is in index form.
 """
 
 from __future__ import annotations

@@ -26,16 +26,15 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.analysis import FunctionFlowResult
 from repro.core.config import AnalysisConfig
 from repro.core.engine import FlowEngine, RecursiveSummaryProvider
 from repro.core.summaries import WholeProgramSummary
-from repro.core.theta import IndexedDependencyContext, is_arg_location
 from repro.mir.callgraph import CallGraph
 from repro.mir.indices import index_body
-from repro.mir.ir import Body, Location, Place, RETURN_LOCAL
+from repro.mir.ir import Body
 from repro.mir.lower import LoweredProgram
 from repro.mir.pretty import pretty_body
 from repro.obs import metrics as obs_metrics
@@ -50,13 +49,14 @@ KIND_SUMMARY = "summary"
 KIND_FOCUS = "focus"
 
 # On-disk / wire format version of cached values.  Bumped to 2 when records
-# moved to the compact index form (a per-record location table plus integer
+# moved to a compact index form (a per-record location table plus integer
 # indices) and body fingerprints started covering the interning-table digest;
 # bumped to 3 when focus tables stopped storing spans and gained a
-# place-to-entry index, so a warm query decodes just the entry it needs.
+# place-to-entry index, so a warm query decodes just the entry it needs;
+# bumped to 4 when a record shrank to its per-variable dependency sizes.
 # The version participates in every key digest, so entries written by an
 # older release are simply unreachable rather than misdecoded.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
 def _digest(text: str) -> str:
@@ -170,10 +170,10 @@ class FingerprintIndex:
     def body_fingerprint(self, name: str) -> Optional[str]:
         """Fingerprint of the lowered body text, or ``None`` for extern fns.
 
-        Covers the body's interning tables too (their digest is derived from
-        the same body, so content addressing is unchanged): summaries and
-        records are serialised in index form, and a value must never be
-        decoded against tables other than the ones it was encoded with.
+        Also covers the digest of the body's interning tables, which the
+        body text already determines, so content addressing is unchanged.
+        Since cache format 4 no stored value is in index form, and the
+        digest guards nothing: it only costs an ``index_body`` call.
         """
         if name not in self._body:
             body = self.lowered.body(name)
@@ -516,114 +516,28 @@ def _write_record(path: Path, key: CacheKey, value: dict) -> None:
 
 @dataclass
 class FunctionRecord:
-    """The query-facing cached result of analysing one function.
+    """The query-facing cached result of analysing one function: what
+    ``analyze`` answers, the size of each local's dependency set at exit.
 
-    Serialised in the **compact index form** (cache format version
-    {CACHE_FORMAT_VERSION}): the record carries one interning table —
-    ``locations``, the sorted ``[block, statement]`` pairs the exit state
-    mentions, with the synthetic argument tags in their in-engine encoding
-    (``block == -2``) — and every per-variable dependency list is a list of
-    integer indices into it.  Dependency sets overlap heavily across
-    variables (that is what Θ's join produces), so the table is written once
-    instead of per variable, and the record round-trips losslessly.
+    Stored as that mapping and nothing else (cache format 4).  The
+    function, its fingerprint and its condition are the entry's key.
     """
 
-    fn_name: str
-    crate: str
-    condition: str
-    fingerprint: str
     dependency_sizes: Dict[str, int]
-    exit_deps: Dict[str, List[Tuple[int, int]]]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self) -> Dict[str, int]:
         """The record as the JSON value stored in the :class:`SummaryStore`."""
-        table: List[Tuple[int, int]] = sorted(
-            {loc for locs in self.exit_deps.values() for loc in locs}
-        )
-        index = {loc: i for i, loc in enumerate(table)}
-        return {
-            "format": CACHE_FORMAT_VERSION,
-            "fn_name": self.fn_name,
-            "crate": self.crate,
-            "condition": self.condition,
-            "fingerprint": self.fingerprint,
-            "dependency_sizes": dict(self.dependency_sizes),
-            "locations": [list(loc) for loc in table],
-            "exit_deps": {
-                var: [index[loc] for loc in locs]
-                for var, locs in self.exit_deps.items()
-            },
-        }
+        return dict(self.dependency_sizes)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "FunctionRecord":
-        """Rebuild a record from :meth:`to_json_dict` output (lossless)."""
-        table = [(int(loc[0]), int(loc[1])) for loc in data["locations"]]
-        return cls(
-            fn_name=str(data["fn_name"]),
-            crate=str(data["crate"]),
-            condition=str(data["condition"]),
-            fingerprint=str(data["fingerprint"]),
-            dependency_sizes={str(k): int(v) for k, v in data["dependency_sizes"].items()},
-            exit_deps={
-                str(var): [table[int(i)] for i in indices]
-                for var, indices in data["exit_deps"].items()
-            },
-        )
+    def from_json_dict(cls, data: Dict[str, int]) -> "FunctionRecord":
+        """Rebuild a record from :meth:`to_json_dict` output."""
+        return cls(dependency_sizes={str(k): int(v) for k, v in data.items()})
 
     @classmethod
-    def from_result(
-        cls, result: FunctionFlowResult, fingerprint: str, condition: str
-    ) -> "FunctionRecord":
-        """Serialise a fresh analysis result into its cacheable record.
-
-        Each local's exit dependencies are read once, in location order; its
-        dependency size is their count, as
-        :meth:`~repro.core.analysis.FunctionFlowResult.dependency_sizes`
-        counts them.  The bitset engine's rows convert straight to sorted
-        locations; the object engine's sets are sorted.
-        """
-        body = result.body
-        theta = result.exit_theta
-        if isinstance(theta, IndexedDependencyContext):
-            base_index = theta.domain.places.base_index
-            locations_of = theta.domain.locations.locations_of
-
-            def read(local: int) -> List[Location]:
-                return locations_of(theta.read_conflicts_bits(base_index(local)))
-
-        else:
-
-            def read(local: int) -> List[Location]:
-                return sorted(theta.read_conflicts(Place.from_local(local)))
-
-        exit_deps: Dict[str, List[Tuple[int, int]]] = {}
-        for local in body.locals:
-            if local.index == RETURN_LOCAL:
-                label = "<return>"
-            else:
-                label = local.name if local.name is not None else f"_{local.index}"
-            exit_deps[label] = read(local.index)
-        return cls(
-            fn_name=body.fn_name,
-            crate=body.crate,
-            condition=condition,
-            fingerprint=fingerprint,
-            dependency_sizes={label: len(deps) for label, deps in exit_deps.items()},
-            exit_deps=exit_deps,
-        )
-
-    # -- derived views ----------------------------------------------------------
-
-    def deps_of(self, variable: str) -> List[Location]:
-        """The variable's exit-Θ dependency locations, deserialised."""
-        if variable not in self.exit_deps:
-            raise KeyError(f"function {self.fn_name!r} has no variable {variable!r}")
-        return [Location(block, statement) for block, statement in self.exit_deps[variable]]
-
-    def backward_slice_locations(self, variable: str) -> List[Location]:
-        """Backward slice of ``variable`` at exit: its non-argument deps."""
-        return [loc for loc in self.deps_of(variable) if not is_arg_location(loc)]
+    def from_result(cls, result: FunctionFlowResult) -> "FunctionRecord":
+        """The record of a fresh analysis result."""
+        return cls(dependency_sizes=result.dependency_sizes())
 
 
 class StoreBackedSummaryProvider(RecursiveSummaryProvider):

@@ -165,9 +165,7 @@ class BatchScheduler:
             if store.get(key) is not None:
                 result.cached.append(name)
                 continue
-            record = FunctionRecord.from_result(
-                engine.analyze_function(name), key.fingerprint, key.condition
-            )
+            record = FunctionRecord.from_result(engine.analyze_function(name))
             store.put(key, record.to_json_dict())
             result.records[name] = record
 

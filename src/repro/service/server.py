@@ -35,7 +35,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import QueryError
 from repro.obs import get_registry, new_trace_id, start_trace
@@ -71,6 +71,10 @@ ACCESS_LOG = logging.getLogger("repro.access")
 # Methods that mutate the shared workspace and therefore take the write side
 # of the session's RW lock; everything else is a concurrent read.
 NDJSON_WRITE_METHODS = frozenset({"open", "update", "close", "warm"})
+
+# The shortest interval between two manifest rewrites of one workspace, in
+# seconds (see ``WorkspaceRegistry.note_mutation``).
+MANIFEST_DEBOUNCE_SECONDS = 1.0
 
 
 def is_write_request(message: dict) -> bool:
@@ -117,12 +121,10 @@ class WorkspaceRegistry:
         persist_dir: Optional[str] = None,
         max_entries: int = 4096,
         local_crate: str = "main",
-        manifest_debounce: float = 1.0,
     ):
         self.persist_dir = persist_dir
         self.max_entries = max_entries
         self.local_crate = local_crate
-        self.manifest_debounce = manifest_debounce
         self._lock = threading.Lock()
         self._handles: Dict[str, SessionHandle] = {}
         # Per-name creation locks: loading a persisted workspace can mean a
@@ -179,15 +181,16 @@ class WorkspaceRegistry:
         consistent.  The manifest serialises every unit's full source, so
         rewriting it on *every* keystroke-style ``update`` would make
         each edit an O(workspace) disk write inside the exclusive lock;
-        instead writes are rate-limited to one per ``manifest_debounce``
-        seconds and the handle is marked dirty in between — ``save_all``
-        (the shutdown path) flushes whatever is pending.  Cache entries are
-        unaffected: the store writes those through on ``put``.
+        instead writes are rate-limited to one per
+        :data:`MANIFEST_DEBOUNCE_SECONDS` and the handle is marked dirty in
+        between — ``save_all`` (the shutdown path) flushes whatever is
+        pending.  Cache entries are unaffected: the store writes those
+        through on ``put``.
         """
         if self.persist_dir is None:
             return
         now = time.monotonic()
-        if now - handle.last_saved >= self.manifest_debounce:
+        if now - handle.last_saved >= MANIFEST_DEBOUNCE_SECONDS:
             save_workspace(handle.session, self.persist_dir, handle.name)
             handle.last_saved = now
             handle.dirty = False
@@ -228,12 +231,10 @@ class ConnectionHandler:
         self,
         registry: WorkspaceRegistry,
         workspace: str = "default",
-        on_mutation: Optional[Callable[[SessionHandle], None]] = None,
         log_level: str = "quiet",
         trace_writer: Optional[TraceDirWriter] = None,
     ):
         self.registry = registry
-        self.on_mutation = on_mutation if on_mutation is not None else registry.note_mutation
         self.log_level = log_level
         self.trace_writer = trace_writer
         self._bind(registry.handle(workspace))
@@ -287,18 +288,25 @@ class ConnectionHandler:
         return {"id": request.get("id"), "ok": True, "result": result}
 
     def handle_message(self, message: dict) -> dict:
-        """Dispatch one parsed message under the appropriate lock."""
+        """Dispatch one parsed message under the appropriate lock, and
+        refresh the manifest when it changed the workspace.
+
+        Writes are transactional: a failed ``open``, ``update`` or
+        ``close`` leaves the session's ``generation`` where it was, and so
+        does ``warm``.  An ``analyze`` whose inline ``source`` opened but
+        whose query then failed did change it.
+        """
         if message.get("method") == "workspace":
             # Mux-level: no workspace lock — it rebinds this connection only.
             response = self._switch_workspace(message)
             count_request("workspace", "mux", response)
             return response
         handle = self.handle_ref
-        write = is_write_request(message)
-        with handle.lock.locked(write):
+        with handle.lock.locked(is_write_request(message)):
+            generation = handle.session.generation
             response = self.ndjson.handle(message)
-            if write:
-                self.on_mutation(handle)
+            if handle.session.generation != generation:
+                self.registry.note_mutation(handle)
         return response
 
     def handle_line(self, line: str) -> dict:

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.apps.ifc import IfcChecker, IfcPolicy
+from repro.apps.ifc import IfcChecker, IfcPolicy, render_report
 from repro.apps.slicer import lines_of_locations
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
@@ -526,8 +526,8 @@ class AnalysisSession:
     def _record(self, fn_name: str, config: AnalysisConfig) -> Tuple[FunctionRecord, str]:
         """The cached record for one function, computing and storing on miss.
 
-        Returns the record plus its cache label (``"hit"``/``"miss"``) — the
-        single path through the store shared by ``analyze`` and ``slice``.
+        Returns the record plus its cache label (``"hit"``/``"miss"``):
+        ``analyze``'s one path through the store.
         """
         key = self._fingerprints.record_key(fn_name, config)
         data = self.store.get(key)
@@ -540,7 +540,7 @@ class AnalysisSession:
             if data is not None:
                 return FunctionRecord.from_json_dict(data), "hit"
             result = self.engine(config).analyze_function(fn_name)
-            record = FunctionRecord.from_result(result, key.fingerprint, key.condition)
+            record = FunctionRecord.from_result(result)
             self.store.put(key, record.to_json_dict())
             return record, "miss"
 
@@ -803,12 +803,11 @@ class AnalysisSession:
         self._bump("ifc_queries")
         policy = IfcPolicy.from_specs(secret_types, secret_variables, sinks)
         with self._compute_lock:
-            checker = IfcChecker(self.source, policy, engine=self.engine(config or MODULAR))
-            violations = checker.check_all()
+            violations = IfcChecker(self.engine(config or MODULAR), policy).check_all()
         return {
             "violations": [violation.render() for violation in violations],
             "count": len(violations),
-            "report": checker.report(),
+            "report": render_report(violations),
         }
 
     def warm(self, config: Optional[AnalysisConfig] = None) -> dict:

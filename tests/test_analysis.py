@@ -7,7 +7,7 @@ out: field-sensitivity, mutation through references, the modular call rule
 
 from repro.core.config import AnalysisConfig
 from repro.core.theta import is_arg_location
-from repro.mir.ir import CallTerminator, Place
+from repro.mir.ir import RETURN_LOCAL, CallTerminator, Place
 
 from helpers import GET_COUNT_SOURCE, analyze
 
@@ -320,8 +320,12 @@ def test_dependency_sizes_reports_every_local():
     assert "<return>" in sizes
     assert "h" in sizes and "k" in sizes
     assert all(isinstance(size, int) for size in sizes.values())
-    without_temps = result.dependency_sizes(include_temporaries=False)
-    assert set(without_temps) <= set(sizes)
+    # Temporaries count too, under their ``_<index>`` label.
+    assert set(sizes) == {"<return>"} | {
+        local.name if local.name is not None else f"_{local.index}"
+        for local in result.body.locals
+        if local.index != RETURN_LOCAL
+    }
 
 
 def test_backward_slice_excludes_argument_tags():

@@ -1,8 +1,11 @@
 """Tests for the IFC checker application (Figure 5b)."""
 
+import json
+
 import pytest
 
-from repro.apps.ifc import IfcChecker, IfcPolicy, SecurityLabel
+from repro.apps.ifc import IfcChecker, IfcPolicy, SecurityLabel, render_report
+from repro.service.protocol import AnalysisService
 
 
 SOURCE = """
@@ -44,7 +47,7 @@ def make_checker(**policy_kwargs):
     policy = IfcPolicy(**policy_kwargs)
     policy.mark_type_secret("Password")
     policy.mark_function_insecure("insecure_print")
-    return IfcChecker(SOURCE, policy)
+    return IfcChecker.from_source(SOURCE, policy)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +85,7 @@ def test_wildcard_variable_policy():
     policy = IfcPolicy()
     policy.mark_function_insecure("insecure_print")
     policy.secret_variables.add(("*", "secret_token"))
-    checker = IfcChecker(SOURCE, policy)
+    checker = IfcChecker.from_source(SOURCE, policy)
     assert checker.check_function("leak_variable")
 
 
@@ -120,7 +123,7 @@ def test_check_all_aggregates_program_violations(checker):
 
 
 def test_report_renders_human_readable_text(checker):
-    report = checker.report()
+    report = render_report(checker.check_all())
     assert "insecure flow" in report
     assert "leak_direct" in report
     assert "implicit (control) flow" in report
@@ -133,8 +136,52 @@ def test_report_for_clean_program():
     extern fn insecure_print(x: u32);
     fn hello(x: u32) { insecure_print(x); }
     """
-    checker = IfcChecker(clean_source, policy)
-    assert "no insecure flows" in checker.report()
+    checker = IfcChecker.from_source(clean_source, policy)
+    assert "no insecure flows" in render_report(checker.check_all())
+
+
+# The ``ifc`` answer for SOURCE under the policy of the test below, byte for
+# byte: checking each function once must not change it.
+SERVED_VIOLATIONS = [
+    "[leak_direct] explicit data flow from value `p` of secret type &Password "
+    "into insecure operation `insecure_print` at line 12",
+    "[leak_implicit] implicit (control) flow from value `p` of secret type "
+    "&Password into insecure operation `insecure_print` at line 17",
+    "[leak_variable] explicit data flow from variable `secret_token` "
+    "into insecure operation `insecure_print` at line 27",
+    "[leak_via_declassify] explicit data flow from value `p` of secret type "
+    "&Password into insecure operation `declassify_and_print` at line 31",
+]
+SERVED_REPORT = "ifc: 4 insecure flow(s) detected\n" + "\n".join(
+    "  " + line for line in SERVED_VIOLATIONS
+)
+
+
+def test_ifc_request_checks_each_function_once(monkeypatch):
+    checked = []
+    check_function = IfcChecker.check_function
+
+    def counting(self, fn_name):
+        checked.append(fn_name)
+        return check_function(self, fn_name)
+
+    monkeypatch.setattr(IfcChecker, "check_function", counting)
+    service = AnalysisService()
+    assert service.handle({"id": 1, "method": "open", "params": {"source": SOURCE}})["ok"]
+    params = {
+        "secret_types": ["Password"],
+        "secret_variables": ["secret_token"],
+        "sinks": ["insecure_print", "declassify_and_print"],
+    }
+    response = service.handle({"id": 2, "method": "ifc", "params": params})
+    assert sorted(checked) == sorted(service.session.function_names())
+    del response["trace_id"]
+    served = {
+        "id": 2,
+        "ok": True,
+        "result": {"count": 4, "report": SERVED_REPORT, "violations": SERVED_VIOLATIONS},
+    }
+    assert json.dumps(response, sort_keys=True) == json.dumps(served, sort_keys=True)
 
 
 def test_policy_type_secrecy_traverses_references():

@@ -10,9 +10,7 @@ every local function and compared against the object referee on:
 * the per-variable dependency sizes (the Figure 2 measurement),
 * the Θ annotations rendered per location (Figure 1 printouts),
 * the serialised :class:`~repro.service.cache.FunctionRecord` (the service's
-  query answer, minus the condition string which names the engine), which
-  ``from_result`` reads from each engine's exit state its own way, and whose
-  sizes must be the result's ``dependency_sizes()``, and
+  ``analyze`` answer), which must be the referee's ``dependency_sizes()``, and
 * the serialised :class:`~repro.focus.table.FocusTable` (focus/slice
   answers).
 
@@ -37,34 +35,28 @@ from repro.service.cache import FunctionRecord
 CORPUS = generate_corpus(scale=0.06)
 
 
-@pytest.mark.parametrize("tier", ["bitset"])
 @pytest.mark.parametrize(
     "condition", all_conditions(), ids=lambda c: c.name or "Modular"
 )
-def test_indexed_engines_match_object_engine_on_corpus(condition, tier):
+def test_indexed_engines_match_object_engine_on_corpus(condition):
     for crate in CORPUS:
         object_engine = FlowEngine.from_source(
             crate.source, config=dataclasses.replace(condition, engine="object")
         )
-        tier_engine = FlowEngine.from_source(
-            crate.source, config=dataclasses.replace(condition, engine=tier)
+        bitset_engine = FlowEngine.from_source(
+            crate.source, config=dataclasses.replace(condition, engine="bitset")
         )
         for fn_name in object_engine.local_function_names():
             obj = object_engine.analyze_function(fn_name)
-            idx = tier_engine.analyze_function(fn_name)
-            context = (tier, condition.name, crate.name, fn_name)
+            idx = bitset_engine.analyze_function(fn_name)
+            context = (condition.name, crate.name, fn_name)
 
             assert dict(obj.exit_theta.items()) == dict(idx.exit_theta.items()), context
             assert obj.dependency_sizes() == idx.dependency_sizes(), context
-            assert obj.dependency_sizes(count_arg_tags=False) == idx.dependency_sizes(
-                count_arg_tags=False
-            ), context
             assert obj.annotations() == idx.annotations(), context
 
-            obj_record = FunctionRecord.from_result(obj, "fp", "cond").to_json_dict()
-            idx_record = FunctionRecord.from_result(idx, "fp", "cond").to_json_dict()
-            assert obj_record == idx_record, context
-            assert obj_record["dependency_sizes"] == obj.dependency_sizes(), context
+            record = FunctionRecord.from_result(idx).to_json_dict()
+            assert record == obj.dependency_sizes(), context
 
             obj_table = FocusTable.build(obj, fingerprint="fp").to_json_dict()
             idx_table = FocusTable.build(idx, fingerprint="fp").to_json_dict()

@@ -340,6 +340,34 @@ class TestConnectionHandler:
         assert handler.handle_line(ping)["ok"]
         assert len(opened) == 1
 
+    @pytest.mark.parametrize(
+        "message, ok, saves",
+        [
+            ({"method": "open", "params": {"unit": 7}}, False, 0),
+            ({"method": "open", "params": {"unit": "b", "source": "fn broken("}}, False, 0),
+            ({"method": "close", "params": {"unit": "nope"}}, False, 0),
+            ({"method": "warm"}, True, 0),
+            ({"method": "open", "params": {"unit": "b", "source": SECOND_SOURCE}}, True, 1),
+            # The open succeeds, then the query fails: the workspace changed.
+            ({"method": "analyze",
+              "params": {"unit": "b", "source": SECOND_SOURCE, "function": "nope"}}, False, 1),
+        ],
+        ids=["bad-param", "unparseable", "unknown-unit", "warm", "open", "partial-analyze"],
+    )
+    def test_manifest_is_refreshed_only_after_a_change(
+        self, tmp_path, monkeypatch, message, ok, saves
+    ):
+        import repro.service.server as server_module
+
+        monkeypatch.setattr(server_module, "MANIFEST_DEBOUNCE_SECONDS", 0.0)
+        handler = ConnectionHandler(WorkspaceRegistry(persist_dir=str(tmp_path)))
+        opened = {"id": 1, "method": "open", "params": {"source": GET_COUNT_SOURCE}}
+        assert handler.handle_message(opened)["ok"]
+        calls = []
+        monkeypatch.setattr(server_module, "save_workspace", lambda *args: calls.append(args))
+        assert handler.handle_message({"id": 2, **message})["ok"] is ok
+        assert len(calls) == saves
+
 
 # ---------------------------------------------------------------------------
 # The socket server
