@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.analysis import FunctionFlowResult
 from repro.core.engine import FlowEngine
 from repro.core.theta import is_arg_location
 from repro.mir.ir import Body, CallTerminator, Location, Place
@@ -145,9 +144,8 @@ class IfcChecker:
 
     # -- secret seeds ---------------------------------------------------------------
 
-    def _secret_places(self, result: FunctionFlowResult) -> Dict[Place, str]:
-        """Places of the analysed function that hold secret data, with labels."""
-        body = result.body
+    def _secret_places(self, body: Body) -> Dict[Place, str]:
+        """Places of the function that hold secret data, with labels."""
         fn_name = body.fn_name
         secrets: Dict[Place, str] = {}
         for local in body.locals:
@@ -159,13 +157,10 @@ class IfcChecker:
                 secrets[place] = f"value `{label}` of secret type {local.ty.pretty()}"
         return secrets
 
-    def _secret_locations(
-        self, result: FunctionFlowResult, secrets: Dict[Place, str]
-    ) -> Dict[Location, str]:
+    def _secret_locations(self, body: Body, secrets: Dict[Place, str]) -> Dict[Location, str]:
         """Locations whose results are secret: writes to secret places plus
         the argument tags of secret parameters."""
         out: Dict[Location, str] = {}
-        body = result.body
         for location in body.locations():
             instruction = body.instruction_at(location)
             written = getattr(instruction, "place", None)
@@ -188,28 +183,29 @@ class IfcChecker:
     # -- checking ----------------------------------------------------------------------
 
     def check_function(self, fn_name: str) -> List[IfcViolation]:
+        """The violations in ``fn_name``.
+
+        A flow can only leak at a call to a sink that is not declassified,
+        and only from a secret place, so a body without both is not
+        analysed at all.
+        """
+        body = self.engine.lowered.bodies[fn_name]
+        sink_blocks = [
+            block_index
+            for block_index, block in enumerate(body.blocks)
+            if isinstance(block.terminator, CallTerminator)
+            and block.terminator.func in self.policy.insecure_functions
+            and block.terminator.func not in self.policy.declassified_functions
+        ]
+        secrets = self._secret_places(body)
+        if not sink_blocks or not secrets:
+            return []
         result = self.engine.analyze_function(fn_name)
-        body = result.body
-        secrets = self._secret_places(result)
-        if not secrets:
-            has_sink = any(
-                isinstance(block.terminator, CallTerminator)
-                and block.terminator.func in self.policy.insecure_functions
-                for block in body.blocks
-            )
-            if not has_sink:
-                return []
-        secret_locations = self._secret_locations(result, secrets)
+        secret_locations = self._secret_locations(body, secrets)
 
         violations: List[IfcViolation] = []
-        for block_index, block in enumerate(body.blocks):
-            terminator = block.terminator
-            if not isinstance(terminator, CallTerminator):
-                continue
-            if terminator.func not in self.policy.insecure_functions:
-                continue
-            if terminator.func in self.policy.declassified_functions:
-                continue
+        for block_index in sink_blocks:
+            terminator = body.blocks[block_index].terminator
             call_location = body.terminator_location(block_index)
             theta = result.theta_at(call_location)
 

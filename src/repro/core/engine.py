@@ -58,26 +58,23 @@ class RecursiveSummaryProvider(CallSummaryProvider):
 
     Recursion is bounded by ``config.max_whole_program_depth`` and broken on
     call cycles; in both cases ``summary_for`` returns ``None`` and the caller
-    uses the modular rule instead, matching Flowistry's behaviour.
+    uses the modular rule instead, matching Flowistry's behaviour.  Only
+    callees of the engine's local crate are analysed.
 
-    The :meth:`lookup_summary`/:meth:`store_summary` hooks let an external
-    summary backend (the service's content-addressed
-    :class:`~repro.service.cache.SummaryStore`) short-circuit the recursion:
-    a hit skips re-analysing the callee's whole call-graph cone.  The default
-    hooks do nothing, preserving the original in-engine-only memoisation.
-
-    Cached results must be indistinguishable from fresh recursion, so two
-    rules apply.  Only *complete* summaries are memoised or offered to the
-    backend: a summary whose computation hit the depth bound, or broke a call
-    cycle entered higher up the stack, depends on where the recursion started
-    — a different analysis root could compute a more precise one.  And a
-    complete summary is only *served* when the remaining depth budget could
-    have computed it fresh (its recorded computation height fits below the
-    bound); otherwise the recursion proceeds as if the cache were empty and
-    truncates exactly where a cold run would.
+    Summaries are memoised for the provider's lifetime, which is its
+    engine's: one program, one configuration.  Memoised results must be
+    indistinguishable from fresh recursion, so two rules apply.  Only
+    *complete* summaries are memoised: a summary whose computation hit the
+    depth bound, or broke a call cycle entered higher up the stack, depends
+    on where the recursion started — a different analysis root could
+    compute a more precise one.  And a complete summary is only *served*
+    when the remaining depth budget could have computed it fresh (its
+    recorded computation height fits below the bound); otherwise the
+    recursion proceeds as if the memo were empty and truncates exactly
+    where a cold run would.
     """
 
-    def __init__(self, engine: "FlowEngine", root_crate: str):
+    def __init__(self, engine: "FlowEngine"):
         # Hold the engine's parts, not the engine: the engine holds its
         # provider, so a back-reference would make every engine cyclic
         # garbage.  The mutable-reference-path cache is shared as the dict
@@ -86,7 +83,7 @@ class RecursiveSummaryProvider(CallSummaryProvider):
         self.signatures = engine.signatures
         self.config = engine.config
         self._mutable_ref_paths = engine._mutable_ref_paths
-        self.root_crate = root_crate
+        self.root_crate = engine.local_crate
         self._cache: Dict[str, Optional[WholeProgramSummary]] = {}
         # Computation height (number of stack frames a fresh recursion
         # needs) per complete cached summary.
@@ -121,24 +118,6 @@ class RecursiveSummaryProvider(CallSummaryProvider):
             frame = self._stack[-1]
             frame[2] = max(frame[2], child_height + 1)
 
-    # -- external backend hooks ------------------------------------------------
-
-    def lookup_summary(
-        self, callee: str, body: Body
-    ) -> Optional[Tuple[WholeProgramSummary, int]]:
-        """Consult an external summary backend.
-
-        Returns ``(summary, computation height)`` or ``None`` for a miss.
-        Backends must only ever hold complete summaries together with the
-        height recorded when they were stored.
-        """
-        return None
-
-    def store_summary(
-        self, callee: str, body: Body, summary: WholeProgramSummary, height: int
-    ) -> None:
-        """Offer a freshly computed complete summary to an external backend."""
-
     def summary_for(self, callee: str) -> Optional[WholeProgramSummary]:
         if callee in self._cache:
             cached = self._cache[callee]
@@ -156,23 +135,12 @@ class RecursiveSummaryProvider(CallSummaryProvider):
             # Call cycle: fall back to the modular approximation.
             self._taint_all()
             return None
-
-        body = self.lowered.body(callee)
-        assert body is not None
-        if callee not in self._cache:
-            external = self.lookup_summary(callee, body)
-            if external is not None:
-                summary, height = external
-                if self._fits_budget(height):
-                    self._cache[callee] = summary
-                    self._heights[callee] = height
-                    self._bump_parent(height)
-                    return summary
-                # Insufficient budget: ignore the hit and recompute.
         if len(self._stack) >= self.config.max_whole_program_depth:
             self._taint_all()
             return None
 
+        body = self.lowered.body(callee)
+        assert body is not None
         self._in_progress.add(callee)
         frame: List[object] = [callee, False, 1]
         self._stack.append(frame)
@@ -200,7 +168,6 @@ class RecursiveSummaryProvider(CallSummaryProvider):
 
         height = int(frame[2])
         if not frame[1]:
-            self.store_summary(callee, body, summary, height)
             self._cache[callee] = summary
             self._heights[callee] = height
         self._bump_parent(height)
@@ -252,7 +219,7 @@ class FlowEngine:
         self._results: Dict[str, FunctionFlowResult] = {}
         self._call_graph: Optional[CallGraph] = None
         self._mutable_ref_paths: Dict[str, MutableRefPaths] = {}
-        self._provider = self._make_provider()
+        self._provider = RecursiveSummaryProvider(self)
 
     # -- construction helpers ----------------------------------------------------
 
@@ -264,19 +231,6 @@ class FlowEngine:
     @classmethod
     def from_source(cls, source: str, config: Optional[AnalysisConfig] = None) -> "FlowEngine":
         return cls.from_program(parse_program(source), config=config)
-
-    def _make_provider(self) -> CallSummaryProvider:
-        return RecursiveSummaryProvider(self, root_crate=self.local_crate)
-
-    def set_provider(self, provider: CallSummaryProvider) -> None:
-        """Install an external call-summary provider (e.g. one backed by the
-        service's :class:`~repro.service.cache.SummaryStore`).
-
-        Memoised per-function results are dropped: they may have been computed
-        under the previous provider.
-        """
-        self._provider = provider
-        self._results.clear()
 
     # -- program structure ---------------------------------------------------------
 
@@ -308,30 +262,17 @@ class FlowEngine:
 
     def analyze_function(self, name: str) -> FunctionFlowResult:
         """Analyse one function (memoised per engine/configuration)."""
-        if name in self._results:
-            return self._results[name]
-        result = self.analyze_function_with(name, self._provider)
-        self._results[name] = result
-        return result
-
-    def analyze_function_with(
-        self, name: str, provider: CallSummaryProvider
-    ) -> FunctionFlowResult:
-        """Analyse one function through an explicit summary provider.
-
-        This is the reusable per-function entry point of the incremental
-        service: it performs no engine-level memoisation, so the caller (a
-        cache, a scheduler worker) fully controls result reuse.
-        """
-        body = self.lowered.body(name)
-        if body is None:
-            raise KeyError(f"no body available for function {name!r}")
-        return FunctionFlowAnalysis(
-            body=body,
-            signatures=self.signatures,
-            config=self.config,
-            provider=provider,
-        ).run()
+        if name not in self._results:
+            body = self.lowered.body(name)
+            if body is None:
+                raise KeyError(f"no body available for function {name!r}")
+            self._results[name] = FunctionFlowAnalysis(
+                body=body,
+                signatures=self.signatures,
+                config=self.config,
+                provider=self._provider,
+            ).run()
+        return self._results[name]
 
     def analyze_local_crate(self) -> ProgramFlowResult:
         """Analyse every function of the local crate (the evaluation's unit)."""

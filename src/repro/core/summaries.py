@@ -56,44 +56,6 @@ class WholeProgramSummary:
     def mutated_params(self) -> Set[int]:
         return {param for param, _path in self.mutations}
 
-    # -- serialisation -------------------------------------------------------
-    #
-    # Summaries are the unit of persistence of the incremental analysis
-    # service (:mod:`repro.service.cache`): a summary computed for one
-    # fingerprint of a callee body can be reloaded in a later process instead
-    # of re-analysing the callee.  The JSON form is intentionally flat so the
-    # on-disk tier stays greppable.
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """A JSON-serialisable dict; inverse of :meth:`from_json_dict`.
-
-        The compact index form of the cache (format 2): a summary is pure
-        index data already — parameter indices and field paths — so each
-        mutation is a flat ``[param, [path...], [sources...]]`` triple
-        rather than a keyed object.
-        """
-        return {
-            "callee": self.callee,
-            "return_sources": sorted(self.return_sources),
-            "mutations": [
-                [param, list(path), sorted(sources)]
-                for (param, path), sources in sorted(self.mutations.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "WholeProgramSummary":
-        """Rebuild a summary from :meth:`to_json_dict` output."""
-        mutations: Dict[MutationKey, FrozenSet[int]] = {}
-        for param, path, sources in data.get("mutations", []):
-            key = (int(param), tuple(int(i) for i in path))
-            mutations[key] = frozenset(int(i) for i in sources)
-        return cls(
-            callee=str(data["callee"]),
-            return_sources=frozenset(int(i) for i in data.get("return_sources", [])),
-            mutations=mutations,
-        )
-
     def pretty(self) -> str:
         lines = [f"summary of {self.callee}:"]
         rets = ", ".join(f"arg{i}" for i in sorted(self.return_sources)) or "(constants only)"
@@ -122,14 +84,8 @@ class CallSummaryProvider:
 class ModularSummaryProvider(CallSummaryProvider):
     """Never supplies summaries: every call uses the modular approximation."""
 
-    def __init__(self, boundary_fns: Optional[Set[str]] = None):
-        self._boundary_fns = boundary_fns or set()
-
     def summary_for(self, callee: str) -> Optional[WholeProgramSummary]:
         return None
-
-    def is_crate_boundary(self, callee: str) -> bool:
-        return callee in self._boundary_fns
 
 
 def summary_from_exit_state(

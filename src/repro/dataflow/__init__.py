@@ -19,10 +19,9 @@ from repro.dataflow.engine import (
     InPlaceJoinSemiLattice,
     JoinSemiLattice,
 )
-from repro.dataflow.bitset import BitSet, IndexMatrix, iter_bits, mask_of, popcount
+from repro.dataflow.bitset import IndexMatrix, iter_bits, mask_of, popcount
 
 __all__ = [
-    "BitSet",
     "CfgView",
     "ControlDependencies",
     "DominatorTree",

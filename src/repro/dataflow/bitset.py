@@ -4,21 +4,18 @@ Python's arbitrary-precision integers are contiguous arrays of 30-bit limbs,
 so a dependency set over an interned :class:`~repro.mir.indices.LocationDomain`
 stored as one ``int`` supports union (``|``), subset (``a & b == a``) and
 membership (``bits >> i & 1``) as single C-level operations — the same trick
-rustc's ``BitSet``/``IndexMatrix`` play with ``u64`` words.  The indexed
-dependency context stores raw ints on its hot path; the classes here are the
-structured faces of that representation:
-
-* :class:`BitSet` — a tiny mutable wrapper whose in-place union returns a
-  *dirty bit*, the change signal the worklist fixpoint keys off;
-* :class:`IndexMatrix` — rows of bits keyed by a row index (place index →
-  location bits for Θ, place index → place bits for loan sets), with
-  key-wise in-place union, equality, and a stable fingerprint.
+rustc's bit-set and index-matrix types play with ``u64`` words.  The indexed
+dependency context stores raw ints on its hot path; :class:`IndexMatrix` is
+the structured face of that representation: rows of bits keyed by a row
+index (place index → location bits for Θ, place index → place bits for loan
+sets), with key-wise in-place union that returns a *dirty bit*, the change
+signal the worklist fixpoint keys off.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, Iterator, Tuple
+
 
 def popcount(bits: int) -> int:
     """Number of set bits of a non-negative int."""
@@ -39,72 +36,6 @@ def mask_of(indices: Iterable[int]) -> int:
     for index in indices:
         bits |= 1 << index
     return bits
-
-
-class BitSet:
-    """A mutable set of small ints backed by one Python int."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int = 0):
-        self.bits = bits
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "BitSet":
-        return cls(mask_of(indices))
-
-    def __len__(self) -> int:
-        return popcount(self.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __contains__(self, index: int) -> bool:
-        return (self.bits >> index) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BitSet):
-            return self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BitSet({{{', '.join(map(str, self))}}})"
-
-    # -- mutation ---------------------------------------------------------------
-
-    def add(self, index: int) -> bool:
-        """Set one bit; True when it was newly set (the dirty bit)."""
-        before = self.bits
-        self.bits = before | (1 << index)
-        return self.bits != before
-
-    def ior(self, other: "BitSet") -> bool:
-        """In-place union; True when any new bit appeared (the dirty bit)."""
-        return self.ior_bits(other.bits)
-
-    def ior_bits(self, bits: int) -> bool:
-        """In-place union with a raw mask; True when any new bit appeared."""
-        before = self.bits
-        self.bits = before | bits
-        return self.bits != before
-
-    # -- queries ----------------------------------------------------------------
-
-    def is_subset_of(self, other: "BitSet") -> bool:
-        return self.bits & other.bits == self.bits
-
-    def copy(self) -> "BitSet":
-        return BitSet(self.bits)
-
-    def fingerprint(self) -> str:
-        """Stable content digest (hex of the underlying integer)."""
-        return hashlib.sha256(format(self.bits, "x").encode("ascii")).hexdigest()[:16]
 
 
 class IndexMatrix:
@@ -203,11 +134,3 @@ class IndexMatrix:
         if cells <= 0:
             return 0.0
         return self.popcount_total() / cells
-
-    def fingerprint(self) -> str:
-        """A stable digest over sorted rows: equal matrices (as mappings,
-        ignoring insertion order) have equal fingerprints."""
-        joined = "|".join(
-            f"{index}:{format(bits, 'x')}" for index, bits in sorted(self.rows.items())
-        )
-        return hashlib.sha256(joined.encode("ascii")).hexdigest()[:16]

@@ -10,12 +10,14 @@ influence map, and every direct place's backward and forward slice is
 tabulated as MIR locations.
 
 A table *is* its JSON value: entries keyed by label, plus an index from each
-place to its entry, and no source spans.  The analysis service caches that
-value in the content-addressed :class:`~repro.service.cache.SummaryStore`
-keyed by the function's fingerprint, so a warm focus query wraps the stored
-dict, finds its entry with two dictionary lookups, and decodes that entry
-alone — deriving its spans from the current body.  An edit invalidates
-tables through the same call-graph plan as every other cached result.
+place to its entry, and nothing else — no source spans, and no function name
+or condition, which the cache key already carries.  The analysis service
+caches that value in the content-addressed
+:class:`~repro.service.cache.SummaryStore` keyed by the function's
+fingerprint, so a warm focus query wraps the stored dict, finds its entry
+with two dictionary lookups, and decodes that entry alone — deriving its
+spans from the current body.  An edit invalidates tables through the same
+call-graph plan as every other cached result.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class FocusTable:
 
     ``data`` is the stored JSON value, read but never mutated: the store
     hands the same dict to every reader thread.  ``body`` is the function's
-    current body, which every decoded entry takes its spans from.
+    current body: every decoded entry takes its spans from it, and a
+    response its function name.
     """
 
     data: dict
@@ -133,7 +136,7 @@ class FocusTable:
         """
         if variable not in self.data["entries"]:
             raise QueryError(
-                f"function {self.data['fn_name']!r} has no variable {variable!r}",
+                f"function {self.body.fn_name!r} has no variable {variable!r}",
                 code=QueryError.UNKNOWN_VARIABLE,
             )
         return self._entry(variable)
@@ -145,9 +148,7 @@ class FocusTable:
     # -- construction -------------------------------------------------------------
 
     @classmethod
-    def build(
-        cls, result: FunctionFlowResult, fingerprint: str = "", condition: str = ""
-    ) -> "FocusTable":
+    def build(cls, result: FunctionFlowResult) -> "FocusTable":
         """Tabulate every direct place of ``result`` in one pass.
 
         The forward direction is computed by inverting the dependency
@@ -167,15 +168,13 @@ class FocusTable:
         locations when the table entries are written.
         """
         with obs_stage("focus_table", fn=result.body.fn_name) as sp:
-            table = cls._build(result, fingerprint, condition)
+            table = cls._build(result)
             if sp is not None:
                 sp.set(entries=len(table.data["entries"]))
             return table
 
     @classmethod
-    def _build(
-        cls, result: FunctionFlowResult, fingerprint: str = "", condition: str = ""
-    ) -> "FocusTable":
+    def _build(cls, result: FunctionFlowResult) -> "FocusTable":
         body = result.body
         fixpoint = result.fixpoint
         exit_theta = result.exit_theta
@@ -295,14 +294,7 @@ class FocusTable:
                 "forward": [list(loc) for loc in forward],
             }
             keys_by_place[_place_key(place)] = key
-        data = {
-            "fn_name": body.fn_name,
-            "condition": condition,
-            "fingerprint": fingerprint,
-            "entries": entries,
-            "places": keys_by_place,
-        }
-        return cls(data, body)
+        return cls({"entries": entries, "places": keys_by_place}, body)
 
     def respan(self, body: Body) -> "FocusTable":
         """This table bound to ``body``, the function's current body.
@@ -334,12 +326,13 @@ class FocusTable:
 
     # -- views --------------------------------------------------------------------
 
-    def response_for(self, entry: FocusEntry, direction: str = "both") -> dict:
-        """The JSON payload served for one focus query over this table."""
+    def response_for(self, entry: FocusEntry, direction: str, condition: str) -> dict:
+        """The JSON payload served for one focus query over this table, under
+        the condition named ``condition``."""
         out: dict = {
-            "function": self.data["fn_name"],
+            "function": self.body.fn_name,
             "target": entry.label,
-            "condition": self.data["condition"],
+            "condition": condition,
             "defining_span": list(entry.defining_span.to_tuple()),
             "direction": direction,
         }

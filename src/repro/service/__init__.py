@@ -31,7 +31,6 @@ from repro.service.cache import (
     CacheStats,
     FingerprintIndex,
     FunctionRecord,
-    StoreBackedSummaryProvider,
     SummaryStore,
     config_cache_key,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "InvalidationPlan",
     "RWLock",
     "SessionHandle",
-    "StoreBackedSummaryProvider",
     "SummaryStore",
     "ThreadedAnalysisServer",
     "WorkspaceRegistry",

@@ -1,4 +1,4 @@
-"""Content-addressed summary cache: the persistence layer of the service.
+"""Content-addressed result cache: the persistence layer of the service.
 
 Keys are *content fingerprints*, not positions: a function's cache key hashes
 the text of everything its result can depend on.  Under the modular condition
@@ -13,7 +13,10 @@ cache correct.
 
 The store has two tiers: an in-memory LRU of JSON-serialisable values, and an
 optional directory of JSON files that survives the process (one file per
-entry, named by the SHA-256 of the key).
+entry, named by the SHA-256 of the key).  It holds two kinds of value, both
+answers served to queries: analysis records and focus tables.  Whole-program
+callee summaries are not among them: each engine memoises its own, for one
+workspace generation.
 """
 
 from __future__ import annotations
@@ -30,22 +33,17 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.core.analysis import FunctionFlowResult
 from repro.core.config import AnalysisConfig
-from repro.core.engine import FlowEngine, RecursiveSummaryProvider
-from repro.core.summaries import WholeProgramSummary
 from repro.mir.callgraph import CallGraph
 from repro.mir.indices import index_body
-from repro.mir.ir import Body
 from repro.mir.lower import LoweredProgram
 from repro.mir.pretty import pretty_body
 from repro.obs import metrics as obs_metrics
 from repro.obs import span as obs_span
 
 
-# Cached-value kinds: a per-function analysis record served to queries, a
-# parameter-level whole-program summary consumed by the recursive provider,
-# and a precomputed all-places focus table served to cursor queries.
+# Cached-value kinds: a per-function analysis record served to ``analyze``,
+# and a precomputed all-places focus table served to focus and slice queries.
 KIND_RECORD = "record"
-KIND_SUMMARY = "summary"
 KIND_FOCUS = "focus"
 
 # On-disk / wire format version of cached values.  Bumped to 2 when records
@@ -53,10 +51,12 @@ KIND_FOCUS = "focus"
 # indices) and body fingerprints started covering the interning-table digest;
 # bumped to 3 when focus tables stopped storing spans and gained a
 # place-to-entry index, so a warm query decodes just the entry it needs;
-# bumped to 4 when a record shrank to its per-variable dependency sizes.
-# The version participates in every key digest, so entries written by an
-# older release are simply unreachable rather than misdecoded.
-CACHE_FORMAT_VERSION = 4
+# bumped to 4 when a record shrank to its per-variable dependency sizes;
+# bumped to 5 when a focus table shrank to its entries and place index, and
+# the store stopped holding whole-program summaries.  The version
+# participates in every key digest, so entries written by an older release
+# are simply unreachable rather than misdecoded.
+CACHE_FORMAT_VERSION = 5
 
 
 def _digest(text: str) -> str:
@@ -238,15 +238,6 @@ class FingerprintIndex:
             kind=KIND_FOCUS,
             fn_name=name,
             fingerprint=self.record_fingerprint(name, config),
-            condition=config_cache_key(config),
-        )
-
-    def summary_key(self, name: str, config: AnalysisConfig) -> CacheKey:
-        """Store key for a callee's whole-program summary (cone-addressed)."""
-        return CacheKey(
-            kind=KIND_SUMMARY,
-            fn_name=name,
-            fingerprint=self.cone_fingerprint(name),
             condition=config_cache_key(config),
         )
 
@@ -519,7 +510,7 @@ class FunctionRecord:
     """The query-facing cached result of analysing one function: what
     ``analyze`` answers, the size of each local's dependency set at exit.
 
-    Stored as that mapping and nothing else (cache format 4).  The
+    Stored as that mapping and nothing else (since cache format 4).  The
     function, its fingerprint and its condition are the entry's key.
     """
 
@@ -539,39 +530,3 @@ class FunctionRecord:
         """The record of a fresh analysis result."""
         return cls(dependency_sizes=result.dependency_sizes())
 
-
-class StoreBackedSummaryProvider(RecursiveSummaryProvider):
-    """Recursive whole-program provider that round-trips callee summaries
-    through a :class:`SummaryStore`.
-
-    Summary keys use the callee's *cone* fingerprint, so a stored summary is
-    served only while every body it transitively depends on is unchanged.
-    Each value also records the summary's computation height — the provider
-    uses it to refuse hits that the current recursion's depth budget could
-    not have computed fresh, keeping warm results byte-equal to cold ones.
-    """
-
-    def __init__(self, engine: FlowEngine, store: SummaryStore, fingerprints: FingerprintIndex):
-        super().__init__(engine, root_crate=engine.local_crate)
-        self.store = store
-        self.fingerprints = fingerprints
-
-    def lookup_summary(
-        self, callee: str, body: Body
-    ) -> Optional[Tuple[WholeProgramSummary, int]]:
-        """A stored ``(summary, height)`` for ``callee``, or ``None`` on miss."""
-        key = self.fingerprints.summary_key(callee, self.config)
-        data = self.store.get(key)
-        if data is None or "summary" not in data:
-            return None
-        return (
-            WholeProgramSummary.from_json_dict(data["summary"]),
-            int(data.get("height", 1)),
-        )
-
-    def store_summary(
-        self, callee: str, body: Body, summary: WholeProgramSummary, height: int
-    ) -> None:
-        """Persist a freshly computed callee summary with its height."""
-        key = self.fingerprints.summary_key(callee, self.config)
-        self.store.put(key, {"summary": summary.to_json_dict(), "height": height})

@@ -4,8 +4,8 @@ A persisted workspace is a directory under the server's ``--persist-dir``::
 
     <persist_dir>/<workspace>/
         manifest.json        # units (name + source), local crate, version
-        cache/               # SummaryStore disk tier (records, summaries,
-                             # focus tables), one JSON file per entry
+        cache/               # SummaryStore disk tier (records and focus
+                             # tables), one JSON file per entry
 
 The manifest holds everything needed to rebuild the *workspace* (the open
 sources); the cache directory holds everything needed to make the rebuilt

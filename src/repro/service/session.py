@@ -46,7 +46,6 @@ from repro.obs import span as obs_span
 from repro.service.cache import (
     FingerprintIndex,
     FunctionRecord,
-    StoreBackedSummaryProvider,
     SummaryStore,
     config_cache_key,
 )
@@ -497,20 +496,17 @@ class AnalysisSession:
     def engine(self, config: AnalysisConfig) -> FlowEngine:
         """The (lazily created, per-condition) flow engine for ``config``.
 
-        Whole-program engines are wired to the store-backed summary provider
-        so their callee summaries round-trip through the cache.
+        A whole-program engine memoises its callee summaries itself, for
+        this workspace generation: a rebuild drops every engine.
         """
         self._require_workspace()
         key = config_cache_key(config)
         if key not in self._engines:
             with self._compute_lock:
                 if key not in self._engines:
-                    engine = FlowEngine(self._checked, lowered=self._lowered, config=config)
-                    if config.whole_program:
-                        engine.set_provider(
-                            StoreBackedSummaryProvider(engine, self.store, self._fingerprints)
-                        )
-                    self._engines[key] = engine
+                    self._engines[key] = FlowEngine(
+                        self._checked, lowered=self._lowered, config=config
+                    )
         return self._engines[key]
 
     def _body(self, fn_name: str) -> Body:
@@ -642,11 +638,7 @@ class AnalysisSession:
             if data is not None:
                 table = FocusTable.from_json_dict(data).respan(self._body(fn_name))
                 return table, "hit"
-            table = FocusTable.build(
-                self.engine(config).analyze_function(fn_name),
-                fingerprint=key.fingerprint,
-                condition=condition_name(config),
-            )
+            table = FocusTable.build(self.engine(config).analyze_function(fn_name))
             self.store.put(key, table.to_json_dict())
             return table, "miss"
 
@@ -777,7 +769,7 @@ class AnalysisSession:
                 code=QueryError.INVALID_PARAMS,
             )
 
-        out = table.response_for(entry, direction)
+        out = table.response_for(entry, direction, condition_name(config))
         out["seed_span"] = list(seed_span.to_tuple()) if not seed_span.is_dummy() else None
         out["function_span"] = (
             list(fn_body.span.to_tuple()) if not fn_body.span.is_dummy() else None

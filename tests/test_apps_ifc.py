@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from helpers import HELPER_CALLER_SOURCE
+
 from repro.apps.ifc import IfcChecker, IfcPolicy, SecurityLabel, render_report
+from repro.core.analysis import FunctionFlowAnalysis
 from repro.service.protocol import AnalysisService
+from repro.service.session import AnalysisSession
 
 
 SOURCE = """
@@ -182,6 +186,32 @@ def test_ifc_request_checks_each_function_once(monkeypatch):
         "result": {"count": 4, "report": SERVED_REPORT, "violations": SERVED_VIOLATIONS},
     }
     assert json.dumps(response, sort_keys=True) == json.dumps(served, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "policy,analysed,count",
+    [
+        ({"sinks": ["insecure_print"]}, [], 0),
+        ({"sinks": ["helper"]}, [], 0),
+        ({"secret_variables": ["a"], "sinks": ["helper"]}, ["caller"], 1),
+    ],
+)
+def test_ifc_analyses_only_the_functions_that_call_a_sink(monkeypatch, policy, analysed, count):
+    # A violation can only arise at a call to a sink that is not
+    # declassified, and only from a secret place, so a function without
+    # both runs no fixpoint.
+    ran = []
+    real_run = FunctionFlowAnalysis.run
+
+    def counting_run(analysis):
+        ran.append(analysis.body.fn_name)
+        return real_run(analysis)
+
+    monkeypatch.setattr(FunctionFlowAnalysis, "run", counting_run)
+    session = AnalysisSession()
+    session.open_unit("main", HELPER_CALLER_SOURCE)
+    assert session.ifc(**policy)["count"] == count
+    assert sorted(ran) == analysed
 
 
 def test_policy_type_secrecy_traverses_references():

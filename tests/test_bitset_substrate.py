@@ -15,7 +15,7 @@ from repro.core.theta import (
     IndexedThetaLattice,
     arg_location,
 )
-from repro.dataflow.bitset import BitSet, IndexMatrix, iter_bits, mask_of, popcount
+from repro.dataflow.bitset import IndexMatrix, iter_bits, mask_of, popcount
 from repro.mir.indices import BodyIndex, LocationDomain, PlaceDomain, index_body
 from repro.mir.ir import Location, Place
 
@@ -40,7 +40,7 @@ def make_domain():
 
 
 # ---------------------------------------------------------------------------
-# BitSet / IndexMatrix
+# Bit masks / IndexMatrix
 # ---------------------------------------------------------------------------
 
 
@@ -48,27 +48,6 @@ def test_popcount_and_iter_bits():
     bits = mask_of([0, 3, 17, 64])
     assert popcount(bits) == 4
     assert list(iter_bits(bits)) == [0, 3, 17, 64]
-
-
-def test_bitset_add_and_ior_report_dirty_bit():
-    a = BitSet()
-    assert a.add(3)
-    assert not a.add(3)
-    b = BitSet.from_indices([3, 5])
-    assert a.ior(b)
-    assert not a.ior(b)  # no new bits: clean
-    assert sorted(a) == [3, 5]
-    assert 5 in a and 4 not in a
-    assert len(a) == 2
-
-
-def test_bitset_subset_and_fingerprint():
-    a = BitSet.from_indices([1, 2])
-    b = BitSet.from_indices([1, 2, 9])
-    assert a.is_subset_of(b)
-    assert not b.is_subset_of(a)
-    assert a.fingerprint() == BitSet.from_indices([2, 1]).fingerprint()
-    assert a.fingerprint() != b.fingerprint()
 
 
 def test_index_matrix_or_row_dirty_bit_and_row_materialisation():
@@ -91,7 +70,7 @@ def test_index_matrix_union_into_returns_dirty_bit():
     assert a.keys_mask == mask_of([1, 2])
 
 
-def test_index_matrix_fingerprint_is_insertion_order_free():
+def test_index_matrix_equality_is_insertion_order_free():
     a = IndexMatrix()
     a.set_row(1, 0b1)
     a.set_row(2, 0b10)
@@ -99,9 +78,6 @@ def test_index_matrix_fingerprint_is_insertion_order_free():
     b.set_row(2, 0b10)
     b.set_row(1, 0b1)
     assert a == b
-    assert a.fingerprint() == b.fingerprint()
-    b.or_row(1, 0b100)
-    assert a.fingerprint() != b.fingerprint()
 
 
 def test_index_matrix_density_and_popcount():

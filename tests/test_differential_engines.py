@@ -58,8 +58,8 @@ def test_indexed_engines_match_object_engine_on_corpus(condition):
             record = FunctionRecord.from_result(idx).to_json_dict()
             assert record == obj.dependency_sizes(), context
 
-            obj_table = FocusTable.build(obj, fingerprint="fp").to_json_dict()
-            idx_table = FocusTable.build(idx, fingerprint="fp").to_json_dict()
+            obj_table = FocusTable.build(obj).to_json_dict()
+            idx_table = FocusTable.build(idx).to_json_dict()
             assert obj_table == idx_table, context
 
 

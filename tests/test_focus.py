@@ -309,8 +309,9 @@ class TestFocusTableProperties:
 
     def test_table_json_round_trip(self):
         result = analyze(STRUCT_SOURCE, "shift")
-        table = FocusTable.build(result, fingerprint="fp", condition="Modular")
+        table = FocusTable.build(result)
         stored = json.loads(json.dumps(table.to_json_dict()))
+        assert sorted(stored) == ["entries", "places"]
         assert not _keys_anywhere(stored) & SPAN_KEYS
         clone = FocusTable.from_json_dict(stored)
         assert clone.to_json_dict() == table.to_json_dict()

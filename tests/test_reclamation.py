@@ -6,8 +6,8 @@ the parts of its engine it reads rather than the engine, and signature
 elision uses no self-referencing closure.  So with the cyclic collector
 switched off, a session that opened, warmed and analysed a program leaves
 nothing for ``gc.collect()`` to find, and its engines die the moment the
-last reference to them goes.  Whole-program engines are checked too: they
-run through the store-backed summary provider.
+last reference to them goes.  Whole-program engines are checked too: their
+summary provider memoises callee summaries.
 """
 
 from __future__ import annotations

@@ -10,8 +10,6 @@ import pytest
 from helpers import HELPER_CALLER_SOURCE, analyze, lowered_from
 
 from repro.core.config import MODULAR, WHOLE_PROGRAM, AnalysisConfig
-from repro.core.engine import FlowEngine
-from repro.core.summaries import WholeProgramSummary
 from repro.mir.callgraph import build_call_graph
 from repro.obs.metrics import get_registry
 from repro.service.cache import (
@@ -200,27 +198,6 @@ class TestSummaryStore:
         assert store.get(whole) is None
 
 
-class TestWholeProgramSummaryRoundTrip:
-    def test_manual_summary(self):
-        summary = WholeProgramSummary(
-            callee="helper",
-            return_sources=frozenset({1}),
-            mutations={(0, (2, 0)): frozenset({0, 1}), (1, ()): frozenset()},
-        )
-        rebuilt = WholeProgramSummary.from_json_dict(summary.to_json_dict())
-        assert rebuilt == summary
-
-    def test_computed_summary_round_trips_through_json_text(self):
-        engine = FlowEngine.from_source(HELPER_CALLER_SOURCE, config=WHOLE_PROGRAM)
-        provider = engine._provider
-        summary = provider.summary_for("helper")
-        assert summary is not None
-        text = json.dumps(summary.to_json_dict())
-        rebuilt = WholeProgramSummary.from_json_dict(json.loads(text))
-        assert rebuilt == summary
-        assert rebuilt.pretty() == summary.pretty()
-
-
 class TestFunctionRecord:
     def test_round_trip_preserves_sizes(self):
         result = analyze(HELPER_CALLER_SOURCE, "caller")
@@ -240,6 +217,19 @@ class TestFunctionRecord:
             assert session.store.get(key) == sizes
             stored = json.loads((tmp_path / key.file_name()).read_text(encoding="utf-8"))
             assert stored == {"key": key.to_json_dict(), "value": sizes}
+
+    def test_whole_program_analyze_stores_records_only(self, tmp_path):
+        # Callee summaries stay in the engine: root's analysis reaches mid
+        # and leaf, yet the store gains just the three records.
+        session = AnalysisSession(cache_dir=str(tmp_path))
+        session.open_unit("main", CHAIN_SOURCE)
+        session.analyze(config=WHOLE_PROGRAM)
+        stored = [json.loads(path.read_text(encoding="utf-8")) for path in tmp_path.glob("*.json")]
+        assert sorted((s["key"]["kind"], s["key"]["fn_name"]) for s in stored) == [
+            ("record", "leaf"),
+            ("record", "mid"),
+            ("record", "root"),
+        ]
 
 
 class TestFingerprintIndex:

@@ -18,7 +18,7 @@ from repro.lang.typeck import check_program
 from repro.mir.callgraph import build_call_graph
 from repro.mir.lower import lower_program
 from repro.obs import get_registry
-from repro.service.cache import FingerprintIndex, StoreBackedSummaryProvider, SummaryStore
+from repro.service.cache import FingerprintIndex, SummaryStore
 from repro.service.scheduler import BatchScheduler, map_shards
 
 
@@ -111,15 +111,14 @@ WALK_ORDER_CONDITIONS = {
 
 
 def _walk(source, local_crate, config, order):
-    """One batch over a fresh store, through a store-backed engine whose
-    local functions come in ``order`` (a function of the sorted names).
+    """One batch over a fresh store, through an engine whose local functions
+    come in ``order`` (a function of the sorted names).
 
     Returns each function's stored record and the names of the functions
     whose fixpoint ran, callee summaries included, sorted.
     """
     engine, fingerprints = engine_for(source, config=config, local_crate=local_crate)
     store = SummaryStore()
-    engine.set_provider(StoreBackedSummaryProvider(engine, store, fingerprints))
     names = order(engine.local_function_names())
     runs = []
     real_run = FunctionFlowAnalysis.run

@@ -24,7 +24,8 @@ import pytest
 from helpers import GET_COUNT_SOURCE, HELPER_CALLER_SOURCE, place_expr_cursors
 
 from repro.apps.slicer import ProgramSlicer
-from repro.core.config import MODULAR, MUT_BLIND, REF_BLIND, WHOLE_PROGRAM
+from repro.core.analysis import FunctionFlowAnalysis
+from repro.core.config import MODULAR, MUT_BLIND, REF_BLIND, WHOLE_PROGRAM, AnalysisConfig
 from repro.errors import ReproError
 from repro.eval.corpus import generate_corpus
 from repro.lang.parser import parse_program
@@ -237,7 +238,8 @@ class TestSummaryDeterminism:
     """Warm answers must equal cold ones even when the whole-program
     recursion hits its depth bound or breaks a call cycle: summaries whose
     computation was truncated are context-dependent and must never be
-    served from the cache to a different analysis root."""
+    served from the engine's memo to a different analysis root, and an edit
+    must leave no summary of the previous generation behind."""
 
     CHAIN = (
         "\n".join(
@@ -253,19 +255,76 @@ fn via_ping(x: u32) -> u32 { ping(x) }
 fn via_pong(x: u32) -> u32 { pong(x) }
 """
 
+    # Two edits of CHAIN: f0's literal, and f3's body, which stops reading
+    # its parameter and so changes every whole-program answer up the chain.
+    EDITS = {"f0": ("f1(x) + 0", "f1(x) + 5"), "f3": ("x * 2", "7")}
+
     @staticmethod
     def _sizes(session, function, config):
         return session.analyze(function=function, config=config)["functions"][function][
             "dependency_sizes"
         ]
 
-    def test_depth_truncated_summaries_are_not_served_to_other_roots(self):
-        from repro.core.config import AnalysisConfig
+    @pytest.mark.parametrize("depth", [None, 2], ids=["default_depth", "depth2"])
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_whole_program_answers_after_an_edit_equal_a_fresh_session(self, edit, depth):
+        config = AnalysisConfig(whole_program=True)
+        if depth is not None:
+            config = AnalysisConfig(whole_program=True, max_whole_program_depth=depth)
+        names = ["f0", "f1", "f2", "f3"]
+        edited = self.CHAIN.replace(*self.EDITS[edit])
+        assert edited != self.CHAIN
 
+        session = AnalysisSession()
+        session.open_unit("main", self.CHAIN)
+        for name in names:
+            self._sizes(session, name, config)
+        session.update_unit("main", edited)
+
+        fresh = AnalysisSession()
+        fresh.open_unit("main", edited)
+        for name in names:
+            assert self._sizes(session, name, config) == self._sizes(fresh, name, config), name
+
+    @pytest.mark.parametrize(
+        "edit,runs",
+        [
+            ("f0", ["f0", "f1", "f2", "f3"]),
+            ("f3", ["f0", "f1", "f1", "f2", "f2", "f3", "f3"]),
+        ],
+    )
+    def test_whole_program_requery_after_an_edit_recomputes_callee_summaries(
+        self, monkeypatch, edit, runs
+    ):
+        """Callee summaries live in one generation's engine, not in the
+        store: after an edit of f0, re-querying every function serves
+        f1..f3 from their records but analyses f0's callees again for its
+        summary.  After an edit of f3 every record is stale: f0's cone
+        runs four fixpoints, then f1, f2 and f3 one each as roots."""
+        session = AnalysisSession()
+        session.open_unit("main", self.CHAIN)
+        names = session.function_names()
+        for name in names:
+            self._sizes(session, name, WHOLE_PROGRAM)
+        session.update_unit("main", self.CHAIN.replace(*self.EDITS[edit]))
+
+        ran = []
+        real_run = FunctionFlowAnalysis.run
+
+        def counting_run(analysis):
+            ran.append(analysis.body.fn_name)
+            return real_run(analysis)
+
+        monkeypatch.setattr(FunctionFlowAnalysis, "run", counting_run)
+        for name in names:
+            self._sizes(session, name, WHOLE_PROGRAM)
+        assert sorted(ran) == runs
+
+    def test_depth_truncated_summaries_are_not_served_to_other_roots(self):
         config = AnalysisConfig(whole_program=True, max_whole_program_depth=2)
         warmed = AnalysisSession()
         warmed.open_unit("main", self.CHAIN)
-        self._sizes(warmed, "f0", config)  # fills the store via f0's cone
+        self._sizes(warmed, "f0", config)  # memoises f0's cone in the engine
         warm = self._sizes(warmed, "f1", config)
 
         fresh = AnalysisSession()
@@ -283,11 +342,9 @@ fn via_pong(x: u32) -> u32 { pong(x) }
         assert warm == self._sizes(fresh, "via_pong", WHOLE_PROGRAM)
 
     def test_results_are_independent_of_query_order(self):
-        """A store warmed in a different order must not change any answer:
+        """An engine warmed in a different order must not change any answer:
         serving a deep callee's complete summary where a cold recursion would
         have hit the depth bound is refused (height check)."""
-        from repro.core.config import AnalysisConfig
-
         config = AnalysisConfig(whole_program=True, max_whole_program_depth=2)
         names = ["f0", "f1", "f2", "f3"]
 
@@ -297,7 +354,7 @@ fn via_pong(x: u32) -> u32 { pong(x) }
             solo.open_unit("main", self.CHAIN)
             baseline[name] = self._sizes(solo, name, config)
 
-        # Bottom-up warm-up stores complete summaries for the deep functions
+        # Bottom-up warm-up memoises complete summaries for the deep functions
         # first; top-down queries must still match the cold baseline.
         shared = AnalysisSession()
         shared.open_unit("main", self.CHAIN)
