@@ -97,7 +97,11 @@ class IfcPolicy:
 
 @dataclass(frozen=True)
 class IfcViolation:
-    """One flow from secret data into an insecure operation."""
+    """One flow from secret data into an insecure operation.
+
+    ``line`` is the sink call's line, relative to ``unit`` when a
+    multi-unit workspace names the unit that holds it.
+    """
 
     fn_name: str
     sink_function: str
@@ -105,10 +109,13 @@ class IfcViolation:
     source_description: str
     via_control_flow: bool
     line: int = 0
+    unit: Optional[str] = None
 
     def render(self) -> str:
         kind = "implicit (control) flow" if self.via_control_flow else "explicit data flow"
         where = f" at line {self.line}" if self.line else ""
+        if self.unit is not None:
+            where = f" in unit {self.unit!r}{where}"
         return (
             f"[{self.fn_name}] {kind} from {self.source_description} "
             f"into insecure operation `{self.sink_function}`{where}"
@@ -162,10 +169,7 @@ class IfcChecker:
         the argument tags of secret parameters."""
         out: Dict[Location, str] = {}
         for location in body.locations():
-            instruction = body.instruction_at(location)
-            written = getattr(instruction, "place", None)
-            if written is None and isinstance(instruction, CallTerminator):
-                written = instruction.destination
+            written = body.written_place(location)
             if written is None:
                 continue
             for secret_place, description in secrets.items():

@@ -66,10 +66,7 @@ def forward_slice_locations(result: FunctionFlowResult, variable: str) -> Frozen
         influenced |= result.forward_slice(arg_location(local.index - 1))
         influenced.discard(arg_location(local.index - 1))
     for location in result.body.locations():
-        instruction = result.body.instruction_at(location)
-        written = getattr(instruction, "place", None) or getattr(
-            instruction, "destination", None
-        )
+        written = result.body.written_place(location)
         if written is not None and written.conflicts_with(target):
             influenced |= result.forward_slice(location)
     return frozenset(influenced)
@@ -128,13 +125,8 @@ class ProgramSlicer:
         except QueryError as error:
             raise AnalysisError(str(error)) from None
 
-    def _lines_of_locations(
-        self, result: FunctionFlowResult, locations: FrozenSet[Location]
-    ) -> FrozenSet[int]:
-        return lines_of_locations(result.body, locations)
-
-    def _variable_definition_lines(self, result: FunctionFlowResult, variable: str) -> FrozenSet[int]:
-        local = result.body.local_by_name(variable)
+    def _variable_definition_lines(self, body: Body, variable: str) -> FrozenSet[int]:
+        local = body.local_by_name(variable)
         if local is None or local.span.is_dummy():
             return frozenset()
         return frozenset(range(local.span.start_line, local.span.end_line + 1))
@@ -143,16 +135,16 @@ class ProgramSlicer:
 
     def backward_slice(self, fn_name: str, variable: str) -> Slice:
         """All code that may influence the final value of ``variable``."""
-        result = self.engine.analyze_function(fn_name)
         entry = self._entry(fn_name, variable)
+        body = self.engine.body(fn_name)
         locations = frozenset(entry.backward)
         return Slice(
             fn_name=fn_name,
             variable=variable,
             direction=SliceDirection.BACKWARD,
             locations=locations,
-            relevant_lines=self._lines_of_locations(result, locations),
-            criterion_lines=self._variable_definition_lines(result, variable),
+            relevant_lines=lines_of_locations(body, locations),
+            criterion_lines=self._variable_definition_lines(body, variable),
             relevant_spans=entry.backward_spans,
         )
 
@@ -162,16 +154,16 @@ class ProgramSlicer:
         The criterion is taken to be every instruction that writes the
         variable; the forward slice is the union of their forward slices.
         """
-        result = self.engine.analyze_function(fn_name)
         entry = self._entry(fn_name, variable)
+        body = self.engine.body(fn_name)
         influenced = frozenset(entry.forward)
         return Slice(
             fn_name=fn_name,
             variable=variable,
             direction=SliceDirection.FORWARD,
             locations=influenced,
-            relevant_lines=self._lines_of_locations(result, influenced),
-            criterion_lines=self._variable_definition_lines(result, variable),
+            relevant_lines=lines_of_locations(body, influenced),
+            criterion_lines=self._variable_definition_lines(body, variable),
             relevant_spans=entry.forward_spans,
         )
 
@@ -206,14 +198,12 @@ class ProgramSlicer:
         """Lines of ``fn_name`` that could be removed without affecting
         ``variable`` — the "comment out everything about timing" workflow
         from Figure 5a, expressed as the complement of the backward slice."""
-        result = self.engine.analyze_function(fn_name)
         slice_ = self.backward_slice(fn_name, variable)
         fn = self.engine.program.function(fn_name)
         if fn is None or fn.body is None or fn.span.is_dummy():
             return frozenset()
         body_lines = set(range(fn.body.span.start_line + 1, fn.body.span.end_line))
-        all_instruction_lines = self._lines_of_locations(
-            result, frozenset(loc for loc in result.body.locations())
-        )
+        body = self.engine.body(fn_name)
+        all_instruction_lines = lines_of_locations(body, body.locations())
         candidate = body_lines & all_instruction_lines
         return frozenset(candidate - set(slice_.relevant_lines) - set(slice_.criterion_lines))

@@ -55,6 +55,9 @@ from repro.mir.ir import (
 
 LoanMap = Dict[Place, FrozenSet[Place]]
 
+# Propagation passes after which the loan fixpoint stops.
+MAX_PASSES = 100
+
 
 def _place_with_path(base: Place, path: Sequence[int]) -> Place:
     place = base
@@ -181,10 +184,10 @@ class LoanAnalysis:
 
     # -- construction --------------------------------------------------------------
 
-    def run(self, max_iterations: int = 100) -> "LoanAnalysis":
+    def run(self) -> "LoanAnalysis":
         """Iterate the compiled loan constraints to a fixpoint."""
         constraints = self._compile()
-        for _ in range(max_iterations):
+        for _ in range(MAX_PASSES):
             if not self._one_pass(constraints):
                 break
         return self

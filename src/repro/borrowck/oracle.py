@@ -1,12 +1,8 @@
 """Alias oracles: the pointer-analysis interface used by the flow analysis.
 
 The information flow transfer functions never consult loan sets directly;
-they ask an :class:`AliasOracle` two questions:
-
-* ``resolve(place)`` — which concrete places may this (possibly dereferencing)
-  place denote?
-* ``conflicts(place, theta_keys)`` — which tracked places conflict with a
-  mutation of this place?
+they ask an :class:`AliasOracle` one question, ``resolve(place)``: which
+concrete places may this (possibly dereferencing) place denote?
 
 Two implementations are provided, matching the paper's evaluation conditions:
 
@@ -21,7 +17,7 @@ Two implementations are provided, matching the paper's evaluation conditions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set
 
 from repro.borrowck.loans import LoanAnalysis, _refs_in_type
 from repro.lang.ast import FnSig
@@ -42,27 +38,6 @@ class AliasOracle:
     def resolve_indices(self, place: Place, domain) -> "tuple":
         """:meth:`resolve` interned into ``domain`` (a ``PlaceDomain``)."""
         return tuple(domain.index(p) for p in self.resolve(place))
-
-    def aliases_known(self, place: Place) -> bool:
-        """Whether the oracle has definite points-to information for ``place``."""
-        raise NotImplementedError
-
-    def conflicting(self, place: Place, candidates: Iterable[Place]) -> List[Place]:
-        """Candidates that conflict with a mutation of ``place``.
-
-        A candidate conflicts when it is an ancestor or descendant of any
-        place that ``place`` may denote (Section 2.1's ``⊓`` relation lifted
-        through aliasing).
-        """
-        resolved = self.resolve(place)
-        out = []
-        for candidate in candidates:
-            candidate_resolved = self.resolve(candidate)
-            for target in resolved:
-                if any(target.conflicts_with(c) for c in candidate_resolved):
-                    out.append(candidate)
-                    break
-        return out
 
 
 @dataclass
@@ -86,10 +61,6 @@ class PreciseAliasOracle(AliasOracle):
         if self.loans.domain is domain:
             return self.loans.resolve_indices(place)
         return tuple(domain.index(p) for p in self.resolve(place))
-
-    def aliases_known(self, place: Place) -> bool:
-        resolved = self.resolve(place)
-        return len(resolved) == 1 and not next(iter(resolved)).has_deref()
 
 
 @dataclass
@@ -154,11 +125,6 @@ class TypeBlindAliasOracle(AliasOracle):
                     next_bases.add(base.project_field(elem.index))
             bases = next_bases
         return frozenset(bases)
-
-    def aliases_known(self, place: Place) -> bool:
-        # Without lifetimes we never treat a dereferencing place as uniquely
-        # resolved, so all writes through pointers are weak updates.
-        return not place.has_deref()
 
 
 def make_oracle(

@@ -8,13 +8,14 @@ lifetimes) from callee signatures:
 * :mod:`repro.core.config` — the analysis conditions of Section 5
   (Modular, Whole-program, Mut-blind, Ref-blind and their combinations),
 * :mod:`repro.core.theta` — the dependency context Θ as a join-semilattice,
-* :mod:`repro.core.summaries` — modular call summaries from signatures and
-  whole-program call summaries from recursively analysed bodies,
+* :mod:`repro.core.summaries` — whole-program call summaries, read out of
+  recursively analysed callee bodies,
 * :mod:`repro.core.transfer` — the MIR transfer function (T-Assign,
   T-AssignDeref, T-App of Section 2, adapted to CFGs per Section 4),
 * :mod:`repro.core.analysis` — the per-function analysis driver,
 * :mod:`repro.core.engine` — the program/crate-level API used by the
-  applications and the evaluation harness,
+  applications and the evaluation harness, and the recursive summary
+  provider of the Whole-program condition,
 * :mod:`repro.core.oxide` — the AST-level judgment of Section 2, used to
   test noninterference (Theorem 3.1) against the interpreter.
 """
@@ -29,23 +30,17 @@ from repro.core.theta import (
 )
 from repro.core.analysis import FunctionFlowAnalysis, FunctionFlowResult
 from repro.core.engine import FlowEngine, ProgramFlowResult, analyze_program, analyze_source
-from repro.core.summaries import (
-    CallSummaryProvider,
-    ModularSummaryProvider,
-    WholeProgramSummary,
-)
+from repro.core.summaries import WholeProgramSummary
 
 __all__ = [
     "ARG_BLOCK",
     "AnalysisConfig",
-    "CallSummaryProvider",
     "DependencyContext",
     "FlowEngine",
     "FunctionFlowAnalysis",
     "FunctionFlowResult",
     "IndexedDependencyContext",
     "IndexedThetaLattice",
-    "ModularSummaryProvider",
     "ProgramFlowResult",
     "ThetaLattice",
     "WholeProgramSummary",

@@ -10,13 +10,12 @@ function exit (the paper's measurement unit), and backward/forward slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.borrowck.oracle import AliasOracle, make_oracle
 from repro.borrowck.signatures import summarize_signature
 from repro.core.config import AnalysisConfig
-from repro.core.summaries import CallSummaryProvider, ModularSummaryProvider
 from repro.core.theta import (
     DependencyContext,
     IndexedDependencyContext,
@@ -33,7 +32,10 @@ from repro.lang.ast import FnSig
 from repro.mir.indices import BodyIndex, index_body
 from repro.obs import metrics as obs_metrics
 from repro.obs import stage as obs_stage
-from repro.mir.ir import Body, Location, Place, RETURN_LOCAL, StatementKind, Statement, CallTerminator
+from repro.mir.ir import Body, Location, Place, RETURN_LOCAL
+
+if TYPE_CHECKING:
+    from repro.core.engine import RecursiveSummaryProvider
 
 
 def argument_seed_places(body: Body) -> List[Tuple[int, Place]]:
@@ -94,16 +96,13 @@ class FunctionFlowResult:
     oracle: AliasOracle
     transfer: FlowTransfer
     fixpoint: FixpointResult
-    _exit_theta: Optional[DependencyContext] = field(default=None, init=False)
 
     # -- states -----------------------------------------------------------------
 
     @property
     def exit_theta(self) -> DependencyContext:
         """Θ at the function exit: the join over all return blocks."""
-        if self._exit_theta is None:
-            self._exit_theta = self.fixpoint.state_at_returns()
-        return self._exit_theta
+        return self.fixpoint.exit_state
 
     def theta_at(self, location: Location) -> DependencyContext:
         return self.fixpoint.state_at(location)
@@ -193,12 +192,7 @@ class FunctionFlowResult:
         """
         influenced: Set[Location] = set()
         for location in self.body.locations():
-            instruction = self.body.instruction_at(location)
-            written: Optional[Place] = None
-            if isinstance(instruction, Statement) and instruction.kind is StatementKind.ASSIGN:
-                written = instruction.place
-            elif isinstance(instruction, CallTerminator):
-                written = instruction.destination
+            written = self.body.written_place(location)
             if written is None:
                 continue
             after = self.theta_after(location)
@@ -222,12 +216,7 @@ class FunctionFlowResult:
         """Per-location rendering of Θ entries, for Figure 1 style printouts."""
         out: Dict[Location, str] = {}
         for location in self.body.locations():
-            instruction = self.body.instruction_at(location)
-            written: Optional[Place] = None
-            if isinstance(instruction, Statement) and instruction.kind is StatementKind.ASSIGN:
-                written = instruction.place
-            elif isinstance(instruction, CallTerminator):
-                written = instruction.destination
+            written = self.body.written_place(location)
             if written is None:
                 continue
             after = self.theta_after(location)
@@ -246,13 +235,13 @@ class FunctionFlowAnalysis:
         self,
         body: Body,
         signatures: Dict[str, FnSig],
-        config: Optional[AnalysisConfig] = None,
-        provider: Optional[CallSummaryProvider] = None,
+        config: AnalysisConfig,
+        provider: "RecursiveSummaryProvider",
     ):
         self.body = body
         self.signatures = signatures
-        self.config = config or AnalysisConfig()
-        self.provider = provider or ModularSummaryProvider()
+        self.config = config
+        self.provider = provider
 
     def run(self) -> FunctionFlowResult:
         with obs_stage("fixpoint", fn=self.body.fn_name, engine=self.config.engine) as sp:

@@ -18,11 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.borrowck.signatures import summarize_signature
 from repro.core.analysis import FunctionFlowAnalysis, FunctionFlowResult
 from repro.core.config import AnalysisConfig
-from repro.core.summaries import (
-    CallSummaryProvider,
-    WholeProgramSummary,
-    summary_from_exit_state,
-)
+from repro.core.summaries import WholeProgramSummary, summary_from_exit_state
 from repro.lang.ast import FnSig, Program
 from repro.lang.parser import parse_program
 from repro.lang.typeck import CheckedProgram, check_program
@@ -53,7 +49,7 @@ def mutable_ref_paths(
     return cache[fn_name]
 
 
-class RecursiveSummaryProvider(CallSummaryProvider):
+class RecursiveSummaryProvider:
     """Computes whole-program call summaries by recursively analysing callees.
 
     Recursion is bounded by ``config.max_whole_program_depth`` and broken on
@@ -93,6 +89,8 @@ class RecursiveSummaryProvider(CallSummaryProvider):
         self._stack: List[List[object]] = []
 
     def is_crate_boundary(self, callee: str) -> bool:
+        """Whether calling ``callee`` crosses the crate boundary (the Section
+        5.4.2 study): its body is absent or lives in another crate."""
         body = self.lowered.body(callee)
         return body is None or body.crate != self.root_crate
 
@@ -119,6 +117,8 @@ class RecursiveSummaryProvider(CallSummaryProvider):
             frame[2] = max(frame[2], child_height + 1)
 
     def summary_for(self, callee: str) -> Optional[WholeProgramSummary]:
+        """A whole-program summary for ``callee``, or ``None`` to force the
+        modular approximation (unknown body, crate boundary, recursion)."""
         if callee in self._cache:
             cached = self._cache[callee]
             if cached is None:
@@ -151,10 +151,6 @@ class RecursiveSummaryProvider(CallSummaryProvider):
                 config=self.config,
                 provider=self,
             ).run()
-            # The exit state is materialised while the callee is still marked
-            # in-progress: computing it replays the transfer function, which
-            # re-resolves recursive calls and must keep hitting the cycle
-            # guard rather than re-entering this method unboundedly.
             summary = summary_from_exit_state(
                 body=body,
                 exit_theta=result.exit_theta,

@@ -1,4 +1,4 @@
-"""Call summaries: modular (signature-only) and whole-program (recursive).
+"""Whole-program call summaries: what a callee's body does with its arguments.
 
 The paper's central question (Section 2.3) is what to assume about a call
 ``f(args)`` given only ``f``'s type signature.  The modular answer:
@@ -15,17 +15,18 @@ between the callee's parameters into flows between the caller's arguments.
 value or a mutated parameter reference) the set of parameter indices whose
 data flows into it.
 
-To avoid an import cycle (the summary of a callee is produced by running the
-very analysis that consumes summaries), the recursive machinery lives behind
-the :class:`CallSummaryProvider` interface; :mod:`repro.core.engine` supplies
-the recursive implementation, and :class:`ModularSummaryProvider` is the
-degenerate one used when whole-program analysis is disabled.
+The summary of a callee is produced by running the very analysis that
+consumes summaries, so the recursion that computes them lives with the
+engine: :class:`~repro.core.engine.RecursiveSummaryProvider` analyses callee
+bodies on demand and reads each summary out of the callee's exit state with
+:func:`summary_from_exit_state`.  The modular rule needs no summary: the
+transfer function applies it from the callee's signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 from repro.core.theta import DependencyContext, is_arg_location
 from repro.mir.ir import Body, Place, RETURN_LOCAL
@@ -65,27 +66,6 @@ class WholeProgramSummary:
             srcs = ", ".join(f"arg{i}" for i in sorted(sources)) or "(constants only)"
             lines.append(f"  *arg{param}{path_str} <- {srcs}")
         return "\n".join(lines)
-
-
-class CallSummaryProvider:
-    """Interface used by the transfer function to obtain callee summaries."""
-
-    def summary_for(self, callee: str) -> Optional[WholeProgramSummary]:
-        """A whole-program summary for ``callee``, or ``None`` to force the
-        modular approximation (unknown body, crate boundary, recursion...)."""
-        raise NotImplementedError
-
-    def is_crate_boundary(self, callee: str) -> bool:
-        """Whether calling ``callee`` crosses the crate boundary (used for the
-        Section 5.4.2 study); providers that do not track crates return False."""
-        return False
-
-
-class ModularSummaryProvider(CallSummaryProvider):
-    """Never supplies summaries: every call uses the modular approximation."""
-
-    def summary_for(self, callee: str) -> Optional[WholeProgramSummary]:
-        return None
 
 
 def summary_from_exit_state(

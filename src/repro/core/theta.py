@@ -4,9 +4,9 @@ Section 2 of the paper introduces Θ as a map from memory places ``p`` to
 dependency sets ``κ`` (sets of expression labels ``ℓ``); Section 4.1 carries
 the same structure over to MIR, where the labels become CFG locations.  The
 context forms a join-semilattice under key-wise union — this module provides
-the lattice adapter used by the generic dataflow engine along with the read
-and (strong/weak) write operations over conflicts that the transfer function
-needs.
+the lattice adapters the dataflow engine runs over, whose in-place join
+reports whether its target grew, along with the read and (strong/weak) write
+operations over conflicts that the transfer function needs.
 
 Two representations share the same semantics:
 
@@ -19,8 +19,8 @@ Two representations share the same semantics:
   locations interned to dense ints (:class:`~repro.mir.indices.BodyIndex`)
   and Θ stored as an :class:`~repro.dataflow.bitset.IndexMatrix` of
   int-bitset rows, making the join (the hottest operation of the whole
-  system) a key-wise bitwise-or with an O(rows) dirty bit instead of a
-  cascade of frozenset allocations.
+  system) a key-wise bitwise-or instead of a cascade of frozenset
+  allocations.
 
 Both expose the identical Place/Location-object API at the boundary, so
 every consumer of analysis results is representation-agnostic; the indexed
@@ -163,33 +163,20 @@ class DependencyContext:
     def copy(self) -> "DependencyContext":
         return DependencyContext(dict(self.deps))
 
-    def join(self, other: "DependencyContext") -> "DependencyContext":
-        """Key-wise union: ``Θ1 ∨ Θ2`` from Section 4.1."""
-        merged = dict(self.deps)
-        for place, deps in other.deps.items():
-            existing = merged.get(place)
-            merged[place] = deps if existing is None else existing | deps
-        return DependencyContext(merged)
-
-    def equals(self, other: "DependencyContext") -> bool:
-        return self.deps == other.deps
-
-    def restrict_to_locals(self, locals_of_interest: Iterable[int]) -> "DependencyContext":
-        wanted = set(locals_of_interest)
-        return DependencyContext(
-            {place: deps for place, deps in self.deps.items() if place.local in wanted}
-        )
-
-    def total_size(self) -> int:
-        return sum(len(deps) for deps in self.deps.values())
-
-    def pretty(self, body=None) -> str:
-        lines = []
-        for place in sorted(self.deps, key=lambda p: (p.local, p.projection)):
-            deps = sorted(self.deps[place])
-            rendered = ", ".join(d.pretty() if d.block >= 0 else f"arg{d.statement}" for d in deps)
-            lines.append(f"{place.pretty(body)}: {{{rendered}}}")
-        return "\n".join(lines)
+    def join_into(self, other: "DependencyContext") -> bool:
+        """Key-wise in-place union, ``Θ1 ∨ Θ2`` from Section 4.1; True when
+        self grew (the dirty bit)."""
+        deps = self.deps
+        changed = False
+        for place, other_deps in other.deps.items():
+            existing = deps.get(place)
+            if existing is None:
+                deps[place] = other_deps
+                changed = True
+            elif not other_deps <= existing:
+                deps[place] = existing | other_deps
+                changed = True
+        return changed
 
 
 class ThetaLattice:
@@ -198,11 +185,8 @@ class ThetaLattice:
     def bottom(self) -> DependencyContext:
         return DependencyContext()
 
-    def join(self, left: DependencyContext, right: DependencyContext) -> DependencyContext:
-        return left.join(right)
-
-    def equals(self, left: DependencyContext, right: DependencyContext) -> bool:
-        return left.equals(right)
+    def join_into(self, target: DependencyContext, source: DependencyContext) -> bool:
+        return target.join_into(source)
 
     def copy(self, state: DependencyContext) -> DependencyContext:
         return state.copy()
@@ -231,9 +215,6 @@ class IndexedDependencyContext:
         self.matrix = matrix if matrix is not None else IndexMatrix()
 
     # -- index-level access ------------------------------------------------------
-
-    def get_bits(self, place_index: int) -> int:
-        return self.matrix.rows.get(place_index, 0)
 
     def read_conflicts_bits(self, target: int) -> int:
         """Index form of :meth:`DependencyContext.read_conflicts`."""
@@ -375,45 +356,12 @@ class IndexedDependencyContext:
     def copy(self) -> "IndexedDependencyContext":
         return IndexedDependencyContext(self.domain, self.matrix.copy())
 
-    def join(self, other: "IndexedDependencyContext") -> "IndexedDependencyContext":
-        joined = self.copy()
-        joined.join_into(other)
-        return joined
-
-    def equals(self, other: "IndexedDependencyContext") -> bool:
-        return self.matrix.rows == other.matrix.rows
-
-    def restrict_to_locals(self, locals_of_interest: Iterable[int]) -> "IndexedDependencyContext":
-        wanted = set(locals_of_interest)
-        place_of = self.domain.places.place_of
-        restricted = IndexMatrix(
-            {
-                index: bits
-                for index, bits in self.matrix.rows.items()
-                if place_of(index).local in wanted
-            }
-        )
-        return IndexedDependencyContext(self.domain, restricted)
-
-    def total_size(self) -> int:
-        return self.matrix.popcount_total()
-
-    def to_object(self) -> DependencyContext:
-        """The equivalent object-domain :class:`DependencyContext` (differential
-        testing and pretty-printing)."""
-        return DependencyContext({place: deps for place, deps in self.items()})
-
-    def pretty(self, body=None) -> str:
-        return self.to_object().pretty(body)
-
 
 class IndexedThetaLattice:
     """Join-semilattice over :class:`IndexedDependencyContext` states.
 
     Carries the shared per-body domain so ``bottom`` states intern against
-    the same tables; provides ``join_into`` — the in-place union whose dirty
-    bit the fixpoint driver uses for change detection, skipping the
-    full-state equality test of the object path entirely.
+    the same tables.
     """
 
     def __init__(self, domain: BodyIndex):
@@ -422,20 +370,10 @@ class IndexedThetaLattice:
     def bottom(self) -> IndexedDependencyContext:
         return IndexedDependencyContext(self.domain)
 
-    def join(
-        self, left: IndexedDependencyContext, right: IndexedDependencyContext
-    ) -> IndexedDependencyContext:
-        return left.join(right)
-
     def join_into(
         self, target: IndexedDependencyContext, source: IndexedDependencyContext
     ) -> bool:
         return target.join_into(source)
-
-    def equals(
-        self, left: IndexedDependencyContext, right: IndexedDependencyContext
-    ) -> bool:
-        return left.equals(right)
 
     def copy(self, state: IndexedDependencyContext) -> IndexedDependencyContext:
         return state.copy()

@@ -19,12 +19,12 @@ formal counterparts are the typing rules of Section 2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.borrowck.oracle import AliasOracle
 from repro.borrowck.signatures import SignatureSummary, summarize_signature
 from repro.core.config import AnalysisConfig
-from repro.core.summaries import CallSummaryProvider, ModularSummaryProvider, WholeProgramSummary
+from repro.core.summaries import WholeProgramSummary
 from repro.core.theta import EMPTY_DEPS, DependencyContext, IndexedDependencyContext
 from repro.dataflow.control_deps import ControlDependencies
 from repro.mir.indices import BodyIndex
@@ -48,6 +48,9 @@ from repro.mir.ir import (
     Use,
 )
 
+if TYPE_CHECKING:
+    from repro.core.engine import RecursiveSummaryProvider
+
 
 @dataclass
 class FlowTransfer:
@@ -58,7 +61,7 @@ class FlowTransfer:
     oracle: AliasOracle
     control_deps: ControlDependencies
     signatures: Dict[str, FnSig]
-    provider: CallSummaryProvider = field(default_factory=ModularSummaryProvider)
+    provider: "RecursiveSummaryProvider"
     # Populated during the analysis: call locations that cross a crate
     # boundary (Section 5.4.2) and calls that fell back to the modular rule.
     boundary_call_locations: Set[Location] = field(default_factory=set)

@@ -13,12 +13,7 @@ Section 4.1 of the paper lists the classical machinery Flowistry reuses:
 from repro.dataflow.graph import CfgView, reverse_post_order
 from repro.dataflow.dominators import DominatorTree, compute_dominators, compute_post_dominators
 from repro.dataflow.control_deps import ControlDependencies, compute_control_deps
-from repro.dataflow.engine import (
-    ForwardAnalysis,
-    FixpointResult,
-    InPlaceJoinSemiLattice,
-    JoinSemiLattice,
-)
+from repro.dataflow.engine import ForwardAnalysis, FixpointResult, JoinSemiLattice
 from repro.dataflow.bitset import IndexMatrix, iter_bits, mask_of, popcount
 
 __all__ = [
@@ -28,7 +23,6 @@ __all__ = [
     "FixpointResult",
     "ForwardAnalysis",
     "IndexMatrix",
-    "InPlaceJoinSemiLattice",
     "JoinSemiLattice",
     "iter_bits",
     "mask_of",

@@ -125,7 +125,7 @@ class IndexMatrix:
         return IndexMatrix(dict(self.rows), self.keys_mask)
 
     def popcount_total(self) -> int:
-        """Total number of set bits across all rows (Θ's ``total_size``)."""
+        """Total number of set bits across all rows."""
         return sum(popcount(bits) for bits in self.rows.values())
 
     def density(self, num_rows: int, num_cols: int) -> float:

@@ -1,17 +1,17 @@
-"""A generic forward dataflow engine over join-semilattices.
+"""The forward dataflow engine over Θ's join-semilattice.
 
 The information flow analysis of Section 4.1 is "a flow-sensitive, forward
 dataflow analysis pass" whose state (the dependency context Θ) forms a
 join-semilattice under key-wise set union; iteration to fixpoint is
 guaranteed to terminate because each function has finitely many places and
-locations.  This engine factors that structure out so the core analysis only
-supplies a transfer function, and so alternative analyses (for instance the
-liveness analysis used in tests, or future extensions) can reuse it.
+locations.  This engine runs that pass for both Θ domains: the core analysis
+supplies the lattice and the transfer function, and the engine detects
+change through the lattice's in-place join alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generic, List, Optional, Protocol, TypeVar
 
 from repro.dataflow.graph import forward_cfg, reverse_post_order
@@ -20,6 +20,9 @@ from repro.mir.ir import Body, Location
 
 S = TypeVar("S")
 
+# Block visits after which a run is reported as not converging.
+MAX_ITERATIONS = 10_000
+
 
 class JoinSemiLattice(Protocol[S]):
     """The operations the engine needs from a dataflow domain."""
@@ -27,28 +30,12 @@ class JoinSemiLattice(Protocol[S]):
     def bottom(self) -> S:
         """The least element (initial state of unvisited blocks)."""
 
-    def join(self, left: S, right: S) -> S:
-        """Least upper bound of two states."""
-
-    def equals(self, left: S, right: S) -> bool:
-        """Whether two states are equal (fixpoint detection)."""
+    def join_into(self, target: S, source: S) -> bool:
+        """Union ``source`` into ``target`` in place; True exactly when
+        ``target`` grew (the dirty bit the run detects change by)."""
 
     def copy(self, state: S) -> S:
         """An independent copy of a state that transfer functions may mutate."""
-
-
-class InPlaceJoinSemiLattice(JoinSemiLattice[S], Protocol[S]):
-    """A lattice whose join can mutate the target and report change.
-
-    Bitset domains (the indexed Θ) implement this: ``join_into`` is a
-    key-wise bitwise-or that returns a **dirty bit** — True exactly when the
-    target grew.  The fixpoint driver then needs neither the out-of-place
-    ``join`` nor the full-state ``equals`` on its hot path: change detection
-    falls out of the union itself.
-    """
-
-    def join_into(self, target: S, source: S) -> bool:
-        """Union ``source`` into ``target`` in place; True when it changed."""
 
 
 class TransferFunction(Protocol[S]):
@@ -59,18 +46,16 @@ class TransferFunction(Protocol[S]):
 
 @dataclass
 class FixpointResult(Generic[S]):
-    """Per-block entry states plus on-demand recomputation inside blocks."""
+    """Per-block entry states, the function's exit state, and on-demand
+    recomputation inside blocks."""
 
     body: Body
     lattice: JoinSemiLattice
     transfer: TransferFunction
-    entry_states: Dict[int, S] = field(default_factory=dict)
-    iterations: int = 0
-    # Block out-states recorded during the run: when a block is processed for
-    # the last time its entry state is final, so the state left at the end of
-    # the block is its final exit state — no replay needed.  Unreachable
-    # blocks (never on the worklist) are absent and fall back to replay.
-    recorded_exits: Dict[int, S] = field(default_factory=dict)
+    entry_states: Dict[int, S]
+    # The join of the return blocks' final out-states.
+    exit_state: S
+    iterations: int
 
     def state_at(self, location: Location) -> S:
         """The state *before* executing the instruction at ``location``."""
@@ -85,42 +70,6 @@ class FixpointResult(Generic[S]):
         self.transfer(state, self.body, location)
         return state
 
-    def exit_states(self) -> Dict[int, S]:
-        """The state at the end of every block (callers may mutate freely)."""
-        out: Dict[int, S] = {}
-        for block_index, block in enumerate(self.body.blocks):
-            recorded = self.recorded_exits.get(block_index)
-            if recorded is not None:
-                out[block_index] = self.lattice.copy(recorded)
-                continue
-            state = self.lattice.copy(self.entry_states[block_index])
-            for stmt_index in range(block.num_locations()):
-                self.transfer(state, self.body, Location(block_index, stmt_index))
-            out[block_index] = state
-        return out
-
-    def state_at_returns(self) -> S:
-        """Join of the exit states of all return blocks (the function's exit state)."""
-        join_into = getattr(self.lattice, "join_into", None)
-        if join_into is not None:
-            result = self.lattice.bottom()
-            replayed: Optional[Dict[int, S]] = None
-            for block in self.body.return_blocks():
-                recorded = self.recorded_exits.get(block)
-                if recorded is None:
-                    # Unreachable return block: fall back to one full replay,
-                    # shared across any further misses.
-                    if replayed is None:
-                        replayed = self.exit_states()
-                    recorded = replayed[block]
-                join_into(result, recorded)
-            return result
-        exits = self.exit_states()
-        result = self.lattice.bottom()
-        for block in self.body.return_blocks():
-            result = self.lattice.join(result, exits[block])
-        return result
-
 
 class ForwardAnalysis(Generic[S]):
     """Runs a forward dataflow analysis to fixpoint over a MIR body."""
@@ -130,20 +79,20 @@ class ForwardAnalysis(Generic[S]):
         lattice: JoinSemiLattice,
         transfer: TransferFunction,
         boundary_state: Optional[Callable[[Body], S]] = None,
-        max_iterations: int = 10_000,
     ):
         self.lattice = lattice
         self.transfer = transfer
         self.boundary_state = boundary_state
-        self.max_iterations = max_iterations
 
     def run(self, body: Body) -> FixpointResult[S]:
+        lattice = self.lattice
+        join_into = lattice.join_into
         view = forward_cfg(body)
         order = reverse_post_order(view)
         position = {block: i for i, block in enumerate(order)}
 
         entry_states: Dict[int, S] = {
-            block: self.lattice.bottom() for block in range(len(body.blocks))
+            block: lattice.bottom() for block in range(len(body.blocks))
         }
         if self.boundary_state is not None:
             entry_states[0] = self.boundary_state(body)
@@ -153,11 +102,10 @@ class ForwardAnalysis(Generic[S]):
         worklist: List[int] = list(order)
         in_worklist = set(worklist)
         iterations = 0
-        recorded_exits: Dict[int, S] = {}
-
-        # Bitset (indexed) domains join in place and return a dirty bit;
-        # object domains re-join and compare.  Detected once, not per edge.
-        join_into = getattr(self.lattice, "join_into", None)
+        # The out-state of a return block's *last* processing is its final
+        # exit state; only those blocks' out-states are kept.
+        return_blocks = body.return_blocks()
+        return_exits: Dict[int, Optional[S]] = dict.fromkeys(return_blocks)
 
         # Locations are revisited every time a block re-enters the worklist:
         # construct each exactly once.
@@ -168,40 +116,45 @@ class ForwardAnalysis(Generic[S]):
 
         while worklist:
             iterations += 1
-            if iterations > self.max_iterations:
+            if iterations > MAX_ITERATIONS:
                 raise RuntimeError(
                     f"dataflow analysis did not converge on {body.fn_name!r}"
                 )
             block_index = worklist.pop(0)
             in_worklist.discard(block_index)
 
-            state = self.lattice.copy(entry_states[block_index])
+            state = lattice.copy(entry_states[block_index])
             block = body.blocks[block_index]
             for location in block_locations[block_index]:
                 self.transfer(state, body, location)
-            # The out-state of the block's *last* processing is its final
-            # exit state; overwritten on every revisit.
-            recorded_exits[block_index] = state
+            if block_index in return_exits:
+                return_exits[block_index] = state
 
             for successor in block.terminator.successors():
-                if join_into is not None:
-                    changed = join_into(entry_states[successor], state)
-                else:
-                    joined = self.lattice.join(entry_states[successor], state)
-                    changed = not self.lattice.equals(joined, entry_states[successor])
-                    if changed:
-                        entry_states[successor] = joined
-                if changed and successor not in in_worklist:
+                if join_into(entry_states[successor], state) and (
+                    successor not in in_worklist
+                ):
                     # Insert keeping rough reverse post-order priority.
                     in_worklist.add(successor)
                     worklist.append(successor)
                     worklist.sort(key=lambda b: position.get(b, len(position)))
 
+        exit_state = lattice.bottom()
+        for block_index in return_blocks:
+            state = return_exits[block_index]
+            if state is None:
+                # A return block the run never reached: replay it from its
+                # (bottom) entry state.
+                state = lattice.copy(entry_states[block_index])
+                for location in block_locations[block_index]:
+                    self.transfer(state, body, location)
+            join_into(exit_state, state)
+
         return FixpointResult(
             body=body,
-            lattice=self.lattice,
+            lattice=lattice,
             transfer=self.transfer,
             entry_states=entry_states,
+            exit_state=exit_state,
             iterations=iterations,
-            recorded_exits=recorded_exits,
         )

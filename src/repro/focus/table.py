@@ -30,16 +30,7 @@ from repro.core.theta import IndexedDependencyContext, arg_location
 from repro.errors import QueryError, Span
 from repro.obs import stage as obs_stage
 from repro.focus.spans import lines_of_spans, spans_of_locations, spans_to_json
-from repro.mir.ir import (
-    Body,
-    CallTerminator,
-    Location,
-    Place,
-    PlaceElem,
-    ProjectionKind,
-    Statement,
-    StatementKind,
-)
+from repro.mir.ir import Body, Location, Place, PlaceElem, ProjectionKind
 
 
 def _place_to_json(place: Place) -> List:
@@ -195,12 +186,7 @@ class FocusTable:
             state = fixpoint.lattice.copy(fixpoint.entry_states[block_idx])
             for stmt_idx in range(block.num_locations()):
                 location = Location(block_idx, stmt_idx)
-                instruction = body.instruction_at(location)
-                written: Optional[Place] = None
-                if isinstance(instruction, Statement) and instruction.kind is StatementKind.ASSIGN:
-                    written = instruction.place
-                elif isinstance(instruction, CallTerminator):
-                    written = instruction.destination
+                written = body.written_place(location)
                 fixpoint.transfer(state, body, location)
                 if written is None:
                     continue

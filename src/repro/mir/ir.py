@@ -525,6 +525,15 @@ class Body:
             return block.statements[loc.statement]
         return block.terminator
 
+    def written_place(self, loc: Location) -> Optional[Place]:
+        """The place the instruction at ``loc`` writes: an assignment's place
+        or a call's destination; ``None`` for every other instruction."""
+        block = self.blocks[loc.block]
+        if loc.statement < len(block.statements):
+            return block.statements[loc.statement].place
+        terminator = block.terminator
+        return terminator.destination if isinstance(terminator, CallTerminator) else None
+
     # -- CFG edges -----------------------------------------------------------------
 
     def successors(self, block: int) -> List[int]:

@@ -789,13 +789,20 @@ class AnalysisSession:
         """Run the IFC checker over the whole workspace.
 
         Policies cut across functions, so this query is served by a fresh
-        checker rather than the per-function cache.
+        checker rather than the per-function cache.  Each violation names
+        the unit that holds its sink call and the line inside that unit.
         """
         self._require_workspace()
         self._bump("ifc_queries")
         policy = IfcPolicy.from_specs(secret_types, secret_variables, sinks)
         with self._compute_lock:
             violations = IfcChecker(self.engine(config or MODULAR), policy).check_all()
+        for index, violation in enumerate(violations):
+            unit = _unit_at_line(self._unit_lines, violation.line)
+            if unit is not None:
+                violations[index] = dataclasses.replace(
+                    violation, unit=unit, line=violation.line - self._unit_lines[unit][0]
+                )
         return {
             "violations": [violation.render() for violation in violations],
             "count": len(violations),

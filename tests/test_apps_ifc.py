@@ -145,16 +145,17 @@ def test_report_for_clean_program():
 
 
 # The ``ifc`` answer for SOURCE under the policy of the test below, byte for
-# byte: checking each function once must not change it.
+# byte: checking each function once must not change it.  SOURCE is the one
+# open unit, "main".
 SERVED_VIOLATIONS = [
     "[leak_direct] explicit data flow from value `p` of secret type &Password "
-    "into insecure operation `insecure_print` at line 12",
+    "into insecure operation `insecure_print` in unit 'main' at line 12",
     "[leak_implicit] implicit (control) flow from value `p` of secret type "
-    "&Password into insecure operation `insecure_print` at line 17",
+    "&Password into insecure operation `insecure_print` in unit 'main' at line 17",
     "[leak_variable] explicit data flow from variable `secret_token` "
-    "into insecure operation `insecure_print` at line 27",
+    "into insecure operation `insecure_print` in unit 'main' at line 27",
     "[leak_via_declassify] explicit data flow from value `p` of secret type "
-    "&Password into insecure operation `declassify_and_print` at line 31",
+    "&Password into insecure operation `declassify_and_print` in unit 'main' at line 31",
 ]
 SERVED_REPORT = "ifc: 4 insecure flow(s) detected\n" + "\n".join(
     "  " + line for line in SERVED_VIOLATIONS
@@ -186,6 +187,34 @@ def test_ifc_request_checks_each_function_once(monkeypatch):
         "result": {"count": 4, "report": SERVED_REPORT, "violations": SERVED_VIOLATIONS},
     }
     assert json.dumps(response, sort_keys=True) == json.dumps(served, sort_keys=True)
+
+
+def test_served_violation_names_its_unit_and_the_line_inside_it():
+    session = AnalysisSession()
+    session.open_unit("a", "fn helper(v: u32) -> u32 {\n    v + 1\n}")
+    session.open_unit(
+        "b",
+        "extern fn insecure_print(x: u32);\n"
+        "fn leak(secret: u32) {\n"
+        "    let y = helper(secret);\n"
+        "    insecure_print(y);\n"
+        "}",
+    )
+    answer = session.ifc(secret_variables=["leak:secret"], sinks=["insecure_print"])
+    # The sink is on line 4 of unit b, line 7 of the joined workspace.
+    assert answer["violations"] == [
+        "[leak] explicit data flow from variable `secret` into insecure "
+        "operation `insecure_print` in unit 'b' at line 4"
+    ]
+    assert answer["report"].endswith(answer["violations"][0])
+
+
+def test_checker_violation_names_no_unit():
+    policy = IfcPolicy.from_specs(secret_variables=["secret"], sinks=["insecure_print"])
+    source = "extern fn insecure_print(x: u32);\nfn leak(secret: u32) {\n    insecure_print(secret);\n}"
+    (violation,) = IfcChecker.from_source(source, policy).check_all()
+    assert violation.unit is None
+    assert violation.render().endswith("`insecure_print` at line 3")
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,14 @@ def test_unknown_variable_raises(slicer):
         slicer.backward_slice("process", "nope")
 
 
+@pytest.mark.parametrize("method", ["backward_slice", "forward_slice", "removable_lines"])
+def test_unknown_function_or_variable_raises_the_same_errors(slicer, method):
+    with pytest.raises(KeyError, match="no body available for function 'nowhere'"):
+        getattr(slicer, method)("nowhere", "checksum")
+    with pytest.raises(AnalysisError, match="has no variable 'nope'"):
+        getattr(slicer, method)("process", "nope")
+
+
 def test_slice_size_reported(slicer):
     result = slicer.backward_slice("process", "checksum")
     assert result.size() == len(result.locations)

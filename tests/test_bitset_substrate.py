@@ -209,34 +209,29 @@ def test_indexed_join_and_lattice_dirty_bit():
     b = lattice.bottom()
     b.set(place(1), [loc(1, 0)])
     b.set(place(2), [loc(2, 0)])
-    joined = lattice.join(a, b)
+    joined = lattice.copy(a)
+    # In-place join reports the dirty bit, and is idempotent.
+    assert lattice.join_into(joined, b)
+    assert not lattice.join_into(joined, b)
     assert joined.get(place(1)) == {loc(0, 0), loc(1, 0)}
     assert joined.get(place(2)) == {loc(2, 0)}
-    # Inputs are not mutated by the out-of-place join.
+    # The copied original and the source are not mutated.
     assert a.get(place(1)) == {loc(0, 0)}
-    # In-place join reports the dirty bit, and is idempotent.
-    assert lattice.join_into(a, b)
-    assert not lattice.join_into(a, b)
-    assert lattice.equals(a, joined)
+    assert b.get(place(1)) == {loc(1, 0)}
 
 
-def test_indexed_copy_restrict_total_size_and_pretty():
+def test_indexed_copy_is_independent():
     _, idx = both_contexts()
     idx.set(place(1), [loc(0, 0), loc(0, 1)])
-    idx.set(place(2, 0), [loc(0, 0)])
     copied = idx.copy()
     copied.add(place(1), [loc(3, 0)])
     assert idx.get(place(1)) == {loc(0, 0), loc(0, 1)}
-    restricted = idx.restrict_to_locals([1])
-    assert place(1) in restricted and place(2, 0) not in restricted
-    assert idx.total_size() == 3
-    assert "_1" in idx.pretty()
 
 
 def test_indexed_sorted_iteration_via_domain():
     _, idx = both_contexts()
     idx.set(place(1), [loc(2, 0), loc(0, 1), arg_location(1)])
-    bits = idx.get_bits(idx.domain.places.index(place(1)))
+    bits = idx.matrix.rows[idx.domain.places.index(place(1))]
     assert idx.domain.locations.locations_of(bits) == [
         arg_location(1),
         loc(0, 1),

@@ -7,7 +7,7 @@ per-location state reconstruction.
 """
 
 from repro.dataflow.engine import ForwardAnalysis
-from repro.mir.ir import CallTerminator, Location, StatementKind
+from repro.mir.ir import CallTerminator, Goto, Location, StatementKind
 
 from helpers import lowered_from
 
@@ -18,11 +18,10 @@ class DefinedLocalsLattice:
     def bottom(self):
         return set()
 
-    def join(self, left, right):
-        return left | right
-
-    def equals(self, left, right):
-        return left == right
+    def join_into(self, target, source):
+        before = len(target)
+        target |= source
+        return len(target) != before
 
     def copy(self, state):
         return set(state)
@@ -46,7 +45,7 @@ def run_analysis(source, fn_name):
 
 def test_straight_line_accumulates_definitions():
     body, result = run_analysis("fn f(a: u32) -> u32 { let b = a + 1; b }", "f")
-    final = result.state_at_returns()
+    final = result.exit_state
     b_local = body.local_by_name("b").index
     assert b_local in final
     assert 0 in final  # the return place was written
@@ -62,7 +61,7 @@ def test_branches_join_with_union():
     }
     """
     body, result = run_analysis(source, "f")
-    final = result.state_at_returns()
+    final = result.exit_state
     assert body.local_by_name("x").index in final
     assert body.local_by_name("y").index in final
 
@@ -77,7 +76,7 @@ def test_loop_reaches_fixpoint():
     """
     _body, result = run_analysis(source, "f")
     assert result.iterations > 0
-    assert result.state_at_returns()  # non-empty and terminated
+    assert result.exit_state  # non-empty and terminated
 
 
 def test_state_at_and_after_locations_differ_across_assignment():
@@ -95,10 +94,40 @@ def test_state_at_and_after_locations_differ_across_assignment():
     assert z_local in result.state_after(target)
 
 
-def test_exit_states_cover_every_block():
-    body, result = run_analysis("fn f(c: bool) -> u32 { if c { 1 } else { 2 } }", "f")
-    exits = result.exit_states()
-    assert set(exits.keys()) == set(range(len(body.blocks)))
+def test_exit_state_is_the_join_of_the_return_blocks_final_out_states():
+    source = """
+    fn f(n: u32) -> u32 {
+        let mut i = 0;
+        let mut j = 0;
+        while i < n { j = 1; i = i + 1; }
+        if i > 3 { return j; }
+        i
+    }
+    """
+    body, result = run_analysis(source, "f")
+    replayed = set()
+    for block in body.return_blocks():
+        replayed |= result.state_after(body.terminator_location(block))
+    assert result.exit_state == replayed
+    assert body.local_by_name("j").index in result.exit_state
+
+
+def test_unreached_return_block_is_replayed_from_its_entry_state():
+    _checked, lowered = lowered_from("fn f(a: u32) -> u32 { a + 1 }")
+    body = lowered.body("f")
+    (return_block,) = body.return_blocks()
+    # Loop every edge into the return block back on itself: the run never
+    # reaches it, so its exit is the replay of its locations from bottom.
+    for index, block in enumerate(body.blocks):
+        if return_block in block.terminator.successors():
+            block.terminator = Goto(target=index)
+
+    def visited(state, body, location):
+        state.add(location)
+
+    result = ForwardAnalysis(DefinedLocalsLattice(), visited).run(body)
+    assert result.entry_states[return_block] == set()
+    assert result.exit_state == {body.terminator_location(return_block)}
 
 
 def test_boundary_state_seeds_entry_block():

@@ -7,6 +7,7 @@ one of the 2³ analysis conditions of Table 2, the bitset engine is run over
 every local function and compared against the object referee on:
 
 * the tracked places and exit-Θ dependency sets (``exit_theta.items()``),
+* the fixpoint's iteration count,
 * the per-variable dependency sizes (the Figure 2 measurement),
 * the Θ annotations rendered per location (Figure 1 printouts),
 * the serialised :class:`~repro.service.cache.FunctionRecord` (the service's
@@ -52,6 +53,9 @@ def test_indexed_engines_match_object_engine_on_corpus(condition):
             context = (condition.name, crate.name, fn_name)
 
             assert dict(obj.exit_theta.items()) == dict(idx.exit_theta.items()), context
+            # Both domains detect change by the same in-place join, so the
+            # runs visit the same blocks the same number of times.
+            assert obj.fixpoint.iterations == idx.fixpoint.iterations, context
             assert obj.dependency_sizes() == idx.dependency_sizes(), context
             assert obj.annotations() == idx.annotations(), context
 

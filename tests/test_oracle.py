@@ -72,26 +72,6 @@ def test_precise_oracle_resolves_local_borrow_uniquely():
     assert oracle.resolve(r.project_deref()) == frozenset({named_place(body, "a")})
 
 
-def test_aliases_known_reflects_ambiguity():
-    body, precise = oracles_for("local_borrows", ref_blind=False)
-    body_blind, blind = oracles_for("local_borrows", ref_blind=True)
-    r_precise = named_place(body, "r").project_deref()
-    r_blind = named_place(body_blind, "r").project_deref()
-    assert precise.aliases_known(r_precise)
-    assert not blind.aliases_known(r_blind)
-
-
-def test_conflicting_filters_candidates_through_aliases():
-    body, oracle = oracles_for("local_borrows", ref_blind=False)
-    r_deref = named_place(body, "r").project_deref()
-    a = named_place(body, "a")
-    b = named_place(body, "b")
-    conflicts = oracle.conflicting(r_deref, [a, b, a.project_field(0)])
-    assert a in conflicts
-    assert a.project_field(0) in conflicts
-    assert b not in conflicts
-
-
 def test_plain_local_resolution_is_identity():
     body, oracle = oracles_for("local_borrows", ref_blind=True)
     a = named_place(body, "a")

@@ -3,8 +3,10 @@
 Three groups:
 
 * algebraic laws of the place/conflict relation (Section 2.1),
-* join-semilattice laws of the dependency context Θ (needed for the dataflow
-  fixpoint to be well-defined),
+* join-semilattice laws of the dependency context Θ in both domains (needed
+  for the dataflow fixpoint to be well-defined), and the law the fixpoint
+  loop's change test rests on: ``join_into`` reports True exactly when its
+  target changed,
 * cross-condition invariants of the analysis itself on randomly generated
   programs: determinism, and the precision ordering
   ``Whole-program ⊆ Modular ⊆ Mut-blind`` on every variable's dependency set.
@@ -12,11 +14,13 @@ Three groups:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import AnalysisConfig
 from repro.core.engine import FlowEngine
-from repro.core.theta import DependencyContext, ThetaLattice
+from repro.core.theta import DependencyContext, IndexedThetaLattice, ThetaLattice
+from repro.mir.indices import BodyIndex, LocationDomain, PlaceDomain
 from repro.mir.ir import Location, Place, PlaceElem
 
 
@@ -92,34 +96,92 @@ def test_projection_extends_prefix(place, index):
 # ---------------------------------------------------------------------------
 
 
+# Each law holds in both Θ domains.  ``make`` gives a domain's lattice and a
+# conversion of a generated object-domain context into it; a join is folded
+# with ``join_into`` into a copy, so no input is mutated.
+
+
+def object_domain():
+    return ThetaLattice(), DependencyContext.copy
+
+
+def indexed_domain():
+    lattice = IndexedThetaLattice(BodyIndex(None, PlaceDomain(), LocationDomain()))
+
+    def convert(theta):
+        out = lattice.bottom()
+        for place, deps in theta.items():
+            out.set(place, deps)
+        return out
+
+    return lattice, convert
+
+
+domains = pytest.mark.parametrize(
+    "make", [object_domain, indexed_domain], ids=["object", "indexed"]
+)
+
+
+def joined(lattice, first, *rest):
+    out = lattice.copy(first)
+    for state in rest:
+        lattice.join_into(out, state)
+    return out
+
+
+def contents(theta):
+    return dict(theta.items())
+
+
+@domains
 @given(dependency_contexts(), dependency_contexts())
-def test_join_is_commutative(a, b):
-    lattice = ThetaLattice()
-    assert lattice.equals(lattice.join(a, b), lattice.join(b, a))
+def test_join_is_commutative(make, a, b):
+    lattice, convert = make()
+    a, b = convert(a), convert(b)
+    assert contents(joined(lattice, a, b)) == contents(joined(lattice, b, a))
 
 
+@domains
 @given(dependency_contexts(), dependency_contexts(), dependency_contexts())
-def test_join_is_associative(a, b, c):
-    lattice = ThetaLattice()
-    left = lattice.join(lattice.join(a, b), c)
-    right = lattice.join(a, lattice.join(b, c))
-    assert lattice.equals(left, right)
+def test_join_is_associative(make, a, b, c):
+    lattice, convert = make()
+    a, b, c = convert(a), convert(b), convert(c)
+    left = joined(lattice, joined(lattice, a, b), c)
+    right = joined(lattice, a, joined(lattice, b, c))
+    assert contents(left) == contents(right)
 
 
+@domains
 @given(dependency_contexts())
-def test_join_is_idempotent_with_bottom_identity(a):
-    lattice = ThetaLattice()
-    assert lattice.equals(lattice.join(a, a), a)
-    assert lattice.equals(lattice.join(a, lattice.bottom()), a)
+def test_join_is_idempotent_with_bottom_identity(make, a):
+    lattice, convert = make()
+    a = convert(a)
+    assert contents(joined(lattice, a, a)) == contents(a)
+    assert contents(joined(lattice, a, lattice.bottom())) == contents(a)
+    assert contents(joined(lattice, lattice.bottom(), a)) == contents(a)
 
 
+@domains
 @given(dependency_contexts(), dependency_contexts())
-def test_join_is_an_upper_bound(a, b):
-    joined = a.join(b)
+def test_join_is_an_upper_bound(make, a, b):
+    lattice, convert = make()
+    a, b = convert(a), convert(b)
+    join = joined(lattice, a, b)
     for place, deps in a.items():
-        assert deps <= joined.get(place)
+        assert deps <= join.get(place)
     for place, deps in b.items():
-        assert deps <= joined.get(place)
+        assert deps <= join.get(place)
+
+
+@domains
+@given(dependency_contexts(), dependency_contexts())
+def test_join_into_reports_exactly_when_the_target_changed(make, a, b):
+    lattice, convert = make()
+    target, source = convert(a), convert(b)
+    before = contents(target)
+    changed = lattice.join_into(target, source)
+    assert changed == (contents(target) != before)
+    assert not lattice.join_into(target, source)
 
 
 @given(dependency_contexts(), places(), st.frozensets(locations(), max_size=3))
