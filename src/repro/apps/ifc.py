@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.analysis import FunctionFlowResult
 from repro.core.engine import FlowEngine
-from repro.core.theta import is_arg_location
+from repro.core.theta import arg_location
 from repro.mir.ir import Body, CallTerminator, Location, Place
 from repro.lang.types import RefType, StructType, Type
 
@@ -133,16 +134,67 @@ def render_report(violations: List[IfcViolation]) -> str:
     return "\n".join(lines)
 
 
+# Per call block of a body (its index as a string, a JSON key), the
+# dependencies of each argument (``"args"``) and of the decision to make the
+# call (``"control"``), as ``[block, statement]`` pairs; argument tags are
+# ``[-2, i]``.
+CallFlows = Dict[str, dict]
+
+
+def call_flows(result: FunctionFlowResult) -> CallFlows:
+    """Where the arguments and the control of each call of ``result``'s body
+    come from: what a policy is checked against, and no part of a policy.
+
+    Every call and every argument is covered, so one record serves any
+    policy, and it is JSON, so the analysis service stores it as it is.
+    Dependencies keep the order the analysis yields them in, so a check
+    reports the same source from the record as from the result.
+    """
+    body = result.body
+    transfer = result.transfer
+    flows: CallFlows = {}
+    for block_index, block in enumerate(body.blocks):
+        terminator = block.terminator
+        if not isinstance(terminator, CallTerminator):
+            continue
+        theta = result.theta_at(body.terminator_location(block_index))
+        flows[str(block_index)] = {
+            "args": [
+                [list(dep) for dep in transfer.deps_of_operand(theta, arg)]
+                for arg in terminator.args
+            ],
+            "control": [
+                list(dep) for dep in transfer.control_dependencies(theta, block_index)
+            ],
+        }
+    return flows
+
+
+def _first_secret(deps: List[List[int]], secret_locations: Dict[Location, str]) -> Optional[str]:
+    """The description of the first of ``deps`` that is a secret location."""
+    for block, statement in deps:
+        description = secret_locations.get(Location(block, statement))
+        if description is not None:
+            return description
+    return None
+
+
 class IfcChecker:
     """Checks every function of a program against an :class:`IfcPolicy`.
 
     ``engine`` analyses the program; the analysis service's session passes
     the one it already holds, and :meth:`from_source` runs the front end.
+    A check is in two parts: :meth:`may_leak` tells whether a body needs its
+    flows at all, and :meth:`violations` applies the policy to the flows
+    :func:`call_flows` records.
     """
 
     def __init__(self, engine: FlowEngine, policy: IfcPolicy):
         self.engine = engine
         self.policy = policy
+        # Secret places per function, found once for the checker's lifetime:
+        # the guard and the check of one body both read them.
+        self._secrets: Dict[str, Dict[Place, str]] = {}
 
     @classmethod
     def from_source(cls, source: str, policy: IfcPolicy) -> "IfcChecker":
@@ -154,7 +206,10 @@ class IfcChecker:
     def _secret_places(self, body: Body) -> Dict[Place, str]:
         """Places of the function that hold secret data, with labels."""
         fn_name = body.fn_name
-        secrets: Dict[Place, str] = {}
+        secrets = self._secrets.get(fn_name)
+        if secrets is not None:
+            return secrets
+        secrets = self._secrets[fn_name] = {}
         for local in body.locals:
             place = Place.from_local(local.index)
             if local.name and self.policy.is_variable_secret(fn_name, local.name):
@@ -176,51 +231,47 @@ class IfcChecker:
                 if written.conflicts_with(secret_place):
                     out[location] = description
                     break
-        from repro.core.theta import arg_location
-
         for param_index, local in enumerate(body.arg_locals()):
             place = Place.from_local(local.index)
             if place in secrets:
                 out[arg_location(param_index)] = secrets[place]
         return out
 
-    # -- checking ----------------------------------------------------------------------
-
-    def check_function(self, fn_name: str) -> List[IfcViolation]:
-        """The violations in ``fn_name``.
-
-        A flow can only leak at a call to a sink that is not declassified,
-        and only from a secret place, so a body without both is not
-        analysed at all.
-        """
-        body = self.engine.lowered.bodies[fn_name]
-        sink_blocks = [
+    def _sink_blocks(self, body: Body) -> List[int]:
+        """The blocks of ``body`` that call a sink the policy does not
+        declassify."""
+        return [
             block_index
             for block_index, block in enumerate(body.blocks)
             if isinstance(block.terminator, CallTerminator)
             and block.terminator.func in self.policy.insecure_functions
             and block.terminator.func not in self.policy.declassified_functions
         ]
-        secrets = self._secret_places(body)
-        if not sink_blocks or not secrets:
-            return []
-        result = self.engine.analyze_function(fn_name)
-        secret_locations = self._secret_locations(body, secrets)
 
+    # -- checking ----------------------------------------------------------------------
+
+    def may_leak(self, body: Body) -> bool:
+        """Whether ``body`` needs its flows checked.
+
+        A flow can only leak at a call to a sink that is not declassified,
+        and only from a secret place, so a body without both is not
+        analysed at all.
+        """
+        return bool(self._sink_blocks(body)) and bool(self._secret_places(body))
+
+    def violations(self, body: Body, flows: CallFlows) -> List[IfcViolation]:
+        """The violations in ``body``, given its :func:`call_flows`."""
+        secrets = self._secret_places(body)
+        secret_locations = self._secret_locations(body, secrets)
         violations: List[IfcViolation] = []
-        for block_index in sink_blocks:
+        for block_index in self._sink_blocks(body):
             terminator = body.blocks[block_index].terminator
-            call_location = body.terminator_location(block_index)
-            theta = result.theta_at(call_location)
+            flow = flows[str(block_index)]
 
             # Explicit flows: any argument's dependencies intersect a secret.
             explicit_source = None
-            for arg in terminator.args:
-                arg_deps = result.transfer.deps_of_operand(theta, arg)
-                for dep in arg_deps:
-                    if dep in secret_locations:
-                        explicit_source = secret_locations[dep]
-                        break
+            for arg, deps in zip(terminator.args, flow["args"]):
+                explicit_source = _first_secret(deps, secret_locations)
                 place = arg.place()
                 if explicit_source is None and place is not None:
                     for secret_place, description in secrets.items():
@@ -231,37 +282,28 @@ class IfcChecker:
                     break
 
             # Implicit flows: the call is control-dependent on secret data.
-            implicit_source = None
-            control_deps = result.transfer.control_dependencies(theta, block_index)
-            for dep in control_deps:
-                if dep in secret_locations:
-                    implicit_source = secret_locations[dep]
-                    break
-
-            line = terminator.span.start_line if not terminator.span.is_dummy() else 0
-            if explicit_source is not None:
-                violations.append(
-                    IfcViolation(
-                        fn_name=fn_name,
-                        sink_function=terminator.func,
-                        sink_location=call_location,
-                        source_description=explicit_source,
-                        via_control_flow=False,
-                        line=line,
-                    )
+            source = explicit_source or _first_secret(flow["control"], secret_locations)
+            if source is None:
+                continue
+            violations.append(
+                IfcViolation(
+                    fn_name=body.fn_name,
+                    sink_function=terminator.func,
+                    sink_location=body.terminator_location(block_index),
+                    source_description=source,
+                    via_control_flow=explicit_source is None,
+                    line=terminator.span.start_line if not terminator.span.is_dummy() else 0,
                 )
-            elif implicit_source is not None:
-                violations.append(
-                    IfcViolation(
-                        fn_name=fn_name,
-                        sink_function=terminator.func,
-                        sink_location=call_location,
-                        source_description=implicit_source,
-                        via_control_flow=True,
-                        line=line,
-                    )
-                )
+            )
         return violations
+
+    def check_function(self, fn_name: str) -> List[IfcViolation]:
+        """The violations in ``fn_name``; a body that :meth:`may_leak` is
+        analysed."""
+        body = self.engine.lowered.bodies[fn_name]
+        if not self.may_leak(body):
+            return []
+        return self.violations(body, call_flows(self.engine.analyze_function(fn_name)))
 
     def check_all(self) -> List[IfcViolation]:
         """Check every function of the local crate."""

@@ -456,7 +456,6 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
             "exit_bits": matrix.popcount_total(),
             "exit_density": round(matrix.density(num_places, num_locations), 4),
             "fixpoint_iterations": result.fixpoint.iterations,
-            "tables_digest": domain.digest(),
         })
     if args.json:
         out.write(json.dumps({"condition": config.name, "functions": rows},

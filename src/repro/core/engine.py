@@ -2,7 +2,8 @@
 
 A :class:`FlowEngine` owns a checked and lowered program plus one analysis
 configuration, and produces :class:`~repro.core.analysis.FunctionFlowResult`
-objects on demand.  It also implements the recursive whole-program summary
+objects on demand; it keeps none of them, so a result lives as long as its
+caller holds it.  It also implements the recursive whole-program summary
 provider used by the ``Whole-program`` evaluation condition: callee bodies
 are analysed on demand (memoised), but only when they live in the same crate
 as the analysis root — calls into other crates always fall back to the
@@ -19,6 +20,7 @@ from repro.borrowck.signatures import summarize_signature
 from repro.core.analysis import FunctionFlowAnalysis, FunctionFlowResult
 from repro.core.config import AnalysisConfig
 from repro.core.summaries import WholeProgramSummary, summary_from_exit_state
+from repro.errors import AnalysisError
 from repro.lang.ast import FnSig, Program
 from repro.lang.parser import parse_program
 from repro.lang.typeck import CheckedProgram, check_program
@@ -212,7 +214,6 @@ class FlowEngine:
         self.lowered = lowered if lowered is not None else lower_program(checked)
         self.config = config or AnalysisConfig()
         self.signatures: Dict[str, FnSig] = checked.signatures
-        self._results: Dict[str, FunctionFlowResult] = {}
         self._call_graph: Optional[CallGraph] = None
         self._mutable_ref_paths: Dict[str, MutableRefPaths] = {}
         self._provider = RecursiveSummaryProvider(self)
@@ -257,18 +258,17 @@ class FlowEngine:
     # -- analysis -------------------------------------------------------------------
 
     def analyze_function(self, name: str) -> FunctionFlowResult:
-        """Analyse one function (memoised per engine/configuration)."""
-        if name not in self._results:
-            body = self.lowered.body(name)
-            if body is None:
-                raise KeyError(f"no body available for function {name!r}")
-            self._results[name] = FunctionFlowAnalysis(
-                body=body,
-                signatures=self.signatures,
-                config=self.config,
-                provider=self._provider,
-            ).run()
-        return self._results[name]
+        """Analyse one function.  Each call runs the analysis afresh; only
+        the whole-program provider's callee summaries are memoised."""
+        body = self.lowered.body(name)
+        if body is None:
+            raise AnalysisError(f"no body available for function {name!r}")
+        return FunctionFlowAnalysis(
+            body=body,
+            signatures=self.signatures,
+            config=self.config,
+            provider=self._provider,
+        ).run()
 
     def analyze_local_crate(self) -> ProgramFlowResult:
         """Analyse every function of the local crate (the evaluation's unit)."""

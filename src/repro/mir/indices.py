@@ -8,11 +8,11 @@ machine words instead of hashing and re-allocating ``frozenset`` objects.
 This module is the interning layer of that substrate:
 
 * :class:`PlaceDomain` interns :class:`~repro.mir.ir.Place` values.  It is
-  **append-only and extensible**: the obvious places of a body (locals,
-  written places, operand reads, borrow referents) are seeded up front, and
-  anything discovered later — field projections of aggregates, deref
-  expansions produced by the alias oracle, conflict-reachable sub-places —
-  interns on demand.  Alongside the table it maintains, per place, bitmasks
+  **append-only and extensible**: a body's locals (and its argument
+  pointees) are seeded up front, and every other place — the places its
+  statements name, field projections of aggregates, deref expansions
+  produced by the alias oracle, conflict-reachable sub-places — interns on
+  demand.  Alongside the table it maintains, per place, bitmasks
   of its interned ancestors and descendants under the paper's prefix
   relation, so the conflict queries of Section 2.1 (``π1 ⊓ π2``) are a
   single mask test instead of a projection-path walk.
@@ -22,28 +22,14 @@ This module is the interning layer of that substrate:
   ``(block, statement)`` order — so iterating a bitset from the lowest bit
   upward yields locations already sorted, with no per-call ``sorted()``.
 * :class:`BodyIndex` bundles both tables for one body and is what the
-  indexed analysis stack (theta, transfer, focus, loans, cache) shares.
-
-Both tables expose a stable :meth:`digest`: two processes that intern the
-same body obtain the same tables.  The service's body fingerprints still
-include it, although since cache format 4 no cached value is in index form.
+  indexed analysis stack (theta, transfer, focus, loans) shares.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.mir.ir import (
-    Aggregate,
-    Body,
-    CallTerminator,
-    Location,
-    Place,
-    Ref,
-    StatementKind,
-    SwitchBool,
-)
+from repro.mir.ir import Body, Location, Place
 
 
 class PlaceDomain:
@@ -178,16 +164,6 @@ class PlaceDomain:
         """Projection-path length (nearest-ancestor tie-breaking)."""
         return self._proj_len[idx]
 
-    # -- fingerprinting ----------------------------------------------------------
-
-    def digest(self) -> str:
-        """A stable digest of the table: index order is part of the content."""
-        joined = "|".join(
-            f"{p.local}:" + ",".join(e.pretty() for e in p.projection)
-            for p in self._places
-        )
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
-
 
 class LocationDomain:
     """An interning table of locations with order-preserving indices.
@@ -274,13 +250,6 @@ class LocationDomain:
             bits ^= lsb
         return frozenset(out)
 
-    # -- fingerprinting ----------------------------------------------------------
-
-    def digest(self) -> str:
-        """A stable digest of the table: index order is part of the content."""
-        joined = "|".join(f"{l.block}:{l.statement}" for l in self._locations)
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:16]
-
 
 class BodyIndex:
     """The pair of interning tables the indexed analysis stack shares."""
@@ -292,30 +261,13 @@ class BodyIndex:
         self.places = places
         self.locations = locations
 
-    def digest(self) -> str:
-        """Digest of both tables, included in cache fingerprints so index-form
-        serialisations stay content-addressed."""
-        return hashlib.sha256(
-            f"{self.places.digest()}|{self.locations.digest()}".encode("utf-8")
-        ).hexdigest()[:16]
-
 
 # Synthetic block index tagging "argument i" pseudo-locations.  Kept equal to
 # repro.core.theta.ARG_BLOCK (asserted there) without importing core from mir.
 ARG_BLOCK = -2
 
 
-def _seed_operand_places(domain: PlaceDomain, operand) -> None:
-    place = operand.place()
-    if place is not None:
-        domain.index(place)
-
-
-def index_body(
-    body: Body,
-    arg_seed_places: Sequence[Place] = (),
-    seed_statements: bool = False,
-) -> BodyIndex:
+def index_body(body: Body, arg_seed_places: Sequence[Place] = ()) -> BodyIndex:
     """Build the interning tables for ``body``.
 
     Seeds the locals and the caller-provided ``arg_seed_places`` (the
@@ -323,45 +275,15 @@ def index_body(
     computed by the caller so :mod:`mir` stays below :mod:`borrowck` in the
     layering).  The location table gets one argument tag per parameter, then
     every body location in order, so indices are monotone in location order.
-
-    With ``seed_statements`` every place the body syntactically names —
-    written places (with per-field projections of aggregate destinations),
-    operand reads, borrow referents, call arguments and destinations — is
-    interned eagerly as well; the cache's fingerprint index uses this to
-    digest a body's canonical tables without analysing it.  The analysis
-    itself leaves it off: both tables intern on demand (the transfer
-    compiler touches every named place anyway, plus whatever the alias
-    oracle conjures — deref expansions, conflict-reachable sub-places), so
-    eager seeding would only duplicate work on the per-function hot path.
+    Every other place interns on demand: the transfer compiler touches every
+    place the body names, plus whatever the alias oracle conjures (deref
+    expansions, conflict-reachable sub-places).
     """
     places = PlaceDomain()
     for local in body.locals:
         places.index(Place.from_local(local.index))
     for place in arg_seed_places:
         places.index(place)
-    if seed_statements:
-        for block in body.blocks:
-            for stmt in block.statements:
-                if stmt.kind is not StatementKind.ASSIGN:
-                    continue
-                assert stmt.place is not None and stmt.rvalue is not None
-                places.index(stmt.place)
-                rvalue = stmt.rvalue
-                if isinstance(rvalue, Ref):
-                    places.index(rvalue.referent)
-                else:
-                    for operand in rvalue.operands():
-                        _seed_operand_places(places, operand)
-                if isinstance(rvalue, Aggregate):
-                    for field_index in range(len(rvalue.ops)):
-                        places.index(stmt.place.project_field(field_index))
-            terminator = block.terminator
-            if isinstance(terminator, CallTerminator):
-                places.index(terminator.destination)
-                for arg in terminator.args:
-                    _seed_operand_places(places, arg)
-            elif isinstance(terminator, SwitchBool):
-                _seed_operand_places(places, terminator.discr)
 
     locations = LocationDomain()
     for param_index in range(body.arg_count):

@@ -13,10 +13,11 @@ cache correct.
 
 The store has two tiers: an in-memory LRU of JSON-serialisable values, and an
 optional directory of JSON files that survives the process (one file per
-entry, named by the SHA-256 of the key).  It holds two kinds of value, both
-answers served to queries: analysis records and focus tables.  Whole-program
-callee summaries are not among them: each engine memoises its own, for one
-workspace generation.
+entry, named by the SHA-256 of the key).  It holds three kinds of value,
+each derived from one analysis of one function and served to queries:
+analysis records, focus tables and call flows.  It is the session's only
+cache of flow results; engines keep none, and memoise only whole-program
+callee summaries, for one workspace generation.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Dict, Optional, Set, Tuple
 from repro.core.analysis import FunctionFlowResult
 from repro.core.config import AnalysisConfig
 from repro.mir.callgraph import CallGraph
-from repro.mir.indices import index_body
 from repro.mir.lower import LoweredProgram
 from repro.mir.pretty import pretty_body
 from repro.obs import metrics as obs_metrics
@@ -42,9 +42,11 @@ from repro.obs import span as obs_span
 
 
 # Cached-value kinds: a per-function analysis record served to ``analyze``,
-# and a precomputed all-places focus table served to focus and slice queries.
+# a precomputed all-places focus table served to focus and slice queries,
+# and the dependencies at each call that ``ifc`` checks a policy against.
 KIND_RECORD = "record"
 KIND_FOCUS = "focus"
+KIND_CALLS = "calls"
 
 # On-disk / wire format version of cached values.  Bumped to 2 when records
 # moved to a compact index form (a per-record location table plus integer
@@ -53,10 +55,12 @@ KIND_FOCUS = "focus"
 # place-to-entry index, so a warm query decodes just the entry it needs;
 # bumped to 4 when a record shrank to its per-variable dependency sizes;
 # bumped to 5 when a focus table shrank to its entries and place index, and
-# the store stopped holding whole-program summaries.  The version
-# participates in every key digest, so entries written by an older release
-# are simply unreachable rather than misdecoded.
-CACHE_FORMAT_VERSION = 5
+# the store stopped holding whole-program summaries; bumped to 6 when the
+# store gained the ``calls`` kind and body fingerprints stopped covering the
+# interning-table digest.  The version participates in every key digest, so
+# entries written by an older release are simply unreachable rather than
+# misdecoded.
+CACHE_FORMAT_VERSION = 6
 
 
 def _digest(text: str) -> str:
@@ -168,22 +172,13 @@ class FingerprintIndex:
         return self._sig[name]
 
     def body_fingerprint(self, name: str) -> Optional[str]:
-        """Fingerprint of the lowered body text, or ``None`` for extern fns.
-
-        Also covers the digest of the body's interning tables, which the
-        body text already determines, so content addressing is unchanged.
-        Since cache format 4 no stored value is in index form, and the
-        digest guards nothing: it only costs an ``index_body`` call.
-        """
+        """Fingerprint of the lowered body text (with its crate), or
+        ``None`` for extern fns."""
         if name not in self._body:
             body = self.lowered.body(name)
-            if body is None:
-                self._body[name] = None
-            else:
-                tables = index_body(body, seed_statements=True)
-                self._body[name] = _digest(
-                    f"{body.crate}::{pretty_body(body)}|tables={tables.digest()}"
-                )
+            self._body[name] = (
+                None if body is None else _digest(f"{body.crate}::{pretty_body(body)}")
+            )
         return self._body[name]
 
     def _node_fingerprint(self, name: str) -> str:
@@ -218,24 +213,14 @@ class FingerprintIndex:
             return self.cone_fingerprint(name)
         return self.shallow_fingerprint(name)
 
-    def record_key(self, name: str, config: AnalysisConfig) -> CacheKey:
-        """Store key for the function's query-facing analysis record."""
-        return CacheKey(
-            kind=KIND_RECORD,
-            fn_name=name,
-            fingerprint=self.record_fingerprint(name, config),
-            condition=config_cache_key(config),
-        )
+    def key(self, kind: str, name: str, config: AnalysisConfig) -> CacheKey:
+        """Store key for the function's value of ``kind`` under ``config``.
 
-    def focus_key(self, name: str, config: AnalysisConfig) -> CacheKey:
-        """Key for the function's precomputed focus table.
-
-        Focus tables derive from the same analysis result as records, so
-        they share the record fingerprint — an edit that would change the
-        record also orphans the table.
+        Every kind derives from the same analysis result, so all share the
+        record fingerprint: an edit that would change one orphans them all.
         """
         return CacheKey(
-            kind=KIND_FOCUS,
+            kind=kind,
             fn_name=name,
             fingerprint=self.record_fingerprint(name, config),
             condition=config_cache_key(config),

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.engine import FlowEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs import span as obs_span
-from repro.service.cache import FingerprintIndex, FunctionRecord, SummaryStore
+from repro.service.cache import KIND_RECORD, FingerprintIndex, FunctionRecord, SummaryStore
 
 
 def map_shards(
@@ -161,7 +161,7 @@ class BatchScheduler:
         start = time.perf_counter()
         result = BatchResult()
         for name in engine.local_function_names():
-            key = fingerprints.record_key(name, engine.config)
+            key = fingerprints.key(KIND_RECORD, name, engine.config)
             if store.get(key) is not None:
                 result.cached.append(name)
                 continue

@@ -2,10 +2,12 @@
 
 A session owns named MiniRust source *units* (think open editor buffers or
 crate files), keeps them parsed/checked/lowered, and answers ``analyze``,
-``slice`` and ``ifc`` queries.  Every per-function answer flows through the
-content-addressed :class:`~repro.service.cache.SummaryStore`, so a repeated
-query over unchanged code is a cache lookup, and applying an edit re-runs
-only what :mod:`repro.service.invalidate` says could have changed.
+``slice``, ``focus`` and ``ifc`` queries.  Every per-function answer flows
+through the content-addressed :class:`~repro.service.cache.SummaryStore`,
+the session's only cache of flow results: a repeated query over unchanged
+code is a cache lookup, a miss stores what it derived and keeps no flow
+result, and applying an edit re-runs only what
+:mod:`repro.service.invalidate` says could have changed.
 
 The interaction-time contract this encodes is the paper's: modular analysis
 makes per-function results independent of other bodies, so in the common
@@ -26,10 +28,11 @@ import dataclasses
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.apps.ifc import IfcChecker, IfcPolicy, render_report
+from repro.apps.ifc import IfcChecker, IfcPolicy, call_flows, render_report
 from repro.apps.slicer import lines_of_locations
+from repro.core.analysis import FunctionFlowResult
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
 from repro.errors import Diagnostic, LexError, ParseError, QueryError, ReproError, Severity, Span
@@ -44,6 +47,9 @@ from repro.mir.lower import lower_program
 from repro.obs import metrics as obs_metrics
 from repro.obs import span as obs_span
 from repro.service.cache import (
+    KIND_CALLS,
+    KIND_FOCUS,
+    KIND_RECORD,
     FingerprintIndex,
     FunctionRecord,
     SummaryStore,
@@ -228,10 +234,11 @@ class AnalysisSession:
         # rebuild may reuse.
         self._parsed: Dict[str, UnitParse] = {}
         # Serialises cache-miss computation when the session is shared across
-        # threads (the concurrent server's read path): warm queries are pure
-        # store lookups and stay fully concurrent, but the dataflow engines
-        # keep per-run state (the recursive summary provider's taint/height
-        # tracking), so only one thread may be *computing* at a time.
+        # threads (the concurrent server's read path): a query served from
+        # the store — analyze, slice, focus or ifc alike — takes no lock,
+        # but the dataflow engines keep per-run state (the recursive summary
+        # provider's taint/height tracking), so only one thread may be
+        # *computing* at a time.  ``_stored`` holds it for a miss alone.
         self._compute_lock = threading.RLock()
         # Counter increments happen on the concurrent query path too.
         self._counter_lock = threading.Lock()
@@ -496,8 +503,9 @@ class AnalysisSession:
     def engine(self, config: AnalysisConfig) -> FlowEngine:
         """The (lazily created, per-condition) flow engine for ``config``.
 
-        A whole-program engine memoises its callee summaries itself, for
-        this workspace generation: a rebuild drops every engine.
+        An engine keeps no flow result; a whole-program engine memoises its
+        callee summaries, for this workspace generation: a rebuild drops
+        every engine.
         """
         self._require_workspace()
         key = config_cache_key(config)
@@ -519,26 +527,33 @@ class AnalysisSession:
             )
         return body
 
-    def _record(self, fn_name: str, config: AnalysisConfig) -> Tuple[FunctionRecord, str]:
-        """The cached record for one function, computing and storing on miss.
+    def _stored(
+        self,
+        kind: str,
+        fn_name: str,
+        config: AnalysisConfig,
+        derive: Callable[[FunctionFlowResult], dict],
+    ) -> Tuple[dict, str]:
+        """The stored value of ``kind`` for one function, and its cache
+        label (``"hit"``/``"miss"``): every answer's one path through the
+        store.
 
-        Returns the record plus its cache label (``"hit"``/``"miss"``):
-        ``analyze``'s one path through the store.
+        A miss analyses the function, stores ``derive(result)`` and drops
+        the result; it holds the compute lock, a hit takes no lock.
         """
-        key = self._fingerprints.record_key(fn_name, config)
+        key = self._fingerprints.key(kind, fn_name, config)
         data = self.store.get(key)
         if data is not None:
-            return FunctionRecord.from_json_dict(data), "hit"
+            return data, "hit"
         with self._compute_lock:
             # Double-check under the lock: a concurrent thread may have just
-            # computed and stored this record while we waited.
+            # computed and stored this value while we waited.
             data = self.store.get(key)
             if data is not None:
-                return FunctionRecord.from_json_dict(data), "hit"
-            result = self.engine(config).analyze_function(fn_name)
-            record = FunctionRecord.from_result(result)
-            self.store.put(key, record.to_json_dict())
-            return record, "miss"
+                return data, "hit"
+            data = derive(self.engine(config).analyze_function(fn_name))
+            self.store.put(key, data)
+            return data, "miss"
 
     # -- queries -----------------------------------------------------------------
 
@@ -558,12 +573,14 @@ class AnalysisSession:
         functions: Dict[str, dict] = {}
         hits = 0
         for name in names:
-            record, cache = self._record(name, config)
+            data, cache = self._stored(
+                KIND_RECORD, name, config, lambda r: FunctionRecord.from_result(r).to_json_dict()
+            )
             if cache == "hit":
                 hits += 1
             functions[name] = {
                 "cache": cache,
-                "dependency_sizes": record.dependency_sizes,
+                "dependency_sizes": FunctionRecord.from_json_dict(data).dependency_sizes,
             }
         return {
             "condition": condition_name(config),
@@ -619,28 +636,18 @@ class AnalysisSession:
     ) -> Tuple[FocusTable, str]:
         """The function's precomputed focus table, served from the store.
 
-        Focus tables go through the same content-addressed cache as analysis
-        records: a warm query deserialises the table, a cold one runs the
-        dataflow analysis once and tabulates every place, and an edit makes
-        the key unreachable (the invalidation plan reclaims the entry).
+        A warm query wraps the stored table, a cold one runs the dataflow
+        analysis once and tabulates every place, and an edit makes the key
+        unreachable (the invalidation plan reclaims the entry).
         """
-        key = self._fingerprints.focus_key(fn_name, config)
-        data = self.store.get(key)
-        if data is not None:
-            # The fingerprint hashes the lowered MIR, not source positions:
-            # a cached table's locations are valid whenever the key matches,
-            # but its spans may predate a pure position shift (an edit above
-            # the function).  Re-derive them from the current body.
-            table = FocusTable.from_json_dict(data).respan(self._body(fn_name))
-            return table, "hit"
-        with self._compute_lock:
-            data = self.store.get(key)
-            if data is not None:
-                table = FocusTable.from_json_dict(data).respan(self._body(fn_name))
-                return table, "hit"
-            table = FocusTable.build(self.engine(config).analyze_function(fn_name))
-            self.store.put(key, table.to_json_dict())
-            return table, "miss"
+        data, cache = self._stored(
+            KIND_FOCUS, fn_name, config, lambda r: FocusTable.build(r).to_json_dict()
+        )
+        # The fingerprint hashes the lowered MIR, not source positions: a
+        # cached table's locations are valid whenever the key matches, but
+        # its spans may predate a pure position shift (an edit above the
+        # function).  Re-derive them from the current body.
+        return FocusTable.from_json_dict(data).respan(self._body(fn_name)), cache
 
     def slice(
         self,
@@ -788,21 +795,30 @@ class AnalysisSession:
     ) -> dict:
         """Run the IFC checker over the whole workspace.
 
-        Policies cut across functions, so this query is served by a fresh
-        checker rather than the per-function cache.  Each violation names
-        the unit that holds its sink call and the line inside that unit.
+        A fresh checker applies the policy to each function that may leak,
+        over the function's call flows served from the store (kind
+        ``calls``): the stored record holds no part of the policy, so every
+        policy is served from it.  Each violation names the unit that holds
+        its sink call and the line inside that unit.
         """
         self._require_workspace()
         self._bump("ifc_queries")
+        config = config or MODULAR
         policy = IfcPolicy.from_specs(secret_types, secret_variables, sinks)
-        with self._compute_lock:
-            violations = IfcChecker(self.engine(config or MODULAR), policy).check_all()
-        for index, violation in enumerate(violations):
-            unit = _unit_at_line(self._unit_lines, violation.line)
-            if unit is not None:
-                violations[index] = dataclasses.replace(
-                    violation, unit=unit, line=violation.line - self._unit_lines[unit][0]
-                )
+        checker = IfcChecker(self.engine(config), policy)
+        violations = []
+        for name in self.function_names():
+            body = self._lowered.body(name)
+            if not checker.may_leak(body):
+                continue
+            flows, _ = self._stored(KIND_CALLS, name, config, call_flows)
+            for violation in checker.violations(body, flows):
+                unit = _unit_at_line(self._unit_lines, violation.line)
+                if unit is not None:
+                    violation = dataclasses.replace(
+                        violation, unit=unit, line=violation.line - self._unit_lines[unit][0]
+                    )
+                violations.append(violation)
         return {
             "violations": [violation.render() for violation in violations],
             "count": len(violations),

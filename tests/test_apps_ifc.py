@@ -8,6 +8,7 @@ from helpers import HELPER_CALLER_SOURCE
 
 from repro.apps.ifc import IfcChecker, IfcPolicy, SecurityLabel, render_report
 from repro.core.analysis import FunctionFlowAnalysis
+from repro.core.config import MODULAR, WHOLE_PROGRAM
 from repro.service.protocol import AnalysisService
 from repro.service.session import AnalysisSession
 
@@ -162,15 +163,21 @@ SERVED_REPORT = "ifc: 4 insecure flow(s) detected\n" + "\n".join(
 )
 
 
-def test_ifc_request_checks_each_function_once(monkeypatch):
-    checked = []
-    check_function = IfcChecker.check_function
+def _counting_runs(monkeypatch):
+    """The names of the functions each later fixpoint runs for."""
+    ran = []
+    real_run = FunctionFlowAnalysis.run
 
-    def counting(self, fn_name):
-        checked.append(fn_name)
-        return check_function(self, fn_name)
+    def counting_run(analysis):
+        ran.append(analysis.body.fn_name)
+        return real_run(analysis)
 
-    monkeypatch.setattr(IfcChecker, "check_function", counting)
+    monkeypatch.setattr(FunctionFlowAnalysis, "run", counting_run)
+    return ran
+
+
+def test_ifc_request_analyses_each_function_once_and_a_repeat_none(monkeypatch):
+    ran = _counting_runs(monkeypatch)
     service = AnalysisService()
     assert service.handle({"id": 1, "method": "open", "params": {"source": SOURCE}})["ok"]
     params = {
@@ -178,15 +185,50 @@ def test_ifc_request_checks_each_function_once(monkeypatch):
         "secret_variables": ["secret_token"],
         "sinks": ["insecure_print", "declassify_and_print"],
     }
-    response = service.handle({"id": 2, "method": "ifc", "params": params})
-    assert sorted(checked) == sorted(service.session.function_names())
-    del response["trace_id"]
     served = {
         "id": 2,
         "ok": True,
         "result": {"count": 4, "report": SERVED_REPORT, "violations": SERVED_VIOLATIONS},
     }
-    assert json.dumps(response, sort_keys=True) == json.dumps(served, sort_keys=True)
+    # Every function of SOURCE calls a sink and holds a secret.
+    for analysed in (service.session.function_names(), []):
+        ran.clear()
+        response = service.handle({"id": 2, "method": "ifc", "params": params})
+        assert sorted(ran) == analysed
+        del response["trace_id"]
+        assert json.dumps(response, sort_keys=True) == json.dumps(served, sort_keys=True)
+
+
+# Under Whole-program, `keep_first` passes on only its first argument.
+EDIT_SOURCE = """
+extern fn insecure_print(x: u32);
+
+fn keep_first(a: u32, b: u32) -> u32 {
+    a
+}
+
+fn leak(secret: u32, public: u32) {
+    let y = keep_first(public, secret);
+    insecure_print(y);
+}
+"""
+
+
+@pytest.mark.parametrize("config", [MODULAR, WHOLE_PROGRAM], ids=["modular", "whole_program"])
+def test_ifc_after_an_edit_equals_a_fresh_session(config):
+    policy = {"secret_variables": ["secret"], "sinks": ["insecure_print"]}
+    edited = EDIT_SOURCE.replace("keep_first(public, secret)", "keep_first(secret, public)")
+    session = AnalysisSession()
+    session.open_unit("main", EDIT_SOURCE)
+    before = session.ifc(config=config, **policy)
+    assert session.ifc(config=config, **policy) == before
+    assert session.update_unit("main", edited)["body_changed"] == ["leak"]
+    after = session.ifc(config=config, **policy)
+
+    fresh = AnalysisSession()
+    fresh.open_unit("main", edited)
+    assert after == fresh.ifc(config=config, **policy)
+    assert (before["count"], after["count"]) == ((1, 1) if config is MODULAR else (0, 1))
 
 
 def test_served_violation_names_its_unit_and_the_line_inside_it():
@@ -229,14 +271,7 @@ def test_ifc_analyses_only_the_functions_that_call_a_sink(monkeypatch, policy, a
     # A violation can only arise at a call to a sink that is not
     # declassified, and only from a secret place, so a function without
     # both runs no fixpoint.
-    ran = []
-    real_run = FunctionFlowAnalysis.run
-
-    def counting_run(analysis):
-        ran.append(analysis.body.fn_name)
-        return real_run(analysis)
-
-    monkeypatch.setattr(FunctionFlowAnalysis, "run", counting_run)
+    ran = _counting_runs(monkeypatch)
     session = AnalysisSession()
     session.open_unit("main", HELPER_CALLER_SOURCE)
     assert session.ifc(**policy)["count"] == count

@@ -111,7 +111,7 @@ def test_unknown_variable_raises(slicer):
 
 @pytest.mark.parametrize("method", ["backward_slice", "forward_slice", "removable_lines"])
 def test_unknown_function_or_variable_raises_the_same_errors(slicer, method):
-    with pytest.raises(KeyError, match="no body available for function 'nowhere'"):
+    with pytest.raises(AnalysisError, match="no body available for function 'nowhere'"):
         getattr(slicer, method)("nowhere", "checksum")
     with pytest.raises(AnalysisError, match="has no variable 'nope'"):
         getattr(slicer, method)("process", "nope")

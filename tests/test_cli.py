@@ -116,6 +116,15 @@ def test_slice_command_forward(source_file):
     assert "forward slice" in output
 
 
+@pytest.mark.parametrize("direction", [[], ["--forward"]], ids=["backward", "forward"])
+def test_slice_command_unknown_function_is_one_error_line(source_file, direction):
+    code, output = run_cli(
+        "slice", source_file, "--function", "nowhere", "--variable", "k", *direction
+    )
+    assert code == 2
+    assert output == "error: no body available for function 'nowhere'\n"
+
+
 def test_stats_command_prints_substrate_table(source_file):
     code, output = run_cli("stats", source_file)
     assert code == 0

@@ -1,10 +1,14 @@
 """Tests for the program-level FlowEngine API."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import analyze_source
 from repro.core.config import AnalysisConfig, all_conditions, condition_name
 from repro.core.engine import FlowEngine, analyze_program
+from repro.errors import AnalysisError
 from repro.lang.parser import parse_program
 
 from helpers import GET_COUNT_SOURCE, HELPER_CALLER_SOURCE
@@ -26,22 +30,27 @@ def test_analyze_program_equivalent_to_engine():
     assert set(via_helper.function_names()) == set(via_engine.function_names())
 
 
-def test_engine_memoizes_function_results():
+def test_engine_keeps_no_function_result():
     engine = FlowEngine.from_source(GET_COUNT_SOURCE)
     first = engine.analyze_function("get_count")
     second = engine.analyze_function("get_count")
-    assert first is second
+    assert first is not second
+    assert first.dependency_sizes() == second.dependency_sizes()
+    released = weakref.ref(first)
+    del first
+    gc.collect()
+    assert released() is None
 
 
 def test_engine_rejects_unknown_function():
     engine = FlowEngine.from_source(GET_COUNT_SOURCE)
-    with pytest.raises(KeyError):
+    with pytest.raises(AnalysisError, match="no body available for function 'not_a_function'"):
         engine.analyze_function("not_a_function")
 
 
 def test_engine_rejects_extern_function():
     engine = FlowEngine.from_source(GET_COUNT_SOURCE)
-    with pytest.raises(KeyError):
+    with pytest.raises(AnalysisError, match="no body available for function 'insert'"):
         engine.analyze_function("insert")
 
 

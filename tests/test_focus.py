@@ -37,6 +37,7 @@ from repro.focus.spans import (
 )
 from repro.focus.table import FocusTable
 from repro.mir.validate import span_problems
+from repro.service.cache import KIND_FOCUS
 from repro.service.protocol import AnalysisService
 from repro.service.session import AnalysisSession
 
@@ -228,7 +229,7 @@ SPAN_KEYS = {"defining_span", "backward_spans", "forward_spans"}
 
 def _stored_focus_table(session: AnalysisSession, fn_name: str) -> dict:
     """The focus-table value ``session``'s store holds for ``fn_name``."""
-    return session.store.get(session._fingerprints.focus_key(fn_name, MODULAR))
+    return session.store.get(session._fingerprints.key(KIND_FOCUS, fn_name, MODULAR))
 
 
 class TestFocusTableProperties:

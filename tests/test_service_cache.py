@@ -13,6 +13,9 @@ from repro.core.config import MODULAR, WHOLE_PROGRAM, AnalysisConfig
 from repro.mir.callgraph import build_call_graph
 from repro.obs.metrics import get_registry
 from repro.service.cache import (
+    KIND_CALLS,
+    KIND_FOCUS,
+    KIND_RECORD,
     CacheKey,
     FingerprintIndex,
     FunctionRecord,
@@ -212,7 +215,7 @@ class TestFunctionRecord:
         session.warm()
         engine = session.engine(MODULAR)
         for name in ("leaf", "mid", "root"):
-            key = session._fingerprints.record_key(name, MODULAR)
+            key = session._fingerprints.key(KIND_RECORD, name, MODULAR)
             sizes = engine.analyze_function(name).dependency_sizes()
             assert session.store.get(key) == sizes
             stored = json.loads((tmp_path / key.file_name()).read_text(encoding="utf-8"))
@@ -256,13 +259,12 @@ class TestFingerprintIndex:
         # root does not call leaf directly: its modular key is unaffected.
         assert old.shallow_fingerprint("root") == new.shallow_fingerprint("root")
 
-    def test_record_key_selects_fingerprint_kind(self):
+    def test_key_selects_fingerprint_kind(self):
         index = fingerprints_for(CHAIN_SOURCE)
-        assert (
-            index.record_key("root", MODULAR).fingerprint
-            == index.shallow_fingerprint("root")
-        )
-        assert (
-            index.record_key("root", WHOLE_PROGRAM).fingerprint
-            == index.cone_fingerprint("root")
-        )
+        for kind in (KIND_RECORD, KIND_FOCUS, KIND_CALLS):
+            assert index.key(kind, "root", MODULAR).fingerprint == index.shallow_fingerprint(
+                "root"
+            )
+            assert index.key(
+                kind, "root", WHOLE_PROGRAM
+            ).fingerprint == index.cone_fingerprint("root")

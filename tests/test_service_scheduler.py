@@ -18,7 +18,7 @@ from repro.lang.typeck import check_program
 from repro.mir.callgraph import build_call_graph
 from repro.mir.lower import lower_program
 from repro.obs import get_registry
-from repro.service.cache import FingerprintIndex, SummaryStore
+from repro.service.cache import KIND_RECORD, FingerprintIndex, SummaryStore
 from repro.service.scheduler import BatchScheduler, map_shards
 
 
@@ -132,7 +132,7 @@ def _walk(source, local_crate, config, order):
         patch.setattr(FunctionFlowAnalysis, "run", counting_run)
         batch = BatchScheduler().run(engine, store=store, fingerprints=fingerprints)
     assert list(batch.records) == names
-    records = {name: store.get(fingerprints.record_key(name, config)) for name in names}
+    records = {name: store.get(fingerprints.key(KIND_RECORD, name, config)) for name in names}
     return records, sorted(runs)
 
 

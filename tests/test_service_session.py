@@ -32,7 +32,7 @@ from repro.lang.parser import parse_program
 from repro.lang.typeck import check_program
 from repro.mir.callgraph import build_call_graph
 from repro.mir.lower import lower_program
-from repro.service.cache import SummaryStore
+from repro.service.cache import KIND_FOCUS, SummaryStore
 from repro.service.session import AnalysisSession
 
 
@@ -415,6 +415,38 @@ class TestQueries:
         response = session.analyze()
         assert response["cache_hits"] == 2
 
+    def test_each_miss_analyses_once_and_no_result_outlives_its_request(self, monkeypatch):
+        """The store is the session's only cache: a miss runs one fixpoint
+        and stores what it derived, a hit runs none, and no flow result
+        stays alive once its request returns."""
+        results = []
+        real_run = FunctionFlowAnalysis.run
+
+        def recording_run(analysis):
+            result = real_run(analysis)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(FunctionFlowAnalysis, "run", recording_run)
+        session = AnalysisSession()
+        session.open_unit("main", HELPER_CALLER_SOURCE)
+        requests = [
+            lambda: session.analyze(function="caller"),
+            lambda: session.focus(function="caller", variable="x"),
+            lambda: session.slice("caller", "x"),
+        ]
+        runs = []
+        for _ in range(2):
+            before = len(results)
+            for request in requests:
+                request()
+                gc.collect()
+                assert all(ref() is None for ref in results)
+            runs.append(len(results) - before)
+        # The record miss and the focus-table miss; the slice is served
+        # from the table, and the repeat from the store.
+        assert runs == [2, 0]
+
 
 class TestDiskTier:
     def test_cold_process_restart_served_from_disk(self, tmp_path):
@@ -451,7 +483,7 @@ class TestSharedSessionFocus:
             session.focus(line=line, col=col)  # fills every function's table
         serial = {cursor: answer(*cursor) for cursor in cursors}
         keys = [
-            session._fingerprints.focus_key(fn_name, MODULAR)
+            session._fingerprints.key(KIND_FOCUS, fn_name, MODULAR)
             for fn_name in session.function_names()
         ]
         stored = [session.store.get(key) for key in keys]
