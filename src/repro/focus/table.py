@@ -15,21 +15,24 @@ or condition, which the cache key already carries.  The analysis service
 caches that value in the content-addressed
 :class:`~repro.service.cache.SummaryStore` keyed by the function's
 fingerprint, so a warm focus query wraps the stored dict, finds its entry
-with two dictionary lookups, and decodes that entry alone — deriving its
-spans from the current body.  An edit invalidates tables through the same
-call-graph plan as every other cached result.
+with two dictionary lookups, and reads that entry as stored: its location
+counts, and the spans of the directions it answers, looked up in the
+current body's span table.  :meth:`FocusTable.response_for` writes the
+answer once, already in the lines of the client's unit.  An edit
+invalidates tables through the same call-graph plan as every other cached
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.core.analysis import FunctionFlowResult
 from repro.core.theta import IndexedDependencyContext, arg_location
 from repro.errors import QueryError, Span
 from repro.obs import stage as obs_stage
-from repro.focus.spans import lines_of_spans, spans_of_locations, spans_to_json
+from repro.focus.spans import span_set_to_json, span_to_json, spans_of_locations
 from repro.mir.ir import Body, Location, Place, PlaceElem, ProjectionKind
 
 
@@ -56,21 +59,56 @@ def _place_key(place: Place) -> str:
     )
 
 
-@dataclass(frozen=True)
-class FocusEntry:
-    """Both slice directions for one direct place, span-mapped.
+class FocusEntry(NamedTuple):
+    """Both slice directions for one direct place, bound to a body.
 
-    Only ``place``, ``label`` and the two location tuples are stored; the
-    spans are derived from the body the entry was decoded against.
+    ``stored`` is the entry's stored JSON value, read but never mutated;
+    ``body`` is the function's current body.  Everything else is derived
+    from the two when read: the place, the location tuples, and each
+    direction's spans from the body's span table.  A focus therefore reads
+    only the location counts and the spans of the directions it answers.
     """
 
-    place: Place
-    label: str
-    defining_span: Span
-    backward: Tuple[Location, ...]
-    forward: Tuple[Location, ...]
-    backward_spans: Tuple[Span, ...]
-    forward_spans: Tuple[Span, ...]
+    stored: dict
+    body: Body
+
+    @property
+    def place(self) -> Place:
+        return _place_from_json(self.stored["place"])
+
+    @property
+    def label(self) -> str:
+        return self.stored["label"]
+
+    @property
+    def defining_span(self) -> Span:
+        """Where the place's base local is declared."""
+        return self.body.locals[self.stored["place"][0]].span
+
+    @property
+    def backward(self) -> Tuple[Location, ...]:
+        return tuple(Location(block, stmt) for block, stmt in self.stored["backward"])
+
+    @property
+    def forward(self) -> Tuple[Location, ...]:
+        return tuple(Location(block, stmt) for block, stmt in self.stored["forward"])
+
+    @property
+    def backward_spans(self) -> Tuple[Span, ...]:
+        return spans_of_locations(self.body, self.stored["backward"])
+
+    @property
+    def forward_spans(self) -> Tuple[Span, ...]:
+        return spans_of_locations(self.body, self.stored["forward"])
+
+    def slice_json(self, direction: str, line_offset: int) -> dict:
+        """The ``"backward"`` or ``"forward"`` slice as served: its location
+        count, its spans and the lines they touch, every line counted from
+        ``line_offset``.  No location is decoded, and the other direction
+        is not read."""
+        locations = self.stored[direction]
+        spans, lines = span_set_to_json(spans_of_locations(self.body, locations), line_offset)
+        return {"locations": len(locations), "spans": spans, "lines": lines}
 
 
 @dataclass(frozen=True)
@@ -89,21 +127,8 @@ class FocusTable:
     # -- lookup ------------------------------------------------------------------
 
     def _entry(self, key: str) -> FocusEntry:
-        """Decode the stored entry under ``key`` against the bound body."""
-        stored = self.data["entries"][key]
-        body = self.body
-        place = _place_from_json(stored["place"])
-        backward = tuple(Location(block, stmt) for block, stmt in stored["backward"])
-        forward = tuple(Location(block, stmt) for block, stmt in stored["forward"])
-        return FocusEntry(
-            place=place,
-            label=stored["label"],
-            defining_span=body.locals[place.local].span,
-            backward=backward,
-            forward=forward,
-            backward_spans=spans_of_locations(body, backward),
-            forward_spans=spans_of_locations(body, forward),
-        )
+        """The stored entry under ``key``, bound to the table's body."""
+        return FocusEntry(self.data["entries"][key], self.body)
 
     def entry_for_place(self, place: Place) -> Optional[FocusEntry]:
         """The entry for ``place``, falling back to its base local.
@@ -287,11 +312,12 @@ class FocusTable:
 
         Focus tables are cached under a *span-insensitive* content
         fingerprint (the lowered MIR), so an edit that only shifts a
-        function's position — a comment added above it, a sibling edited —
-        legitimately serves the cached locations, but spans are positional.
-        Entries therefore store no spans: each entry a lookup on the result
-        decodes derives them from ``body``, so highlights always track the
-        text on screen.
+        function's position — a line added above it or inside it, a sibling
+        edited — legitimately serves the cached locations, but spans are
+        positional.  Entries therefore store no spans: each entry a lookup
+        on the result returns reads its spans from the span table of
+        ``body``, which lives as long as that body, so highlights always
+        track the text on screen.
         """
         return FocusTable(self.data, body)
 
@@ -312,26 +338,36 @@ class FocusTable:
 
     # -- views --------------------------------------------------------------------
 
-    def response_for(self, entry: FocusEntry, direction: str, condition: str) -> dict:
+    def response_for(
+        self,
+        entry: FocusEntry,
+        direction: str,
+        condition: str,
+        line_offset: int,
+        seed_span: Span,
+    ) -> dict:
         """The JSON payload served for one focus query over this table, under
-        the condition named ``condition``."""
+        the condition named ``condition``, seeded at ``seed_span``.
+
+        Written once, already in the client's lines: every span and line is
+        counted from ``line_offset``, the line offset of the client's unit
+        in the joined source (0 for the joined source itself).  Each
+        direction's lines are read off its merged spans.
+        """
+        function_span = self.body.span
         out: dict = {
             "function": self.body.fn_name,
             "target": entry.label,
             "condition": condition,
-            "defining_span": list(entry.defining_span.to_tuple()),
+            "defining_span": span_to_json(entry.defining_span, line_offset),
             "direction": direction,
         }
         if direction in ("backward", "both"):
-            out["backward"] = {
-                "locations": len(entry.backward),
-                "spans": spans_to_json(entry.backward_spans),
-                "lines": sorted(lines_of_spans(entry.backward_spans)),
-            }
+            out["backward"] = entry.slice_json("backward", line_offset)
         if direction in ("forward", "both"):
-            out["forward"] = {
-                "locations": len(entry.forward),
-                "spans": spans_to_json(entry.forward_spans),
-                "lines": sorted(lines_of_spans(entry.forward_spans)),
-            }
+            out["forward"] = entry.slice_json("forward", line_offset)
+        out["seed_span"] = None if seed_span.is_dummy() else span_to_json(seed_span, line_offset)
+        out["function_span"] = (
+            None if function_span.is_dummy() else span_to_json(function_span, line_offset)
+        )
         return out

@@ -19,7 +19,9 @@ property the rest of the system promises:
   return value never changes the observed result.
 * ``focus_agreement`` — the precomputed all-places
   :class:`~repro.focus.table.FocusTable` agrees with per-query slices
-  computed directly from the flow result, in both directions.
+  computed directly from the flow result, in both directions, and each
+  direction's served spans and lines equal those read off each
+  instruction's own span.
 
 Injected oracles (``injected:*``) deliberately fail on harmless syntactic
 features; they exist so the shrinker and the repro pipeline can be exercised
@@ -383,8 +385,15 @@ def oracle_noninterference(
 
 
 def oracle_focus_agreement(prep: PreparedProgram) -> OracleVerdict:
-    """The all-places focus table must equal per-query slices exactly."""
-    from repro.apps.slicer import forward_slice_locations
+    """The all-places focus table must equal per-query slices exactly, and
+    each direction's served spans and lines must equal the referee's.
+
+    The referee reads each instruction's own span (``location_span`` and
+    ``lines_of_locations``), never the body's span table the served path
+    reads, so the two share no code.
+    """
+    from repro.apps.slicer import forward_slice_locations, lines_of_locations
+    from repro.focus.spans import location_span, normalize_spans
     from repro.focus.table import FocusTable
 
     engine = FlowEngine(prep.checked, lowered=prep.lowered, config=MODULAR)
@@ -414,6 +423,27 @@ def oracle_focus_agreement(prep: PreparedProgram) -> OracleVerdict:
                     detail=f"focus_forward_mismatch: {fn_name}.{local.name}: "
                     f"table {len(forward)} vs query {len(expected_forward)}",
                 )
+            for direction, locations in (("backward", backward), ("forward", forward)):
+                served = entry.slice_json(direction, line_offset=0)
+                spans = [
+                    list(span)
+                    for span in normalize_spans(location_span(body, loc) for loc in locations)
+                ]
+                if served["spans"] != spans:
+                    return OracleVerdict(
+                        "focus_agreement",
+                        ok=False,
+                        detail=f"focus_{direction}_span_mismatch: {fn_name}.{local.name}: "
+                        f"served {served['spans']} vs referee {spans}",
+                    )
+                lines = sorted(lines_of_locations(body, locations))
+                if served["lines"] != lines:
+                    return OracleVerdict(
+                        "focus_agreement",
+                        ok=False,
+                        detail=f"focus_{direction}_line_mismatch: {fn_name}.{local.name}: "
+                        f"served {served['lines']} vs referee {lines}",
+                    )
     return OracleVerdict("focus_agreement", ok=True)
 
 

@@ -470,6 +470,13 @@ class Body:
     ``locals[0]`` is the return place, ``locals[1..=arg_count]`` are the
     arguments, in declaration order, and the rest are user variables and
     compiler temporaries.
+
+    Nothing changes a body after lowering, and a rebuild keeps a body only
+    while its text and position are unchanged, so the span table of
+    :meth:`location_spans` is built once and lives exactly as long as the
+    body.  Readers on several threads may share a body: the table is built
+    whole and published with one assignment, so a reader sees either no
+    table or a complete one.
     """
 
     fn_name: str
@@ -479,6 +486,9 @@ class Body:
     signature: FnSig
     crate: str = "main"
     span: Span = DUMMY_SPAN
+    _location_spans: Optional[Tuple[Tuple[Span, ...], ...]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     # -- structure accessors --------------------------------------------------
 
@@ -518,6 +528,22 @@ class Body:
 
     def terminator_location(self, block: int) -> Location:
         return Location(block, len(self.blocks[block].statements))
+
+    def location_spans(self) -> Tuple[Tuple[Span, ...], ...]:
+        """The span table: for each block, the spans of its statements and
+        then of its terminator, so ``location_spans()[b][s]`` is the span of
+        the instruction at ``Location(b, s)``.  An instruction with no
+        source position has a dummy span."""
+        table = self._location_spans
+        if table is None:
+            table = self._location_spans = self._span_table()
+        return table
+
+    def _span_table(self) -> Tuple[Tuple[Span, ...], ...]:
+        return tuple(
+            tuple([statement.span for statement in block.statements] + [block.terminator.span])
+            for block in self.blocks
+        )
 
     def instruction_at(self, loc: Location) -> Union[Statement, Terminator]:
         block = self.blocks[loc.block]

@@ -23,6 +23,7 @@ callee summaries, for one workspace generation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -30,7 +31,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.core.analysis import FunctionFlowResult
 from repro.core.config import AnalysisConfig
@@ -67,12 +68,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+@functools.lru_cache(maxsize=64)
 def config_cache_key(config: AnalysisConfig) -> str:
     """A canonical, order-stable rendering of every field of ``config``.
 
     Derived from the dataclass itself so a future ``AnalysisConfig`` field
     automatically becomes part of the key instead of silently colliding
-    results from different configurations.
+    results from different configurations.  Every store key and engine
+    lookup needs it, and configurations are frozen and few (the wire names
+    eight), so each is rendered once.
     """
     parts = []
     for f in dataclasses.fields(AnalysisConfig):
@@ -86,9 +90,12 @@ def condition_is_whole_program(condition: str) -> bool:
     return "whole_program=1" in condition.split(",")
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    """Identity of one cached value."""
+class CacheKey(NamedTuple):
+    """Identity of one cached value.
+
+    A plain tuple of four strings, so hashing and comparing a key on every
+    store lookup run in C.
+    """
 
     kind: str
     fn_name: str
@@ -355,11 +362,11 @@ class SummaryStore:
             tier = "miss"
             value: Optional[dict] = None
             with self._lock:
-                if key in self._entries:
+                value = self._entries.get(key)
+                if value is not None:
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
                     tier = "memory"
-                    value = self._entries[key]
                 else:
                     value = self._load_from_disk(key)
                     if value is not None:

@@ -31,7 +31,6 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.apps.ifc import IfcChecker, IfcPolicy, call_flows, render_report
-from repro.apps.slicer import lines_of_locations
 from repro.core.analysis import FunctionFlowResult
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
@@ -612,25 +611,6 @@ class AnalysisSession:
                 code=QueryError.INVALID_PARAMS,
             )
 
-    @staticmethod
-    def _shift_focus_response(out: dict, delta: int) -> dict:
-        """Shift every line number in a focus response by ``delta``."""
-        if delta == 0:
-            return out
-
-        def shift_span(span):
-            return [span[0] + delta, span[1], span[2] + delta, span[3]]
-
-        for key in ("seed_span", "defining_span", "function_span"):
-            if out.get(key):
-                out[key] = shift_span(out[key])
-        for direction in ("backward", "forward"):
-            block = out.get(direction)
-            if block:
-                block["spans"] = [shift_span(span) for span in block["spans"]]
-                block["lines"] = [line + delta for line in block["lines"]]
-        return out
-
     def _focus_table(
         self, fn_name: str, config: AnalysisConfig
     ) -> Tuple[FocusTable, str]:
@@ -644,9 +624,9 @@ class AnalysisSession:
             KIND_FOCUS, fn_name, config, lambda r: FocusTable.build(r).to_json_dict()
         )
         # The fingerprint hashes the lowered MIR, not source positions: a
-        # cached table's locations are valid whenever the key matches, but
-        # its spans may predate a pure position shift (an edit above the
-        # function).  Re-derive them from the current body.
+        # cached table's locations are valid whenever the key matches, even
+        # after a pure position shift (a line added above the function or
+        # inside it).  Its spans come from the current body's span table.
         return FocusTable.from_json_dict(data).respan(self._body(fn_name)), cache
 
     def slice(
@@ -682,22 +662,15 @@ class AnalysisSession:
                 code=QueryError.UNKNOWN_VARIABLE,
             )
         table, cache = self._focus_table(function, config)
-        entry = table.entry_for_variable(variable)
-        locations = entry.backward if direction == "backward" else entry.forward
-
+        rendered = table.entry_for_variable(variable).slice_json(direction, offset)
         return {
             "function": function,
             "variable": variable,
             "direction": direction,
             "condition": condition_name(config),
-            "size": len(locations),
-            "lines": [line - offset for line in sorted(lines_of_locations(body, locations))],
-            "spans": [
-                [span.start_line - offset, span.start_col, span.end_line - offset, span.end_col]
-                for span in (
-                    entry.backward_spans if direction == "backward" else entry.forward_spans
-                )
-            ],
+            "size": rendered["locations"],
+            "lines": rendered["lines"],
+            "spans": rendered["spans"],
             "cache": cache,
             "stats": self.store.stats.to_dict(),
         }
@@ -743,7 +716,6 @@ class AnalysisSession:
             table, cache = self._focus_table(function, config)
             entry = table.entry_for_variable(variable)
             seed_span = entry.defining_span
-            fn_body = body
         elif line is not None and col is not None:
             line = int(line)
             if unit_lines is not None and not 1 <= line <= unit_lines:
@@ -760,7 +732,6 @@ class AnalysisSession:
                 line_offset=offset,
                 index=self._cursor_index,
             )
-            fn_body = self._body(target.fn_name)
             table, cache = self._focus_table(target.fn_name, config)
             entry = table.entry_for_place(target.place)
             if entry is None:
@@ -776,12 +747,7 @@ class AnalysisSession:
                 code=QueryError.INVALID_PARAMS,
             )
 
-        out = table.response_for(entry, direction, condition_name(config))
-        out["seed_span"] = list(seed_span.to_tuple()) if not seed_span.is_dummy() else None
-        out["function_span"] = (
-            list(fn_body.span.to_tuple()) if not fn_body.span.is_dummy() else None
-        )
-        self._shift_focus_response(out, -offset)
+        out = table.response_for(entry, direction, condition_name(config), offset, seed_span)
         out["cache"] = cache
         out["stats"] = self.store.stats.to_dict()
         return out

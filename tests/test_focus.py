@@ -33,9 +33,11 @@ from repro.focus.spans import (
     lines_of_spans,
     location_span,
     normalize_spans,
+    span_set_to_json,
     spans_of_locations,
 )
 from repro.focus.table import FocusTable
+from repro.mir.ir import Body, Location
 from repro.mir.validate import span_problems
 from repro.service.cache import KIND_FOCUS
 from repro.service.protocol import AnalysisService
@@ -110,6 +112,32 @@ class TestSpanUtilities:
     def test_span_tuple_round_trip(self):
         span = Span(1, 2, 3, 4)
         assert Span.from_tuple(span.to_tuple()) == span
+
+    @pytest.mark.parametrize("fn_name", ["caller", "helper"])
+    def test_spans_of_locations_equals_the_per_instruction_referee(self, fn_name):
+        """The span-table path answers what the per-instruction referee
+        answers, for Locations and stored pairs alike; a synthetic argument
+        tag (negative block) has no span."""
+        _, lowered = lowered_from(HELPER_CALLER_SOURCE)
+        body = lowered.body(fn_name)
+        locations = list(body.locations())
+        expected = normalize_spans(location_span(body, loc) for loc in locations)
+        assert spans_of_locations(body, locations) == expected
+        assert spans_of_locations(body, [list(loc) for loc in locations]) == expected
+        assert spans_of_locations(body, locations + [Location(-2, 0)]) == expected
+        for loc in locations:
+            assert spans_of_locations(body, [loc]) == normalize_spans([location_span(body, loc)])
+
+    def test_span_set_to_json_lines_are_the_spans_lines(self):
+        spans = normalize_spans(
+            [Span(3, 1, 4, 2), Span(4, 5, 4, 9), Span(4, 7, 6, 1), Span(9, 2, 9, 3)]
+        )
+        assert spans == (Span(3, 1, 4, 2), Span(4, 5, 6, 1), Span(9, 2, 9, 3))
+        for offset in (0, 2):
+            out, lines = span_set_to_json(spans, offset)
+            assert out == [[s[0] - offset, s[1], s[2] - offset, s[3]] for s in spans]
+            assert lines == sorted(line - offset for line in lines_of_spans(spans))
+        assert span_set_to_json((), 0) == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +556,90 @@ class TestSessionFocus:
         response = session.slice("compute", "z")
         assert response["spans"]
         assert response["lines"]
+
+    BLANK_LINE_SOURCE = (
+        "fn f(a: u32, b: u32) -> u32 {\n"
+        "    let x = a + 1;\n"
+        "    let y = x * b;\n"
+        "    y + x\n"
+        "}"
+    )
+
+    def test_blank_line_inside_a_function_keeps_its_table_and_moves_its_highlights(self):
+        """The fingerprint hashes the MIR text, so a blank line inside a
+        function keeps its stored table; the spans still move with the text.
+        A table that stored spans, or a span table kept by fingerprint or
+        by function name, would answer the old lines here."""
+        session = AnalysisSession()
+        session.open_unit("main", self.BLANK_LINE_SOURCE)
+        before = session.focus(line=4, col=5)
+        assert before["backward"]["spans"] == [[2, 5, 2, 19], [3, 5, 3, 19]]
+
+        lines = self.BLANK_LINE_SOURCE.split("\n")
+        edited = "\n".join(lines[:2] + [""] + lines[2:])
+        update = session.update_unit("main", edited)
+        assert update["body_changed"] == [] and update["evicted_entries"] == 0
+
+        after = session.focus(line=5, col=5)
+        assert after["cache"] == "hit"
+        assert after["backward"]["spans"] == [[2, 5, 2, 19], [4, 5, 4, 19]]
+        assert after["backward"]["lines"] == [2, 4]
+        fresh = AnalysisSession()
+        fresh.open_unit("main", edited)
+        cold = fresh.focus(line=5, col=5)
+        assert cold["cache"] == "miss"
+        for key in ("cache", "stats"):
+            del after[key], cold[key]
+        assert after == cold
+
+    def test_one_span_table_per_body(self, monkeypatch):
+        """A body's span table is built on first use and kept as long as the
+        body: an edit elsewhere keeps the body and builds none, an edit
+        inside the function builds one for its new body."""
+        builds = []
+        build = Body._span_table
+
+        def counting(body):
+            builds.append(body.fn_name)
+            return build(body)
+
+        monkeypatch.setattr(Body, "_span_table", counting)
+        source = "fn g(v: u32) -> u32 {\n    v + 1\n}\n" + self.BLANK_LINE_SOURCE
+        session = AnalysisSession()
+        session.open_unit("main", source)
+        body = session._lowered.body("f")
+        session.focus(line=7, col=5)
+        session.focus(line=5, col=13)
+        assert builds == ["f"]
+
+        session.update_unit("main", source.replace("v + 1", "v + 2"))
+        assert session._lowered.body("f") is body
+        assert session.focus(line=7, col=5)["cache"] == "hit"
+        assert builds == ["f"]
+
+        session.update_unit("main", source.replace("a + 1", "a + 2"))
+        assert session._lowered.body("f") is not body
+        assert session.focus(line=7, col=5)["cache"] == "miss"
+        assert builds == ["f", "f"]
+
+    def test_one_direction_query_derives_one_direction(self, monkeypatch):
+        import repro.focus.table as table_module
+
+        calls = []
+        derive = table_module.spans_of_locations
+
+        def counting(body, locations):
+            calls.append(body.fn_name)
+            return derive(body, locations)
+
+        monkeypatch.setattr(table_module, "spans_of_locations", counting)
+        session = AnalysisSession()
+        session.open_unit("main", COMPUTE_SOURCE)
+        out = session.focus(function="compute", variable="z", direction="backward")
+        assert "backward" in out and "forward" not in out
+        assert calls == ["compute"]
+        session.focus(function="compute", variable="z")
+        assert calls == ["compute"] * 3
 
 
 # ---------------------------------------------------------------------------

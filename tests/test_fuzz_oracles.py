@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.fuzz.generator import generate_program
+from repro.fuzz.generator import generate_program, profile
 from repro.fuzz.oracles import (
     DEFAULT_ORACLES,
     INJECTED_ORACLES,
@@ -145,6 +145,44 @@ def test_cache_oracle_passes_and_uses_the_store():
         program.source, program.crate_name, oracles=["cache_equality"]
     )
     assert verdicts[0].ok, verdicts[0].detail
+
+
+@pytest.mark.parametrize("size", ["small", "medium", "large"])
+def test_focus_agreement_checks_served_spans_and_lines(size):
+    """The span and line referees of ``focus_agreement`` on a few seeds per
+    size, so a mismatch fails here before CI's 500-program sweep."""
+    for seed in range(3):
+        program = generate_program(seed, profile(size))
+        (verdict,) = run_battery(
+            program.source, program.crate_name, oracles=["focus_agreement"]
+        )
+        assert verdict.ok, f"{size} seed {seed}: {verdict.detail}"
+
+
+@pytest.mark.parametrize(
+    "target,mismatch",
+    [
+        ("spans_of_locations", "_span_mismatch: "),
+        ("span_set_to_json", "_line_mismatch: "),
+    ],
+)
+def test_focus_agreement_catches_a_wrong_span_or_line(monkeypatch, target, mismatch):
+    """Break the served path's spans (drop the last) or lines (drop the
+    first): the oracle names the mismatch."""
+    import repro.focus.table as table_module
+
+    served = getattr(table_module, target)
+    if target == "spans_of_locations":
+        broken = lambda body, locations: served(body, locations)[:-1]
+    else:
+        def broken(spans, line_offset):
+            out, lines = served(spans, line_offset)
+            return out, lines[1:]
+    monkeypatch.setattr(table_module, target, broken)
+    program = generate_program(0)
+    (verdict,) = run_battery(program.source, program.crate_name, oracles=["focus_agreement"])
+    assert not verdict.ok
+    assert mismatch in verdict.detail, verdict.detail
 
 
 def test_session_snapshot_is_cold_warm_byte_identical():
