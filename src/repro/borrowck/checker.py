@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.errors import Diagnostic, Severity
+from repro.errors import Diagnostic
 from repro.lang.ast import FnSig
 from repro.lang.types import Mutability, RefType
 from repro.mir.ir import (
@@ -73,7 +73,7 @@ class BorrowViolation:
     location: Location
 
     def to_diagnostic(self) -> Diagnostic:
-        return Diagnostic(Severity.ERROR, f"{self.kind}: {self.message}")
+        return Diagnostic(f"{self.kind}: {self.message}")
 
 
 class BorrowChecker:

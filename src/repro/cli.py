@@ -949,11 +949,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ReproError as error:
         # Span-carrying failures (parse/typecheck/lowering) print with
         # line:column and a source excerpt when the input file is at hand.
-        from repro.errors import DUMMY_SPAN, render_error_with_source
+        from repro.errors import render_error_with_source
 
-        span = getattr(error, "span", DUMMY_SPAN)
         file_path = getattr(args, "file", None)
-        if span is not None and not span.is_dummy() and file_path:
+        if not error.span.is_dummy() and file_path:
             try:
                 source = _read_source(file_path)
             except OSError:

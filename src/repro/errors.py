@@ -1,17 +1,17 @@
-"""Diagnostics and source-location tracking shared by every compiler stage.
+"""Errors and source-location tracking shared by every compiler stage.
 
 The reproduction follows the paper's pipeline: surface MiniRust source is
 lexed, parsed, type checked, lowered to a MIR-style control-flow graph, and
-then analyzed for information flow.  Every stage reports problems through the
-same :class:`Diagnostic` type so that tools built on top (the slicer, the IFC
-checker, the evaluation harness) can surface errors uniformly.
+then analyzed for information flow.  Every stage fails with a
+:class:`ReproError` of one shape (a message, a ``span``, a ``code`` and its
+``diagnostics``), so that tools built on top (the slicer, the IFC checker,
+the evaluation harness, the service protocol and the CLI) read a failure's
+position and code the same way, without probing for attributes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 
 class Span(NamedTuple):
@@ -111,57 +111,65 @@ class Span(NamedTuple):
 DUMMY_SPAN = Span(0, 0, 0, 0)
 
 
-class Severity(Enum):
-    """How serious a diagnostic is."""
-
-    ERROR = "error"
-    WARNING = "warning"
-    NOTE = "note"
-
-
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A single compiler message with an optional source location."""
 
-    severity: Severity
     message: str
     span: Span = DUMMY_SPAN
-    notes: tuple = ()
 
     def render(self, filename: Optional[str] = None) -> str:
         """Format the diagnostic the way a command-line compiler would, its
         position prefixed with ``filename`` when one is given."""
         where = f"{filename}:" if filename else ""
         loc = "" if self.span.is_dummy() else f" at {where}{self.span}"
-        lines = [f"{self.severity.value}{loc}: {self.message}"]
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - delegation
-        return self.render()
+        return f"error{loc}: {self.message}"
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by the reproduction library."""
+    """Base class for all errors raised by the reproduction library.
+
+    Every error has one shape: its message, a ``span`` (:data:`DUMMY_SPAN`
+    when it has no position), a stable machine-readable ``code`` that
+    protocol responses surface verbatim, and its ``diagnostics``, the
+    messages it reports each with its own position: one
+    ``Diagnostic(message, span)`` unless the error joins several
+    (:meth:`of`).  Subclasses name the stage that failed or set a
+    class-level ``code``; none has a constructor of its own.
+    """
+
+    code = "repro_error"
+
+    def __init__(
+        self,
+        message: str,
+        span: Span = DUMMY_SPAN,
+        *,
+        code: Optional[str] = None,
+        diagnostics: Sequence[Diagnostic] = (),
+    ):
+        super().__init__(message)
+        self.span = span
+        if code is not None:
+            self.code = code
+        self.diagnostics = tuple(diagnostics) or (Diagnostic(message, span),)
+
+    @classmethod
+    def of(cls, diagnostics: Sequence[Diagnostic]) -> "ReproError":
+        """One error reporting every one of ``diagnostics``: its message is
+        their rendered lines, its span the first one's."""
+        return cls(
+            "\n".join(diagnostic.render() for diagnostic in diagnostics),
+            diagnostics[0].span,
+            diagnostics=diagnostics,
+        )
 
 
 class LexError(ReproError):
     """Raised when the lexer encounters a character it cannot tokenize."""
 
-    def __init__(self, message: str, span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
-
 
 class ParseError(ReproError):
     """Raised when the parser encounters a malformed program."""
-
-    def __init__(self, message: str, span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
 
 
 class TypeError_(ReproError):
@@ -171,11 +179,6 @@ class TypeError_(ReproError):
     :class:`TypeError`; the public alias :data:`TypeCheckError` is preferred.
     """
 
-    def __init__(self, message: str, span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
-
 
 TypeCheckError = TypeError_
 
@@ -183,28 +186,13 @@ TypeCheckError = TypeError_
 class LoweringError(ReproError):
     """Raised when AST-to-MIR lowering hits an unsupported construct."""
 
-    def __init__(self, message: str, span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
-
 
 class EvalError(ReproError):
     """Raised by the interpreter for runtime failures (panics)."""
 
-    def __init__(self, message: str, span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
-
 
 class AnalysisError(ReproError):
     """Raised when an information flow analysis cannot proceed."""
-
-    def __init__(self, message: str, span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
 
 
 class QueryError(ReproError):
@@ -216,6 +204,8 @@ class QueryError(ReproError):
     instead of opaque failure strings.
     """
 
+    code = "query_error"
+
     # Stable error codes; protocol responses surface these verbatim.
     UNKNOWN_FUNCTION = "unknown_function"
     UNKNOWN_VARIABLE = "unknown_variable"
@@ -225,76 +215,6 @@ class QueryError(ReproError):
     POSITION_OUT_OF_RANGE = "position_out_of_range"
     NO_PLACE_AT_POSITION = "no_place_at_position"
     INVALID_PARAMS = "invalid_params"
-
-    def __init__(self, message: str, code: str = "query_error", span: Span = DUMMY_SPAN):
-        super().__init__(message)
-        self.code = code
-        self.span = span
-        self.diagnostic = Diagnostic(Severity.ERROR, message, span)
-
-
-@dataclass
-class DiagnosticSink:
-    """Accumulates diagnostics across a compilation session.
-
-    Stages append to a shared sink so a caller can decide whether to abort
-    after each stage (``raise_if_errors``) or keep going and report everything
-    at the end.
-    """
-
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-
-    def error(self, message: str, span: Span = DUMMY_SPAN, notes: Iterable[str] = ()) -> Diagnostic:
-        diag = Diagnostic(Severity.ERROR, message, span, tuple(notes))
-        self.diagnostics.append(diag)
-        return diag
-
-    def warning(self, message: str, span: Span = DUMMY_SPAN, notes: Iterable[str] = ()) -> Diagnostic:
-        diag = Diagnostic(Severity.WARNING, message, span, tuple(notes))
-        self.diagnostics.append(diag)
-        return diag
-
-    def note(self, message: str, span: Span = DUMMY_SPAN) -> Diagnostic:
-        diag = Diagnostic(Severity.NOTE, message, span)
-        self.diagnostics.append(diag)
-        return diag
-
-    @property
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.WARNING]
-
-    def has_errors(self) -> bool:
-        return bool(self.errors)
-
-    def raise_if_errors(self, exc_class=ReproError) -> None:
-        """Raise ``exc_class`` with a combined message if any error was recorded.
-
-        The first error's span is attached to the raised exception so
-        callers (the CLI, fuzz repro rendering) can point at the offending
-        source position even for multi-diagnostic failures, and the errors
-        themselves as ``diagnostics``, so a caller can render them anew.
-        """
-        if self.has_errors():
-            errors = self.errors
-            message = "\n".join(d.render() for d in errors)
-            error = exc_class(message)
-            if getattr(error, "span", DUMMY_SPAN) == DUMMY_SPAN:
-                error.span = errors[0].span
-            error.diagnostics = tuple(errors)
-            raise error
-
-    def extend(self, other: "DiagnosticSink") -> None:
-        self.diagnostics.extend(other.diagnostics)
-
-    def clear(self) -> None:
-        self.diagnostics.clear()
-
-    def render(self) -> str:
-        return "\n".join(d.render() for d in self.diagnostics)
 
 
 def source_excerpt(source: str, span: Span, context: int = 1) -> str:
@@ -330,34 +250,19 @@ def source_excerpt(source: str, span: Span, context: int = 1) -> str:
     return "\n".join(out)
 
 
-def render_error_with_source(
-    error: Exception, source: str, filename: str = "<input>"
-) -> str:
-    """``file:line:column`` plus a source excerpt for any span-carrying error.
+def render_error_with_source(error: ReproError, source: str, filename: str = "<input>") -> str:
+    """``file:line:column`` plus a source excerpt for a positioned error.
 
-    Works on every :class:`ReproError` subclass that records a ``span``
-    (parse, typecheck, lowering, eval, query errors); errors without a usable
-    span fall back to the plain message.  Each of the error's diagnostics is
-    rendered from its own message, because the error's message may already
-    name the position (``error at L:C: ...`` from a type check, ``error in
-    unit 'u' at L:C: ...`` from a session).  This is how shrunk fuzz repros
-    stay debuggable from the CLI: ``repro fuzz repro`` and the top-level
-    error path both print through here.
+    An error whose ``span`` is a dummy falls back to the plain message.
+    Each of the error's diagnostics is rendered from its own message,
+    because the error's message may already name the position (``error at
+    L:C: ...`` from a type check, ``error in unit 'u' at L:C: ...`` from a
+    session).  This is how shrunk fuzz repros stay debuggable from the CLI:
+    ``repro fuzz repro`` and the top-level error path both print through
+    here.
     """
-    span = getattr(error, "span", None)
-    if not isinstance(span, Span) or span.is_dummy():
+    if error.span.is_dummy():
         return f"error: {error}"
-    diagnostics = getattr(error, "diagnostics", None) or (
-        getattr(error, "diagnostic", None) or Diagnostic(Severity.ERROR, str(error), span),
-    )
-    header = "\n".join(diagnostic.render(filename) for diagnostic in diagnostics)
-    excerpt = source_excerpt(source, span)
+    header = "\n".join(diagnostic.render(filename) for diagnostic in error.diagnostics)
+    excerpt = source_excerpt(source, error.span)
     return f"{header}\n{excerpt}" if excerpt else header
-
-
-def first_error(diags: Iterable[Diagnostic]) -> Optional[Diagnostic]:
-    """Return the first error severity diagnostic, or ``None``."""
-    for diag in diags:
-        if diag.severity is Severity.ERROR:
-            return diag
-    return None

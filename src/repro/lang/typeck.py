@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import DiagnosticSink, Span, TypeCheckError
+from repro.errors import Diagnostic, Span, TypeCheckError
 from repro.lang import ast
 from repro.obs import stage as obs_stage
 from repro.lang.types import (
@@ -122,7 +122,6 @@ class CheckedProgram:
     signatures: Dict[str, ast.FnSig]
     crates: Dict[str, CheckedCrate]
     fn_crates: Dict[str, str]
-    diagnostics: DiagnosticSink
     env_key: EnvironmentKey
     reused: FrozenSet[str] = frozenset()
 
@@ -189,9 +188,13 @@ class TypeChecker:
     keeps its checked form when the whole key is unchanged: each was
     computed from equal inputs.  So a rebuild elaborates only the
     declarations it parsed again, and checks a body ``previous`` checked
-    only in a changed environment.  A failed check raises
-    :class:`TypeCheckError` with the environment key it checked bodies in
-    as ``env_key``.
+    only in a changed environment.
+
+    The check goes on past an error, collecting each as a
+    :class:`~repro.errors.Diagnostic` in ``diagnostics``; a failed check
+    raises one :class:`TypeCheckError` reporting all of them, at the first
+    one's span, with the environment key it checked bodies in as
+    ``env_key``.
     """
 
     def __init__(self, program: ast.Program, previous: Optional["CheckedProgram"] = None):
@@ -200,7 +203,7 @@ class TypeChecker:
         self.registry = StructRegistry()
         self.signatures: Dict[str, ast.FnSig] = {}
         self.fn_crates: Dict[str, str] = {}
-        self.diagnostics = DiagnosticSink()
+        self.diagnostics: List[Diagnostic] = []
 
     # -- public API ----------------------------------------------------------
 
@@ -230,21 +233,22 @@ class TypeChecker:
                 else:
                     checked.functions[fn.name] = self._check_function(fn)
             crates[crate.name] = checked
-        try:
-            self.diagnostics.raise_if_errors(TypeCheckError)
-        except TypeCheckError as error:
+        if self.diagnostics:
+            error = TypeCheckError.of(self.diagnostics)
             error.env_key = env_key
-            raise
+            raise error
         return CheckedProgram(
             program=self.program,
             registry=self.registry,
             signatures=self.signatures,
             crates=crates,
             fn_crates=self.fn_crates,
-            diagnostics=self.diagnostics,
             env_key=env_key,
             reused=frozenset(reused),
         )
+
+    def _error(self, message: str, span: Span) -> None:
+        self.diagnostics.append(Diagnostic(message, span))
 
     # -- item collection -------------------------------------------------------
 
@@ -289,7 +293,7 @@ class TypeChecker:
         for crate in self.program.crates:
             for fn in crate.functions():
                 if fn.name in self.signatures:
-                    self.diagnostics.error(
+                    self._error(
                         f"duplicate function definition {fn.name!r}", fn.span
                     )
                     continue
@@ -352,7 +356,7 @@ class TypeChecker:
     def _resolve_type(self, ty: Type, span: Span) -> Type:
         resolved = self.registry.resolve(ty)
         if isinstance(resolved, StructType) and self.registry.lookup(resolved.name) is None:
-            self.diagnostics.error(f"unknown type {resolved.name!r}", span)
+            self._error(f"unknown type {resolved.name!r}", span)
         return resolved
 
     # -- function bodies ---------------------------------------------------------
@@ -376,7 +380,7 @@ class TypeChecker:
         body_ty = self._check_block(fn.body, scope, fn, checked)
         if not isinstance(fn.ret_type, UnitType) and fn.body.tail is not None:
             if not types_compatible(fn.ret_type, body_ty):
-                self.diagnostics.error(
+                self._error(
                     f"function {fn.name!r} returns {body_ty.pretty()} "
                     f"but is declared to return {fn.ret_type.pretty()}",
                     fn.span,
@@ -408,7 +412,7 @@ class TypeChecker:
                 declared = self._resolve_type(declared, stmt.span)
                 stmt.declared_ty = declared
                 if stmt.init is not None and not types_compatible(declared, init_ty):
-                    self.diagnostics.error(
+                    self._error(
                         f"cannot initialise {stmt.name!r}: expected {declared.pretty()}, "
                         f"found {init_ty.pretty()}",
                         stmt.span,
@@ -422,11 +426,11 @@ class TypeChecker:
             value_ty = self._check_expr(stmt.value, scope, fn, checked)
             target_ty = self._check_expr(stmt.target, scope, fn, checked)
             if not stmt.target.is_place():
-                self.diagnostics.error("left-hand side of assignment is not a place", stmt.span)
+                self._error("left-hand side of assignment is not a place", stmt.span)
             else:
                 self._check_assignable(stmt.target, scope, stmt.span)
             if not types_compatible(target_ty, value_ty):
-                self.diagnostics.error(
+                self._error(
                     f"mismatched types in assignment: expected {target_ty.pretty()}, "
                     f"found {value_ty.pretty()}",
                     stmt.span,
@@ -436,7 +440,7 @@ class TypeChecker:
         elif isinstance(stmt, ast.WhileStmt):
             cond_ty = self._check_expr(stmt.cond, scope, fn, checked)
             if not isinstance(cond_ty, BoolType):
-                self.diagnostics.error(
+                self._error(
                     f"while condition must be bool, found {cond_ty.pretty()}", stmt.span
                 )
             self._check_block(stmt.body, scope, fn, checked)
@@ -447,7 +451,7 @@ class TypeChecker:
                 else UNIT
             )
             if not types_compatible(fn.ret_type, value_ty):
-                self.diagnostics.error(
+                self._error(
                     f"return type mismatch in {fn.name!r}: expected {fn.ret_type.pretty()}, "
                     f"found {value_ty.pretty()}",
                     stmt.span,
@@ -455,7 +459,7 @@ class TypeChecker:
         elif isinstance(stmt, (ast.BreakStmt, ast.ContinueStmt)):
             pass
         else:  # pragma: no cover - defensive
-            self.diagnostics.error(f"unsupported statement {type(stmt).__name__}", stmt.span)
+            self._error(f"unsupported statement {type(stmt).__name__}", stmt.span)
 
     # -- mutability of assignment targets -----------------------------------------
 
@@ -467,7 +471,7 @@ class TypeChecker:
             if isinstance(expr, ast.Deref):
                 base_ty = expr.base.ty
                 if isinstance(base_ty, RefType) and base_ty.mutability is not Mutability.MUT:
-                    self.diagnostics.error(
+                    self._error(
                         "cannot assign through a shared reference", span
                     )
                 return
@@ -476,7 +480,7 @@ class TypeChecker:
                 if isinstance(base_ty, RefType):
                     # Auto-deref through a reference: the reference must be unique.
                     if base_ty.mutability is not Mutability.MUT:
-                        self.diagnostics.error(
+                        self._error(
                             "cannot assign to a field behind a shared reference", span
                         )
                     return
@@ -485,7 +489,7 @@ class TypeChecker:
             if isinstance(expr, ast.Var):
                 info = scope.lookup(expr.name)
                 if info is not None and not info.mutable:
-                    self.diagnostics.error(
+                    self._error(
                         f"cannot assign to immutable binding {expr.name!r}", span
                     )
                 return
@@ -513,7 +517,7 @@ class TypeChecker:
         if isinstance(expr, ast.Var):
             info = scope.lookup(expr.name)
             if info is None:
-                self.diagnostics.error(f"unknown variable {expr.name!r}", expr.span)
+                self._error(f"unknown variable {expr.name!r}", expr.span)
                 return UNIT
             return info.ty
 
@@ -528,7 +532,7 @@ class TypeChecker:
             base_ty = self._check_expr(expr.base, scope, fn, checked)
             if isinstance(base_ty, RefType):
                 return base_ty.pointee
-            self.diagnostics.error(
+            self._error(
                 f"cannot dereference non-reference type {base_ty.pretty()}", expr.span
             )
             return UNIT
@@ -537,12 +541,12 @@ class TypeChecker:
             operand_ty = self._check_expr(expr.operand, scope, fn, checked)
             if expr.op is ast.UnOp.NOT:
                 if not isinstance(operand_ty, BoolType):
-                    self.diagnostics.error(
+                    self._error(
                         f"'!' expects bool, found {operand_ty.pretty()}", expr.span
                     )
                 return BOOL
             if not isinstance(operand_ty, U32Type):
-                self.diagnostics.error(
+                self._error(
                     f"unary '-' expects u32, found {operand_ty.pretty()}", expr.span
                 )
             return U32
@@ -553,7 +557,7 @@ class TypeChecker:
             if expr.op.is_logical():
                 for side, ty in (("left", lhs_ty), ("right", rhs_ty)):
                     if not isinstance(ty, BoolType):
-                        self.diagnostics.error(
+                        self._error(
                             f"{side} operand of {expr.op.value!r} must be bool, "
                             f"found {ty.pretty()}",
                             expr.span,
@@ -561,14 +565,14 @@ class TypeChecker:
                 return BOOL
             if expr.op.is_comparison():
                 if not types_compatible(lhs_ty, rhs_ty) and not types_compatible(rhs_ty, lhs_ty):
-                    self.diagnostics.error(
+                    self._error(
                         f"cannot compare {lhs_ty.pretty()} with {rhs_ty.pretty()}", expr.span
                     )
                 return BOOL
             # Arithmetic.
             for side, ty in (("left", lhs_ty), ("right", rhs_ty)):
                 if not isinstance(ty, U32Type):
-                    self.diagnostics.error(
+                    self._error(
                         f"{side} operand of {expr.op.value!r} must be u32, found {ty.pretty()}",
                         expr.span,
                     )
@@ -577,7 +581,7 @@ class TypeChecker:
         if isinstance(expr, ast.Borrow):
             place_ty = self._check_expr(expr.place, scope, fn, checked)
             if not expr.place.is_place():
-                self.diagnostics.error("can only borrow places", expr.span)
+                self._error("can only borrow places", expr.span)
             mutability = Mutability.MUT if expr.mutable else Mutability.SHARED
             return RefType(place_ty, mutability, None)
 
@@ -596,7 +600,7 @@ class TypeChecker:
         if isinstance(expr, ast.If):
             cond_ty = self._check_expr(expr.cond, scope, fn, checked)
             if not isinstance(cond_ty, BoolType):
-                self.diagnostics.error(
+                self._error(
                     f"if condition must be bool, found {cond_ty.pretty()}", expr.span
                 )
             then_ty = self._check_block(expr.then_block, scope, fn, checked)
@@ -607,7 +611,7 @@ class TypeChecker:
                 return then_ty
             if types_compatible(else_ty, then_ty):
                 return else_ty
-            self.diagnostics.error(
+            self._error(
                 f"if and else branches have incompatible types: {then_ty.pretty()} "
                 f"vs {else_ty.pretty()}",
                 expr.span,
@@ -617,19 +621,19 @@ class TypeChecker:
         if isinstance(expr, ast.BlockExpr):
             return self._check_block(expr.block, scope, fn, checked)
 
-        self.diagnostics.error(f"unsupported expression {type(expr).__name__}", expr.span)
+        self._error(f"unsupported expression {type(expr).__name__}", expr.span)
         return UNIT
 
     def _field_type(self, expr: ast.FieldAccess, base_ty: Type) -> Type:
         if isinstance(base_ty, TupleType):
             if not isinstance(expr.fld, int):
-                self.diagnostics.error(
+                self._error(
                     f"tuple fields are accessed by index, found .{expr.fld}", expr.span
                 )
                 return UNIT
             field_ty = projection_type(base_ty, expr.fld)
             if field_ty is None:
-                self.diagnostics.error(
+                self._error(
                     f"tuple of length {len(base_ty.elements)} has no field {expr.fld}", expr.span
                 )
                 return UNIT
@@ -640,7 +644,7 @@ class TypeChecker:
             if isinstance(expr.fld, int):
                 field_ty = projection_type(resolved, expr.fld)
                 if field_ty is None:
-                    self.diagnostics.error(
+                    self._error(
                         f"struct {resolved.name!r} has no field index {expr.fld}", expr.span
                     )
                     return UNIT
@@ -648,13 +652,13 @@ class TypeChecker:
                 return field_ty
             index = resolved.field_index(expr.fld)
             if index is None:
-                self.diagnostics.error(
+                self._error(
                     f"struct {resolved.name!r} has no field {expr.fld!r}", expr.span
                 )
                 return UNIT
             expr.field_index = index
             return resolved.fields[index][1]
-        self.diagnostics.error(
+        self._error(
             f"type {base_ty.pretty()} has no fields", expr.span
         )
         return UNIT
@@ -665,16 +669,16 @@ class TypeChecker:
         arg_types = [self._check_expr(arg, scope, fn, checked) for arg in expr.args]
         signature = self.signatures.get(expr.func)
         if signature is None:
-            self.diagnostics.error(f"call to unknown function {expr.func!r}", expr.span)
+            self._error(f"call to unknown function {expr.func!r}", expr.span)
             return UNIT
         if len(arg_types) != signature.arity():
-            self.diagnostics.error(
+            self._error(
                 f"{expr.func!r} expects {signature.arity()} arguments, got {len(arg_types)}",
                 expr.span,
             )
         for index, (expected, actual) in enumerate(zip(signature.param_types, arg_types)):
             if not types_compatible(expected, actual):
-                self.diagnostics.error(
+                self._error(
                     f"argument {index} of {expr.func!r}: expected {expected.pretty()}, "
                     f"found {actual.pretty()}",
                     expr.args[index].span if index < len(expr.args) else expr.span,
@@ -686,25 +690,25 @@ class TypeChecker:
     ) -> Type:
         struct = self.registry.lookup(expr.struct_name)
         if struct is None:
-            self.diagnostics.error(f"unknown struct {expr.struct_name!r}", expr.span)
+            self._error(f"unknown struct {expr.struct_name!r}", expr.span)
             for _, value in expr.fields:
                 self._check_expr(value, scope, fn, checked)
             return UNIT
         provided = {name for name, _ in expr.fields}
         expected = set(struct.field_names())
         for missing in sorted(expected - provided):
-            self.diagnostics.error(
+            self._error(
                 f"missing field {missing!r} in literal of {struct.name!r}", expr.span
             )
         for extra in sorted(provided - expected):
-            self.diagnostics.error(
+            self._error(
                 f"struct {struct.name!r} has no field {extra!r}", expr.span
             )
         for name, value in expr.fields:
             value_ty = self._check_expr(value, scope, fn, checked)
             declared = struct.field_type(name)
             if declared is not None and not types_compatible(declared, value_ty):
-                self.diagnostics.error(
+                self._error(
                     f"field {name!r} of {struct.name!r}: expected {declared.pretty()}, "
                     f"found {value_ty.pretty()}",
                     value.span,

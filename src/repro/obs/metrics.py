@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import state
 
@@ -224,38 +224,40 @@ class MetricsRegistry:
         self._counters: Dict[_SeriesKey, Counter] = {}
         self._gauges: Dict[_SeriesKey, Gauge] = {}
         self._histograms: Dict[_SeriesKey, Histogram] = {}
+        # (table, name, label items as the caller passed them) -> metric.
+        self._handles: Dict[tuple, object] = {}
 
-    @staticmethod
-    def _key(name: str, labels: Dict[str, str]) -> _SeriesKey:
-        return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
+    def _metric(self, table: dict, name: str, labels: Dict[str, str], make: Callable):
+        """The metric ``table`` holds for ``name`` and ``labels``, made by
+        ``make`` when the series is new: one dict read keyed on the labels as
+        passed, and the canonical series key (names sorted, values as
+        strings) built only the first time those labels are seen.  Label
+        values Python holds equal (``1`` and ``True``) share one handle."""
+        alias = (id(table), name, *labels.items())
+        found = self._handles.get(alias)
+        if found is not None:
+            return found
+        with self._lock:
+            key = name, tuple(sorted((k, str(v)) for k, v in labels.items()))
+            found = table.get(key)
+            if found is None:
+                found = table[key] = make()
+            self._handles[alias] = found
+            return found
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = self._key(name, labels)
-        found = self._counters.get(key)
-        if found is not None:
-            return found
-        with self._lock:
-            return self._counters.setdefault(key, Counter())
+        return self._metric(self._counters, name, labels, Counter)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = self._key(name, labels)
-        found = self._gauges.get(key)
-        if found is not None:
-            return found
-        with self._lock:
-            return self._gauges.setdefault(key, Gauge())
+        return self._metric(self._gauges, name, labels, Gauge)
 
     def histogram(
         self, name: str, buckets: Optional[Tuple[float, ...]] = None, **labels: str
     ) -> Histogram:
-        key = self._key(name, labels)
-        found = self._histograms.get(key)
-        if found is not None:
-            return found
-        with self._lock:
-            return self._histograms.setdefault(
-                key, Histogram(buckets if buckets is not None else DEFAULT_BUCKETS)
-            )
+        return self._metric(
+            self._histograms, name, labels,
+            lambda: Histogram(buckets if buckets is not None else DEFAULT_BUCKETS),
+        )
 
     def snapshot(self) -> dict:
         """A point-in-time copy: ``{"counters": {series: value}, ...}``."""

@@ -251,10 +251,8 @@ class AnalysisService:
             else:
                 result = handler(params)
             response = {"id": request_id, "ok": True, "result": result}
-        except (QueryError, ProtocolError) as error:
-            response = error_response(request_id, str(error), error.code)
         except ReproError as error:
-            response = error_response(request_id, str(error), "repro_error")
+            response = error_response(request_id, str(error), error.code)
         except Exception as error:  # the loop survives anything a query throws
             message = f"internal error: {type(error).__name__}: {error}"
             response = error_response(request_id, message, "internal_error")
@@ -275,16 +273,9 @@ class AnalysisService:
         return {"name": "repro-flowistry", "version": __version__}
 
     def _method_open(self, params: dict) -> dict:
-        previous_crate = self.session.local_crate
-        if params["local_crate"] is not None:
-            self.session.local_crate = params["local_crate"]
-        try:
-            return self.session.open_unit(params["unit"], params["source"])
-        except Exception:
-            # Keep the failed open fully transactional: the crate selection
-            # must roll back along with the unit map.
-            self.session.local_crate = previous_crate
-            raise
+        return self.session.open_units(
+            [(params["unit"], params["source"])], local_crate=params["local_crate"]
+        )
 
     def _method_update(self, params: dict) -> dict:
         return self.session.update_unit(params["unit"], params["source"])

@@ -34,7 +34,7 @@ from repro.apps.ifc import IfcChecker, IfcPolicy, call_flows, render_report
 from repro.core.analysis import FunctionFlowResult
 from repro.core.config import MODULAR, AnalysisConfig, condition_name
 from repro.core.engine import FlowEngine
-from repro.errors import Diagnostic, LexError, ParseError, QueryError, ReproError, Severity, Span
+from repro.errors import Diagnostic, LexError, ParseError, QueryError, ReproError, Span
 from repro.focus.resolve import CursorIndex, resolve_cursor
 from repro.focus.table import FocusTable
 from repro.lang import ast
@@ -166,16 +166,10 @@ def _locate_in_units(error: ReproError, unit_lines: Dict[str, Tuple[int, int]]) 
     client addresses positions within one unit.  An error none of whose
     positions lies in a unit is left as it is.
     """
-    span = getattr(error, "span", None)
-    if span is None:
-        return
-    diagnostics = getattr(error, "diagnostics", None) or (
-        Diagnostic(Severity.ERROR, str(error), span),
-    )
     messages: List[str] = []
     relative: List[Diagnostic] = []
     located = False
-    for diagnostic in diagnostics:
+    for diagnostic in error.diagnostics:
         span = diagnostic.span
         unit = None if span.is_dummy() else _unit_at_line(unit_lines, span.start_line)
         if unit is None:
@@ -186,7 +180,7 @@ def _locate_in_units(error: ReproError, unit_lines: Dict[str, Tuple[int, int]]) 
                 span.start_line - offset, span.start_col, span.end_line - offset, span.end_col
             )
             messages.append(f"error in unit {unit!r} at {span}: {diagnostic.message}")
-            diagnostic = dataclasses.replace(diagnostic, span=span)
+            diagnostic = diagnostic._replace(span=span)
             located = True
         relative.append(diagnostic)
     if located:
@@ -269,20 +263,10 @@ class AnalysisSession:
         """Open (or replace — an *edit*) one source unit.
 
         Workspace changes are transactional: if the new workspace fails to
-        parse/check/lower, the unit map and all derived state are left as
-        they were and the error propagates to the caller.
+        parse/check/lower, the unit map (its order included) and all derived
+        state are left as they were and the error propagates to the caller.
         """
-        existed = name in self._units
-        previous = self._units.get(name)
-        self._units[name] = source
-        try:
-            return self._rebuild()
-        except Exception:
-            if existed:
-                self._units[name] = previous
-            else:
-                del self._units[name]
-            raise
+        return self.open_units([(name, source)])
 
     def update_unit(self, name: str, source: str) -> dict:
         """Apply an edit to an already-open unit (errors on unknown units)."""
@@ -290,36 +274,45 @@ class AnalysisSession:
             raise QueryError(f"no open unit named {name!r}", code=QueryError.UNKNOWN_UNIT)
         return self.open_unit(name, source)
 
-    def open_units(self, units: Iterable[Tuple[str, str]]) -> dict:
-        """Open (or replace) several units with a *single* workspace rebuild.
+    def open_units(
+        self, units: Iterable[Tuple[str, str]], local_crate: Optional[str] = None
+    ) -> dict:
+        """Open (or replace) several units with a *single* workspace rebuild,
+        analysing ``local_crate`` from then on when it is given.
 
         Units in one workspace may reference each other's functions, so
         opening them one at a time can fail on intermediate states that are
         not closed under calls.  This entry point — used by workspace
-        restore — installs the whole batch and rebuilds once, with the same
-        transactional guarantee as :meth:`open_unit`: on failure the unit map
-        and derived state are exactly as before.
+        restore and the protocol's ``open`` — installs the whole batch and
+        rebuilds once, with the same transactional guarantee as
+        :meth:`open_unit`: on failure the unit map, the crate selection and
+        derived state are exactly as before.
         """
-        items = list(units)
-        previous = OrderedDict(self._units)
-        for name, source in items:
-            self._units[str(name)] = source
-        try:
-            return self._rebuild()
-        except Exception:
-            self._units = previous
-            raise
+        edited = OrderedDict(self._units)
+        for name, source in units:
+            edited[str(name)] = source
+        return self._edit(edited, local_crate)
 
     def close_unit(self, name: str) -> dict:
         """Remove one unit from the workspace (transactional, like ``open``)."""
         if name not in self._units:
             raise QueryError(f"no open unit named {name!r}", code=QueryError.UNKNOWN_UNIT)
-        previous = self._units[name]
-        del self._units[name]
+        edited = OrderedDict(self._units)
+        del edited[name]
+        return self._edit(edited)
+
+    def _edit(self, units: "OrderedDict[str, str]", local_crate: Optional[str] = None) -> dict:
+        """Rebuild with ``units`` as the unit map, and ``local_crate`` as the
+        crate when given: one transaction, which puts back the unit map and
+        the crate the session had when the rebuild fails."""
+        previous = self._units, self.local_crate
+        self._units = units
+        if local_crate is not None:
+            self.local_crate = local_crate
         try:
             return self._rebuild()
         except Exception:
-            self._units[name] = previous
+            self._units, self.local_crate = previous
             raise
 
     def _require_workspace(self) -> None:

@@ -6,16 +6,19 @@ import pytest
 
 from repro.errors import (
     DUMMY_SPAN,
+    AnalysisError,
     Diagnostic,
-    DiagnosticSink,
+    EvalError,
     LexError,
+    LoweringError,
     ParseError,
+    QueryError,
     ReproError,
-    Severity,
     Span,
     TypeCheckError,
-    first_error,
+    TypeError_,
 )
+from repro.service.protocol import InvalidParams, MalformedRequest, ProtocolError
 from repro.mir.pretty import pretty_body, pretty_location
 from repro.mir.ir import Location
 
@@ -64,58 +67,48 @@ def test_span_is_an_immutable_value():
 # ---------------------------------------------------------------------------
 
 
-def test_diagnostic_render_includes_location_and_notes():
-    diag = Diagnostic(Severity.ERROR, "something broke", Span(2, 3, 2, 7), ("try this",))
-    rendered = diag.render()
-    assert "error at 2:3" in rendered
-    assert "note: try this" in rendered
+def test_diagnostic_renders_with_and_without_a_position():
+    diagnostic = Diagnostic("something broke", Span(2, 3, 2, 7))
+    assert diagnostic.render() == "error at 2:3: something broke"
+    assert diagnostic.render("f.mrs") == "error at f.mrs:2:3: something broke"
+    assert Diagnostic("no position").render("f.mrs") == "error: no position"
 
 
-def test_sink_collects_and_filters_by_severity():
-    sink = DiagnosticSink()
-    sink.error("bad")
-    sink.warning("meh")
-    sink.note("fyi")
-    assert len(sink.errors) == 1
-    assert len(sink.warnings) == 1
-    assert sink.has_errors()
-    assert first_error(sink.diagnostics).message == "bad"
-    assert "bad" in sink.render()
+def test_of_joins_diagnostics_at_the_first_span():
+    first = Diagnostic("first problem", Span(2, 5, 2, 9))
+    second = Diagnostic("second problem", Span(4, 1, 4, 3))
+    error = TypeCheckError.of([first, second])
+    assert isinstance(error, TypeCheckError)
+    assert str(error) == "error at 2:5: first problem\nerror at 4:1: second problem"
+    assert error.span == first.span
+    assert error.diagnostics == (first, second)
+    assert error.code == "repro_error"
 
 
-def test_sink_raise_if_errors_combines_messages():
-    sink = DiagnosticSink()
-    sink.error("first problem")
-    sink.error("second problem")
-    with pytest.raises(ReproError) as excinfo:
-        sink.raise_if_errors()
-    assert "first problem" in str(excinfo.value)
-    assert "second problem" in str(excinfo.value)
-
-
-def test_sink_without_errors_does_not_raise():
-    sink = DiagnosticSink()
-    sink.warning("only a warning")
-    sink.raise_if_errors()
-    assert not sink.has_errors()
-
-
-def test_sink_extend_and_clear():
-    a = DiagnosticSink()
-    a.error("x")
-    b = DiagnosticSink()
-    b.extend(a)
-    assert b.has_errors()
-    b.clear()
-    assert not b.has_errors()
-
-
-def test_error_classes_carry_spans_and_diagnostics():
-    for error_class in (LexError, ParseError, TypeCheckError):
-        error = error_class("boom", Span(1, 1, 1, 2))
-        assert error.span.start_line == 1
-        assert error.diagnostic.severity is Severity.ERROR
-        assert isinstance(error, ReproError)
+def test_every_error_has_one_shape_and_a_default_code():
+    codes = {
+        ReproError: "repro_error",
+        LexError: "repro_error",
+        ParseError: "repro_error",
+        TypeError_: "repro_error",
+        LoweringError: "repro_error",
+        EvalError: "repro_error",
+        AnalysisError: "repro_error",
+        QueryError: "query_error",
+        ProtocolError: "protocol_error",
+        MalformedRequest: "parse_error",
+        InvalidParams: "invalid_params",
+    }
+    span = Span(1, 1, 1, 2)
+    for error_class, code in codes.items():
+        error = error_class("boom", span)
+        assert (str(error), error.span, error.code) == ("boom", span, code), error_class
+        assert error.diagnostics == (Diagnostic("boom", span),), error_class
+        bare = error_class("boom")
+        assert bare.span == DUMMY_SPAN and bare.diagnostics == (Diagnostic("boom"),)
+        assert error_class("boom", code="unknown_unit").code == "unknown_unit"
+    # ReproError's is the one constructor in the hierarchy.
+    assert [c.__name__ for c in codes if c is not ReproError and "__init__" in vars(c)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,18 @@ class TestMetrics:
         registry.counter("hits", kind="a").inc()
         registry.counter("hits", kind="a").inc(2)
         registry.counter("hits", kind="b").inc()
+        # Label order and a value's type do not make another series.
+        assert registry.counter("pair", x="1", y="2") is registry.counter("pair", y="2", x="1")
+        registry.counter("pair", y="2", x="1").inc()
+        assert registry.counter("sized", n=5) is registry.counter("sized", n="5")
+        registry.counter("sized", n="5").inc()
         snap = registry.snapshot()
-        assert snap["counters"] == {'hits{kind="a"}': 3.0, 'hits{kind="b"}': 1.0}
+        assert snap["counters"] == {
+            'hits{kind="a"}': 3.0,
+            'hits{kind="b"}': 1.0,
+            'pair{x="1",y="2"}': 1.0,
+            'sized{n="5"}': 1.0,
+        }
 
     def test_gauge(self):
         registry = MetricsRegistry()

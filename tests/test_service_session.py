@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import itertools
 import random
 import sys
 import threading
@@ -224,6 +225,26 @@ class TestEditInvalidation:
         assert session.generation == generation
         assert session.analyze(function="caller")["functions"]["caller"]
 
+    def test_failed_close_keeps_the_unit_order(self):
+        helper = "fn helper(v: u32) -> u32 {\n    let w = v + 1;\n    w\n}"
+        caller = "fn caller(a: u32) -> u32 {\n    helper(a)\n}"
+        edited = caller.replace("helper(a)", "helper(a) * 2")
+        session = AnalysisSession()
+        session.open_unit("a", helper)
+        session.open_unit("b", caller)
+        generation = session.generation
+        with pytest.raises(ReproError, match="call to unknown function 'helper'"):
+            session.close_unit("a")
+        assert session.unit_names() == ["a", "b"]
+        assert session.generation == generation
+        session.update_unit("b", edited)
+
+        fresh = AnalysisSession()
+        fresh.open_unit("a", helper)
+        fresh.open_unit("b", edited)
+        assert fresh.slice("helper", "w")["lines"] == [2]
+        assert session.slice("helper", "w")["lines"] == [2]
+
     def test_unchanged_reopen_is_not_an_edit(self):
         session = AnalysisSession()
         session.open_unit("main", HELPER_CALLER_SOURCE)
@@ -255,6 +276,26 @@ fn via_ping(x: u32) -> u32 { ping(x) }
 fn via_pong(x: u32) -> u32 { pong(x) }
 """
 
+    # CHAIN and CYCLE answer alike at every depth and from every root.
+    # These two do not.  No h writes through x, so only a summary that
+    # reaches h0 proves top's m untouched: top's answer changes with the
+    # depth up to 4 (the summed dependency sizes read 58 at depth 0, then
+    # 52, 48, 44 and 37).
+    PASSTHROUGH = "\n".join(
+        ["fn h0(x: &mut u32, y: u32) -> u32 { y }"]
+        + [f"fn h{i}(x: &mut u32, y: u32) -> u32 {{ h{i - 1}(x, y) }}" for i in range(1, 4)]
+        + ["fn top(a: u32, b: u32) -> u32 { let mut m = a; let r = h3(&mut m, b); m }"]
+    )
+
+    # A cycle whose summaries depend on where it is entered: pong passes
+    # ping a local of its own, not its x.
+    REENTRANT = """
+fn ping(x: &mut u32, y: u32) -> u32 { if y > 0 { pong(x, y - 1) } else { 0 } }
+fn pong(x: &mut u32, y: u32) -> u32 { let mut t = y; ping(&mut t, y) + 1 }
+fn via_ping(a: u32, b: u32) -> u32 { let mut m = a; let r = ping(&mut m, b); m }
+fn via_pong(a: u32, b: u32) -> u32 { let mut m = a; let r = pong(&mut m, b); m }
+"""
+
     # Two edits of CHAIN: f0's literal, and f3's body, which stops reading
     # its parameter and so changes every whole-program answer up the chain.
     EDITS = {"f0": ("f1(x) + 0", "f1(x) + 5"), "f3": ("x * 2", "7")}
@@ -264,6 +305,21 @@ fn via_pong(x: u32) -> u32 { pong(x) }
         return session.analyze(function=function, config=config)["functions"][function][
             "dependency_sizes"
         ]
+
+    @classmethod
+    def _assert_orders_answer_as_fresh(cls, source, config, orders):
+        """Queries in each of ``orders``, in one session per order, answer
+        as a fresh session per query does."""
+        fresh = {}
+        for order in orders:
+            warmed = AnalysisSession()
+            warmed.open_unit("main", source)
+            for name in order:
+                if name not in fresh:
+                    solo = AnalysisSession()
+                    solo.open_unit("main", source)
+                    fresh[name] = cls._sizes(solo, name, config)
+                assert cls._sizes(warmed, name, config) == fresh[name], (order, name)
 
     @pytest.mark.parametrize("depth", [None, 2], ids=["default_depth", "depth2"])
     @pytest.mark.parametrize("edit", sorted(EDITS))
@@ -331,37 +387,38 @@ fn via_pong(x: u32) -> u32 { pong(x) }
         fresh.open_unit("main", self.CHAIN)
         assert warm == self._sizes(fresh, "f1", config)
 
-    def test_cycle_broken_summaries_are_not_served_to_other_roots(self):
-        warmed = AnalysisSession()
-        warmed.open_unit("main", self.CYCLE)
-        self._sizes(warmed, "via_ping", WHOLE_PROGRAM)
-        warm = self._sizes(warmed, "via_pong", WHOLE_PROGRAM)
+    @pytest.mark.parametrize("source", ["CYCLE", "REENTRANT"])
+    def test_cycle_broken_summaries_are_not_served_to_other_roots(self, source):
+        """Whichever function of a cycle a session analyses first, every
+        later root answers as a fresh session does."""
+        names = ["ping", "pong", "via_ping", "via_pong"]
+        self._assert_orders_answer_as_fresh(
+            getattr(self, source), WHOLE_PROGRAM, itertools.permutations(names)
+        )
 
-        fresh = AnalysisSession()
-        fresh.open_unit("main", self.CYCLE)
-        assert warm == self._sizes(fresh, "via_pong", WHOLE_PROGRAM)
-
-    def test_results_are_independent_of_query_order(self):
-        """An engine warmed in a different order must not change any answer:
-        serving a deep callee's complete summary where a cold recursion would
-        have hit the depth bound is refused (height check)."""
-        config = AnalysisConfig(whole_program=True, max_whole_program_depth=2)
-        names = ["f0", "f1", "f2", "f3"]
-
-        baseline = {}
-        for name in names:
-            solo = AnalysisSession()
-            solo.open_unit("main", self.CHAIN)
-            baseline[name] = self._sizes(solo, name, config)
-
-        # Bottom-up warm-up memoises complete summaries for the deep functions
-        # first; top-down queries must still match the cold baseline.
-        shared = AnalysisSession()
-        shared.open_unit("main", self.CHAIN)
-        for name in reversed(names):
-            assert self._sizes(shared, name, config) == baseline[name]
-        for name in names:
-            assert self._sizes(shared, name, config) == baseline[name]
+    @pytest.mark.parametrize(
+        "source,depth,top_down",
+        [
+            pytest.param("CHAIN", 2, ["f0", "f1", "f2", "f3"], id="chain-depth2"),
+            *(
+                pytest.param(
+                    "PASSTHROUGH", depth, ["top", "h3", "h2", "h1", "h0"],
+                    id=f"passthrough-depth{depth}",
+                )
+                for depth in (1, 2, 3)
+            ),
+        ],
+    )
+    def test_results_are_independent_of_query_order(self, source, depth, top_down):
+        """An engine warmed in a different order must not change any answer.
+        Bottom-up, a deep callee's complete summary is memoised first, and
+        serving it where a cold recursion would have hit the depth bound is
+        refused (height check); top-down, a summary the depth bound
+        truncated is never memoised for a later root (taint)."""
+        config = AnalysisConfig(whole_program=True, max_whole_program_depth=depth)
+        self._assert_orders_answer_as_fresh(
+            getattr(self, source), config, [top_down, top_down[::-1]]
+        )
 
 
 class TestQueries:
