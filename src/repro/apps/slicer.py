@@ -25,7 +25,7 @@ from repro.core.engine import FlowEngine
 from repro.core.analysis import FunctionFlowResult
 from repro.errors import AnalysisError, QueryError, Span
 from repro.focus.table import FocusEntry, FocusTable
-from repro.mir.ir import Body, Location, Place
+from repro.mir.ir import Body, Local, Location, Place
 
 
 def lines_of_locations(body: Body, locations: Iterable[Location]) -> FrozenSet[int]:
@@ -46,8 +46,8 @@ def lines_of_locations(body: Body, locations: Iterable[Location]) -> FrozenSet[i
     return frozenset(lines)
 
 
-def forward_slice_locations(result: FunctionFlowResult, variable: str) -> FrozenSet[Location]:
-    """Union of forward slices from every instruction that writes ``variable``.
+def forward_slice_locations(result: FunctionFlowResult, local: Local) -> FrozenSet[Location]:
+    """Union of forward slices from every instruction that writes ``local``.
 
     For parameters — which are never written inside the function — the
     criterion is the synthetic argument tag the analysis seeded at entry, so
@@ -55,11 +55,6 @@ def forward_slice_locations(result: FunctionFlowResult, variable: str) -> Frozen
     """
     from repro.core.theta import arg_location
 
-    local = result.body.local_by_name(variable)
-    if local is None:
-        raise AnalysisError(
-            f"function {result.body.fn_name!r} has no variable {variable!r}"
-        )
     target = Place.from_local(local.index)
     influenced: Set[Location] = set()
     if local.is_arg:

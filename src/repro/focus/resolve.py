@@ -2,22 +2,22 @@
 
 The IDE contract of the paper's focus mode starts here: the user puts the
 cursor somewhere in the source, and the engine must decide *which place* they
-mean.  Resolution works on the type-checked AST (where every place expression
-still has its surface span) and then translates the winning expression into
-the lowered body's :class:`~repro.mir.ir.Place`, replaying the same
-auto-deref insertion the lowering performs — so the resolved place is exactly
-the one the dataflow analysis tracked.
+mean.  Lowering already decided what every place expression denotes: each
+lowered :class:`~repro.mir.ir.Body` records every place expression's span
+with the place it lowered to (auto-derefs inserted, every name looked up in
+the scope of its use), so the resolved place is exactly the one the dataflow
+analysis tracked, and a shadowed name answers the binding in scope.
 
-The winning expression is the **innermost** place expression containing the
-cursor: on ``*point.x`` a cursor over ``x`` resolves to the field, one over
-``point`` to the base variable, and one on the ``*`` to the whole deref.
-Cursors on a ``let`` binding's name or a parameter name resolve to the bound
-variable itself.
+The winning place is the one of the **innermost** place expression
+containing the cursor: on ``*point.x`` a cursor over ``x`` resolves to the
+field, one over ``point`` to the base variable, and one on the ``*`` to the
+whole deref.  A cursor on a binding's name (a parameter or any ``let``)
+resolves to that binding's local itself.
 
-A :class:`CursorIndex` makes finding the candidates a lookup: the function
-under the cursor is found by bisection over the functions' starts, and
-only the binding names and place expressions on the cursor's line are
-tested.  The analysis service keeps one index per workspace generation.
+A :class:`CursorIndex` makes finding the candidates a lookup: the body
+under the cursor is found by bisection over the bodies' starts, and only
+the binding names and place expressions on the cursor's line are tested.
+The analysis service keeps one index per workspace generation.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import QueryError, Span
-from repro.lang import ast
-from repro.lang.typeck import CheckedProgram
-from repro.lang.types import RefType
 from repro.mir.ir import Body, Place
 from repro.mir.lower import LoweredProgram
 from repro.obs import span as obs_span
@@ -46,11 +43,11 @@ class FocusTarget:
     defining_span: Span  # span of the base variable's definition
 
 
-class _FunctionLines(NamedTuple):
-    """One function's cursor targets, each under every line its span covers."""
+class _BodyLines(NamedTuple):
+    """One body's cursor targets, each under every line its span covers."""
 
-    bindings: Dict[int, List[Tuple[str, Span]]]  # parameters, then ``let``s
-    places: Dict[int, List[ast.Expr]]  # place expressions, in walk order
+    bindings: Dict[int, List[Tuple[Span, Place]]]  # named locals, in local order
+    places: Dict[int, List[Tuple[Span, Place]]]  # in the order lowering recorded them
 
 
 def _add_by_line(table: dict, span: Span, entry) -> None:
@@ -59,14 +56,15 @@ def _add_by_line(table: dict, span: Span, entry) -> None:
 
 
 class CursorIndex:
-    """Where a cursor can land in one program, each table built on first use.
+    """Where a cursor can land in one lowered program, each table built on
+    first use.
 
-    The function table lists the functions with bodies by span start.
-    Items never nest, so the last function starting at or before a cursor
-    is the only one that can hold it.  A function's own table, built on the
-    first query into it, files its binding names and its place expressions
-    under every line they cover, in the order of a walk of its body, so a
-    query tests only the entries on its line.
+    The function table lists the bodies by span start.  Items never nest,
+    so the last body starting at or before a cursor is the only one that
+    can hold it.  A body's own table, built on the first query into it,
+    files the names of its named locals and the place expressions lowering
+    recorded whose base local has a name, under every line they cover, so
+    a query tests only the entries on its line.
 
     Readers on several threads may share one index.  Each table is built
     whole, published with one assignment and never changed afterwards, so
@@ -74,156 +72,55 @@ class CursorIndex:
     build the same table build equal ones, and keeping either is right.
     """
 
-    __slots__ = ("_program", "_functions", "_lines")
+    __slots__ = ("_lowered", "_functions", "_lines")
 
-    def __init__(self, program: ast.Program):
-        self._program = program
-        self._functions: Optional[Tuple[List[Tuple[int, int]], List[ast.FnDecl]]] = None
-        self._lines: Dict[str, _FunctionLines] = {}
+    def __init__(self, lowered: LoweredProgram):
+        self._lowered = lowered
+        self._functions: Optional[Tuple[List[Tuple[int, int]], List[Body]]] = None
+        self._lines: Dict[str, _BodyLines] = {}
 
-    def functions(self) -> Tuple[List[Tuple[int, int]], List[ast.FnDecl]]:
-        """The functions with bodies sorted by span start, and those starts."""
+    def functions(self) -> Tuple[List[Tuple[int, int]], List[Body]]:
+        """The bodies sorted by span start, and those starts."""
         table = self._functions
         if table is None:
             with obs_span("cursor_index") as sp:
-                functions = sorted(
-                    (fn for fn in self._program.all_functions() if fn.body is not None),
-                    key=lambda fn: fn.span[:2],
-                )
-                table = ([fn.span[:2] for fn in functions], functions)
+                bodies = sorted(self._lowered.bodies.values(), key=lambda body: body.span[:2])
+                table = ([body.span[:2] for body in bodies], bodies)
                 if sp is not None:
-                    sp.set(functions=len(functions))
+                    sp.set(functions=len(bodies))
             self._functions = table
         return table
 
-    def lines_of(self, fn: ast.FnDecl) -> _FunctionLines:
-        """``fn``'s binding names and place expressions by line."""
-        lines = self._lines.get(fn.name)
+    def lines_of(self, body: Body) -> _BodyLines:
+        """``body``'s binding names and place expressions by line."""
+        lines = self._lines.get(body.fn_name)
         if lines is None:
-            assert fn.body is not None
-            with obs_span("cursor_index", fn=fn.name) as sp:
-                places: List[ast.Expr] = []
-                lets: List[ast.LetStmt] = []
-                _collect_block(fn.body, places, lets, True)
-                lines = _FunctionLines({}, {})
-                for param in fn.params:
-                    _add_by_line(lines.bindings, param.span, (param.name, param.span))
-                for stmt in lets:
-                    _add_by_line(lines.bindings, stmt.name_span, (stmt.name, stmt.name_span))
-                for expr in places:
-                    _add_by_line(lines.places, expr.span, expr)
+            with obs_span("cursor_index", fn=body.fn_name) as sp:
+                lines = _BodyLines({}, {})
+                for local in body.user_locals():
+                    entry = (local.span, Place.from_local(local.index))
+                    _add_by_line(lines.bindings, local.span, entry)
+                expressions = 0
+                for span, place in body.place_exprs:
+                    if body.locals[place.local].name is not None:
+                        _add_by_line(lines.places, span, (span, place))
+                        expressions += 1
                 if sp is not None:
-                    sp.set(expressions=len(places))
-            self._lines[fn.name] = lines
+                    sp.set(expressions=expressions)
+            self._lines[body.fn_name] = lines
         return lines
 
 
-def resolve_function_at(index: CursorIndex, line: int, col: int) -> Optional[ast.FnDecl]:
-    """The function whose body encloses the cursor, if any."""
-    starts, functions = index.functions()
+def resolve_function_at(index: CursorIndex, line: int, col: int) -> Optional[Body]:
+    """The body of the function that encloses the cursor, if any."""
+    starts, bodies = index.functions()
     at = bisect_right(starts, (line, col)) - 1
-    if at >= 0 and functions[at].span.contains(line, col):
-        return functions[at]
-    return None
-
-
-def _place_expr_candidates(lines: _FunctionLines, line: int, col: int) -> List[ast.Expr]:
-    """Every place expression of the function whose span contains the cursor."""
-    return [expr for expr in lines.places.get(line, ()) if expr.span.contains(line, col)]
-
-
-def _binding_at(lines: _FunctionLines, line: int, col: int) -> Optional[Tuple[str, Span]]:
-    """A ``let`` name or parameter name under the cursor, if any."""
-    for name, span in lines.bindings.get(line, ()):
-        if span.contains(line, col):
-            return name, span
-    return None
-
-
-def _collect_block(
-    block: ast.Block, places: List[ast.Expr], lets: List[ast.LetStmt], named: bool
-) -> None:
-    """Append ``block``'s place expressions to ``places``, in the preorder of
-    :func:`ast.walk_block`, and while ``named`` its ``let`` statements to
-    ``lets``, each before the ones nested in its initialiser.
-
-    The ``let``s inside a condition or an assignment target are not
-    collected: cursors on them never named a binding.
-    """
-    for stmt in block.stmts:
-        if isinstance(stmt, ast.LetStmt):
-            if named:
-                lets.append(stmt)
-            if stmt.init is not None:
-                _collect_expr(stmt.init, places, lets, named)
-        elif isinstance(stmt, ast.AssignStmt):
-            _collect_expr(stmt.target, places, lets, False)
-            _collect_expr(stmt.value, places, lets, named)
-        elif isinstance(stmt, ast.ExprStmt):
-            _collect_expr(stmt.expr, places, lets, named)
-        elif isinstance(stmt, ast.WhileStmt):
-            _collect_expr(stmt.cond, places, lets, False)
-            _collect_block(stmt.body, places, lets, named)
-        elif isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
-            _collect_expr(stmt.value, places, lets, named)
-    if block.tail is not None:
-        _collect_expr(block.tail, places, lets, named)
-
-
-def _collect_expr(
-    expr: ast.Expr, places: List[ast.Expr], lets: List[ast.LetStmt], named: bool
-) -> None:
-    if expr.is_place():
-        places.append(expr)
-    if isinstance(expr, ast.If):
-        _collect_expr(expr.cond, places, lets, False)
-        _collect_block(expr.then_block, places, lets, named)
-        if expr.else_block is not None:
-            _collect_block(expr.else_block, places, lets, named)
-    elif isinstance(expr, ast.BlockExpr):
-        _collect_block(expr.block, places, lets, named)
-    else:
-        for child in expr.children():
-            _collect_expr(child, places, lets, named)
-
-
-def place_expr_to_mir(expr: ast.Expr, body: Body) -> Optional[Place]:
-    """Translate an AST place expression into the lowered body's place.
-
-    Mirrors :meth:`repro.mir.lower.FunctionLowerer._lower_to_place`: variable
-    names map to named locals, field accesses insert the auto-derefs the
-    lowering inserts for access through references, and explicit derefs add a
-    ``Deref`` projection.  Returns ``None`` when the expression's base is not
-    a named local (e.g. a field of a call result, which lives in a
-    compiler temporary the cursor cannot name).
-    """
-    if isinstance(expr, ast.Var):
-        local = body.local_by_name(expr.name)
-        if local is None:
-            return None
-        return Place.from_local(local.index)
-    if isinstance(expr, ast.Deref):
-        base = place_expr_to_mir(expr.base, body)
-        return base.project_deref() if base is not None else None
-    if isinstance(expr, ast.FieldAccess):
-        base = place_expr_to_mir(expr.base, body)
-        if base is None:
-            return None
-        base_ty = expr.base.ty
-        while isinstance(base_ty, RefType):
-            base = base.project_deref()
-            base_ty = base_ty.pointee
-        index = expr.field_index
-        if index is None:
-            index = expr.fld if isinstance(expr.fld, int) else None
-        if index is None:
-            return None
-        return base.project_field(index)
+    if at >= 0 and bodies[at].span.contains(line, col):
+        return bodies[at]
     return None
 
 
 def resolve_cursor(
-    checked: CheckedProgram,
     lowered: LoweredProgram,
     line: int,
     col: int,
@@ -235,8 +132,8 @@ def resolve_cursor(
     ``line_offset`` moves ``line`` into the program's lines, for a cursor
     given relative to one unit of a joined workspace; error messages name
     the position as given.  ``index`` is the :class:`CursorIndex` of
-    ``checked``'s program that a caller keeps across queries; without one,
-    this query builds its own.
+    ``lowered`` that a caller keeps across queries; without one, this
+    query builds its own.
 
     Raises :class:`QueryError` with a typed code when the position lies
     outside every function body (``position_out_of_range``) or inside one but
@@ -248,53 +145,36 @@ def resolve_cursor(
             code=QueryError.POSITION_OUT_OF_RANGE,
         )
     if index is None:
-        index = CursorIndex(checked.program)
+        index = CursorIndex(lowered)
     at = line + line_offset
-    fn = resolve_function_at(index, at, col)
-    if fn is None:
+    body = resolve_function_at(index, at, col)
+    if body is None:
         raise QueryError(
             f"position {line}:{col} is not inside any function body",
             code=QueryError.POSITION_OUT_OF_RANGE,
         )
-    body = lowered.body(fn.name)
-    if body is None:
-        raise QueryError(
-            f"function {fn.name!r} has no lowered body",
-            code=QueryError.UNKNOWN_FUNCTION,
-        )
 
-    # A cursor on a binding occurrence (let name, parameter) wins outright.
-    lines = index.lines_of(fn)
-    binding = _binding_at(lines, at, col)
-    if binding is not None:
-        name, span = binding
-        local = body.local_by_name(name)
-        if local is not None:
-            place = Place.from_local(local.index)
-            return FocusTarget(
-                fn_name=fn.name,
-                place=place,
-                label=place.pretty(body),
-                span=span,
-                defining_span=local.span,
-            )
-
-    candidates = _place_expr_candidates(lines, at, col)
-    resolved: List[Tuple[ast.Expr, Place]] = []
-    for expr in candidates:
-        place = place_expr_to_mir(expr, body)
-        if place is not None:
-            resolved.append((expr, place))
-    if not resolved:
+    # A cursor on a binding's name (a parameter or a `let`) wins outright;
+    # else the innermost place expression does.  Lowering records an
+    # expression after those inside it, so among equally tight ones the
+    # outermost wins.
+    lines = index.lines_of(body)
+    hit = next((entry for entry in lines.bindings.get(at, ()) if entry[0].contains(at, col)), None)
+    if hit is None:
+        for entry in lines.places.get(at, ()):
+            span = entry[0]
+            if span.contains(at, col) and (hit is None or span.tightness() <= hit[0].tightness()):
+                hit = entry
+    if hit is None:
         raise QueryError(
-            f"no place expression at {line}:{col} in function {fn.name!r}",
+            f"no place expression at {line}:{col} in function {body.fn_name!r}",
             code=QueryError.NO_PLACE_AT_POSITION,
         )
-    expr, place = min(resolved, key=lambda pair: pair[0].span.tightness())
+    span, place = hit
     return FocusTarget(
-        fn_name=fn.name,
+        fn_name=body.fn_name,
         place=place,
         label=place.pretty(body),
-        span=expr.span,
+        span=span,
         defining_span=body.locals[place.local].span,
     )

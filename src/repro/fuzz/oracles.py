@@ -61,6 +61,7 @@ from repro.lang.types import (
     Type,
     U32Type,
 )
+from repro.mir.ir import Place
 from repro.mir.lower import LoweredProgram, lower_program
 from repro.mir.validate import validate_program
 
@@ -388,9 +389,11 @@ def oracle_focus_agreement(prep: PreparedProgram) -> OracleVerdict:
     """The all-places focus table must equal per-query slices exactly, and
     each direction's served spans and lines must equal the referee's.
 
-    The referee reads each instruction's own span (``location_span`` and
-    ``lines_of_locations``), never the body's span table the served path
-    reads, so the two share no code.
+    Every binding is looked up by its place, so a shadowed binding's entry
+    is checked as well as the first one's.  The referee reads each
+    instruction's own span (``location_span`` and ``lines_of_locations``),
+    never the body's span table the served path reads, so the two share no
+    code.
     """
     from repro.apps.slicer import forward_slice_locations, lines_of_locations
     from repro.focus.spans import location_span, normalize_spans
@@ -402,11 +405,10 @@ def oracle_focus_agreement(prep: PreparedProgram) -> OracleVerdict:
         table = FocusTable.build(result)
         body = result.body
         for local in body.user_locals():
-            if local.name is None:
-                continue
-            entry = table.entry_for_variable(local.name)
+            place = Place.from_local(local.index)
+            entry = table.entry_for_place(place)
             backward = frozenset(entry.backward)
-            expected_backward = result.backward_slice_of_variable(local.name)
+            expected_backward = result.backward_slice(place)
             if backward != expected_backward:
                 return OracleVerdict(
                     "focus_agreement",
@@ -415,7 +417,7 @@ def oracle_focus_agreement(prep: PreparedProgram) -> OracleVerdict:
                     f"table {len(backward)} vs query {len(expected_backward)}",
                 )
             forward = frozenset(entry.forward)
-            expected_forward = forward_slice_locations(result, local.name)
+            expected_forward = forward_slice_locations(result, local)
             if forward != expected_forward:
                 return OracleVerdict(
                     "focus_agreement",

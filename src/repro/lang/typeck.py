@@ -92,7 +92,6 @@ class CheckedFunction:
 
     decl: ast.FnDecl
     signature: ast.FnSig
-    locals: Dict[str, Type] = field(default_factory=dict)
 
 
 @dataclass
@@ -179,7 +178,11 @@ class TypeChecker:
     Declarations are left as parsed: a signature's resolved and elaborated
     types live in its :class:`~repro.lang.ast.FnSig`, and a body's check
     reads its parameters' types through the struct registry, as lowering
-    does.  The check writes only into the bodies it checks.
+    does.  The check writes only into the bodies it checks, and only
+    lowering reads what it writes, right after the check: a body's lowered
+    form records what each of its place expressions denotes.  So a failed
+    check that annotated a body an earlier, served check shares leaves
+    nothing to restore.
 
     With ``previous``, the check of an earlier program whose declarations
     this one shares, a declaration that is the very object ``previous``
@@ -193,8 +196,7 @@ class TypeChecker:
     The check goes on past an error, collecting each as a
     :class:`~repro.errors.Diagnostic` in ``diagnostics``; a failed check
     raises one :class:`TypeCheckError` reporting all of them, at the first
-    one's span, with the environment key it checked bodies in as
-    ``env_key``.
+    one's span.
     """
 
     def __init__(self, program: ast.Program, previous: Optional["CheckedProgram"] = None):
@@ -234,9 +236,7 @@ class TypeChecker:
                     checked.functions[fn.name] = self._check_function(fn)
             crates[crate.name] = checked
         if self.diagnostics:
-            error = TypeCheckError.of(self.diagnostics)
-            error.env_key = env_key
-            raise error
+            raise TypeCheckError.of(self.diagnostics)
         return CheckedProgram(
             program=self.program,
             registry=self.registry,
@@ -364,8 +364,7 @@ class TypeChecker:
     def _check_function(self, fn: ast.FnDecl) -> CheckedFunction:
         """Check one body.  The declared return type is read as parsed: it
         is only compared, and struct types compare by name."""
-        signature = self.signatures[fn.name]
-        checked = CheckedFunction(decl=fn, signature=signature)
+        checked = CheckedFunction(decl=fn, signature=self.signatures[fn.name])
         if fn.body is None:
             return checked
 
@@ -375,9 +374,8 @@ class TypeChecker:
             # `&mut` references, matching idiomatic Rust and the corpus.
             ty = self.registry.resolve(param.ty)
             scope.declare(LocalInfo(param.name, ty, mutable=False, span=param.span))
-            checked.locals[param.name] = ty
 
-        body_ty = self._check_block(fn.body, scope, fn, checked)
+        body_ty = self._check_block(fn.body, scope, fn)
         if not isinstance(fn.ret_type, UnitType) and fn.body.tail is not None:
             if not types_compatible(fn.ret_type, body_ty):
                 self._error(
@@ -387,25 +385,21 @@ class TypeChecker:
                 )
         return checked
 
-    def _check_block(
-        self, block: ast.Block, scope: _Scope, fn: ast.FnDecl, checked: CheckedFunction
-    ) -> Type:
+    def _check_block(self, block: ast.Block, scope: _Scope, fn: ast.FnDecl) -> Type:
         scope.push()
         try:
             for stmt in block.stmts:
-                self._check_stmt(stmt, scope, fn, checked)
+                self._check_stmt(stmt, scope, fn)
             if block.tail is not None:
-                return self._check_expr(block.tail, scope, fn, checked)
+                return self._check_expr(block.tail, scope, fn)
             return UNIT
         finally:
             scope.pop()
 
-    def _check_stmt(
-        self, stmt: ast.Stmt, scope: _Scope, fn: ast.FnDecl, checked: CheckedFunction
-    ) -> None:
+    def _check_stmt(self, stmt: ast.Stmt, scope: _Scope, fn: ast.FnDecl) -> None:
         if isinstance(stmt, ast.LetStmt):
             init_ty = (
-                self._check_expr(stmt.init, scope, fn, checked) if stmt.init is not None else UNIT
+                self._check_expr(stmt.init, scope, fn) if stmt.init is not None else UNIT
             )
             declared = stmt.declared_ty
             if declared is not None:
@@ -421,10 +415,9 @@ class TypeChecker:
             else:
                 binding_ty = init_ty
             scope.declare(LocalInfo(stmt.name, binding_ty, stmt.mutable, stmt.span))
-            checked.locals[stmt.name] = binding_ty
         elif isinstance(stmt, ast.AssignStmt):
-            value_ty = self._check_expr(stmt.value, scope, fn, checked)
-            target_ty = self._check_expr(stmt.target, scope, fn, checked)
+            value_ty = self._check_expr(stmt.value, scope, fn)
+            target_ty = self._check_expr(stmt.target, scope, fn)
             if not stmt.target.is_place():
                 self._error("left-hand side of assignment is not a place", stmt.span)
             else:
@@ -436,17 +429,17 @@ class TypeChecker:
                     stmt.span,
                 )
         elif isinstance(stmt, ast.ExprStmt):
-            self._check_expr(stmt.expr, scope, fn, checked)
+            self._check_expr(stmt.expr, scope, fn)
         elif isinstance(stmt, ast.WhileStmt):
-            cond_ty = self._check_expr(stmt.cond, scope, fn, checked)
+            cond_ty = self._check_expr(stmt.cond, scope, fn)
             if not isinstance(cond_ty, BoolType):
                 self._error(
                     f"while condition must be bool, found {cond_ty.pretty()}", stmt.span
                 )
-            self._check_block(stmt.body, scope, fn, checked)
+            self._check_block(stmt.body, scope, fn)
         elif isinstance(stmt, ast.ReturnStmt):
             value_ty = (
-                self._check_expr(stmt.value, scope, fn, checked)
+                self._check_expr(stmt.value, scope, fn)
                 if stmt.value is not None
                 else UNIT
             )
@@ -497,16 +490,12 @@ class TypeChecker:
 
     # -- expressions -------------------------------------------------------------
 
-    def _check_expr(
-        self, expr: ast.Expr, scope: _Scope, fn: ast.FnDecl, checked: CheckedFunction
-    ) -> Type:
-        ty = self._infer_expr(expr, scope, fn, checked)
+    def _check_expr(self, expr: ast.Expr, scope: _Scope, fn: ast.FnDecl) -> Type:
+        ty = self._infer_expr(expr, scope, fn)
         expr.ty = ty
         return ty
 
-    def _infer_expr(
-        self, expr: ast.Expr, scope: _Scope, fn: ast.FnDecl, checked: CheckedFunction
-    ) -> Type:
+    def _infer_expr(self, expr: ast.Expr, scope: _Scope, fn: ast.FnDecl) -> Type:
         if isinstance(expr, ast.Literal):
             if expr.value is None:
                 return UNIT
@@ -522,14 +511,14 @@ class TypeChecker:
             return info.ty
 
         if isinstance(expr, ast.FieldAccess):
-            base_ty = self._check_expr(expr.base, scope, fn, checked)
+            base_ty = self._check_expr(expr.base, scope, fn)
             # Auto-deref through references, as Rust does for field access.
             while isinstance(base_ty, RefType):
                 base_ty = base_ty.pointee
             return self._field_type(expr, base_ty)
 
         if isinstance(expr, ast.Deref):
-            base_ty = self._check_expr(expr.base, scope, fn, checked)
+            base_ty = self._check_expr(expr.base, scope, fn)
             if isinstance(base_ty, RefType):
                 return base_ty.pointee
             self._error(
@@ -538,7 +527,7 @@ class TypeChecker:
             return UNIT
 
         if isinstance(expr, ast.Unary):
-            operand_ty = self._check_expr(expr.operand, scope, fn, checked)
+            operand_ty = self._check_expr(expr.operand, scope, fn)
             if expr.op is ast.UnOp.NOT:
                 if not isinstance(operand_ty, BoolType):
                     self._error(
@@ -552,8 +541,8 @@ class TypeChecker:
             return U32
 
         if isinstance(expr, ast.Binary):
-            lhs_ty = self._check_expr(expr.lhs, scope, fn, checked)
-            rhs_ty = self._check_expr(expr.rhs, scope, fn, checked)
+            lhs_ty = self._check_expr(expr.lhs, scope, fn)
+            rhs_ty = self._check_expr(expr.rhs, scope, fn)
             if expr.op.is_logical():
                 for side, ty in (("left", lhs_ty), ("right", rhs_ty)):
                     if not isinstance(ty, BoolType):
@@ -579,34 +568,34 @@ class TypeChecker:
             return U32
 
         if isinstance(expr, ast.Borrow):
-            place_ty = self._check_expr(expr.place, scope, fn, checked)
+            place_ty = self._check_expr(expr.place, scope, fn)
             if not expr.place.is_place():
                 self._error("can only borrow places", expr.span)
             mutability = Mutability.MUT if expr.mutable else Mutability.SHARED
             return RefType(place_ty, mutability, None)
 
         if isinstance(expr, ast.Call):
-            return self._check_call(expr, scope, fn, checked)
+            return self._check_call(expr, scope, fn)
 
         if isinstance(expr, ast.TupleExpr):
             element_types = tuple(
-                self._check_expr(element, scope, fn, checked) for element in expr.elements
+                self._check_expr(element, scope, fn) for element in expr.elements
             )
             return TupleType(element_types)
 
         if isinstance(expr, ast.StructLit):
-            return self._check_struct_lit(expr, scope, fn, checked)
+            return self._check_struct_lit(expr, scope, fn)
 
         if isinstance(expr, ast.If):
-            cond_ty = self._check_expr(expr.cond, scope, fn, checked)
+            cond_ty = self._check_expr(expr.cond, scope, fn)
             if not isinstance(cond_ty, BoolType):
                 self._error(
                     f"if condition must be bool, found {cond_ty.pretty()}", expr.span
                 )
-            then_ty = self._check_block(expr.then_block, scope, fn, checked)
+            then_ty = self._check_block(expr.then_block, scope, fn)
             if expr.else_block is None:
                 return UNIT
-            else_ty = self._check_block(expr.else_block, scope, fn, checked)
+            else_ty = self._check_block(expr.else_block, scope, fn)
             if types_compatible(then_ty, else_ty):
                 return then_ty
             if types_compatible(else_ty, then_ty):
@@ -619,7 +608,7 @@ class TypeChecker:
             return then_ty
 
         if isinstance(expr, ast.BlockExpr):
-            return self._check_block(expr.block, scope, fn, checked)
+            return self._check_block(expr.block, scope, fn)
 
         self._error(f"unsupported expression {type(expr).__name__}", expr.span)
         return UNIT
@@ -663,10 +652,8 @@ class TypeChecker:
         )
         return UNIT
 
-    def _check_call(
-        self, expr: ast.Call, scope: _Scope, fn: ast.FnDecl, checked: CheckedFunction
-    ) -> Type:
-        arg_types = [self._check_expr(arg, scope, fn, checked) for arg in expr.args]
+    def _check_call(self, expr: ast.Call, scope: _Scope, fn: ast.FnDecl) -> Type:
+        arg_types = [self._check_expr(arg, scope, fn) for arg in expr.args]
         signature = self.signatures.get(expr.func)
         if signature is None:
             self._error(f"call to unknown function {expr.func!r}", expr.span)
@@ -685,14 +672,12 @@ class TypeChecker:
                 )
         return self.registry.resolve(signature.ret_type)
 
-    def _check_struct_lit(
-        self, expr: ast.StructLit, scope: _Scope, fn: ast.FnDecl, checked: CheckedFunction
-    ) -> Type:
+    def _check_struct_lit(self, expr: ast.StructLit, scope: _Scope, fn: ast.FnDecl) -> Type:
         struct = self.registry.lookup(expr.struct_name)
         if struct is None:
             self._error(f"unknown struct {expr.struct_name!r}", expr.span)
             for _, value in expr.fields:
-                self._check_expr(value, scope, fn, checked)
+                self._check_expr(value, scope, fn)
             return UNIT
         provided = {name for name, _ in expr.fields}
         expected = set(struct.field_names())
@@ -705,7 +690,7 @@ class TypeChecker:
                 f"struct {struct.name!r} has no field {extra!r}", expr.span
             )
         for name, value in expr.fields:
-            value_ty = self._check_expr(value, scope, fn, checked)
+            value_ty = self._check_expr(value, scope, fn)
             declared = struct.field_type(name)
             if declared is not None and not types_compatible(declared, value_ty):
                 self._error(

@@ -471,12 +471,16 @@ class Body:
     arguments, in declaration order, and the rest are user variables and
     compiler temporaries.
 
+    ``place_exprs`` records, for each place expression of the source body,
+    its span and the place lowering resolved it to, with every name looked
+    up in the scope of its use; cursor resolution reads this record.
+
     Nothing changes a body after lowering, and a rebuild keeps a body only
-    while its text and position are unchanged, so the span table of
-    :meth:`location_spans` is built once and lives exactly as long as the
-    body.  Readers on several threads may share a body: the table is built
-    whole and published with one assignment, so a reader sees either no
-    table or a complete one.
+    while its text and position are unchanged, so the record and the span
+    table of :meth:`location_spans` live exactly as long as the body; the
+    table is built once.  Readers on several threads may share a body: the
+    table is built whole and published with one assignment, so a reader
+    sees either no table or a complete one.
     """
 
     fn_name: str
@@ -486,6 +490,9 @@ class Body:
     signature: FnSig
     crate: str = "main"
     span: Span = DUMMY_SPAN
+    place_exprs: Tuple[Tuple[Span, Place], ...] = field(
+        default=(), compare=False, repr=False
+    )
     _location_spans: Optional[Tuple[Tuple[Span, ...], ...]] = field(
         default=None, init=False, compare=False, repr=False
     )

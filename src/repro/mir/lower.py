@@ -100,6 +100,7 @@ class FunctionLowerer:
         self.registry = checked.registry
         self.locals: List[Local] = []
         self.blocks: List[BasicBlock] = []
+        self.place_exprs: List[Tuple[Span, Place]] = []
         self.scopes: List[Dict[str, int]] = [{}]
         self.loop_stack: List[_LoopContext] = []
         self.current_block = 0
@@ -201,6 +202,7 @@ class FunctionLowerer:
             signature=signature,
             crate=self.decl.crate or self.checked.fn_crates.get(self.decl.name, "main"),
             span=self.decl.span,
+            place_exprs=tuple(self.place_exprs),
         )
         _prune_unreachable(body)
         return body
@@ -347,17 +349,17 @@ class FunctionLowerer:
         return self._operand_for_place(dest, self._expr_ty(expr))
 
     def _lower_to_place(self, expr: ast.Expr) -> Place:
-        """Lower a place expression to a MIR place (inserting auto-derefs)."""
+        """Lower a place expression to a MIR place (inserting auto-derefs),
+        and record the place under the expression's span."""
         if isinstance(expr, ast.Var):
-            return Place.from_local(self._lookup(expr.name, expr.span))
-        if isinstance(expr, ast.Deref):
-            base = self._lower_place_or_temp(expr.base)
-            return base.project_deref()
-        if isinstance(expr, ast.FieldAccess):
-            base = self._lower_place_or_temp(expr.base)
+            place = Place.from_local(self._lookup(expr.name, expr.span))
+        elif isinstance(expr, ast.Deref):
+            place = self._lower_place_or_temp(expr.base).project_deref()
+        elif isinstance(expr, ast.FieldAccess):
+            place = self._lower_place_or_temp(expr.base)
             base_ty = self._expr_ty(expr.base)
             while isinstance(base_ty, RefType):
-                base = base.project_deref()
+                place = place.project_deref()
                 base_ty = base_ty.pointee
             index = expr.field_index
             if index is None:
@@ -367,10 +369,13 @@ class FunctionLowerer:
                     raise LoweringError(
                         f"unresolved field {expr.fld!r} during lowering", expr.span
                     )
-            return base.project_field(index)
-        raise LoweringError(
-            f"expression of kind {expr.kind.value} is not a place", expr.span
-        )
+            place = place.project_field(index)
+        else:
+            raise LoweringError(
+                f"expression of kind {expr.kind.value} is not a place", expr.span
+            )
+        self.place_exprs.append((expr.span, place))
+        return place
 
     def _lower_place_or_temp(self, expr: ast.Expr) -> Place:
         """Lower an expression used as the base of a projection."""

@@ -374,21 +374,12 @@ class AnalysisSession:
             (crate for _, _, unit in parsed.values() for crate in unit.crates),
             self.local_crate,
         )
-        checked = None
         try:
             checked = check_program(program, previous=self._checked)
             lowered = lower_program(checked, previous=self._lowered)
             call_graph = build_call_graph(lowered)
-        except Exception as error:
-            # The check annotates the bodies it checks in place.  It checks
-            # a body the served program shares only when the environment
-            # key changed; then check the served program again to restore
-            # that body's annotations.
-            env_key = checked.env_key if checked is not None else getattr(error, "env_key", None)
-            if self._checked is not None and env_key != self._checked.env_key:
-                check_program(self._checked.program)
-            if isinstance(error, ReproError):
-                _locate_in_units(error, unit_lines)
+        except ReproError as error:
+            _locate_in_units(error, unit_lines)
             raise
         previous_signatures = self._checked.signatures if self._checked is not None else {}
         previous_bodies = self._lowered.bodies if self._lowered is not None else {}
@@ -413,7 +404,7 @@ class AnalysisSession:
         self._unit_lines = unit_lines
         self._checked = checked
         self._lowered = lowered
-        self._cursor_index = CursorIndex(checked.program)
+        self._cursor_index = CursorIndex(lowered)
         self._call_graph = call_graph
         self._fingerprints = FingerprintIndex(
             lowered,
@@ -718,12 +709,7 @@ class AnalysisSession:
                     code=QueryError.POSITION_OUT_OF_RANGE,
                 )
             target = resolve_cursor(
-                self._checked,
-                self._lowered,
-                line,
-                int(col),
-                line_offset=offset,
-                index=self._cursor_index,
+                self._lowered, line, int(col), line_offset=offset, index=self._cursor_index
             )
             table, cache = self._focus_table(target.fn_name, config)
             entry = table.entry_for_place(target.place)

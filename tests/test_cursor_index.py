@@ -1,10 +1,12 @@
-"""The cursor index against the linear scans it replaced.
+"""The cursor index against an independent referee.
 
-``resolve_cursor`` finds the function under a cursor by bisection and tests
+``resolve_cursor`` finds the body under a cursor by bisection and tests
 only the binding names and place expressions filed under the cursor's line
-(:class:`~repro.focus.resolve.CursorIndex`).  The referee below is the
-resolver as it was before the index: it scans every function of the program
-and walks the whole body of the one it hits.  At every position of every
+(:class:`~repro.focus.resolve.CursorIndex`), reading the places lowering
+recorded.  The referee below shares none of that: it scans every function
+of the checked AST and walks the whole body of the one it hits, resolving
+every name through its own scope walk and every place expression through
+its own translation from the checker's types.  At every position of every
 input, both must give the same :class:`FocusTarget` or the same
 :class:`QueryError` code.
 """
@@ -15,64 +17,103 @@ import pytest
 
 from helpers import lowered_from
 
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, Span
 from repro.eval.corpus import generate_fuzz_corpus
-from repro.focus.resolve import CursorIndex, FocusTarget, place_expr_to_mir, resolve_cursor
+from repro.focus.resolve import CursorIndex, FocusTarget, resolve_cursor
 from repro.lang import ast
+from repro.lang.types import RefType
 from repro.mir.ir import Place
 from repro.obs import start_trace
 from repro.service.session import AnalysisSession
 
 
-def _walk_stmts(block):
-    for stmt in block.stmts:
-        yield stmt
-        if isinstance(stmt, ast.WhileStmt):
-            yield from _walk_stmts(stmt.body)
-        elif isinstance(stmt, ast.ExprStmt):
-            yield from _walk_stmts_of_expr(stmt.expr)
-        elif isinstance(stmt, ast.LetStmt) and stmt.init is not None:
-            yield from _walk_stmts_of_expr(stmt.init)
-        elif isinstance(stmt, ast.AssignStmt):
-            yield from _walk_stmts_of_expr(stmt.value)
-        elif isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
-            yield from _walk_stmts_of_expr(stmt.value)
-    if block.tail is not None:
-        yield from _walk_stmts_of_expr(block.tail)
+class _ScopeWalk:
+    """One function's bindings and place expressions, in a preorder walk
+    of its body.
 
+    Names resolve by lexical scope: the parameters first, then each
+    block's ``let``s, each declared after its initialiser, with a block's
+    bindings ending with the block.  A binding stands for the local
+    declared at its span, and a place expression's place is translated
+    from the checker's types: a field access through references derefs
+    each of them first.  A place whose base is no named local is ``None``.
+    """
 
-def _walk_stmts_of_expr(expr):
-    if isinstance(expr, ast.If):
-        yield from _walk_stmts(expr.then_block)
-        if expr.else_block is not None:
-            yield from _walk_stmts(expr.else_block)
-    elif isinstance(expr, ast.BlockExpr):
-        yield from _walk_stmts(expr.block)
-    else:
-        for child in expr.children():
-            yield from _walk_stmts_of_expr(child)
+    def __init__(self, fn, body):
+        self.local_at = {local.span: local.index for local in body.user_locals()}
+        self.bindings = []
+        self.places = []
+        scope = {}
+        for param in fn.params:
+            self._declare(scope, param.name, param.span)
+        self._block(fn.body, scope)
+
+    def _declare(self, scope, name, span):
+        self.bindings.append(span)
+        scope[name] = self.local_at[span]
+
+    def _block(self, block, outer):
+        scope = dict(outer)
+        for stmt in block.stmts:
+            if isinstance(stmt, ast.LetStmt):
+                if stmt.init is not None:
+                    self._expr(stmt.init, scope)
+                self._declare(scope, stmt.name, stmt.name_span)
+            elif isinstance(stmt, ast.AssignStmt):
+                self._expr(stmt.target, scope)
+                self._expr(stmt.value, scope)
+            elif isinstance(stmt, ast.ExprStmt):
+                self._expr(stmt.expr, scope)
+            elif isinstance(stmt, ast.WhileStmt):
+                self._expr(stmt.cond, scope)
+                self._block(stmt.body, scope)
+            elif isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
+                self._expr(stmt.value, scope)
+        if block.tail is not None:
+            self._expr(block.tail, scope)
+
+    def _expr(self, expr, scope):
+        if expr.is_place():
+            self.places.append((expr.span, self._place(expr, scope)))
+        if isinstance(expr, ast.If):
+            self._expr(expr.cond, scope)
+            self._block(expr.then_block, scope)
+            if expr.else_block is not None:
+                self._block(expr.else_block, scope)
+        elif isinstance(expr, ast.BlockExpr):
+            self._block(expr.block, scope)
+        else:
+            for child in expr.children():
+                self._expr(child, scope)
+
+    def _place(self, expr, scope):
+        if isinstance(expr, ast.Var):
+            return Place(scope[expr.name], ())
+        if not isinstance(expr, (ast.Deref, ast.FieldAccess)):
+            return None
+        base = self._place(expr.base, scope)
+        if base is None:
+            return None
+        if isinstance(expr, ast.Deref):
+            return base.project_deref()
+        ty = expr.base.ty
+        while isinstance(ty, RefType):
+            base, ty = base.project_deref(), ty.pointee
+        return base.project_field(expr.field_index if expr.field_index is not None else expr.fld)
 
 
 class Referee:
-    """The resolver with linear scans: every function of the program, then
-    every binding and place expression of the whole function hit.  Each
-    body is walked once, up front, in the order the scans visit it."""
+    """The resolver with linear scans and a scope walk: every function of
+    the program, then every binding and place expression of the whole
+    function hit.  Each body is walked once, up front."""
 
     def __init__(self, checked, lowered):
-        self.checked = checked
         self.lowered = lowered
         self.functions = []
         for fn in checked.program.all_functions():
-            if fn.body is None:
-                continue
-            bindings = [(param.name, param.span) for param in fn.params]
-            bindings += [
-                (stmt.name, stmt.name_span)
-                for stmt in _walk_stmts(fn.body)
-                if isinstance(stmt, ast.LetStmt)
-            ]
-            places = [expr for expr in ast.walk_block(fn.body) if expr.is_place()]
-            self.functions.append((fn, bindings, places))
+            if fn.body is not None:
+                body = lowered.body(fn.name)
+                self.functions.append((fn, body, _ScopeWalk(fn, body)))
 
     def resolve(self, line, col, line_offset=0):
         if line < 1 or col < 1:
@@ -87,30 +128,23 @@ class Referee:
                 hit = candidate
         if hit is None:
             raise QueryError("outside", code=QueryError.POSITION_OUT_OF_RANGE)
-        fn, bindings, places = hit
-        body = self.lowered.body(fn.name)
-        if body is None:
-            raise QueryError("no body", code=QueryError.UNKNOWN_FUNCTION)
+        fn, body, walk = hit
 
-        for name, span in bindings:
+        for span in walk.bindings:
             if span.contains(at, col):
-                local = body.local_by_name(name)
-                if local is not None:
-                    place = Place.from_local(local.index)
-                    return FocusTarget(fn.name, place, place.pretty(body), span, local.span)
-                break
+                place = Place(walk.local_at[span], ())
+                return FocusTarget(fn.name, place, place.pretty(body), span, span)
 
-        resolved = []
-        for expr in places:
-            if expr.span.contains(at, col):
-                place = place_expr_to_mir(expr, body)
-                if place is not None:
-                    resolved.append((expr, place))
+        resolved = [
+            (span, place)
+            for span, place in walk.places
+            if place is not None and span.contains(at, col)
+        ]
         if not resolved:
             raise QueryError("no place", code=QueryError.NO_PLACE_AT_POSITION)
-        expr, place = min(resolved, key=lambda pair: pair[0].span.tightness())
+        span, place = min(resolved, key=lambda pair: pair[0].tightness())
         return FocusTarget(
-            fn.name, place, place.pretty(body), expr.span, body.locals[place.local].span
+            fn.name, place, place.pretty(body), span, body.locals[place.local].span
         )
 
 
@@ -139,9 +173,7 @@ def answers(checked, lowered, text, index, line_offset=0):
     out = {}
     for line, col in positions(text):
         expected = outcome(referee.resolve, line, col, line_offset)
-        got = outcome(
-            resolve_cursor, checked, lowered, line, col, line_offset=line_offset, index=index
-        )
+        got = outcome(resolve_cursor, lowered, line, col, line_offset=line_offset, index=index)
         assert got == expected, (line, col, got, expected)
         out[line, col] = got
     return out
@@ -157,7 +189,7 @@ def assert_resolves_places(found):
 def test_fuzz_program_resolves_as_the_linear_scans(size, seed):
     (crate,) = generate_fuzz_corpus(count=1, seed=seed, size=size)
     checked, lowered = lowered_from(crate.source)
-    found = answers(checked, lowered, crate.source, CursorIndex(checked.program))
+    found = answers(checked, lowered, crate.source, CursorIndex(lowered))
     assert_resolves_places(found)
 
 
@@ -196,22 +228,51 @@ def test_edge_cases_resolve_as_the_linear_scans(shared):
     between functions, and ``let``s inside conditions and an assignment
     target; with one index for every query and with none."""
     checked, lowered = lowered_from(EDGE_SOURCE)
-    index = CursorIndex(checked.program) if shared else None
+    index = CursorIndex(lowered) if shared else None
     found = answers(checked, lowered, EDGE_SOURCE, index)
     # The closing brace of `a` and the start of `b` share line 5.
     assert found[5, 1] == QueryError.NO_PLACE_AT_POSITION
     assert found[5, 8].fn_name == "b" and found[5, 8].label == "p"
     # `p\n.x` is one place expression, reached from both of its lines.
     assert found[7, 9].label == "(*p).0" and found[7, 9].span.start_line == 6
-    # A shadowing `let s`: both names and the `s` read on its right.
+    # A shadowing `let s`: the `s` read on its right is the first `s`; its
+    # name and the tail read are the second.
+    first, second = Span(6, 9, 6, 10), Span(8, 9, 8, 10)
+    assert found[6, 9].defining_span == found[8, 13].defining_span == first
+    assert found[8, 9].defining_span == found[9, 5].defining_span == second
+    assert found[8, 9].place != found[8, 13].place
     assert found[6, 9].label == found[8, 9].label == found[8, 13].label == "s"
     for line in (11, 12, 13, 14):
         assert found[line, 1] == QueryError.POSITION_OUT_OF_RANGE
     read_t = EDGE_SOURCE.split("\n")[14].index("t + a") + 1
     assert found[15, read_t].fn_name == "c" and found[15, read_t].label == "t"
-    # A `let` name in the body is a binding; one in a condition never was.
+    # Every `let` name is a binding: in the body, in a condition and in an
+    # assignment target.
     assert found[18, 13].label == "n"
-    assert found[19, 17] == found[23, 14] == QueryError.NO_PLACE_AT_POSITION
+    assert [found[at].label for at in ((19, 17), (22, 12), (23, 14))] == ["m", "r", "g"]
+    assert found[19, 17].defining_span == found[19, 24].defining_span == Span(19, 17, 19, 18)
+
+
+SHADOW_SOURCES = [
+    "fn f(a: u32) -> u32 {\n    let s = a + 1;\n    let s = s * 2;\n    s\n}",
+    "fn g(a: u32) -> u32 {\n    let x = a + 1;\n    let y = {\n        let x = x * 2;\n"
+    "        x + 1\n    };\n    x + y\n}",
+]
+
+
+@pytest.mark.parametrize(
+    "source, names", zip(SHADOW_SOURCES, ["ass", "axyx"]), ids=["same_block", "nested_block"]
+)
+def test_shadowed_names_resolve_as_the_scope_walk(source, names):
+    """Every binding, the shadowed ones included, is some cursor's answer."""
+    checked, lowered = lowered_from(source)
+    found = answers(checked, lowered, source, CursorIndex(lowered))
+    answered = {
+        (value.defining_span, value.label)
+        for value in found.values()
+        if isinstance(value, FocusTarget)
+    }
+    assert "".join(label for _, label in sorted(answered)) == names
 
 
 UNITS = [
@@ -231,7 +292,7 @@ def test_three_unit_workspace_queried_by_unit():
         found = answers(checked, lowered, text, index, line_offset=offset)
         assert_resolves_places(found)
     offset = session._unit_lines["main"][0]
-    target = resolve_cursor(checked, lowered, 3, 5, line_offset=offset, index=index)
+    target = resolve_cursor(lowered, 3, 5, line_offset=offset, index=index)
     assert (target.fn_name, target.label, target.span.start_line) == ("compute", "x", 3 + offset)
 
 
@@ -250,10 +311,10 @@ def test_edit_above_a_function_moves_its_cursors():
     after = session.focus(line=4, col=5)
     assert (after["function"], after["target"], after["seed_span"]) == ("f", "b", [4, 5, 4, 6])
     checked, lowered, index = session._checked, session._lowered, session._cursor_index
-    assert outcome(resolve_cursor, checked, lowered, 1, 1, index=index) == (
+    assert outcome(resolve_cursor, lowered, 1, 1, index=index) == (
         QueryError.POSITION_OUT_OF_RANGE
     )
-    assert outcome(resolve_cursor, checked, lowered, 3, 5, index=index) == (
+    assert outcome(resolve_cursor, lowered, 3, 5, index=index) == (
         QueryError.NO_PLACE_AT_POSITION
     )
     answers(checked, lowered, session.source, index)
@@ -270,7 +331,7 @@ def test_failed_update_keeps_the_served_index():
     assert session._cursor_index is index
     assert session._checked is checked
     for (line, col), answer in served.items():
-        assert outcome(resolve_cursor, checked, lowered, line, col, index=index) == answer
+        assert outcome(resolve_cursor, lowered, line, col, index=index) == answer
     # The kept index has its tables: a focus builds none.
     assert cursor_index_spans(session, line=3, col=5) == []
 

@@ -28,7 +28,7 @@ from repro.cli import main
 from repro.core.config import MODULAR, WHOLE_PROGRAM
 from repro.errors import QueryError, Span
 from repro.focus.render import render_focus_markers, render_focus_response
-from repro.focus.resolve import place_expr_to_mir, resolve_cursor
+from repro.focus.resolve import resolve_cursor
 from repro.focus.spans import (
     lines_of_spans,
     location_span,
@@ -181,54 +181,47 @@ class TestSpanFidelity:
 
 class TestResolve:
     def test_cursor_on_variable_use(self):
-        checked, lowered = lowered_from(COMPUTE_SOURCE)
+        _, lowered = lowered_from(COMPUTE_SOURCE)
         line, col = find_pos(COMPUTE_SOURCE, "x + y")
-        target = resolve_cursor(checked, lowered, line, col)
+        target = resolve_cursor(lowered, line, col)
         assert target.fn_name == "compute"
         assert target.label == "x"
 
     def test_cursor_on_let_binding_name(self):
-        checked, lowered = lowered_from(COMPUTE_SOURCE)
+        _, lowered = lowered_from(COMPUTE_SOURCE)
         line, col = find_pos(COMPUTE_SOURCE, "let y")
-        target = resolve_cursor(checked, lowered, line, col + 4)
+        target = resolve_cursor(lowered, line, col + 4)
         assert target.label == "y"
         assert not target.defining_span.is_dummy()
 
     def test_cursor_on_parameter(self):
-        checked, lowered = lowered_from(COMPUTE_SOURCE)
+        _, lowered = lowered_from(COMPUTE_SOURCE)
         line, col = find_pos(COMPUTE_SOURCE, "a: u32")
-        target = resolve_cursor(checked, lowered, line, col)
+        target = resolve_cursor(lowered, line, col)
         assert target.label == "a"
 
     def test_cursor_on_field_access_resolves_projection(self):
-        checked, lowered = lowered_from(STRUCT_SOURCE)
+        _, lowered = lowered_from(STRUCT_SOURCE)
         # Cursor on the `x` of the *read* `p.x + dx`.
         line, col = find_pos(STRUCT_SOURCE, "p.x", 1)
-        target = resolve_cursor(checked, lowered, line, col + 2)
+        target = resolve_cursor(lowered, line, col + 2)
         assert target.fn_name == "shift"
         # Field access through &mut inserts the auto-deref the lowering uses.
         assert target.place.projection != ()
         assert target.label == "(*p).0"
 
     def test_position_outside_any_function_is_typed_error(self):
-        checked, lowered = lowered_from(COMPUTE_SOURCE)
+        _, lowered = lowered_from(COMPUTE_SOURCE)
         with pytest.raises(QueryError) as excinfo:
-            resolve_cursor(checked, lowered, 99, 1)
+            resolve_cursor(lowered, 99, 1)
         assert excinfo.value.code == QueryError.POSITION_OUT_OF_RANGE
 
     def test_position_on_no_place_is_typed_error(self):
-        checked, lowered = lowered_from(COMPUTE_SOURCE)
+        _, lowered = lowered_from(COMPUTE_SOURCE)
         line, col = find_pos(COMPUTE_SOURCE, "fn compute")
         with pytest.raises(QueryError) as excinfo:
-            resolve_cursor(checked, lowered, line, col)
+            resolve_cursor(lowered, line, col)
         assert excinfo.value.code == QueryError.NO_PLACE_AT_POSITION
-
-    def test_place_expr_to_mir_unknown_variable(self):
-        from repro.lang import ast
-
-        _, lowered = lowered_from(COMPUTE_SOURCE)
-        body = lowered.body("compute")
-        assert place_expr_to_mir(ast.Var(name="nope"), body) is None
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +295,7 @@ class TestFocusTableProperties:
                     variable
                 )
                 assert frozenset(entry.forward) == forward_slice_locations(
-                    result, variable
+                    result, result.body.local_by_name(variable)
                 )
 
     def test_warm_focus_results_byte_equal_to_cold(self):
@@ -372,7 +365,56 @@ class TestFocusTableProperties:
 # ---------------------------------------------------------------------------
 
 
+SHADOW_SAME_BLOCK = "fn f(a: u32) -> u32 {\n    let s = a + 1;\n    let s = s * 2;\n    s\n}"
+SHADOW_NESTED_BLOCK = (
+    "fn g(a: u32) -> u32 {\n    let x = a + 1;\n    let y = {\n        let x = x * 2;\n"
+    "        x + 1\n    };\n    x + y\n}"
+)
+OTHER_UNIT = "fn other(v: u32) -> u32 {\n    v\n}"
+
+# (source, cursor line, cursor col, defining span, backward lines)
+SHADOWED_CURSORS = [
+    (SHADOW_SAME_BLOCK, 4, 5, [3, 9, 3, 10], [2, 3]),
+    (SHADOW_SAME_BLOCK, 3, 9, [3, 9, 3, 10], [2, 3]),
+    (SHADOW_SAME_BLOCK, 3, 13, [2, 9, 2, 10], [2]),
+    (SHADOW_SAME_BLOCK, 2, 9, [2, 9, 2, 10], [2]),
+    (SHADOW_NESTED_BLOCK, 4, 13, [4, 13, 4, 14], [2, 4]),
+    (SHADOW_NESTED_BLOCK, 5, 9, [4, 13, 4, 14], [2, 4]),
+    (SHADOW_NESTED_BLOCK, 4, 17, [2, 9, 2, 10], [2]),
+    (SHADOW_NESTED_BLOCK, 7, 5, [2, 9, 2, 10], [2]),
+    (SHADOW_NESTED_BLOCK, 7, 9, [3, 9, 3, 10], [2, 4, 5]),
+]
+
+
+def _answer(response: dict) -> dict:
+    return {key: value for key, value in response.items() if key not in ("cache", "stats")}
+
+
 class TestSessionFocus:
+    @pytest.mark.parametrize(
+        "source, line, col, defining, lines",
+        SHADOWED_CURSORS,
+        ids=[f"{case[0][3]}-{case[1]}:{case[2]}" for case in SHADOWED_CURSORS],
+    )
+    def test_cursor_on_a_shadowed_name_answers_the_binding_in_scope(
+        self, source, line, col, defining, lines
+    ):
+        """A cursor on a shadowing ``let`` name, or on a use of a shadowed
+        name, answers the binding in scope there; after an edit to another
+        function, the answer is unchanged and equals a fresh session's."""
+        cursor = {"unit": "b", "line": line, "col": col, "direction": "backward"}
+        session = AnalysisSession()
+        session.open_units([("a", OTHER_UNIT), ("b", source)])
+        answer = _answer(session.focus(**cursor))
+        assert answer["defining_span"] == defining
+        assert answer["backward"]["lines"] == lines
+
+        edited = OTHER_UNIT.replace("    v\n", "    v + 1\n")
+        session.update_unit("a", edited)
+        fresh = AnalysisSession()
+        fresh.open_units([("a", edited), ("b", source)])
+        assert _answer(session.focus(**cursor)) == _answer(fresh.focus(**cursor)) == answer
+
     def test_cursor_and_name_queries_agree(self):
         session = AnalysisSession()
         session.open_unit("main", COMPUTE_SOURCE)
@@ -505,9 +547,9 @@ class TestSessionFocus:
             "    return if c { let q = a + 1; q } else { a };\n"
             "}\n"
         )
-        checked, lowered = lowered_from(source)
+        _, lowered = lowered_from(source)
         line, col = find_pos(source, "let q")
-        target = resolve_cursor(checked, lowered, line, col + 4)
+        target = resolve_cursor(lowered, line, col + 4)
         assert target.label == "q"
 
     def test_focus_unknown_unit_typed_error(self):

@@ -185,6 +185,31 @@ def test_focus_agreement_catches_a_wrong_span_or_line(monkeypatch, target, misma
     assert mismatch in verdict.detail, verdict.detail
 
 
+SHADOWING_SOURCE = "fn f(a: u32) -> u32 {\n    let s = a + 1;\n    let s = s * 2;\n    s\n}"
+
+
+def test_focus_agreement_checks_a_shadowing_bindings_entry(monkeypatch):
+    """Drop one location from the backward entry of the second ``s``:
+    the oracle looks every binding up by its place, so it reads that
+    entry and names the mismatch."""
+    from repro.focus.table import FocusTable
+
+    build = FocusTable.build.__func__
+
+    def broken(cls, result):
+        table = build(cls, result)
+        (key,) = [key for key in table.data["entries"] if key.startswith("s@")]
+        table.data["entries"][key]["backward"].pop()
+        return table
+
+    (verdict,) = run_battery(SHADOWING_SOURCE, oracles=["focus_agreement"])
+    assert verdict.ok, verdict.detail
+    monkeypatch.setattr(FocusTable, "build", classmethod(broken))
+    (verdict,) = run_battery(SHADOWING_SOURCE, oracles=["focus_agreement"])
+    assert not verdict.ok
+    assert verdict.detail.startswith("focus_backward_mismatch: f.s: "), verdict.detail
+
+
 def test_session_snapshot_is_cold_warm_byte_identical():
     """The session-level primitive behind the cache oracle."""
     from repro.service.cache import SummaryStore

@@ -38,7 +38,7 @@ def test_simple_function_checks():
 
 def test_let_infers_type_from_init():
     checked = checked_from("fn f() -> u32 { let x = 41; x + 1 }")
-    assert isinstance(checked.function("f").locals["x"], U32Type)
+    assert isinstance(checked.program.function("f").body.tail.lhs.ty, U32Type)
 
 
 def test_comparison_yields_bool():
@@ -75,7 +75,7 @@ def test_auto_deref_field_access_through_reference():
 
 def test_borrow_expression_type():
     checked = checked_from("fn f() { let mut x = 1; let r = &mut x; *r = 2; }")
-    r_ty = checked.function("f").locals["r"]
+    r_ty = checked.program.function("f").body.stmts[1].init.ty
     assert isinstance(r_ty, RefType)
     assert r_ty.mutability is Mutability.MUT
 
@@ -88,7 +88,7 @@ def test_call_return_type_is_resolved_struct():
         fn f() { let v = vec_new(); }
         """
     )
-    v_ty = checked.function("f").locals["v"]
+    v_ty = checked.program.function("f").body.stmts[0].init.ty
     assert isinstance(v_ty, StructType)
     assert v_ty.opaque
 
@@ -363,7 +363,7 @@ def test_check_leaves_declarations_as_parsed():
     assert fn.params[0].ty is param_ty and fn.ret_type is ret_type
     assert param_ty.fields == ()
     assert checked.signature("f").param_types[0].fields == (("a", U32),)
-    assert checked.function("f").locals["s"].fields == (("a", U32),)
+    assert fn.body.tail.ty.fields == (("a", U32),)
 
 
 def test_previous_lends_the_signatures_of_shared_declarations():
@@ -382,11 +382,3 @@ def test_previous_lends_the_signatures_of_shared_declarations():
     assert third.signature("get") is not second.signature("get")
     assert third.signature("get").param_types[0].pointee.field_names() == ["b", "a"]
     assert third.reused == frozenset()
-
-
-def test_failed_check_carries_its_environment_key():
-    with pytest.raises(TypeCheckError) as excinfo:
-        check_program(parse_program("struct S { a: u32 }\nfn f(s: &S) -> u32 { true }"))
-    structs, signatures = excinfo.value.env_key
-    assert structs == (("S", False, (("a", "u32"),)),)
-    assert signatures == {"f": ("main", "fn f<'in1>(s: &'in1 S) -> u32")}
